@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import IncompatibleOperandsError, InvalidParameterError
-from .groups import GroupModel, PWeight
+from .groups import GroupModel, PWeight, padded
 
 _BLOCK = 512
 
@@ -116,19 +116,16 @@ def involution(f: GridFunction) -> GridFunction:
     """F^vee(x) = F(x^{-1}); absent inverses yield zero."""
     model = f.model
     inv = model.inv_indices(np.arange(model.size))
-    out = np.where(inv >= 0, f.values[np.maximum(inv, 0)], 0.0)
-    return GridFunction(model, out)
+    return GridFunction(model, padded(f.values)[inv])
 
 
 def translate_left(f: GridFunction, x_index: int, twisted: bool = False) -> GridFunction:
     """L_x F(y) = F(x^{-1} y); the twisted variant multiplies by sigma(x, x^{-1}y)."""
     model = f.model
-    z = model.div_indices(np.full(model.size, x_index), np.arange(model.size))
-    out = np.where(z >= 0, f.values[np.maximum(z, 0)], 0.0)
+    z = model.div_indices(x_index, np.arange(model.size))
+    out = padded(f.values)[z]
     if twisted and not model.has_trivial_cocycle:
-        ok = z >= 0
-        phase = model.cocycle_values(np.full(int(ok.sum()), x_index), z[ok])
-        out[ok] *= phase
+        out *= model.cocycle_values(x_index, z)  # absent entries stay zero
     return GridFunction(model, out)
 
 
@@ -136,38 +133,30 @@ def translate_right(f: GridFunction, x_index: int, twisted: bool = False) -> Gri
     """R_x F(y) = F(y x); the twisted variant multiplies by conj(sigma(y, x))."""
     model = f.model
     y = np.arange(model.size)
-    z = model.mul_indices(y, np.full(model.size, x_index))
-    out = np.where(z >= 0, f.values[np.maximum(z, 0)], 0.0)
+    z = next(model.translates(y, [x_index]))
+    out = padded(f.values)[z]
     if twisted and not model.has_trivial_cocycle:
-        ok = z >= 0
-        out[ok] *= np.conj(model.cocycle_values(y[ok], np.full(int(ok.sum()), x_index)))
+        out *= np.conj(model.cocycle_values(y, x_index))  # absent entries stay zero
+    return GridFunction(model, out)
+
+
+def _maximal(f: GridFunction, side: str) -> GridFunction:
+    model = f.model
+    mag = padded(np.abs(f.values))
+    out = np.zeros(model.size)
+    for t in model.translates(np.arange(model.size), model.q_indices, side):
+        np.maximum(out, mag[t], out=out)
     return GridFunction(model, out)
 
 
 def maximal_left(f: GridFunction) -> GridFunction:
     """M^L F(x) = max over q in Q with xq defined of |F(xq)|."""
-    model = f.model
-    mag = np.abs(f.values)
-    out = np.zeros(model.size)
-    x = np.arange(model.size)
-    for q in model.q_indices:
-        t = model.mul_indices(x, np.full(model.size, q))
-        ok = t >= 0
-        out[ok] = np.maximum(out[ok], mag[t[ok]])
-    return GridFunction(model, out)
+    return _maximal(f, "left")
 
 
 def maximal_right(f: GridFunction) -> GridFunction:
     """M^R F(x) = max over q in Q with qx defined of |F(qx)|."""
-    model = f.model
-    mag = np.abs(f.values)
-    out = np.zeros(model.size)
-    x = np.arange(model.size)
-    for q in model.q_indices:
-        t = model.mul_indices(np.full(model.size, q), x)
-        ok = t >= 0
-        out[ok] = np.maximum(out[ok], mag[t[ok]])
-    return GridFunction(model, out)
+    return _maximal(f, "right")
 
 
 def maximal_two_sided(f: GridFunction) -> GridFunction:
@@ -190,7 +179,7 @@ def lpw_norm(f: GridFunction, spec: QuasiNormSpec) -> float:
 
 
 def amalgam_norm(f: GridFunction, spec: QuasiNormSpec) -> float:
-    """Quasi-norm of the appropriate local maximal function."""
+    """Quasi-norm for any flavor: plain L^p_w, or L^p_w of the flavor's maximal function."""
     if spec.flavor == "plain":
         return lpw_norm(f, spec)
     if spec.flavor == "left":
@@ -202,9 +191,8 @@ def amalgam_norm(f: GridFunction, spec: QuasiNormSpec) -> float:
     return lpw_norm(mf, QuasiNormSpec(p=spec.p, weight=spec.weight, flavor="plain"))
 
 
-def norm(f: GridFunction, spec: QuasiNormSpec) -> float:
-    """Dispatch on flavor: plain Lebesgue or amalgam."""
-    return lpw_norm(f, spec) if spec.flavor == "plain" else amalgam_norm(f, spec)
+# the older name of amalgam_norm; perfbench/tracing.py still wraps it by name
+norm = amalgam_norm
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +211,16 @@ def _convolve_values(model: GroupModel, v1: np.ndarray, v2: np.ndarray,
     out = np.zeros(n, dtype=complex)
     x = np.arange(n)
     weighted = v1 * model.haar
+    v2_pad = padded(v2)
     for start in range(0, n, _BLOCK):
         block = np.arange(start, min(start + _BLOCK, n))
         rows = weighted[block]
         if not np.any(rows):
             continue
         z = model.div_indices(block[:, None], x[None, :])
-        ok = z >= 0
-        vals = np.where(ok, v2[np.maximum(z, 0)], 0.0)
+        vals = v2_pad[z]
         if use_cocycle:
-            vals = vals * np.where(ok, model.cocycle_values(block[:, None], np.maximum(z, 0)), 0.0)
+            vals = vals * model.cocycle_values(block[:, None], z)  # absent entries stay zero
         out += rows @ vals
     return out
 
@@ -277,7 +265,7 @@ def convolution_relation_check(f1: GridFunction, f2: GridFunction,
     """
     _same_model(f1, f2)
     conv = twisted_convolve(f1, f2)
-    lhs = norm(conv, QuasiNormSpec(p=y_spec.p, weight=y_spec.weight, flavor="plain"))
+    lhs = amalgam_norm(conv, QuasiNormSpec(p=y_spec.p, weight=y_spec.weight, flavor="plain"))
     wl = amalgam_norm(f1, QuasiNormSpec(p=y_spec.p, weight=y_spec.weight, flavor="left"))
     wr = amalgam_norm(f2, QuasiNormSpec(p=w.p, weight=w, flavor="right"))
     prod = wl * wr

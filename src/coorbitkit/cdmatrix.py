@@ -23,7 +23,7 @@ from .errors import (
     NotContractiveError,
 )
 from .frames import _series_apply
-from .groups import PWeight, unit_weight
+from .groups import PWeight, padded, unit_weight
 from .sampling import SampleSet, rel_separation
 
 
@@ -80,10 +80,8 @@ def verify_envelope(a: CDMatrix, phi: GridFunction) -> dict:
     model = a.model
     z1 = _relative_positions(a)                       # gamma_j^{-1} lambda_i
     z2 = model.div_indices(a.rows.points[:, None], a.cols.points[None, :])
-    vals = phi.values.real
-    b1 = np.where(z1 >= 0, vals[np.maximum(z1, 0)], np.inf)
-    b2 = np.where(z2 >= 0, vals[np.maximum(z2, 0)], np.inf)
-    bound = np.minimum(b1, b2)
+    vals = padded(phi.values.real, np.inf)  # an absent position bounds nothing
+    bound = np.minimum(vals[z1], vals[z2])
     excess = np.abs(a.entries) - bound
     max_excess = float(excess.max()) if excess.size else 0.0
     return {"holds": max_excess <= 1e-12, "max_excess": max(max_excess, 0.0)}
@@ -92,17 +90,17 @@ def verify_envelope(a: CDMatrix, phi: GridFunction) -> dict:
 def minimal_envelope(a: CDMatrix) -> GridFunction:
     """Smallest symmetric sampled envelope: per-bin max of |A_ij|, then symmetrized."""
     model = a.model
-    phi = np.zeros(model.size)
+    phi = np.zeros(model.size + 1)  # pad slot absorbs absent relative positions
     z1 = _relative_positions(a)
     mags = np.abs(a.entries)
-    ok = z1 >= 0
-    if not np.all(ok | (mags == 0)):
+    if not np.all((z1 >= 0) | (mags == 0)):
         warnings.warn(
             "some nonzero entries have no carrier representative for their relative "
             "position; the minimal envelope does not certify them",
             CoverageWarning,
         )
-    np.maximum.at(phi, z1[ok], mags[ok])
+    np.maximum.at(phi, z1, mags)
+    phi = phi[:-1]
     env = GridFunction(model, phi)
     sym = np.maximum(phi, involution(env).values.real)
     return GridFunction(model, sym)

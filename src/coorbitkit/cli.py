@@ -3,7 +3,8 @@
 Subcommands: ``counterexample realline|affine``, ``gabor frame|riesz``,
 ``diagnostic in-group``, ``coorbit norm|embed``.  Each accepts ``--config``
 (JSON overrides for the runner's keyword arguments) and ``--out`` (report
-directory).  Exit code 0 iff every bounded metric passes.
+directory).  Exit code 0 iff every bounded metric passes; a config that is not
+a JSON object of the runner's keywords is rejected with exit code 2.
 """
 
 from __future__ import annotations
@@ -58,16 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    import inspect
+
+    parser = build_parser()
+    args = parser.parse_args(argv)
     runner = _RUNNERS[(args.group, args.variant)]
     config = _load_config(args.config)
+    if not isinstance(config, dict):
+        parser.error(f"--config must hold a JSON object, got {type(config).__name__}")
+    accepted = list(inspect.signature(runner).parameters)
+    unknown = [key for key in config if key not in accepted]
+    if unknown:
+        parser.error(f"unknown --config key(s) {', '.join(map(repr, unknown))} for "
+                     f"{args.group} {args.variant}; accepted keys: {', '.join(accepted)}")
     report = runner(**config)
-    experiments.emit_report(report, args.out, fmt=args.format)
+    paths = experiments.emit_report(report, args.out, fmt=args.format)
     for metric in report.metrics:
         flag = "pass" if metric.passed else ("FAIL" if metric.passed is not None else "    ")
         bound = f" (bound {metric.bound:g})" if metric.bound is not None else ""
         print(f"[{flag}] {metric.name} = {metric.value:g}{bound}")
-    print(f"report: {report.artifacts[0]}")
+    print(f"report: {paths[0]}")
     return 0 if report.all_pass else 1
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, norm
+from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm
 from .errors import IncompatibleOperandsError, InvalidParameterError, NoCertificateError
 from .frames import (
     MoleculeCertificate,
@@ -45,13 +45,11 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
         )
     model = sample.model
     q = model.q_indices if q_indices is None else np.asarray(q_indices, dtype=int)
-    acc = np.zeros(model.size)
+    acc = np.zeros(model.size + 1)  # pad slot absorbs absent products
     mags = np.abs(c)
-    for qi in q:
-        t = model.mul_indices(sample.points, np.full(len(sample), qi))
-        ok = t >= 0
-        np.add.at(acc, t[ok], mags[ok])
-    return norm(GridFunction(model, acc), sspec.base)
+    for t in model.translates(sample.points, q):
+        np.add.at(acc, t, mags)
+    return amalgam_norm(GridFunction(model, acc[:-1]), sspec.base)
 
 
 @dataclass
@@ -376,8 +374,8 @@ def wiener_vs_plain_ratio(ctx: CoorbitContext, f_samples: Sequence[np.ndarray]) 
     ratios = []
     for f in f_samples:
         vf = voice_transform(ctx.rep, ctx.window, f)
-        plain = norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
-                                       flavor="plain"))
+        plain = amalgam_norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
+                                               flavor="plain"))
         wiener = amalgam_norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
                                                 flavor="left"))
         if plain > 0:

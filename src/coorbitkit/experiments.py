@@ -102,26 +102,28 @@ def report_from_json(text: str) -> Report:
 
 
 def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
-    """Write the JSON report (always) plus one CSV per curve when fmt='csv'."""
+    """Write the JSON report (always) plus one CSV per curve when fmt='csv'.
+
+    ``report.artifacts`` lists the written file names, the JSON's own first,
+    relative to ``out_dir`` so the JSON does not depend on where it is written;
+    the return value holds the same files as full paths.
+    """
     out_dir = Path(out_dir)
+    stem = report.command.replace(" ", "_")
+    csv_names = {name: f"{stem}_{name}.csv" for name in report.curves} if fmt == "csv" else {}
+    # the JSON lists every artifact, itself included, so the list comes first
+    report.artifacts = [f"{stem}.json"] + list(csv_names.values())
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        json_path = out_dir / f"{report.command.replace(' ', '_')}.json"
-        json_path.write_text(report.to_json())
-        paths.append(str(json_path))
-        if fmt == "csv":
-            for name, rows in report.curves.items():
-                csv_path = out_dir / f"{report.command.replace(' ', '_')}_{name}.csv"
-                with csv_path.open("w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["parameter", "value", "bound", "pass"])
-                    for row in rows:
-                        writer.writerow([row["parameter"], row["value"],
-                                         row.get("bound"), row.get("pass")])
-                paths.append(str(csv_path))
-        report.artifacts = paths
-        return paths
+        (out_dir / report.artifacts[0]).write_text(report.to_json())
+        for name, csv_name in csv_names.items():
+            with (out_dir / csv_name).open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["parameter", "value", "bound", "pass"])
+                for row in report.curves[name]:
+                    writer.writerow([row["parameter"], row["value"],
+                                     row.get("bound"), row.get("pass")])
+        return [str(out_dir / name) for name in report.artifacts]
     except OSError as exc:
         raise OSError(f"cannot write report under {out_dir}: {exc}") from exc
 

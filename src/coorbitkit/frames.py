@@ -22,7 +22,7 @@ from .errors import (
     NotRieszError,
     ReducibilityWarning,
 )
-from .groups import CyclicPhaseSpace, GroupModel, PWeight, unit_weight
+from .groups import CyclicPhaseSpace, GroupModel, PWeight, index_pairs, padded, unit_weight
 from .sampling import SampleSet, build_cover, rel_separation
 
 
@@ -439,14 +439,13 @@ def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
     if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != rep.dim:
         raise IncompatibleOperandsError("atoms must be one length-dim vector per sample point")
     model = rep.model
-    phi = np.zeros(model.size)
+    phi = np.zeros(model.size + 1)  # pad slot absorbs absent relative positions
     orbit_g = rep.orbit(np.asarray(g, dtype=complex))
     all_x = np.arange(model.size)
     for i, lam in enumerate(sample.points):
         v = np.abs(orbit_g.conj() @ atoms[i])
-        z = model.div_indices(np.full(model.size, lam), all_x)
-        ok = z >= 0
-        np.maximum.at(phi, z[ok], v[ok])
+        np.maximum.at(phi, model.div_indices(lam, all_x), v)
+    phi = phi[:-1]
     sym = involution(GridFunction(model, phi)).values.real
     phi = np.maximum(phi, sym)
     env = GridFunction(model, phi)
@@ -478,16 +477,8 @@ def frame_kernel_envelope_check(fs: FrameSystem, pair_limit: int = 200_000,
     bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
     factor = rel_separation(fs.sample) / model.q_mass()
 
-    n = model.size
-    if n * n <= pair_limit:
-        xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        xs, ys = xs.ravel(), ys.ravel()
-    else:
-        rng = np.random.default_rng(seed)
-        xs = rng.integers(0, n, pair_limit)
-        ys = rng.integers(0, n, pair_limit)
-    zyx = model.div_indices(ys, xs)
-    rhs = factor * np.where(zyx >= 0, bound_fn[np.maximum(zyx, 0)], np.inf)
+    xs, ys, _ = index_pairs(model.size, pair_limit, pair_limit, seed)
+    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
     lhs = np.abs(h[xs, ys])
     scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
     max_excess = float((lhs - rhs).max()) / scale

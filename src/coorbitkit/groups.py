@@ -3,8 +3,21 @@
 A model is a finite carrier of group points with per-point left-Haar weights, a
 (possibly partial) group law, a modular function, a unit-modulus cocycle and a
 fixed base neighborhood Q of the identity.  Partial products and inverses are
-encoded by the index -1 ("absent"); every integral treats absent values as zero,
+encoded by the index ABSENT = -1; every integral treats absent values as zero,
 matching zero-extension of compactly supported functions.
+
+Absent convention.  An array read through product indices carries one trailing
+pad slot (``padded``) holding what an absent product reads: 0 for sums, maxima
+and translates, ``inf`` for upper bounds.  Since ABSENT = -1 addresses that
+slot, a gather ``padded(v)[t]`` needs no mask.  An array written through
+product indices is allocated with ``size + 1`` entries; the pad slot absorbs
+the absent writes and is dropped afterwards.
+
+Neighbourhood translates.  ``GroupModel.translates(points, u, side)`` is the one
+place that forms the translates x·U (or U·x) of the sets the paper builds
+everything on: Wiener amalgams, local maximal functions, rel(Lambda), U-dense
+and U-separated families and the sequence spaces Y_d.  It yields one index
+vector per element of ``u``, so peak memory stays at one ``len(points)`` vector.
 """
 
 from __future__ import annotations
@@ -19,6 +32,24 @@ import numpy as np
 from .errors import InvalidParameterError, InvalidWeightError
 
 ABSENT = -1
+
+
+def padded(values, fill=0.0) -> np.ndarray:
+    """``values`` followed by one pad slot holding ``fill``, read by ABSENT indices."""
+    return np.append(np.asarray(values), fill)
+
+
+def index_pairs(n: int, exhaustive_limit: int, sample_size: int, seed: int):
+    """Index pairs (i, j) over range(n) and whether they are exhaustive.
+
+    All n*n pairs in row-major order when n*n <= exhaustive_limit, else
+    ``sample_size`` pairs drawn uniformly from a generator seeded with ``seed``.
+    """
+    if n * n <= exhaustive_limit:
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        return i.ravel(), j.ravel(), True
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, sample_size), rng.integers(0, n, sample_size), False
 
 
 class GroupModel:
@@ -60,6 +91,16 @@ class GroupModel:
 
     def inv(self, i: int) -> int:
         return int(self.inv_indices(np.asarray(i)))
+
+    def translates(self, points, u, side: str = "left"):
+        """Yield, for each u_j in ``u``, the indices points·u_j (left) or u_j·points (right).
+
+        Products off the grid are ABSENT.  Each element of ``u`` costs one
+        ``mul_indices`` call on ``points``, so no len(points) x len(u) array exists.
+        """
+        points = np.asarray(points)
+        for uj in np.asarray(u):
+            yield self.mul_indices(points, uj) if side == "left" else self.mul_indices(uj, points)
 
     def div_indices(self, i, j) -> np.ndarray:
         """Index of x_i^{-1} x_j, -1 when absent."""
@@ -278,21 +319,28 @@ def build_affine_grid(x_half_width: float, x_step: float, a_min: float,
     return AffineGridModel(x_half_width, x_step, a_min, a_max, a_ratio)
 
 
+_MODEL_FIELDS = {
+    "cyclic": (build_cyclic_phase_space, int, ("N",)),
+    "line": (build_real_line, float, ("half_width", "step")),
+    "affine": (build_affine_grid, float,
+               ("x_half_width", "x_step", "a_min", "a_max", "a_ratio")),
+}
+
+
 def model_from_config(config: Union[str, Path, dict]) -> GroupModel:
     """Build a model from a JSON document {"model": "cyclic"|"line"|"affine", ...}."""
     if not isinstance(config, dict):
         config = json.loads(Path(config).read_text())
     kind = config.get("model")
-    if kind == "cyclic":
-        return build_cyclic_phase_space(int(config["N"]))
-    if kind == "line":
-        return build_real_line(float(config["half_width"]), float(config["step"]))
-    if kind == "affine":
-        return build_affine_grid(
-            float(config["x_half_width"]), float(config["x_step"]),
-            float(config["a_min"]), float(config["a_max"]), float(config["a_ratio"]),
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise InvalidParameterError(f"unknown model kind {kind!r}")
+    build, cast, fields = _MODEL_FIELDS[kind]
+    missing = [key for key in fields if key not in config]
+    if missing:
+        raise InvalidParameterError(
+            f"{kind} model config is missing {', '.join(repr(k) for k in missing)}"
         )
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
+    return build(*(cast(config[key]) for key in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +374,6 @@ class WeightValidationReport:
         return self.w1_pass and self.w2_pass and self.w3_pass
 
 
-_PAIR_BUDGET = 4_000_000
-
-
-def _product_pairs(model: GroupModel, rng_seed: int = 7):
-    """All index pairs when affordable, else a seeded deterministic sample."""
-    n = model.size
-    if n * n <= _PAIR_BUDGET:
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return i.ravel(), j.ravel(), True
-    rng = np.random.default_rng(rng_seed)
-    m = _PAIR_BUDGET // 2
-    return rng.integers(0, n, m), rng.integers(0, n, m), False
-
-
 def validate_p_weight(model: GroupModel, w, p: float,
                       tol: float = 1e-9) -> WeightValidationReport:
     """Check the three weight axioms; truncated models use a relative tolerance."""
@@ -354,7 +388,8 @@ def validate_p_weight(model: GroupModel, w, p: float,
     w1_min = float(w.min())
     w1_pass = w1_min >= 1.0 - tol
 
-    i, j, exhaustive = _product_pairs(model)
+    i, j, exhaustive = index_pairs(model.size, exhaustive_limit=4_000_000,
+                                   sample_size=2_000_000, seed=7)
     prod = model.mul_indices(i, j)
     ok = prod >= 0
     ratios = w[prod[ok]] / (w[i[ok]] * w[j[ok]])
@@ -387,12 +422,8 @@ def symmetrize_weight(model: GroupModel, w0, p: float) -> PWeight:
     if not (0 < p <= 1):
         raise InvalidParameterError(f"p must lie in (0, 1], got {p}")
     inv = model.inv_indices(np.arange(model.size))
-    has_inv = inv >= 0
-    mirrored = np.where(
-        has_inv,
-        w0[np.maximum(inv, 0)] * model.modular[np.maximum(inv, 0)] ** (1.0 / p),
-        w0,
-    )
+    # an absent inverse reads 0 and leaves w0 in the maximum (w0 >= 1)
+    mirrored = padded(w0 * model.modular ** (1.0 / p))[inv]
     return PWeight(values=np.maximum(w0, mirrored), p=float(p))
 
 
@@ -412,11 +443,10 @@ def measure_QxQ(model: GroupModel, x_index: int) -> float:
     if not (0 <= x_index < model.size):
         raise InvalidParameterError(f"carrier index {x_index} out of range")
     q = model.q_indices
-    left = model.mul_indices(q, np.full(q.shape, x_index))
-    left = np.unique(left[left >= 0])
-    hit = np.zeros(model.size, dtype=bool)
-    for qi in q:
-        t = model.mul_indices(left, np.full(left.shape, qi))
-        t = t[t >= 0]
+    # Q x as a duplicate-free sorted index set, then its right Q-translates
+    qx = np.zeros(model.size + 1, dtype=bool)
+    qx[next(model.translates(q, [x_index]))] = True
+    hit = np.zeros(model.size + 1, dtype=bool)
+    for t in model.translates(np.nonzero(qx[:-1])[0], q):
         hit[t] = True
-    return float(model.haar[hit].sum())
+    return float(model.haar[hit[:-1]].sum())

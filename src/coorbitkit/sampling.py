@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .amalgam import GridFunction, convolve, maximal_left, maximal_right
 from .errors import IncompatibleOperandsError, InvalidParameterError, NotDenseError
-from .groups import GroupModel
+from .groups import GroupModel, index_pairs, padded
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,18 @@ class DisjointCover:
         return np.array([haar[c].sum() for c in self.cells])
 
 
+def _multiplicity(model: GroupModel, points: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per carrier point y, #{i : y in lambda_i U}; each lambda_i counts once per y.
+
+    Snapped products can collide inside one translate lambda_i U, so every
+    translate is deduplicated before it is counted.
+    """
+    counts = np.zeros(model.size + 1, dtype=int)  # pad slot absorbs absent products
+    for row in model.translates(u, points, side="right"):
+        counts[np.unique(row)] += 1
+    return counts[:-1]
+
+
 def rel_separation(sample: SampleSet) -> int:
     """rel(Lambda) = max over carrier x of #{i : lambda_i in xQ}.
 
@@ -58,40 +69,19 @@ def rel_separation(sample: SampleSet) -> int:
     model = sample.model
     q_inv = model.inv_indices(model.q_indices)
     q_inv = q_inv[q_inv >= 0]
-    counts = np.zeros(model.size, dtype=int)
-    for lam in sample.points:
-        x = model.mul_indices(np.full(q_inv.shape, lam), q_inv)
-        x = np.unique(x[x >= 0])
-        counts[x] += 1
-    return int(counts.max()) if len(sample) else 0
-
-
-def _coverage(model: GroupModel, points: np.ndarray, u_indices: np.ndarray) -> np.ndarray:
-    covered = np.zeros(model.size, dtype=bool)
-    for lam in points:
-        t = model.mul_indices(np.full(u_indices.shape, lam), u_indices)
-        covered[t[t >= 0]] = True
-    return covered
+    return int(_multiplicity(model, sample.points, q_inv).max())
 
 
 def is_U_dense(sample: SampleSet, u_indices) -> bool:
     """True iff the translates lambda_i U cover the whole carrier."""
     u = _check_u(sample.model, u_indices)
-    return bool(_coverage(sample.model, sample.points, u).all())
+    return bool(_multiplicity(sample.model, sample.points, u).all())
 
 
 def is_U_separated(sample: SampleSet, u_indices) -> bool:
     """True iff the translates lambda_i U are pairwise disjoint."""
-    model = sample.model
-    u = _check_u(model, u_indices)
-    seen = np.zeros(model.size, dtype=bool)
-    for lam in sample.points:
-        t = model.mul_indices(np.full(u.shape, lam), u)
-        t = t[t >= 0]
-        if seen[t].any():
-            return False
-        seen[t] = True
-    return True
+    u = _check_u(sample.model, u_indices)
+    return bool(_multiplicity(sample.model, sample.points, u).max() <= 1)
 
 
 def _check_u(model: GroupModel, u_indices) -> np.ndarray:
@@ -105,32 +95,34 @@ def build_cover(sample: SampleSet, u_indices) -> DisjointCover:
     """Greedy disjoint cover in list order: U_i = lambda_i U minus earlier cells."""
     model = sample.model
     u = _check_u(model, u_indices)
-    owner = np.full(model.size, -1, dtype=int)
-    for rank, lam in enumerate(sample.points):
-        t = model.mul_indices(np.full(u.shape, lam), u)
-        t = t[t >= 0]
-        fresh = t[owner[t] == -1]
-        owner[fresh] = rank
-    uncovered = np.nonzero(owner == -1)[0]
+    # owner = first rank in list order whose translate holds the point; a point
+    # no translate holds keeps the sentinel len(sample); the pad slot absorbs
+    # absent products
+    m = len(sample.points)
+    owner = np.full(model.size + 1, m, dtype=int)
+    ranks = np.arange(m)
+    for t in model.translates(sample.points, u):
+        np.minimum.at(owner, t, ranks)
+    owner = owner[:-1]
+    uncovered = np.nonzero(owner == m)[0]
     if uncovered.size:
         i = int(uncovered[0])
         raise NotDenseError(i, model.point_label(i))
-    cells = tuple(np.nonzero(owner == rank)[0] for rank in range(len(sample.points)))
+    cells = tuple(np.nonzero(owner == rank)[0] for rank in range(m))
     return DisjointCover(sample=sample, cells=cells)
 
 
 def max_separated_subset(model: GroupModel, u_indices) -> SampleSet:
     """Greedy scan in carrier order; the result is U-separated and UU^{-1}-dense."""
     u = _check_u(model, u_indices)
-    blocked = np.zeros(model.size, dtype=bool)
+    blocked = np.zeros(model.size + 1, dtype=bool)
     chosen = []
-    for x in range(model.size):
-        t = model.mul_indices(np.full(u.shape, x), u)
-        t = t[t >= 0]
-        if blocked[t].any():
+    for x, row in enumerate(model.translates(u, np.arange(model.size), side="right")):
+        if blocked[row].any():
             continue
         chosen.append(x)
-        blocked[t] = True
+        blocked[row] = True
+        blocked[-1] = False  # the pad slot must keep reading "not blocked"
     return SampleSet(model=model, points=np.array(chosen, dtype=int))
 
 
@@ -139,8 +131,10 @@ def uu_inverse_indices(model: GroupModel, u_indices) -> np.ndarray:
     u = np.asarray(u_indices, dtype=int)
     inv = model.inv_indices(u)
     inv = inv[inv >= 0]
-    out = model.mul_indices(u[:, None], inv[None, :]).ravel()
-    return np.unique(out[out >= 0])
+    hit = np.zeros(model.size + 1, dtype=bool)  # pad slot absorbs absent products
+    for t in model.translates(u, inv):
+        hit[t] = True
+    return np.nonzero(hit[:-1])[0]
 
 
 def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet,
@@ -162,26 +156,12 @@ def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet,
     bound_fn = convolve(maximal_left(f2), maximal_right(f1)).values.real
     factor = rel / model.q_mass()
 
-    n = model.size
-    if n * n <= pair_limit:
-        xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        xs, ys = xs.ravel(), ys.ravel()
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(seed)
-        xs = rng.integers(0, n, pair_limit)
-        ys = rng.integers(0, n, pair_limit)
-        exhaustive = False
-
+    xs, ys, exhaustive = index_pairs(model.size, pair_limit, pair_limit, seed)
+    v1_pad, v2_pad = padded(v1), padded(v2)
     lhs = np.zeros(xs.shape)
     for lam in sample.points:
-        zx = model.div_indices(np.full(xs.shape, lam), xs)
-        zy = model.div_indices(ys, np.full(ys.shape, lam))
-        term = np.where(zx >= 0, v1[np.maximum(zx, 0)], 0.0) \
-            * np.where(zy >= 0, v2[np.maximum(zy, 0)], 0.0)
-        lhs += term
-    zyx = model.div_indices(ys, xs)
-    rhs = factor * np.where(zyx >= 0, bound_fn[np.maximum(zyx, 0)], np.inf)
+        lhs += v1_pad[model.div_indices(lam, xs)] * v2_pad[model.div_indices(ys, lam)]
+    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
     scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
     max_excess = float((lhs - rhs).max()) / scale
     with np.errstate(invalid="ignore"):
@@ -194,7 +174,3 @@ def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet,
         "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
         "holds": max_excess <= 1e-10,
     }
-
-
-def lattice_sample(model: GroupModel, indices: Sequence[int]) -> SampleSet:
-    return SampleSet(model=model, points=np.asarray(list(indices), dtype=int))

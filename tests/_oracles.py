@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's vectorized code paths: the cyclic-group
-oracle works on explicit (k, l) tuples with dict lookups, and matrix functions
-come from a plain eigendecomposition.
+oracle works on explicit (k, l) tuples with dict lookups, the generic
+neighbourhood oracles call the scalar ``model.mul`` once per pair, and matrix
+functions come from a plain eigendecomposition.
 """
 
 import numpy as np
@@ -64,3 +65,80 @@ def brute_rel_separation(model, points):
                 found.add(t)
         best = max(best, len(found))
     return best
+
+
+# ---------------------------------------------------------------------------
+# generic neighbourhood oracles: one scalar ``model.mul`` call per (x, q) pair,
+# absent products skipped explicitly; valid on every model
+
+
+def brute_maximal(model, values, side="left"):
+    """M^L F(x) = max_q |F(xq)| (side="left") or M^R F(x) = max_q |F(qx)| ("right")."""
+    mag = np.abs(values)
+    out = np.zeros(model.size)
+    for x in range(model.size):
+        for q in model.q_indices:
+            t = model.mul(x, int(q)) if side == "left" else model.mul(int(q), x)
+            if t >= 0:
+                out[x] = max(out[x], mag[t])
+    return out
+
+
+def brute_sequence_accumulator(model, points, coeffs, q_indices):
+    """sum_i |c_i| 1_{lambda_i Q}, added in the library's order (q outer, i inner)."""
+    acc = np.zeros(model.size)
+    for q in q_indices:
+        for lam, c in zip(points, np.abs(coeffs)):
+            t = model.mul(int(lam), int(q))
+            if t >= 0:
+                acc[t] += c
+    return acc
+
+
+def brute_translate_sets(model, points, u):
+    """The on-grid part of lambda_i U as a set, for every sample point lambda_i."""
+    sets = []
+    for lam in points:
+        products = (model.mul(int(lam), int(uj)) for uj in u)
+        sets.append({t for t in products if t >= 0})
+    return sets
+
+
+def brute_multiplicity(model, points, u):
+    """#{i : y in lambda_i U} for every carrier point y."""
+    counts = np.zeros(model.size, dtype=int)
+    for cell in brute_translate_sets(model, points, u):
+        for t in cell:
+            counts[t] += 1
+    return counts
+
+
+def brute_is_dense(model, points, u):
+    """The translates lambda_i U cover the carrier."""
+    return set().union(*brute_translate_sets(model, points, u)) == set(range(model.size))
+
+
+def brute_is_separated(model, points, u):
+    """The translates lambda_i U are pairwise disjoint."""
+    sets = brute_translate_sets(model, points, u)
+    return all(not (a & b) for i, a in enumerate(sets) for b in sets[i + 1:])
+
+
+def brute_cover_owners(model, points, u):
+    """Owner of each carrier point in the greedy cover: the first i with y in lambda_i U."""
+    owner = np.full(model.size, -1)
+    for rank, cell in enumerate(brute_translate_sets(model, points, u)):
+        for t in cell:
+            if owner[t] == -1:
+                owner[t] = rank
+    return owner
+
+
+def brute_max_separated_subset(model, u):
+    """Greedy scan in carrier order keeping x when xU misses every kept translate."""
+    blocked, chosen = set(), []
+    for cell, x in zip(brute_translate_sets(model, range(model.size), u), range(model.size)):
+        if not cell & blocked:
+            chosen.append(x)
+            blocked |= cell
+    return chosen

@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coorbitkit
 from coorbitkit import experiments as ex
 from coorbitkit.cli import main as cli_main
 from coorbitkit.errors import TruncationError
@@ -94,6 +97,15 @@ class TestReports:
         obj = json.loads((tmp_path / "demo.json").read_text())
         assert obj["metrics"] == []
         assert paths[0].endswith("demo.json")
+        assert obj["artifacts"] == ["demo.json"]
+        assert paths == [str(tmp_path / "demo.json")]
+
+        report.curves = {"ratio": [{"parameter": 1.0, "value": 2.0}]}
+        paths = ex.emit_report(report, tmp_path / "csv", fmt="csv")
+        obj = json.loads((tmp_path / "csv" / "demo.json").read_text())
+        assert obj["artifacts"] == ["demo.json", "demo_ratio.csv"]
+        assert paths == [str(tmp_path / "csv" / name) for name in obj["artifacts"]]
+        assert all(Path(path).exists() for path in paths)
 
     def test_csv_rows_per_parameter(self, tmp_path):
         report = ex.run_counterexample_realline(**FAST_REALLINE)
@@ -147,12 +159,26 @@ class TestCli:
         path.write_text(json.dumps({"model_id": "cyclic"}))
         return str(path)
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_side": 4, "lattice_step": [1, 1]}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gabor", "frame", "--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'lattice_step'" in err and "lattice_steps" in err
+        assert not (tmp_path / "gabor_frame.json").exists()
+
     def test_module_entry_point(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_side": 4, "lattice_steps": [2, 1]}))
+        # the child imports the package under test, also from an uninstalled checkout
+        src = os.path.dirname(os.path.dirname(coorbitkit.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "coorbitkit", "gabor", "frame",
              "--config", str(cfg), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "reconstruction_error" in proc.stdout

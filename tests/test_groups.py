@@ -135,6 +135,11 @@ class TestModelFromConfig:
         with pytest.raises(InvalidParameterError):
             model_from_config({"model": "nope"})
 
+    def test_missing_field_named(self):
+        with pytest.raises(InvalidParameterError, match="'a_ratio'"):
+            model_from_config({"model": "affine", "x_half_width": 2.0, "x_step": 0.5,
+                               "a_min": 0.25, "a_max": 4.0})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"model": "cyclic", "N": 2}')

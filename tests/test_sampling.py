@@ -45,10 +45,17 @@ class TestRelSeparation:
         lam = SampleSet(model=m, points=pts)
         assert rel_separation(lam) == 2  # two integers in x+(-1,1) at half-integers
 
-    def test_matches_brute_force(self):
-        m = build_cyclic_phase_space(8)
+    @pytest.mark.parametrize("build", [
+        lambda: build_cyclic_phase_space(8),
+        lambda: build_cyclic_phase_space(5),
+        lambda: build_real_line(4.0, 0.25),
+    ], ids=["cyclic8", "cyclic5", "line"])
+    def test_matches_brute_force(self, build):
+        # exact products only: on the snapped affine grid "lambda in xQ" read as
+        # x*q = lambda differs from the counted x = lambda*q^{-1}
+        m = build()
         rng = np.random.default_rng(0)
-        pts = np.sort(rng.choice(64, size=17, replace=False))
+        pts = np.sort(rng.choice(m.size, size=17, replace=False))
         lam = SampleSet(model=m, points=pts)
         assert rel_separation(lam) == brute_rel_separation(m, pts)
 
