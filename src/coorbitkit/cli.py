@@ -3,13 +3,14 @@
 Subcommands: ``counterexample realline|affine``, ``gabor frame|riesz``,
 ``diagnostic in-group``, ``coorbit norm|embed``.  Each accepts ``--config``
 (JSON overrides for the runner's keyword arguments) and ``--out`` (report
-directory).  Exit code 0 iff every bounded metric passes; a config that is not
-a JSON object of the runner's keywords is rejected with exit code 2.
+directory).  Exit code 0 iff every bounded metric passes, 1 if one fails, 2 on a
+bad config or an exception from the runner or report writer (one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -59,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    import inspect
-
     parser = build_parser()
     args = parser.parse_args(argv)
     runner = _RUNNERS[(args.group, args.variant)]
@@ -72,8 +71,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown --config key(s) {', '.join(map(repr, unknown))} for "
                      f"{args.group} {args.variant}; accepted keys: {', '.join(accepted)}")
-    report = runner(**config)
-    paths = experiments.emit_report(report, args.out, fmt=args.format)
+    try:
+        report = runner(**config)
+        paths = experiments.emit_report(report, args.out, fmt=args.format)
+    except Exception as exc:  # the command-line boundary: report, do not trace back
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for metric in report.metrics:
         flag = "pass" if metric.passed else ("FAIL" if metric.passed is not None else "    ")
         bound = f" (bound {metric.bound:g})" if metric.bound is not None else ""

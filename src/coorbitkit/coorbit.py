@@ -210,7 +210,6 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     rng = np.random.default_rng(seed)
     rep, g = ctx.rep, ctx.window
     model = rep.model
-    orbit = rep.orbit(g)
     from .errors import NotAFrameError, NotDenseError
     from .frames import KernelSystem, build_almost_tight_frame, dual_frame
 
@@ -222,7 +221,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     f_samples = _random_vectors(rng, rep.dim, n_random)
     coeff_best, recon_best, rows = 0.0, 0.0, []
     for lam in sample_sets:
-        atoms0 = orbit[lam.points]
+        atoms0 = ks.orbit[lam.points]
         families = {"atoms": atoms0}
         shift = int(rng.integers(0, model.size))
         families["shifted"] = np.array([rep.apply(shift, a) for a in atoms0])
@@ -234,16 +233,16 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             pass
         for t in range(2):
             coeff = rng.normal(size=model.size) * np.exp(
-                -3.0 * np.arange(model.size) / model.size)
-            conv_op = np.einsum("n,nij->ij", coeff * model.haar, rep.matrices)
-            families[f"conv{t}"] = atoms0 @ conv_op.T
+                -3.0 * np.arange(model.size) / model.size) * model.haar
+            # images T h of the atoms under T = sum_x coeff(x) pi(x)
+            families[f"conv{t}"] = np.array([coeff @ rep.orbit(a) for a in atoms0])
 
         c_samples = [rng.normal(size=len(lam)) + 1j * rng.normal(size=len(lam))
                      for _ in range(n_random)]
         c_samples.extend(np.eye(len(lam)))  # delta sequences are often extremal
         if "dual" in families:
             c_samples.extend(np.asarray(families["dual"]).conj() @ f for f in f_samples)
-        c_samples.extend(orbit[lam.points].conj() @ f for f in f_samples)
+        c_samples.extend(atoms0.conj() @ f for f in f_samples)
         rel = rel_separation(lam)
         for name, atoms in families.items():
             cert = fit_envelope(rep, g, atoms, lam, ctx.p, ctx.weight)

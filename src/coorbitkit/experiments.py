@@ -32,6 +32,7 @@ from .frames import (
     orthonormalize,
     parseval_frame,
     rayleigh_extremes,
+    reconstruction_error,
     riesz_bounds,
 )
 from .groups import (
@@ -405,8 +406,6 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
     duals = dual_frame(fs, p=p)
     direct = np.linalg.solve(fs.frame_operator, (fs.tau[:, None] * fs.atoms).T).T
     dual_gap = float(np.abs(duals - direct).max())
-    from .frames import reconstruction_error
-
     recon = reconstruction_error(fs, duals)
     pars = parseval_frame(fs)
     pars_op = pars.T @ pars.conj()
@@ -448,7 +447,7 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
 def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaussian",
                     seed: int = 0) -> Report:
     """Gramian bounds, biorthogonal system and orthonormalization on a sparse lattice."""
-    model, rep, ks = _cyclic_setup(n_side, window_id)
+    model, _, ks = _cyclic_setup(n_side, window_id)
     if n_side % separation:
         raise TruncationError("separation must divide N")
     sample = lattice_points(model, separation, separation)
@@ -456,7 +455,7 @@ def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaus
     lo, hi = riesz_bounds(gram)
     oracle_lo, oracle_hi = rayleigh_extremes(gram.entries, seed=seed + 1)
     bio = biorthogonal_system(ks, sample)
-    atoms = rep.orbit(ks.window)[sample.points]
+    atoms = ks.orbit[sample.points]
     bio_dev = float(np.abs(atoms.conj() @ bio.T - np.eye(len(sample))).max())
     ortho = orthonormalize(ks, sample)
     ortho_dev = float(np.abs(ortho @ ortho.conj().T - np.eye(len(sample))).max())

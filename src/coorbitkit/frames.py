@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .amalgam import GridFunction, QuasiNormSpec, involution, lpw_norm, maximal_two_sided
+from .amalgam import GridFunction, QuasiNormSpec, convolve, lpw_norm, maximal_left, \
+    maximal_right, maximal_two_sided, twisted_convolve
 from .errors import (
     IncompatibleOperandsError,
     InvalidParameterError,
@@ -22,47 +23,52 @@ from .errors import (
     NotRieszError,
     ReducibilityWarning,
 )
-from .groups import CyclicPhaseSpace, GroupModel, PWeight, index_pairs, padded, unit_weight
+from .groups import CyclicPhaseSpace, PWeight, index_pairs, padded, unit_weight
 from .sampling import SampleSet, build_cover, rel_separation
 
 
 class Representation:
-    """Projective unitary representation given by one matrix per carrier point."""
+    """Gabor orbit map pi(k,l)f(t) = exp(2 pi i l t / N) f(t - k) on C^N, x = k N + l."""
 
-    def __init__(self, model: GroupModel, matrices: np.ndarray):
-        matrices = np.asarray(matrices, dtype=complex)
-        if matrices.shape[0] != model.size or matrices.ndim != 3 \
-                or matrices.shape[1] != matrices.shape[2]:
-            raise InvalidParameterError("need one square matrix per carrier point")
+    def __init__(self, model: CyclicPhaseSpace):
+        if not isinstance(model, CyclicPhaseSpace):
+            raise InvalidParameterError("the Gabor representation needs a cyclic phase space")
+        n = model.n_side
+        t = np.arange(n)
         self.model = model
-        self.matrices = matrices
-        self.dim = matrices.shape[1]
+        self.dim = n
+        self.shift = (t[None, :] - t[:, None]) % n  # [k, t] = (t - k) mod N
+        self.phase = np.exp(2j * np.pi * t[:, None] * t / n)  # [l, t]
 
     def action(self, i: int) -> np.ndarray:
-        return self.matrices[i]
+        """pi(x_i) as a dim x dim matrix, built on every call."""
+        k, l = divmod(int(i), self.dim)
+        return self.phase[l][:, None] * np.eye(self.dim)[self.shift[k]]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """All pi(x) stacked, shape (n, dim, dim), built on every access."""
+        return np.stack([self.action(i) for i in range(self.model.size)])
 
     def apply(self, i: int, vec: np.ndarray) -> np.ndarray:
-        return self.matrices[i] @ vec
+        k, l = divmod(int(i), self.dim)
+        return self.phase[l] * self._shifted(vec, k)
 
     def orbit(self, vec: np.ndarray) -> np.ndarray:
-        """All pi(x) vec stacked as rows, shape (n, dim)."""
-        return np.einsum("nij,j->ni", self.matrices, vec)
+        """All pi(x) vec stacked as rows, shape (n, dim), in O(n dim) from the two tables."""
+        shifted = self._shifted(vec, slice(None))  # [k, t] = vec((t - k) mod N)
+        return (self.phase[None, :, :] * shifted[:, None, :]).reshape(-1, self.dim)
+
+    def _shifted(self, vec, k) -> np.ndarray:
+        vec = np.asarray(vec)
+        if vec.shape != (self.dim,):
+            raise IncompatibleOperandsError(f"need a length-{self.dim} vector, got {vec.shape}")
+        return vec[self.shift[k]]
 
 
 def gabor_representation(model: CyclicPhaseSpace) -> Representation:
     """Time-frequency shifts pi(k,l)f(t) = exp(2 pi i l t / N) f(t - k) on C^N."""
-    if not isinstance(model, CyclicPhaseSpace):
-        raise InvalidParameterError("the Gabor representation needs a cyclic phase space")
-    n = model.n_side
-    t = np.arange(n)
-    mats = np.zeros((model.size, n, n), dtype=complex)
-    for k in range(n):
-        shift = np.zeros((n, n))
-        shift[t, (t - k) % n] = 1.0
-        for l in range(n):
-            phase = np.exp(2j * np.pi * l * t / n)
-            mats[k * n + l] = phase[:, None] * shift
-    return Representation(model, mats)
+    return Representation(model)
 
 
 def gaussian_window(model: CyclicPhaseSpace) -> np.ndarray:
@@ -99,18 +105,14 @@ def voice_transform(rep: Representation, g: np.ndarray, f: np.ndarray) -> GridFu
     return GridFunction(rep.model, rep.orbit(g).conj() @ f)
 
 
-def orbit_gram_operator(rep: Representation, g: np.ndarray) -> np.ndarray:
-    """C = sum_x mu(x) |pi(x)g><pi(x)g|; equals const * I iff V_g is a scaled isometry."""
-    orbit = rep.orbit(g)
-    return (orbit * rep.model.haar[:, None]).T @ orbit.conj()
-
-
 def check_admissible(rep: Representation, g: np.ndarray, tol: float = 1e-10) -> dict:
     """Measure the admissibility constant ||V_g f||^2 / ||f||^2 and its f-dependence."""
     g = np.asarray(g, dtype=complex)
     if np.linalg.norm(g) == 0:
         raise InvalidParameterError("window must be nonzero")
-    gram = orbit_gram_operator(rep, g)
+    # C = sum_x mu(x) |pi(x)g><pi(x)g| equals const * I iff V_g is a scaled isometry
+    orbit = rep.orbit(g)
+    gram = (orbit * rep.model.haar[:, None]).T @ orbit.conj()
     constant = float(np.trace(gram).real) / rep.dim
     deviation = float(np.abs(gram - constant * np.eye(rep.dim)).max())
     if deviation > tol * max(1.0, constant):
@@ -134,8 +136,6 @@ def normalize_admissible(rep: Representation, g: np.ndarray) -> np.ndarray:
 def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
                       f: np.ndarray) -> float:
     """sup-norm error of the reproducing formula V_h f = V_g f *_sigma V_h g."""
-    from .amalgam import twisted_convolve
-
     lhs = voice_transform(rep, h, f)
     rhs = twisted_convolve(voice_transform(rep, g, f), voice_transform(rep, h, g))
     return float(np.abs(lhs.values - rhs.values).max())
@@ -151,7 +151,7 @@ class KernelSystem:
 
     rep: Representation
     window: np.ndarray
-    kernel_matrix: np.ndarray  # (n, n); column x holds K_x over the carrier
+    orbit: np.ndarray  # (n, dim); row x holds pi(x) g
 
     @classmethod
     def build(cls, rep: Representation, window: np.ndarray) -> "KernelSystem":
@@ -162,12 +162,19 @@ class KernelSystem:
                 f"window is not admissible (constant {info['constant']:.6f}); "
                 "normalize_admissible() first"
             )
-        orbit = rep.orbit(window)
-        kernels = orbit.conj() @ orbit.T  # [x, y] = V_g(pi(y) g)(x)
-        return cls(rep=rep, window=window, kernel_matrix=kernels)
+        return cls(rep=rep, window=window, orbit=rep.orbit(window))
+
+    def kernels(self, points) -> np.ndarray:
+        """Kernel columns [x, i] = K_{points[i]}(x) = <pi(points[i]) g, pi(x) g>."""
+        return self.orbit.conj() @ self.orbit[points].T
+
+    @property
+    def kernel_matrix(self) -> np.ndarray:
+        """Every kernel as a column, shape (n, n), built on every access."""
+        return self.kernels(np.arange(self.rep.model.size))
 
     def kernel(self, x_index: int) -> GridFunction:
-        return GridFunction(self.rep.model, self.kernel_matrix[:, x_index])
+        return GridFunction(self.rep.model, self.kernels([x_index])[:, 0])
 
 
 @dataclass
@@ -196,17 +203,13 @@ class FrameSystem:
     tau: np.ndarray
     frame_operator: np.ndarray
     bounds: tuple
-    dual_atoms: Optional[np.ndarray] = None
-    parseval_atoms: Optional[np.ndarray] = None
-    biorthogonal_atoms: Optional[np.ndarray] = None
     certificates: dict = field(default_factory=dict)
     neumann_terms: Optional[int] = None
 
     @property
     def atoms(self) -> np.ndarray:
         """pi(lambda_i) g stacked as rows."""
-        rep = self.kernel_system.rep
-        return rep.orbit(self.kernel_system.window)[self.sample.points]
+        return self.kernel_system.orbit[self.sample.points]
 
 
 def hermitian_extremes(s: np.ndarray, residual_tol: float = 1e-9) -> tuple:
@@ -231,7 +234,7 @@ def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> 
         return FrameSystem(ks, sample, np.zeros(0), np.zeros((d, d), complex), (0.0, 0.0))
     cover = build_cover(sample, u_indices)
     tau = cover.cell_masses()
-    atoms = ks.rep.orbit(ks.window)[sample.points]
+    atoms = ks.orbit[sample.points]
     s = (atoms * tau[:, None]).T @ atoms.conj()
     s = 0.5 * (s + s.conj().T)
     return FrameSystem(ks, sample, tau, s, hermitian_extremes(s))
@@ -338,7 +341,6 @@ def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None
     recon_err = reconstruction_error(fs, duals)
     if recon_err > 1e-9:
         raise NotAFrameError(f"dual reconstruction error {recon_err:.2e} exceeds 1e-9")
-    fs.dual_atoms = duals
     fs.certificates["dual"] = fit_envelope(
         fs.kernel_system.rep, fs.kernel_system.window, duals, fs.sample, p,
         weight or unit_weight(fs.kernel_system.rep.model, p),
@@ -371,7 +373,6 @@ def parseval_frame(fs: FrameSystem, tail_tol: float = 1e-12) -> np.ndarray:
     new_s = pars.T @ pars.conj()
     if float(np.abs(new_s - np.eye(pars.shape[1])).max()) > 1e-8:
         raise NotAFrameError("Parseval construction failed the identity check")
-    fs.parseval_atoms = pars
     return pars
 
 
@@ -383,7 +384,7 @@ def gramian(ks: KernelSystem, sample: SampleSet):
     """Gramian of (pi(lambda_i) g) as a CDMatrix with its minimal envelope attached."""
     from .cdmatrix import CDMatrix, minimal_envelope
 
-    atoms = ks.rep.orbit(ks.window)[sample.points]
+    atoms = ks.orbit[sample.points]
     g = atoms.conj() @ atoms.T  # [i, i'] = <pi(lam_i') g, pi(lam_i) g>
     cdm = CDMatrix(rows=sample, cols=sample, entries=g)
     cdm.envelope = minimal_envelope(cdm)
@@ -394,13 +395,19 @@ def riesz_bounds(gram_cdm) -> tuple:
     return hermitian_extremes(gram_cdm.entries)
 
 
-def biorthogonal_system(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
-    """h_i = sum_{i'} conj(G^{-1})_{i,i'} pi(lambda_{i'}) g; exact biorthogonality."""
-    atoms = ks.rep.orbit(ks.window)[sample.points]
+def _riesz_gramian(ks: KernelSystem, sample: SampleSet) -> tuple:
+    """Atoms pi(lambda_i) g and their Gramian; NotRieszError if it is numerically singular."""
+    atoms = ks.orbit[sample.points]
     g = atoms.conj() @ atoms.T
     lo, _ = hermitian_extremes(g)
     if lo <= 1e-12:
         raise NotRieszError(f"Gramian minimal eigenvalue {lo:.2e} is numerically singular")
+    return atoms, g
+
+
+def biorthogonal_system(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
+    """h_i = sum_{i'} conj(G^{-1})_{i,i'} pi(lambda_{i'}) g; exact biorthogonality."""
+    atoms, g = _riesz_gramian(ks, sample)
     duals = np.linalg.solve(g, atoms.conj()).conj()
     dev = float(np.abs(atoms.conj() @ duals.T - np.eye(len(sample))).max())
     if dev > 1e-9:
@@ -410,11 +417,7 @@ def biorthogonal_system(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
 
 def orthonormalize(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
     """Atoms conj(G^{-1/2}) (pi(lambda_i) g): an orthonormal family to 1e-9."""
-    atoms = ks.rep.orbit(ks.window)[sample.points]
-    g = atoms.conj() @ atoms.T
-    lo, _ = hermitian_extremes(g)
-    if lo <= 1e-12:
-        raise NotRieszError(f"Gramian minimal eigenvalue {lo:.2e} is numerically singular")
+    atoms, g = _riesz_gramian(ks, sample)
     vals, vecs = np.linalg.eigh(g)
     g_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
     ortho = g_isqrt.conj() @ atoms
@@ -432,23 +435,19 @@ def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
                  sample: SampleSet, p: float, weight: PWeight) -> MoleculeCertificate:
     """Minimal sampled envelope Phi(z) = max_i |V_g h_i(lambda_i z)|, symmetrized.
 
-    Matching the truncation policy, the bin of a pair (i, x) is the carrier point
-    nearest to lambda_i^{-1} x; pairs whose relative position is absent are skipped.
+    It is the minimal envelope of the matrix [x, i] = V_g h_i(x) over the carrier
+    rows and the sample columns: matching the truncation policy, the bin of a pair
+    (i, x) is the carrier point nearest to lambda_i^{-1} x; pairs whose relative
+    position is absent are skipped.
     """
+    from .cdmatrix import CDMatrix, minimal_envelope
+
     atoms = np.asarray(atoms, dtype=complex)
     if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != rep.dim:
         raise IncompatibleOperandsError("atoms must be one length-dim vector per sample point")
-    model = rep.model
-    phi = np.zeros(model.size + 1)  # pad slot absorbs absent relative positions
-    orbit_g = rep.orbit(np.asarray(g, dtype=complex))
-    all_x = np.arange(model.size)
-    for i, lam in enumerate(sample.points):
-        v = np.abs(orbit_g.conj() @ atoms[i])
-        np.maximum.at(phi, model.div_indices(lam, all_x), v)
-    phi = phi[:-1]
-    sym = involution(GridFunction(model, phi)).values.real
-    phi = np.maximum(phi, sym)
-    env = GridFunction(model, phi)
+    carrier = SampleSet(model=rep.model, points=np.arange(rep.model.size))
+    voices = rep.orbit(np.asarray(g, dtype=complex)).conj() @ atoms.T
+    env = minimal_envelope(CDMatrix(rows=carrier, cols=sample, entries=voices))
     amalgam_value = lpw_norm(maximal_two_sided(env), QuasiNormSpec(p=p, weight=weight))
     return MoleculeCertificate(envelope=env, p=p, weight=weight,
                                amalgam_value=amalgam_value, max_violation=0.0)
@@ -461,8 +460,6 @@ def frame_kernel_envelope_check(fs: FrameSystem, pair_limit: int = 200_000,
     H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) and Phi is the fitted
     envelope of the weighted kernel family (sqrt(tau_i) K_{lam_i}).
     """
-    from .amalgam import convolve, maximal_left, maximal_right
-
     ks = fs.kernel_system
     model = ks.rep.model
     if len(fs.sample) == 0 or not np.any(fs.tau):
@@ -472,7 +469,7 @@ def frame_kernel_envelope_check(fs: FrameSystem, pair_limit: int = 200_000,
     cert = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
                         unit_weight(model))
     phi = cert.envelope
-    kern_cols = ks.kernel_matrix[:, fs.sample.points]  # [x, i]
+    kern_cols = ks.kernels(fs.sample.points)  # [x, i]
     h = (kern_cols * fs.tau[None, :]) @ kern_cols.conj().T
     bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
     factor = rel_separation(fs.sample) / model.q_mass()

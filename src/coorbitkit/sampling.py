@@ -8,7 +8,7 @@ import numpy as np
 
 from .amalgam import GridFunction, convolve, maximal_left, maximal_right
 from .errors import IncompatibleOperandsError, InvalidParameterError, NotDenseError
-from .groups import GroupModel, index_pairs, padded
+from .groups import ABSENT, GroupModel, index_pairs, padded
 
 
 @dataclass(frozen=True)
@@ -47,41 +47,42 @@ class DisjointCover:
         return np.array([haar[c].sum() for c in self.cells])
 
 
-def _multiplicity(model: GroupModel, points: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per carrier point y, #{i : y in lambda_i U}; each lambda_i counts once per y.
+def _distinct(columns) -> np.ndarray:
+    """Index vectors stacked as columns; each row sorted, with its repeats made ABSENT."""
+    rows = np.sort(np.stack(list(columns), axis=1), axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = ABSENT
+    return rows
 
-    Snapped products can collide inside one translate lambda_i U, so every
-    translate is deduplicated before it is counted.
-    """
-    counts = np.zeros(model.size + 1, dtype=int)  # pad slot absorbs absent products
-    for row in model.translates(u, points, side="right"):
-        counts[np.unique(row)] += 1
+
+def _multiplicity(sample: SampleSet, u_indices) -> np.ndarray:
+    """Per carrier point y, #{i : y in lambda_i U}; each lambda_i counts once per y."""
+    u = _check_u(sample.model, u_indices)
+    counts = np.zeros(sample.model.size + 1, dtype=int)  # pad slot absorbs absent products
+    np.add.at(counts, _distinct(sample.model.translates(sample.points, u)), 1)
     return counts[:-1]
 
 
 def rel_separation(sample: SampleSet) -> int:
     """rel(Lambda) = max over carrier x of #{i : lambda_i in xQ}.
 
-    Each sample point contributes at most once per carrier point: lambda_i
-    belongs to xQ iff x lies in lambda_i Q^{-1}, so the preimages are
-    accumulated per i with deduplication (snapped products can collide).
+    The products x q are formed directly: on a snapped grid, counting x as
+    lambda_i q^{-1} instead can miss sample points.
     """
     model = sample.model
-    q_inv = model.inv_indices(model.q_indices)
-    q_inv = q_inv[q_inv >= 0]
-    return int(_multiplicity(model, sample.points, q_inv).max())
+    in_sample = np.zeros(model.size + 1, dtype=bool)  # pad slot: absent products miss
+    in_sample[sample.points] = True
+    rows = _distinct(model.translates(np.arange(model.size), model.q_indices))
+    return int(in_sample[rows].sum(axis=1).max(initial=0))
 
 
 def is_U_dense(sample: SampleSet, u_indices) -> bool:
     """True iff the translates lambda_i U cover the whole carrier."""
-    u = _check_u(sample.model, u_indices)
-    return bool(_multiplicity(sample.model, sample.points, u).all())
+    return bool(_multiplicity(sample, u_indices).all())
 
 
 def is_U_separated(sample: SampleSet, u_indices) -> bool:
     """True iff the translates lambda_i U are pairwise disjoint."""
-    u = _check_u(sample.model, u_indices)
-    return bool(_multiplicity(sample.model, sample.points, u).max() <= 1)
+    return bool(_multiplicity(sample, u_indices).max() <= 1)
 
 
 def _check_u(model: GroupModel, u_indices) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: the cyclic-group
 oracle works on explicit (k, l) tuples with dict lookups, the generic
-neighbourhood oracles call the scalar ``model.mul`` once per pair, and matrix
+neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
+representation is an explicit matrix stack built in nested loops, and matrix
 functions come from a plain eigendecomposition.
 """
 
@@ -104,15 +105,6 @@ def brute_translate_sets(model, points, u):
     return sets
 
 
-def brute_multiplicity(model, points, u):
-    """#{i : y in lambda_i U} for every carrier point y."""
-    counts = np.zeros(model.size, dtype=int)
-    for cell in brute_translate_sets(model, points, u):
-        for t in cell:
-            counts[t] += 1
-    return counts
-
-
 def brute_is_dense(model, points, u):
     """The translates lambda_i U cover the carrier."""
     return set().union(*brute_translate_sets(model, points, u)) == set(range(model.size))
@@ -142,3 +134,32 @@ def brute_max_separated_subset(model, u):
             chosen.append(x)
             blocked |= cell
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# dense Gabor oracles: the representation as an explicit n x N x N matrix stack
+
+
+def brute_gabor_matrices(n):
+    """pi(k,l) = diag(exp(2 pi i l t / N)) T_k, one N x N matrix per carrier point k N + l."""
+    t = np.arange(n)
+    mats = np.zeros((n * n, n, n), dtype=complex)
+    for k in range(n):
+        shift = np.zeros((n, n))
+        shift[t, (t - k) % n] = 1.0
+        for l in range(n):
+            phase = np.exp(2j * np.pi * l * t / n)
+            mats[k * n + l] = phase[:, None] * shift
+    return mats
+
+
+def brute_envelope(model, orbit_g, atoms, points):
+    """Unsymmetrized sampled envelope: one matvec per atom, one scalar max per (i, x)."""
+    phi = np.zeros(model.size)
+    for i, lam in enumerate(points):
+        v = np.abs(orbit_g.conj() @ atoms[i])
+        for x in range(model.size):
+            z = int(model.div_indices(int(lam), x))
+            if z >= 0:
+                phi[z] = max(phi[z], v[x])
+    return phi

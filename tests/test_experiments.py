@@ -169,6 +169,22 @@ class TestCli:
         assert "'lattice_step'" in err and "lattice_steps" in err
         assert not (tmp_path / "gabor_frame.json").exists()
 
+    def test_runner_error_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lattice_steps": [3, 3]}))
+        code = cli_main(["gabor", "frame", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: TruncationError: lattice steps must divide N\n"
+        assert not (tmp_path / "gabor_frame.json").exists()
+
+    def test_failed_metric_exits_one(self, tmp_path):
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps({"eps_target": 1e-6}))
+        code = cli_main(["gabor", "frame", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert (tmp_path / "gabor_frame.json").exists()
+
     def test_module_entry_point(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_side": 4, "lattice_steps": [2, 1]}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import eig_apply
+from _oracles import brute_envelope, brute_gabor_matrices, eig_apply
 from coorbitkit import (
     GridFunction,
     KernelSystem,
@@ -10,6 +10,7 @@ from coorbitkit import (
     boxcar_window,
     build_almost_tight_frame,
     build_cyclic_phase_space,
+    build_real_line,
     check_admissible,
     convolve,
     dual_frame,
@@ -31,6 +32,7 @@ from coorbitkit import (
     voice_transform,
 )
 from coorbitkit.errors import (
+    IncompatibleOperandsError,
     InvalidParameterError,
     NotAFrameError,
     NotContractiveError,
@@ -74,6 +76,52 @@ class TestRepresentation:
     def test_identity_matrix(self):
         model, rep, _ = setup_gabor(4)
         assert np.allclose(rep.action(model.identity), np.eye(4))
+
+
+class TestOrbitMap:
+    """The orbit map against the dense nested-loop matrix stack, exhaustively."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_matches_dense_stack(self, n):
+        model, rep, g = setup_gabor(n)
+        mats = brute_gabor_matrices(n)
+        assert np.array_equal(rep.matrices, mats)
+        rng = np.random.default_rng(n)
+        real = rng.normal(size=n)
+        cplx = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.array_equal(rep.orbit(real), np.einsum("nij,j->ni", mats, real))
+        dense = np.einsum("nij,j->ni", mats, cplx)
+        tol = 1e-15 * np.abs(cplx).max()
+        assert np.abs(rep.orbit(cplx) - dense).max() <= tol
+        for i in range(model.size):
+            assert np.array_equal(rep.action(i), mats[i])
+            assert np.abs(rep.apply(i, cplx) - mats[i] @ cplx).max() <= tol
+
+        ks = KernelSystem.build(rep, g)
+        orbit = np.einsum("nij,j->ni", mats, ks.window)
+        points = rng.permutation(model.size)[: max(1, model.size // 3)]
+        dense_cols = (orbit.conj() @ orbit.T)[:, points]
+        assert np.abs(ks.kernels(points) - dense_cols).max() <= 1e-14
+        assert np.abs(ks.kernel(points[0]).values - dense_cols[:, 0]).max() <= 1e-14
+
+    def test_no_dense_state(self):
+        model, rep, g = setup_gabor(32)
+        ks = KernelSystem.build(rep, g)
+        arrays = [v for obj in (rep, ks) for v in vars(obj).values()
+                  if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= model.size * rep.dim
+
+    def test_wrong_length_vector_rejected(self):
+        model, rep, _ = setup_gabor(4)
+        for vec in (np.ones(3), np.ones(5), np.ones((4, 4))):
+            with pytest.raises(IncompatibleOperandsError):
+                rep.orbit(vec)
+            with pytest.raises(IncompatibleOperandsError):
+                rep.apply(1, vec)
+
+    def test_non_cyclic_model_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            gabor_representation(build_real_line(4.0, 0.5))
 
 
 class TestVoiceTransform:
@@ -405,6 +453,16 @@ class TestFitEnvelope:
         expected = np.maximum(vgg, vgg[inv])
         assert np.abs(cert.envelope.values.real - expected).max() < 1e-12
         assert cert.max_violation == 0.0
+
+    def test_matches_per_atom_loop(self):
+        model, rep, g = setup_gabor(8)
+        rng = np.random.default_rng(7)
+        lam = SampleSet(model=model, points=np.sort(rng.choice(model.size, 20, replace=False)))
+        atoms = rng.normal(size=(len(lam), 8)) + 1j * rng.normal(size=(len(lam), 8))
+        phi = brute_envelope(model, rep.orbit(g + 0j), atoms, lam.points)
+        expected = np.maximum(phi, phi[model.inv_indices(np.arange(model.size))])
+        env = fit_envelope(rep, g, atoms, lam, 1.0, unit_weight(model)).envelope.values.real
+        assert np.abs(env - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_zero_atoms(self):
         model, rep, g = setup_gabor(4)

@@ -14,7 +14,7 @@ from _oracles import (
     brute_is_separated,
     brute_max_separated_subset,
     brute_maximal,
-    brute_multiplicity,
+    brute_rel_separation,
     brute_sequence_accumulator,
 )
 from coorbitkit import (
@@ -58,7 +58,7 @@ def samples(model):
 
 
 def neighbourhoods(model):
-    """Q, the identity alone, and Q^{-1} (the set rel(Lambda) is counted with)."""
+    """Q, the identity alone, and Q^{-1}."""
     q_inv = model.inv_indices(model.q_indices)
     return [model.q_indices, np.array([model.identity]), q_inv[q_inv >= 0]]
 
@@ -107,8 +107,7 @@ def test_density_separation_and_rel(model):
             if model.identity in u:
                 assert is_U_dense(sample, u) == brute_is_dense(model, points, u)
                 assert is_U_separated(sample, u) == brute_is_separated(model, points, u)
-        q_inv = neighbourhoods(model)[2]
-        assert rel_separation(sample) == brute_multiplicity(model, points, q_inv).max()
+        assert rel_separation(sample) == brute_rel_separation(model, points)
 
 
 def test_cover_owners(model):

@@ -5,6 +5,7 @@ from _oracles import brute_rel_separation
 from coorbitkit import (
     GridFunction,
     SampleSet,
+    build_affine_grid,
     build_cover,
     build_cyclic_phase_space,
     build_real_line,
@@ -49,10 +50,9 @@ class TestRelSeparation:
         lambda: build_cyclic_phase_space(8),
         lambda: build_cyclic_phase_space(5),
         lambda: build_real_line(4.0, 0.25),
-    ], ids=["cyclic8", "cyclic5", "line"])
+        lambda: build_affine_grid(3.0, 0.25, 0.25, 4.0, 1.3),
+    ], ids=["cyclic8", "cyclic5", "line", "affine"])
     def test_matches_brute_force(self, build):
-        # exact products only: on the snapped affine grid "lambda in xQ" read as
-        # x*q = lambda differs from the counted x = lambda*q^{-1}
         m = build()
         rng = np.random.default_rng(0)
         pts = np.sort(rng.choice(m.size, size=17, replace=False))
