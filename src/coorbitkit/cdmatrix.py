@@ -3,7 +3,9 @@
 A matrix indexed by two sample sets is localized when its entries are dominated
 by a symmetric envelope evaluated at the relative positions of its index points.
 The envelope travels through sums, products and the inverse power series, which
-is what makes the class an algebra at desk scale.
+is what makes the class an algebra at desk scale.  The power series itself (the
+holomorphic calculus phi(S) = sum a_n (I - S)^n) lives here; frames uses it for
+S^{-1} and S^{-1/2} of a frame operator.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, convolve, involu
 from .errors import (
     CoverageWarning,
     IncompatibleOperandsError,
+    InvalidParameterError,
     NoCertificateError,
     NotContractiveError,
 )
-from .frames import _series_apply
 from .groups import PWeight, padded, unit_weight
 from .sampling import SampleSet, rel_separation
 
@@ -183,6 +185,76 @@ def identity_cd(sample: SampleSet, p: float = 1.0,
     return out
 
 
+# ---------------------------------------------------------------------------
+# holomorphic functional calculus by power series
+
+
+def _series_coefficients(phi: str, n_terms: int) -> np.ndarray:
+    """Coefficients a_n of phi(S) = sum a_n (I - S)^n.
+
+    inverse: a_n = 1; inverse_sqrt: a_0 = 1, a_{n+1} = a_n (n + 1/2)/(n + 1),
+    generated by recurrence to avoid factorial overflow.
+    """
+    if phi == "inverse":
+        return np.ones(n_terms)
+    if phi == "inverse_sqrt":
+        a = np.empty(n_terms)
+        a[0] = 1.0
+        for n in range(n_terms - 1):
+            a[n + 1] = a[n] * (n + 0.5) / (n + 1.0)
+        return a
+    raise InvalidParameterError(f"unknown series function {phi!r}")
+
+
+def _series_apply(s: np.ndarray, phi: str, eps_bound: float, tail_tol: float):
+    """Truncated power series in D = I - S; returns (result, n_terms, tail_bound)."""
+    s = np.asarray(s, dtype=complex)
+    d = np.eye(s.shape[0]) - s
+    dev = float(np.linalg.norm(d, 2))
+    if dev >= 1.0 or dev > eps_bound:
+        raise NotContractiveError(
+            f"||S - I||_2 = {dev:.4f} exceeds the contractivity budget {min(eps_bound, 1.0):.4f}; "
+            "densify the sample set"
+        )
+    max_terms = 20_000
+    coeffs = _series_coefficients(phi, max_terms)
+    result = np.eye(s.shape[0], dtype=complex)
+    power = np.eye(s.shape[0], dtype=complex)
+    n_used = 0
+    for n in range(1, max_terms):
+        power = power @ d
+        term = coeffs[n] * power
+        result = result + term
+        n_used = n
+        term_norm = float(np.linalg.norm(term, 2))
+        # all coefficient sequences here are bounded by 1, so the remaining tail
+        # is dominated by the geometric series in dev
+        tail_bound = dev ** (n + 1) / (1.0 - dev)
+        if term_norm + tail_bound <= tail_tol:
+            break
+    else:
+        raise NotContractiveError(f"series did not reach the tail tolerance in {max_terms} terms")
+    return result, n_used, dev ** (n_used + 1) / (1.0 - dev)
+
+
+def holomorphic_apply(s: np.ndarray, phi: str, eps_bound: float = 0.999,
+                      tail_tol: float = 1e-12) -> np.ndarray:
+    """phi(S) for phi in {inverse, inverse_sqrt} via the power series around I.
+
+    Requires the measured ||S - I||_2 to stay below eps_bound < 1.  The residual
+    of the returned matrix is checked against 10 * tail_tol.
+    """
+    result, _, _ = _series_apply(s, phi, eps_bound, tail_tol)
+    eye = np.eye(result.shape[0])
+    if phi == "inverse":
+        resid = float(np.linalg.norm(result @ s - eye, 2))
+    else:
+        resid = float(np.linalg.norm(result @ s @ result - eye, 2))
+    if resid > 10 * tail_tol:
+        raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
+    return result
+
+
 def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatrix:
     """phi(A) by power series with an envelope propagated through the terms.
 
@@ -193,18 +265,12 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     if not np.array_equal(a.rows.points, a.cols.points):
         raise IncompatibleOperandsError("holomorphic calculus needs a square sample")
     m = len(a.rows)
-    dev = float(np.linalg.norm(a.entries - np.eye(m), 2))
-    if dev >= 1.0:
-        raise NotContractiveError(f"||A - I||_2 = {dev:.4f} >= 1")
-
     result, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
 
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m),
                     context=dict(a.context))
     diff.envelope = minimal_envelope(diff)
     eye_env = identity_cd(a.rows).envelope
-    from .frames import _series_coefficients
-
     coeffs = _series_coefficients(phi, n_terms + 1)
     env_vals = np.abs(coeffs[0]) * eye_env.values.real
     power = diff

@@ -19,12 +19,6 @@ from typing import Optional, Sequence
 from . import experiments
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
 _RUNNERS = {
     ("counterexample", "realline"): experiments.run_counterexample_realline,
     ("counterexample", "affine"): experiments.run_counterexample_affine,
@@ -63,7 +57,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     runner = _RUNNERS[(args.group, args.variant)]
-    config = _load_config(args.config)
+    try:
+        config = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read --config {args.config}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"--config must hold a JSON object, got {type(config).__name__}")
     accepted = list(inspect.signature(runner).parameters)

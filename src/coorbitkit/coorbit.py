@@ -15,11 +15,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm
-from .errors import IncompatibleOperandsError, InvalidParameterError, NoCertificateError
+from .errors import (
+    IncompatibleOperandsError,
+    InvalidParameterError,
+    NoCertificateError,
+    NotAFrameError,
+    NotDenseError,
+)
 from .frames import (
+    KernelSystem,
     MoleculeCertificate,
     Representation,
+    build_almost_tight_frame,
     check_admissible,
+    dual_frame,
     fit_envelope,
     voice_transform,
 )
@@ -50,6 +59,16 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
     for t in model.translates(sample.points, q):
         np.add.at(acc, t, mags)
     return amalgam_norm(GridFunction(model, acc[:-1]), sspec.base)
+
+
+def _ratios(num, den, samples) -> list:
+    """num(s) / den(s) for every sample s with den(s) > 0."""
+    out = []
+    for s in samples:
+        d = den(s)
+        if d > 0:
+            out.append(num(s) / d)
+    return out
 
 
 @dataclass
@@ -91,12 +110,7 @@ def window_independence_ratio(ctx: CoorbitContext, other_window: np.ndarray,
                               f_samples: Sequence[np.ndarray]) -> dict:
     """Extreme ratios of the two coorbit quasi-norms over a sample of vectors."""
     alt = CoorbitContext.build(ctx.rep, other_window, ctx.y_spec, ctx.weight, ctx.p)
-    ratios = []
-    for f in f_samples:
-        a = coorbit_norm(ctx, f)
-        b = coorbit_norm(alt, f)
-        if b > 0:
-            ratios.append(a / b)
+    ratios = _ratios(lambda f: coorbit_norm(ctx, f), lambda f: coorbit_norm(alt, f), f_samples)
     return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios)),
             "spread": float(max(ratios) / min(ratios))}
 
@@ -133,28 +147,18 @@ def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
                               f_samples: Sequence[np.ndarray]) -> float:
     """sup over samples of ||C f||_{Y_d} / ||f||_{Co(Y)}."""
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
-    best = 0.0
-    for f in f_samples:
-        den = coorbit_norm(ctx, f)
-        if den == 0:
-            continue
-        c = np.asarray(atoms).conj() @ f
-        best = max(best, sequence_norm(c, sspec) / den)
-    return best
+    conj_atoms = np.asarray(atoms).conj()
+    return max(_ratios(lambda f: sequence_norm(conj_atoms @ f, sspec),
+                       lambda f: coorbit_norm(ctx, f), f_samples), default=0.0)
 
 
 def measured_reconstruction_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
                                  c_samples: Sequence[np.ndarray]) -> float:
     """sup over samples of ||D c||_{Co(Y)} / ||c||_{Y_d}."""
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
-    best = 0.0
-    for c in c_samples:
-        den = sequence_norm(c, sspec)
-        if den == 0:
-            continue
-        f = np.asarray(c, dtype=complex) @ np.asarray(atoms)
-        best = max(best, coorbit_norm(ctx, f) / den)
-    return best
+    atoms = np.asarray(atoms)
+    return max(_ratios(lambda c: coorbit_norm(ctx, np.asarray(c, dtype=complex) @ atoms),
+                       lambda c: sequence_norm(c, sspec), c_samples), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,7 @@ def _calibration_samples(model, seed: int) -> list:
 
 
 def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
-                        seed: int = 2024, n_random: int = 12) -> Calibration:
+                        seed: int = 2024) -> Calibration:
     """Calibrate the implicit constants once per (p, w, Q, model).
 
     Documented battery: sample sets of varying covering multiplicity (full
@@ -204,15 +208,13 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     (the plain atoms pi(lambda_i) g, a twisted shift of them, the canonical dual
     family where the frame exists, and images under seeded convolution-type
     operators).  Each family's coefficient/reconstruction norm is measured over
-    basis + seeded random vectors and divided by the certificate factors; the
+    basis + 12 seeded random vectors and divided by the certificate factors; the
     calibration keeps the worst ratio.
     """
+    n_random = 12
     rng = np.random.default_rng(seed)
     rep, g = ctx.rep, ctx.window
     model = rep.model
-    from .errors import NotAFrameError, NotDenseError
-    from .frames import KernelSystem, build_almost_tight_frame, dual_frame
-
     ks = KernelSystem.build(rep, g)
     sample_sets = _calibration_samples(model, seed)
     if sample is not None:
@@ -279,7 +281,7 @@ def coefficient_bound_report(ctx: CoorbitContext, atoms, cert: MoleculeCertifica
 
 
 def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: SampleSet,
-                    atoms, dual_atoms, n_samples: int = 20, seed: int = 31) -> dict:
+                    atoms, dual_atoms, seed: int = 31) -> dict:
     """Check the factorization of Co(Y) -> Co(Z) through the sequence spaces.
 
     For each sampled f the chain f = D_g (iota C_h f) gives
@@ -287,6 +289,7 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
     sample sets that contain every intermediate element, which makes the
     factorized bound a per-sample guarantee rather than a statistical one.
     """
+    n_samples = 20
     rep = ctx_y.rep
     rng = np.random.default_rng(seed)
     f_samples = _random_vectors(rng, rep.dim, n_samples)
@@ -299,20 +302,11 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
     extra_seqs = [rng.normal(size=len(sample)) + 1j * rng.normal(size=len(sample))
                   for _ in range(n_samples)]
 
-    emb = 0.0
-    for f in f_samples:
-        ny = coorbit_norm(ctx_y, f)
-        nz = coorbit_norm(ctx_z, f)
-        if ny > 0:
-            emb = max(emb, nz / ny)
-
+    emb = max(_ratios(lambda f: coorbit_norm(ctx_z, f), lambda f: coorbit_norm(ctx_y, f),
+                      f_samples), default=0.0)
     c_norm = measured_coefficient_norm(ctx_y, dual_atoms, sample, f_samples)
-    iota = 0.0
-    for c in coefficient_seqs + extra_seqs:
-        dy = sequence_norm(c, y_seq)
-        dz = sequence_norm(c, z_seq)
-        if dy > 0:
-            iota = max(iota, dz / dy)
+    iota = max(_ratios(lambda c: sequence_norm(c, z_seq), lambda c: sequence_norm(c, y_seq),
+                       coefficient_seqs + extra_seqs), default=0.0)
     d_norm = measured_reconstruction_norm(ctx_z, atoms, sample, coefficient_seqs + extra_seqs)
 
     bound = d_norm * iota * c_norm
@@ -328,8 +322,7 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
 
 
 def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: SampleSet,
-                          dual_atoms, cal: Calibration, n_samples: int = 20,
-                          seed: int = 47) -> dict:
+                          dual_atoms, cal: Calibration, seed: int = 47) -> dict:
     """Measured ||T||_{Co(Y)} against the calibrated molecule-envelope bound.
 
     The images m_i = T pi(lambda_i) g get a fitted envelope Phi_T; the bound is
@@ -347,12 +340,9 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     images = atoms @ t_matrix.T
     cert = fit_envelope(rep, ctx.window, images, sample, ctx.p, ctx.weight)
 
-    f_samples = _random_vectors(rng, rep.dim, n_samples)
-    measured = 0.0
-    for f in f_samples:
-        den = coorbit_norm(ctx, f)
-        if den > 0:
-            measured = max(measured, coorbit_norm(ctx, t_matrix @ f) / den)
+    f_samples = _random_vectors(rng, rep.dim, 20)
+    measured = max(_ratios(lambda f: coorbit_norm(ctx, t_matrix @ f),
+                           lambda f: coorbit_norm(ctx, f), f_samples), default=0.0)
     c_norm = measured_coefficient_norm(ctx, dual_atoms, sample, f_samples)
     induced = [dual_atoms.conj() @ f for f in f_samples]
     d_images = measured_reconstruction_norm(ctx, images, sample, induced)
@@ -370,13 +360,8 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
 
 def wiener_vs_plain_ratio(ctx: CoorbitContext, f_samples: Sequence[np.ndarray]) -> dict:
     """Extreme ratios ||V_g f||_{W^L(Y)} / ||V_g f||_Y over the samples."""
-    ratios = []
-    for f in f_samples:
-        vf = voice_transform(ctx.rep, ctx.window, f)
-        plain = amalgam_norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
-                                               flavor="plain"))
-        wiener = amalgam_norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
-                                                flavor="left"))
-        if plain > 0:
-            ratios.append(wiener / plain)
+    plain = QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="plain")
+    wiener = QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="left")
+    vfs = (voice_transform(ctx.rep, ctx.window, f) for f in f_samples)
+    ratios = _ratios(lambda vf: amalgam_norm(vf, wiener), lambda vf: amalgam_norm(vf, plain), vfs)
     return {"min": float(min(ratios)), "max": float(max(ratios))}

@@ -18,12 +18,16 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, convolve, indicator, involution
+from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, convolve, indicator, involution, \
+    maximal_left
+from .coorbit import CoorbitContext, embedding_check, window_independence_ratio, \
+    wiener_vs_plain_ratio
 from .errors import ResolutionError, TruncationError
 from .frames import (
     KernelSystem,
     WINDOWS,
     biorthogonal_system,
+    boxcar_window,
     build_almost_tight_frame,
     dual_frame,
     frame_kernel_envelope_check,
@@ -41,6 +45,7 @@ from .groups import (
     build_cyclic_phase_space,
     build_real_line,
     measure_QxQ,
+    symmetrize_weight,
 )
 from .sampling import SampleSet
 
@@ -285,8 +290,6 @@ def _affine_partial_norms(alpha: float, beta: float, b_list, x_half: float,
     h_vals = _scale_selfconvolution(xg[:, None], ag[None, :], alpha, beta, c_grid, lnr_c)
 
     grid_fn = GridFunction(model, h_vals.reshape(-1))
-    from .amalgam import maximal_left
-
     ml = maximal_left(grid_fn).values.real.reshape(len(xg), len(ag))
     h0 = h_vals[model._k_max, :]  # H(0, b') per scale row
     minorant_level = np.zeros(len(ag))
@@ -401,7 +404,7 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
     u = block_indices(model, sk, sl)
     fs = build_almost_tight_frame(ks, sample, u)
     a_bound, b_bound = fs.bounds
-    dev = float(np.linalg.norm(fs.frame_operator - np.eye(rep.dim), 2))
+    dev = fs.deviation
 
     duals = dual_frame(fs, p=p)
     direct = np.linalg.solve(fs.frame_operator, (fs.tau[:, None] * fs.atoms).T).T
@@ -533,10 +536,6 @@ def run_in_diagnostic(model_id: str = "affine", seed: int = 0) -> Report:
 
 def run_coorbit_norm(n_side: int = 8, p: float = 0.5, seed: int = 0) -> Report:
     """Window-independence and Wiener-vs-plain ratio measurements on the cyclic model."""
-    from .coorbit import CoorbitContext, window_independence_ratio, wiener_vs_plain_ratio
-    from .frames import boxcar_window
-    from .groups import symmetrize_weight
-
     model, rep, ks = _cyclic_setup(n_side, "gaussian")
     weight = symmetrize_weight(model, np.ones(model.size), p)
     y_spec = QuasiNormSpec(p=p, weight=weight, flavor="plain")
@@ -562,9 +561,6 @@ def run_coorbit_norm(n_side: int = 8, p: float = 0.5, seed: int = 0) -> Report:
 def run_coorbit_embed(n_side: int = 8, p_from: float = 0.5, p_to: float = 1.0,
                       seed: int = 0) -> Report:
     """Factorized coorbit embedding constant through the sequence spaces."""
-    from .coorbit import CoorbitContext, embedding_check
-    from .groups import symmetrize_weight
-
     model, rep, ks = _cyclic_setup(n_side, "gaussian")
     weight = symmetrize_weight(model, np.ones(model.size), p_from)
     sample = lattice_points(model, 2, 2)

@@ -15,11 +15,11 @@ import numpy as np
 
 from .amalgam import GridFunction, QuasiNormSpec, convolve, lpw_norm, maximal_left, \
     maximal_right, maximal_two_sided, twisted_convolve
+from .cdmatrix import CDMatrix, _series_apply, holomorphic_apply, minimal_envelope
 from .errors import (
     IncompatibleOperandsError,
     InvalidParameterError,
     NotAFrameError,
-    NotContractiveError,
     NotRieszError,
     ReducibilityWarning,
 )
@@ -105,8 +105,9 @@ def voice_transform(rep: Representation, g: np.ndarray, f: np.ndarray) -> GridFu
     return GridFunction(rep.model, rep.orbit(g).conj() @ f)
 
 
-def check_admissible(rep: Representation, g: np.ndarray, tol: float = 1e-10) -> dict:
+def check_admissible(rep: Representation, g: np.ndarray) -> dict:
     """Measure the admissibility constant ||V_g f||^2 / ||f||^2 and its f-dependence."""
+    tol = 1e-10
     g = np.asarray(g, dtype=complex)
     if np.linalg.norm(g) == 0:
         raise InvalidParameterError("window must be nonzero")
@@ -207,19 +208,25 @@ class FrameSystem:
     neumann_terms: Optional[int] = None
 
     @property
+    def deviation(self) -> float:
+        """||S - I||_2, exact from the frame bounds because S is Hermitian."""
+        a_bound, b_bound = self.bounds
+        return max(1.0 - a_bound, b_bound - 1.0)
+
+    @property
     def atoms(self) -> np.ndarray:
         """pi(lambda_i) g stacked as rows."""
         return self.kernel_system.orbit[self.sample.points]
 
 
-def hermitian_extremes(s: np.ndarray, residual_tol: float = 1e-9) -> tuple:
+def hermitian_extremes(s: np.ndarray) -> tuple:
     """Extreme eigenvalues by direct Hermitian eigensolve with a residual check."""
     s = np.asarray(s)
     vals, vecs = np.linalg.eigh(s)
     for pick in (0, -1):
         v = vecs[:, pick]
         resid = np.linalg.norm(s @ v - vals[pick] * v)
-        if resid > residual_tol * max(1.0, abs(vals[pick])):
+        if resid > 1e-9 * max(1.0, abs(vals[pick])):
             raise ArithmeticError(f"eigensolve residual {resid:.2e} exceeds tolerance")
     return float(vals[0]), float(vals[-1])
 
@@ -245,76 +252,6 @@ def frame_bounds(fs: FrameSystem) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# holomorphic functional calculus by power series
-
-
-def _series_coefficients(phi: str, n_terms: int) -> np.ndarray:
-    """Coefficients a_n of phi(S) = sum a_n (I - S)^n.
-
-    inverse: a_n = 1; inverse_sqrt: a_0 = 1, a_{n+1} = a_n (n + 1/2)/(n + 1),
-    generated by recurrence to avoid factorial overflow.
-    """
-    if phi == "inverse":
-        return np.ones(n_terms)
-    if phi == "inverse_sqrt":
-        a = np.empty(n_terms)
-        a[0] = 1.0
-        for n in range(n_terms - 1):
-            a[n + 1] = a[n] * (n + 0.5) / (n + 1.0)
-        return a
-    raise InvalidParameterError(f"unknown series function {phi!r}")
-
-
-def _series_apply(s: np.ndarray, phi: str, eps_bound: float, tail_tol: float):
-    """Truncated power series in D = I - S; returns (result, n_terms, tail_bound)."""
-    s = np.asarray(s, dtype=complex)
-    d = np.eye(s.shape[0]) - s
-    dev = float(np.linalg.norm(d, 2))
-    if dev >= 1.0 or dev > eps_bound:
-        raise NotContractiveError(
-            f"||S - I||_2 = {dev:.4f} exceeds the contractivity budget {min(eps_bound, 1.0):.4f}; "
-            "densify the sample set"
-        )
-    max_terms = 20_000
-    coeffs = _series_coefficients(phi, max_terms)
-    result = np.eye(s.shape[0], dtype=complex)
-    power = np.eye(s.shape[0], dtype=complex)
-    n_used = 0
-    for n in range(1, max_terms):
-        power = power @ d
-        term = coeffs[n] * power
-        result = result + term
-        n_used = n
-        term_norm = float(np.linalg.norm(term, 2))
-        # all coefficient sequences here are bounded by 1, so the remaining tail
-        # is dominated by the geometric series in dev
-        tail_bound = dev ** (n + 1) / (1.0 - dev)
-        if term_norm + tail_bound <= tail_tol:
-            break
-    else:
-        raise NotContractiveError(f"series did not reach the tail tolerance in {max_terms} terms")
-    return result, n_used, dev ** (n_used + 1) / (1.0 - dev)
-
-
-def holomorphic_apply(s: np.ndarray, phi: str, eps_bound: float = 0.999,
-                      tail_tol: float = 1e-12) -> np.ndarray:
-    """phi(S) for phi in {inverse, inverse_sqrt} via the power series around I.
-
-    Requires the measured ||S - I||_2 to stay below eps_bound < 1.  The residual
-    of the returned matrix is checked against 10 * tail_tol.
-    """
-    result, _, _ = _series_apply(s, phi, eps_bound, tail_tol)
-    eye = np.eye(result.shape[0])
-    if phi == "inverse":
-        resid = float(np.linalg.norm(result @ s - eye, 2))
-    else:
-        resid = float(np.linalg.norm(result @ s @ result - eye, 2))
-    if resid > 10 * tail_tol:
-        raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # dual / Parseval frames
 
 
@@ -330,8 +267,7 @@ def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None
         raise NotAFrameError("lower frame bound is zero")
     atoms = fs.atoms
     weighted = fs.tau[:, None] * atoms
-    dev = float(np.linalg.norm(fs.frame_operator - np.eye(fs.kernel_system.rep.dim), 2))
-    if dev < 0.999:
+    if fs.deviation < 0.999:
         s_inv, n_terms, _ = _series_apply(fs.frame_operator, "inverse", 0.999, tail_tol)
         duals = weighted @ s_inv.T
         fs.neumann_terms = n_terms
@@ -356,16 +292,15 @@ def reconstruction_error(fs: FrameSystem, duals: np.ndarray) -> float:
     return float(np.abs(recon - eye).max())
 
 
-def parseval_frame(fs: FrameSystem, tail_tol: float = 1e-12) -> np.ndarray:
+def parseval_frame(fs: FrameSystem) -> np.ndarray:
     """Atoms S^{-1/2}(tau_i^{1/2} pi(lambda_i) g); their frame operator is I to 1e-8."""
     a_bound, _ = fs.bounds
     if a_bound <= 0:
         raise NotAFrameError("lower frame bound is zero")
     atoms = fs.atoms
     weighted = np.sqrt(fs.tau)[:, None] * atoms
-    dev = float(np.linalg.norm(fs.frame_operator - np.eye(fs.kernel_system.rep.dim), 2))
-    if dev < 0.999:
-        s_isqrt = holomorphic_apply(fs.frame_operator, "inverse_sqrt", 0.999, tail_tol)
+    if fs.deviation < 0.999:
+        s_isqrt = holomorphic_apply(fs.frame_operator, "inverse_sqrt", 0.999, 1e-12)
     else:
         vals, vecs = np.linalg.eigh(fs.frame_operator)
         s_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
@@ -382,8 +317,6 @@ def parseval_frame(fs: FrameSystem, tail_tol: float = 1e-12) -> np.ndarray:
 
 def gramian(ks: KernelSystem, sample: SampleSet):
     """Gramian of (pi(lambda_i) g) as a CDMatrix with its minimal envelope attached."""
-    from .cdmatrix import CDMatrix, minimal_envelope
-
     atoms = ks.orbit[sample.points]
     g = atoms.conj() @ atoms.T  # [i, i'] = <pi(lam_i') g, pi(lam_i) g>
     cdm = CDMatrix(rows=sample, cols=sample, entries=g)
@@ -440,8 +373,6 @@ def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
     (i, x) is the carrier point nearest to lambda_i^{-1} x; pairs whose relative
     position is absent are skipped.
     """
-    from .cdmatrix import CDMatrix, minimal_envelope
-
     atoms = np.asarray(atoms, dtype=complex)
     if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != rep.dim:
         raise IncompatibleOperandsError("atoms must be one length-dim vector per sample point")
@@ -453,12 +384,12 @@ def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
                                amalgam_value=amalgam_value, max_violation=0.0)
 
 
-def frame_kernel_envelope_check(fs: FrameSystem, pair_limit: int = 200_000,
-                                seed: int = 5) -> dict:
+def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     """Check |H(x,y)| <= rel/mu(Q) (M^L Phi * M^R Phi)(y^{-1} x) for the frame kernel.
 
-    H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) and Phi is the fitted
-    envelope of the weighted kernel family (sqrt(tau_i) K_{lam_i}).
+    H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) = <S pi(y)g, pi(x)g>, read
+    from the frame operator S, and Phi is the fitted envelope of the weighted
+    kernel family (sqrt(tau_i) K_{lam_i}).
     """
     ks = fs.kernel_system
     model = ks.rep.model
@@ -469,12 +400,11 @@ def frame_kernel_envelope_check(fs: FrameSystem, pair_limit: int = 200_000,
     cert = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
                         unit_weight(model))
     phi = cert.envelope
-    kern_cols = ks.kernels(fs.sample.points)  # [x, i]
-    h = (kern_cols * fs.tau[None, :]) @ kern_cols.conj().T
+    h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
     bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
     factor = rel_separation(fs.sample) / model.q_mass()
 
-    xs, ys, _ = index_pairs(model.size, pair_limit, pair_limit, seed)
+    xs, ys, _ = index_pairs(model.size, exhaustive_limit=200_000, sample_size=200_000, seed=5)
     rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
     lhs = np.abs(h[xs, ys])
     scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
@@ -486,12 +416,11 @@ def frame_kernel_envelope_check(fs: FrameSystem, pair_limit: int = 200_000,
 # independent oracle
 
 
-def rayleigh_extremes(s: np.ndarray, starts: int = 8, squarings: int = 60,
-                      seed: int = 123) -> tuple:
+def rayleigh_extremes(s: np.ndarray, seed: int = 123) -> tuple:
     """Extreme Rayleigh quotients by squared power iteration (eigensolve-free).
 
-    Repeated squaring of the normalized matrix drives random start vectors into
-    the extreme eigenspaces; the Rayleigh quotient of the result is read off.
+    Sixty repeated squarings of the normalized matrix drive eight random start
+    vectors into the extreme eigenspaces; the best Rayleigh quotient is read off.
     """
     s = np.asarray(s, dtype=complex)
     d = s.shape[0]
@@ -500,14 +429,14 @@ def rayleigh_extremes(s: np.ndarray, starts: int = 8, squarings: int = 60,
 
     def extreme(mat):
         proj = mat / max(float(np.abs(mat).max()), 1e-300)
-        for _ in range(squarings):
+        for _ in range(60):
             proj = proj @ proj
             top = float(np.abs(proj).max())
             if top == 0 or not np.isfinite(top):
                 break
             proj = proj / top
         best = -np.inf
-        for _ in range(starts):
+        for _ in range(8):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             v = proj @ v
             nv = np.linalg.norm(v)

@@ -374,9 +374,9 @@ class WeightValidationReport:
         return self.w1_pass and self.w2_pass and self.w3_pass
 
 
-def validate_p_weight(model: GroupModel, w, p: float,
-                      tol: float = 1e-9) -> WeightValidationReport:
+def validate_p_weight(model: GroupModel, w, p: float) -> WeightValidationReport:
     """Check the three weight axioms; truncated models use a relative tolerance."""
+    tol = 1e-9
     w = np.asarray(w, dtype=float)
     if w.shape != (model.size,):
         raise InvalidWeightError(f"weight must have shape ({model.size},), got {w.shape}")

@@ -138,8 +138,7 @@ def uu_inverse_indices(model: GroupModel, u_indices) -> np.ndarray:
     return np.nonzero(hit[:-1])[0]
 
 
-def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet,
-                         pair_limit: int = 200_000, seed: int = 11) -> dict:
+def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) -> dict:
     """Verify sum_i F1(lam_i^{-1} x) F2(y^{-1} lam_i) <= rel/mu(Q) (M^L F2 * M^R F1)(y^{-1}x).
 
     Exhaustive over all (x, y) pairs on exact models, seeded sample otherwise.
@@ -157,7 +156,8 @@ def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet,
     bound_fn = convolve(maximal_left(f2), maximal_right(f1)).values.real
     factor = rel / model.q_mass()
 
-    xs, ys, exhaustive = index_pairs(model.size, pair_limit, pair_limit, seed)
+    xs, ys, exhaustive = index_pairs(model.size, exhaustive_limit=200_000,
+                                     sample_size=200_000, seed=11)
     v1_pad, v2_pad = padded(v1), padded(v2)
     lhs = np.zeros(xs.shape)
     for lam in sample.points:

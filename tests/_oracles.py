@@ -3,8 +3,9 @@
 These deliberately avoid the library's vectorized code paths: the cyclic-group
 oracle works on explicit (k, l) tuples with dict lookups, the generic
 neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
-representation is an explicit matrix stack built in nested loops, and matrix
-functions come from a plain eigendecomposition.
+representation is an explicit matrix stack built in nested loops, the frame
+kernel is summed atom by atom from the dense kernel table, and matrix functions
+come from a plain eigendecomposition.
 """
 
 import numpy as np
@@ -151,6 +152,27 @@ def brute_gabor_matrices(n):
             phase = np.exp(2j * np.pi * l * t / n)
             mats[k * n + l] = phase[:, None] * shift
     return mats
+
+
+def brute_frame_kernel_excess(model, kernel_matrix, points, tau, bound):
+    """Scaled max excess of |H(x, y)| over bound(y^{-1} x) on every pair (x, y).
+
+    H = sum_i tau_i K_{lam_i} conj(K_{lam_i}) is summed one atom at a time from the
+    dense kernel table, and y^{-1} x comes from the scalar group law.
+    """
+    h = np.zeros((model.size, model.size), dtype=complex)
+    for lam, t in zip(points, tau):
+        k = kernel_matrix[:, lam]
+        h += t * np.outer(k, k.conj())
+    lhs, rhs = [], []
+    for x in range(model.size):
+        for y in range(model.size):
+            z = model.mul(model.inv(y), x)
+            lhs.append(abs(h[x, y]))
+            rhs.append(bound[z] if z >= 0 else np.inf)
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
+    return float((lhs - rhs).max()) / scale
 
 
 def brute_envelope(model, orbit_g, atoms, points):

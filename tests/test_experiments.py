@@ -169,6 +169,18 @@ class TestCli:
         assert "'lattice_step'" in err and "lattice_steps" in err
         assert not (tmp_path / "gabor_frame.json").exists()
 
+    @pytest.mark.parametrize("content", ['{"n_side": 4,', None])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gabor", "frame", "--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read --config {path}" in err and "Traceback" not in err
+        assert not (tmp_path / "gabor_frame.json").exists()
+
     def test_runner_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"lattice_steps": [3, 3]}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_envelope, brute_gabor_matrices, eig_apply
+from _oracles import brute_envelope, brute_frame_kernel_excess, brute_gabor_matrices, eig_apply
 from coorbitkit import (
     GridFunction,
     KernelSystem,
@@ -21,10 +21,13 @@ from coorbitkit import (
     gaussian_window,
     gramian,
     holomorphic_apply,
+    maximal_left,
+    maximal_right,
     normalize_admissible,
     orthonormalize,
     parseval_frame,
     rayleigh_extremes,
+    rel_separation,
     reproducing_check,
     riesz_bounds,
     translate_left,
@@ -56,6 +59,17 @@ def lattice(model, step):
 def block(model, size):
     n = model.n_side
     return np.array([(k % n) * n + (l % n) for k in range(size) for l in range(size)])
+
+
+def irregular_complex_frame():
+    """Frame on 40 seeded random points of Z_8 x Z_8 whose frame operator is not real."""
+    model, rep, g = setup_gabor(8)
+    t = np.arange(8)
+    window = normalize_admissible(rep, g * (1 + 0.5j * np.sin(2 * np.pi * t / 8) + 0.2 * t / 8))
+    ks = KernelSystem.build(rep, window)
+    rng = np.random.default_rng(0)
+    lam = SampleSet(model=model, points=np.sort(rng.choice(model.size, 40, replace=False)))
+    return build_almost_tight_frame(ks, lam, model.q_indices)
 
 
 class TestRepresentation:
@@ -235,6 +249,22 @@ class TestAlmostTightFrames:
 
 
 class TestFrameBounds:
+    @pytest.mark.parametrize("frame", ["lattice", "irregular", "irregular_lower"])
+    def test_deviation_is_spectral_norm(self, frame):
+        model, rep, g = setup_gabor(8)
+        ks = KernelSystem.build(rep, g)
+        if frame == "lattice":
+            fs = build_almost_tight_frame(ks, lattice(model, 2), block(model, 2))
+        elif frame == "irregular":
+            fs = irregular_complex_frame()
+        else:
+            points = np.sort(np.random.default_rng(1).choice(model.size, 40, replace=False))
+            fs = build_almost_tight_frame(ks, SampleSet(model=model, points=points),
+                                          block(model, 2))
+            assert 1 - fs.bounds[0] > fs.bounds[1] - 1  # here the lower side sets ||S - I||
+        exact = np.linalg.norm(fs.frame_operator - np.eye(fs.frame_operator.shape[0]), 2)
+        assert abs(fs.deviation - exact) <= 1e-14
+
     def test_identity(self):
         model, rep, g = setup_gabor(4)
         ks = KernelSystem.build(rep, g)
@@ -545,6 +575,19 @@ class TestFrameKernelEnvelope:
         fs = build_almost_tight_frame(
             ks, lam, np.arange(model.size))
         assert frame_kernel_envelope_check(fs)["holds"]
+
+    def test_matches_kernel_table_oracle(self):
+        fs = irregular_complex_frame()
+        ks, lam = fs.kernel_system, fs.sample
+        model = ks.rep.model
+        s = fs.frame_operator
+        assert np.abs(s - s.real).max() > 1e-3  # S != S^T, so a conjugation slip shows
+        phi = fit_envelope(ks.rep, ks.window, np.sqrt(fs.tau)[:, None] * fs.atoms, lam, 1.0,
+                           unit_weight(model)).envelope
+        bound = rel_separation(lam) / model.q_mass() * \
+            convolve(maximal_left(phi), maximal_right(phi)).values.real
+        expected = brute_frame_kernel_excess(model, ks.kernel_matrix, lam.points, fs.tau, bound)
+        assert frame_kernel_envelope_check(fs)["max_excess"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestWindowVariants:

@@ -1,0 +1,47 @@
+"""Module structure: every import sits at module level and the imports form a DAG."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import coorbitkit
+
+PACKAGE = Path(coorbitkit.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(node) -> set:
+    """Package modules an import statement names; ``from . import x`` of a non-module is __init__."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        if node.module:
+            return {node.module.split(".")[0]}
+        return {a.name if a.name in TREES else "__init__" for a in node.names}
+    names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+    return {name.split(".")[1] if "." in name else "__init__"
+            for name in names if name and name.split(".")[0] == "coorbitkit"}
+
+
+def _import_graph() -> dict:
+    """Module -> package modules it imports, counting every import statement in the file."""
+    return {
+        name: set().union(*(_imported_modules(node) for node in ast.walk(tree)
+                            if isinstance(node, (ast.Import, ast.ImportFrom))))
+        for name, tree in TREES.items()
+    }
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_import_inside_a_function(module):
+    local = [f"{module}.py:{node.lineno}"
+             for fn in ast.walk(TREES[module])
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, f"function-local imports: {local}"
+
+
+def test_import_graph_is_acyclic():
+    graph = _import_graph()
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert "frames" not in graph["cdmatrix"]  # the power series lives in cdmatrix
