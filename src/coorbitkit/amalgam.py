@@ -140,23 +140,14 @@ def translate_right(f: GridFunction, x_index: int, twisted: bool = False) -> Gri
     return GridFunction(model, out)
 
 
-def _maximal(f: GridFunction, side: str) -> GridFunction:
-    model = f.model
-    mag = padded(np.abs(f.values))
-    out = np.zeros(model.size)
-    for t in model.translates(np.arange(model.size), model.q_indices, side):
-        np.maximum(out, mag[t], out=out)
-    return GridFunction(model, out)
-
-
 def maximal_left(f: GridFunction) -> GridFunction:
     """M^L F(x) = max over q in Q with xq defined of |F(xq)|."""
-    return _maximal(f, "left")
+    return GridFunction(f.model, f.model.local_max(np.abs(f.values), "left"))
 
 
 def maximal_right(f: GridFunction) -> GridFunction:
     """M^R F(x) = max over q in Q with qx defined of |F(qx)|."""
-    return _maximal(f, "right")
+    return GridFunction(f.model, f.model.local_max(np.abs(f.values), "right"))
 
 
 def maximal_two_sided(f: GridFunction) -> GridFunction:

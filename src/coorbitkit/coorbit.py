@@ -62,12 +62,14 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
 
 
 def _ratios(num, den, samples) -> list:
-    """num(s) / den(s) for every sample s with den(s) > 0."""
+    """num(s) / den(s) for every sample s with den(s) > 0; raises if there is none."""
     out = []
     for s in samples:
         d = den(s)
         if d > 0:
             out.append(num(s) / d)
+    if not out:
+        raise InvalidParameterError("no sample has a positive denominator")
     return out
 
 
@@ -149,7 +151,7 @@ def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
     conj_atoms = np.asarray(atoms).conj()
     return max(_ratios(lambda f: sequence_norm(conj_atoms @ f, sspec),
-                       lambda f: coorbit_norm(ctx, f), f_samples), default=0.0)
+                       lambda f: coorbit_norm(ctx, f), f_samples))
 
 
 def measured_reconstruction_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
@@ -158,7 +160,7 @@ def measured_reconstruction_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
     atoms = np.asarray(atoms)
     return max(_ratios(lambda c: coorbit_norm(ctx, np.asarray(c, dtype=complex) @ atoms),
-                       lambda c: sequence_norm(c, sspec), c_samples), default=0.0)
+                       lambda c: sequence_norm(c, sspec), c_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +305,10 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
                   for _ in range(n_samples)]
 
     emb = max(_ratios(lambda f: coorbit_norm(ctx_z, f), lambda f: coorbit_norm(ctx_y, f),
-                      f_samples), default=0.0)
+                      f_samples))
     c_norm = measured_coefficient_norm(ctx_y, dual_atoms, sample, f_samples)
     iota = max(_ratios(lambda c: sequence_norm(c, z_seq), lambda c: sequence_norm(c, y_seq),
-                       coefficient_seqs + extra_seqs), default=0.0)
+                       coefficient_seqs + extra_seqs))
     d_norm = measured_reconstruction_norm(ctx_z, atoms, sample, coefficient_seqs + extra_seqs)
 
     bound = d_norm * iota * c_norm
@@ -342,7 +344,7 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
 
     f_samples = _random_vectors(rng, rep.dim, 20)
     measured = max(_ratios(lambda f: coorbit_norm(ctx, t_matrix @ f),
-                           lambda f: coorbit_norm(ctx, f), f_samples), default=0.0)
+                           lambda f: coorbit_norm(ctx, f), f_samples))
     c_norm = measured_coefficient_norm(ctx, dual_atoms, sample, f_samples)
     induced = [dual_atoms.conj() @ f for f in f_samples]
     d_images = measured_reconstruction_norm(ctx, images, sample, induced)

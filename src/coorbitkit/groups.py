@@ -18,6 +18,19 @@ place that forms the translates x·U (or U·x) of the sets the paper builds
 everything on: Wiener amalgams, local maximal functions, rel(Lambda), U-dense
 and U-separated families and the sequence spaces Y_d.  It yields one index
 vector per element of ``u``, so peak memory stays at one ``len(points)`` vector.
+
+Local maxima.  ``GroupModel.local_max(mag, side)`` is the second primitive: the
+max over q in Q of ``mag`` at x·q (left) or q·x (right), an absent product
+reading 0; the local maximal functions M^L, M^R and the amalgams W^L(Y), W^R(Y)
+are built on it.  The base class takes the max over ``translates`` and is the
+test oracle.  Three models override it with the same products, so the maxima
+are bit-identical: the line's Q is a contiguous index window around the
+identity (x·q = q·x = x + q), read as one sliding-window max; on Z_N x Z_N the
+index of x·q equals that of q·x, so one n x |Q| product table built at
+construction serves both sides; on the affine grid x·q = (x + a q_x, a q_a)
+and Q = Q_x x Q_a, so M^L is a sliding-window max over the scale shifts q_a
+followed by one gather per q_x, whose x-index is snapped from the same float
+expression as ``mul_indices``.  Affine M^R keeps the base loop.
 """
 
 from __future__ import annotations
@@ -28,10 +41,27 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameterError, InvalidWeightError
 
 ABSENT = -1
+
+
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _window_max(values, lo: int, hi: int) -> np.ndarray:
+    """out[..., i] = max of ``values[..., i+lo .. i+hi]``, 0 off the ends of the last axis.
+
+    ``lo <= 0 <= hi``; ``values`` is nonnegative, so the zero padding reads as an
+    absent product does.
+    """
+    values = np.asarray(values)
+    pad = [(0, 0)] * (values.ndim - 1) + [(-lo, hi)]
+    return sliding_window_view(np.pad(values, pad), hi - lo + 1, axis=-1).max(axis=-1)
 
 
 def padded(values, fill=0.0) -> np.ndarray:
@@ -93,14 +123,24 @@ class GroupModel:
         return int(self.inv_indices(np.asarray(i)))
 
     def translates(self, points, u, side: str = "left"):
-        """Yield, for each u_j in ``u``, the indices points·u_j (left) or u_j·points (right).
+        """Iterate, for each u_j in ``u``, over the indices points·u_j (left) or u_j·points (right).
 
         Products off the grid are ABSENT.  Each element of ``u`` costs one
         ``mul_indices`` call on ``points``, so no len(points) x len(u) array exists.
         """
+        _check_side(side)
         points = np.asarray(points)
-        for uj in np.asarray(u):
-            yield self.mul_indices(points, uj) if side == "left" else self.mul_indices(uj, points)
+        if side == "left":
+            return (self.mul_indices(points, uj) for uj in np.asarray(u))
+        return (self.mul_indices(uj, points) for uj in np.asarray(u))
+
+    def local_max(self, mag, side: str = "left") -> np.ndarray:
+        """max over q in Q of ``mag`` (nonnegative) at x·q (left) or q·x (right); absent reads 0."""
+        mag = padded(mag)
+        out = np.zeros(self.size)
+        for t in self.translates(np.arange(self.size), self.q_indices, side):
+            np.maximum(out, mag[t], out=out)
+        return out
 
     def div_indices(self, i, j) -> np.ndarray:
         """Index of x_i^{-1} x_j, -1 when absent."""
@@ -148,6 +188,8 @@ class CyclicPhaseSpace(GroupModel):
         idx = np.arange(n)
         self._k = idx // self.n_side
         self._l = idx % self.n_side
+        # x·q and q·x have the same index on Z_N x Z_N
+        self._q_table = self.mul_indices(idx[:, None], self.q_indices[None, :])
 
     def mul_indices(self, i, j):
         i = np.asarray(i)
@@ -166,6 +208,10 @@ class CyclicPhaseSpace(GroupModel):
         i = np.asarray(i)
         j = np.asarray(j)
         return np.exp(-2j * np.pi * self._k[i] * self._l[j] / self.n_side)
+
+    def local_max(self, mag, side: str = "left") -> np.ndarray:
+        _check_side(side)
+        return np.asarray(mag)[self._q_table].max(axis=1)
 
     @property
     def has_trivial_cocycle(self) -> bool:
@@ -211,6 +257,12 @@ class RealLineModel(GroupModel):
     def inv_indices(self, i):
         i = np.asarray(i)
         return 2 * self.identity - i
+
+    def local_max(self, mag, side: str = "left") -> np.ndarray:
+        # Q is the contiguous index window around the identity and x·q = q·x = x + q
+        _check_side(side)
+        return _window_max(mag, self.q_indices[0] - self.identity,
+                           self.q_indices[-1] - self.identity)
 
     def point_label(self, i: int) -> str:
         return f"{self.coords[i]:g}"
@@ -287,6 +339,25 @@ class AffineGridModel(GroupModel):
         ma = -(self._ma[i] + self._m_lo) - self._m_lo
         jx = np.rint(x / self.x_step).astype(int) + self._k_max
         return self._pack(jx, ma, np.isfinite(x))
+
+    def local_max(self, mag, side: str = "left") -> np.ndarray:
+        # x·q = (x + a q_x, a q_a) over Q = Q_x x Q_a: the scale index of x·q depends
+        # only on (a, q_a) and its x-index only on (x, a, q_x)
+        if side != "left":
+            return super().local_max(mag, side)
+        q_x = np.unique(self._jx[self.q_indices])
+        s_a = np.unique(self._ma[self.q_indices]) + self._m_lo
+        # scale shifts first, then a zero pad row that absent x-indices read
+        scaled = _window_max(np.reshape(mag, (self.n_x, self.n_a)), s_a[0], s_a[-1])
+        scaled = np.vstack([scaled, np.zeros((1, self.n_a))])
+        out = np.zeros((self.n_x, self.n_a))
+        for jq in q_x:
+            # the float expression of mul_indices, broadcast over the grid
+            x = self.x_coords[:, None] + self.a_coords[None, :] * self.x_coords[jq]
+            jx = np.rint(x / self.x_step).astype(int) + self._k_max
+            jx[~((jx >= 0) & (jx < self.n_x) & np.isfinite(x))] = self.n_x
+            np.maximum(out, np.take_along_axis(scaled, jx, axis=0), out=out)
+        return out.ravel()
 
     def point_label(self, i: int) -> str:
         return f"({self.coords[i, 0]:g},{self.coords[i, 1]:g})"

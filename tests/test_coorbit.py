@@ -33,7 +33,8 @@ from coorbitkit.coorbit import (
     measured_coefficient_norm,
     measured_reconstruction_norm,
 )
-from coorbitkit.errors import IncompatibleOperandsError, NoCertificateError
+from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
+    NoCertificateError
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +335,14 @@ class TestExtendOperator:
 
 
 class TestWienerVsPlain:
+    def test_no_positive_denominator_rejected(self, setup):
+        model, rep, g, ks = setup
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+        with pytest.raises(InvalidParameterError, match="positive denominator"):
+            wiener_vs_plain_ratio(ctx, [np.zeros(8)])
+        with pytest.raises(InvalidParameterError, match="positive denominator"):
+            window_independence_ratio(ctx, boxcar_window(model), [np.zeros(8)])
+
     def test_window_itself(self, setup):
         model, rep, g, ks = setup
         ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coorbitkit import (
     build_affine_grid,
@@ -63,6 +65,47 @@ class TestCyclicModel:
         m = build_cyclic_phase_space(2)
         assert np.allclose(m.haar, 0.5)
         assert m.total_mass() == pytest.approx(2.0)
+
+
+@st.composite
+def cyclic_triples(draw):
+    """A cyclic model with random N and index arrays x, y, z of random triples."""
+    m = build_cyclic_phase_space(draw(st.integers(1, 12)))
+    idx = st.integers(0, m.size - 1)
+    triples = draw(st.lists(st.tuples(idx, idx, idx), min_size=1, max_size=16))
+    return (m, *np.array(triples).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_triples())
+def test_cyclic_group_axioms_random_triples(args):
+    m, x, y, z = args
+    e = np.full(len(x), m.identity)
+    assert np.array_equal(m.mul_indices(m.mul_indices(x, y), z),
+                          m.mul_indices(x, m.mul_indices(y, z)))
+    assert np.array_equal(m.mul_indices(x, e), x)
+    assert np.array_equal(m.mul_indices(e, x), x)
+    inv = m.inv_indices(x)
+    assert np.array_equal(m.mul_indices(x, inv), e)
+    assert np.array_equal(m.mul_indices(inv, x), e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_triples())
+def test_cyclic_two_cocycle_random_triples(args):
+    m, x, y, z = args
+    lhs = m.cocycle_values(x, y) * m.cocycle_values(m.mul_indices(x, y), z)
+    rhs = m.cocycle_values(x, m.mul_indices(y, z)) * m.cocycle_values(y, z)
+    assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2 ** 31 - 1))
+def test_symmetrized_weight_passes_w1_w3(n, p, seed):
+    m = build_cyclic_phase_space(n)
+    w0 = 1.0 + 10.0 * np.random.default_rng(seed).random(m.size)
+    report = validate_p_weight(m, symmetrize_weight(m, w0, p).values, p)
+    assert report.w1_pass and report.w3_pass
 
 
 class TestRealLineModel:

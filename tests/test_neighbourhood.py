@@ -36,7 +36,8 @@ from coorbitkit import (
     rel_separation,
     sequence_norm,
 )
-from coorbitkit.errors import NotDenseError
+from coorbitkit.errors import InvalidParameterError, NotDenseError
+from coorbitkit.groups import GroupModel
 
 MODELS = {
     "line": lambda: build_real_line(4.0, 0.25),
@@ -86,6 +87,45 @@ def test_maximal_functions(model):
     assert np.array_equal(maximal_left(f).values.real, brute_maximal(model, f.values, "left"))
     assert np.array_equal(maximal_right(f).values.real,
                           brute_maximal(model, f.values, "right"))
+
+
+# local_max overrides against the base translates loop: cyclic N <= 2 has
+# duplicate Q offsets, the small line's Q window is clipped at both carrier ends,
+# the step-0.05 affine grid is the in-group diagnostic grid (rint near-ties) and
+# the last two are the counterexample's partial-norm grids
+LOCAL_MAX_MODELS = {
+    **MODELS,
+    **{f"cyclic{n}": (lambda n=n: build_cyclic_phase_space(n)) for n in (1, 2, 3)},
+    "line_clipped": lambda: build_real_line(0.5, 0.25),
+    "affine_in_group": lambda: build_affine_grid(8.0, 0.05, 1 / 128, 16.0, 1.04),
+    "affine_partial": lambda: build_affine_grid(72.4, 0.25, 1 / 2.6, 166.4, 1.075),
+    "affine_partial_fine": lambda: build_affine_grid(72.4, 0.125, 1 / 2.6, 166.4, 1.0375),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCAL_MAX_MODELS))
+def test_local_max_matches_base_loop(name):
+    model = LOCAL_MAX_MODELS[name]()
+    rng = np.random.default_rng(3)
+    mag = rng.random(model.size)
+    mag[rng.random(model.size) < 0.3] = 0.0
+    for side in ("left", "right"):
+        assert np.array_equal(model.local_max(mag, side),
+                              GroupModel.local_max(model, mag, side))
+
+
+def test_line_clipped_window_covers_carrier():
+    model = LOCAL_MAX_MODELS["line_clipped"]()
+    assert np.array_equal(model.q_indices, np.arange(model.size))
+
+
+def test_unknown_side_rejected(model):
+    points = np.arange(model.size)
+    with pytest.raises(InvalidParameterError):
+        model.translates(points, model.q_indices, "Left")
+    for local_max in (model.local_max, lambda v, side: GroupModel.local_max(model, v, side)):
+        with pytest.raises(InvalidParameterError):
+            local_max(np.ones(model.size), "up")
 
 
 def test_sequence_norm_accumulator(model):
