@@ -89,8 +89,8 @@ def test_maximal_functions(model):
                           brute_maximal(model, f.values, "right"))
 
 
-# local_max overrides against the base translates loop: cyclic N <= 2 has
-# duplicate Q offsets, the small line's Q window is clipped at both carrier ends,
+# local_max overrides against the base translates loop: at cyclic N <= 2 the
+# offsets -1, 0, 1 fold onto each other, the small line's Q window is clipped at both carrier ends,
 # the step-0.05 affine grid is the in-group diagnostic grid (rint near-ties) and
 # the last two are the counterexample's partial-norm grids
 LOCAL_MAX_MODELS = {
