@@ -1,10 +1,10 @@
 """Command-line driver for the experiment runners.
 
-Subcommands: ``counterexample realline|affine``, ``gabor frame|riesz``,
-``diagnostic in-group``, ``coorbit norm|embed``.  Each accepts ``--config``
-(JSON overrides for the runner's keyword arguments) and ``--out`` (report
-directory).  Exit code 0 iff every bounded metric passes, 1 if one fails, 2 on a
-bad config or an exception from the runner or report writer (one ``error:`` line).
+One subcommand ``<group> <variant>`` per entry of ``_RUNNERS``, for example
+``counterexample affine``.  Each accepts ``--config`` (JSON overrides for the
+runner's keyword arguments) and ``--out`` (report directory).  Exit code 0 iff
+every bounded metric passes, 1 if one fails, 2 on a bad config or an exception
+from the runner or report writer (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -34,22 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coorbitkit",
                                      description="coorbit-space experiment suites")
     sub = parser.add_subparsers(dest="group", required=True)
-    for group, variants in (
-        ("counterexample", ["realline", "affine"]),
-        ("gabor", ["frame", "riesz"]),
-        ("diagnostic", ["in-group"]),
-        ("coorbit", ["norm", "embed"]),
-    ):
-        gp = sub.add_parser(group)
-        gsub = gp.add_subparsers(dest="variant", required=True)
-        for variant in variants:
-            vp = gsub.add_parser(variant)
-            vp.add_argument("--config", type=str, default=None,
-                            help="JSON file with runner keyword overrides")
-            vp.add_argument("--out", type=str, default="reports",
-                            help="output directory for JSON/CSV reports")
-            vp.add_argument("--format", type=str, default="csv",
-                            choices=["json", "csv"])
+    groups = {}
+    for group, variant in _RUNNERS:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="variant", required=True)
+        vp = groups[group].add_parser(variant)
+        vp.add_argument("--config", type=str, default=None,
+                        help="JSON file with runner keyword overrides")
+        vp.add_argument("--out", type=str, default="reports",
+                        help="output directory for JSON/CSV reports")
+        vp.add_argument("--format", type=str, default="csv", choices=["json", "csv"])
     return parser
 
 

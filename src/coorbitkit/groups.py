@@ -53,6 +53,16 @@ def _check_side(side: str) -> None:
         raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _uniform_axis(half_width: float, step: float, prefix: str = "") -> np.ndarray:
+    """``(-k .. k) * step`` with k = floor(half_width/step): the line and the affine x-grid."""
+    # a chained comparison is False on NaN, so this also rejects non-finite values
+    if not (0 < step <= half_width < np.inf):
+        raise InvalidParameterError(f"need 0 < {prefix}step <= {prefix}half_width < inf, got "
+                                    f"{prefix}step={step}, {prefix}half_width={half_width}")
+    k_max = int(np.floor(half_width / step + 1e-9))
+    return np.arange(-k_max, k_max + 1) * float(step)
+
+
 def _window_max(values, lo: int, hi: int) -> np.ndarray:
     """out[..., i] = max of ``values[..., i+lo .. i+hi]``, 0 off the ends of the last axis.
 
@@ -232,20 +242,12 @@ class RealLineModel(GroupModel):
     exact = False
 
     def __init__(self, half_width: float, step: float):
-        if step <= 0:
-            raise InvalidParameterError(f"step must be positive, got {step}")
-        if half_width <= 0 or step > half_width:
-            raise InvalidParameterError(
-                f"need 0 < step <= half_width, got step={step}, half_width={half_width}"
-            )
+        self.coords = _uniform_axis(half_width, step)
         self.step = float(step)
-        self._k_max = int(np.floor(half_width / step + 1e-9))
-        n = 2 * self._k_max + 1
-        self.size = n
-        self.coords = (np.arange(n) - self._k_max) * self.step
+        self.size = n = len(self.coords)
         self.haar = np.full(n, self.step)
         self.modular = np.ones(n)
-        self.identity = self._k_max
+        self.identity = n // 2
         self.q_indices = np.nonzero(np.abs(self.coords) < 1.0)[0]
 
     def mul_indices(self, i, j):
@@ -274,13 +276,36 @@ class RealLineModel(GroupModel):
         return k
 
 
-class AffineGridModel(GroupModel):
-    """ax+b group on a uniform x-grid times a geometric scale grid.
+def affine_axes(x_half_width: float, x_step: float, a_min: float, a_max: float,
+                a_ratio: float) -> tuple:
+    """The affine grid rule: the x-grid, the scale grid and the Haar weight of each scale.
 
-    Group law (x,a)(y,b) = (x+ay, ab); Haar density dx da/a^2 turns into the
-    per-point weight x_step*ln(ratio)/a on the log-uniform scale grid.  The scale
-    component of products is exact (exponents add); the x component snaps to the
-    nearest cell, absent when it leaves the grid.
+    x is the uniform axis of the line model; a runs over ``a_ratio**m`` for m from
+    ``round(log(a_min)/ln r)`` to ``round(log(a_max)/ln r)``, so a = 1 is on the
+    grid.  Every point of scale row a weighs x_step ln(r)/a.
+    """
+    x_coords = _uniform_axis(x_half_width, x_step, "x_")
+    # chained comparisons are False on NaN, so these also reject non-finite values
+    if not (0 < a_min < 1 < a_max < np.inf):
+        raise InvalidParameterError(f"need 0 < a_min < 1 < a_max < inf, got "
+                                    f"a_min={a_min}, a_max={a_max}")
+    if not (1 < a_ratio < np.inf):
+        raise InvalidParameterError(f"need 1 < a_ratio < inf, got a_ratio={a_ratio}")
+    lnr = np.log(float(a_ratio))
+    m_lo = int(round(np.log(a_min) / lnr))
+    m_hi = int(round(np.log(a_max) / lnr))
+    if m_lo >= 0 or m_hi <= 0:
+        raise InvalidParameterError("scale range must straddle a = 1")
+    a_coords = float(a_ratio) ** np.arange(m_lo, m_hi + 1)
+    return x_coords, a_coords, float(x_step) * lnr / a_coords
+
+
+class AffineGridModel(GroupModel):
+    """ax+b group on the grids of ``affine_axes``, whose weights carry dx da/a^2.
+
+    Group law (x,a)(y,b) = (x+ay, ab).  The scale component of products is exact
+    (exponents add); the x component snaps to the nearest cell, absent when it
+    leaves the grid.
     """
 
     kind = "affine"
@@ -288,35 +313,18 @@ class AffineGridModel(GroupModel):
 
     def __init__(self, x_half_width: float, x_step: float, a_min: float,
                  a_max: float, a_ratio: float):
-        if not (0 < a_min < 1 < a_max):
-            raise InvalidParameterError(
-                f"need 0 < a_min < 1 < a_max, got a_min={a_min}, a_max={a_max}"
-            )
-        if a_ratio <= 1:
-            raise InvalidParameterError(f"a_ratio must exceed 1, got {a_ratio}")
-        if x_step <= 0:
-            raise InvalidParameterError(f"x_step must be positive, got {x_step}")
+        self.x_coords, self.a_coords, self.scale_haar = affine_axes(
+            x_half_width, x_step, a_min, a_max, a_ratio)
         self.x_step = float(x_step)
-        self.a_ratio = float(a_ratio)
-        lnr = np.log(self.a_ratio)
-        # anchor the scale grid at a=1 exactly so the identity is on-grid
-        self._m_lo = int(round(np.log(a_min) / lnr))
-        self._m_hi = int(round(np.log(a_max) / lnr))
-        if self._m_lo >= 0 or self._m_hi <= 0:
-            raise InvalidParameterError("scale range must straddle a = 1")
-        self._k_max = int(np.floor(x_half_width / x_step + 1e-9))
-        self.n_x = 2 * self._k_max + 1
-        self.n_a = self._m_hi - self._m_lo + 1
+        self.n_x, self.n_a = len(self.x_coords), len(self.a_coords)
+        self._k_max = self.n_x // 2
+        self._m_lo = -int(np.searchsorted(self.a_coords, 1.0))  # a_ratio**0 == 1.0
         self.size = self.n_x * self.n_a
-        self.x_coords = (np.arange(self.n_x) - self._k_max) * self.x_step
-        self.a_coords = self.a_ratio ** np.arange(self._m_lo, self._m_hi + 1)
-        idx = np.arange(self.size)
-        self._jx = idx // self.n_a
-        self._ma = idx % self.n_a
+        self._jx, self._ma = np.divmod(np.arange(self.size), self.n_a)
         xs = self.x_coords[self._jx]
         avs = self.a_coords[self._ma]
         self.coords = np.column_stack([xs, avs])
-        self.haar = self.x_step * lnr / avs
+        self.haar = self.scale_haar[self._ma]
         self.modular = 1.0 / avs
         self.identity = self._k_max * self.n_a + (-self._m_lo)
         self.q_indices = np.nonzero((np.abs(xs) < 1.0) & (avs > 0.5) & (avs < 2.0))[0]
@@ -363,13 +371,11 @@ class AffineGridModel(GroupModel):
         return f"({self.coords[i, 0]:g},{self.coords[i, 1]:g})"
 
     def index_of(self, coord) -> int:
-        x, a = coord
-        jx = int(round(float(x) / self.x_step)) + self._k_max
-        ma = int(round(np.log(float(a)) / np.log(self.a_ratio))) - self._m_lo
-        if not (0 <= jx < self.n_x and 0 <= ma < self.n_a):
-            raise InvalidParameterError(f"coordinate {coord} is off the grid")
-        if abs(self.x_coords[jx] - x) > 1e-9 * max(1.0, abs(x)) or \
-                abs(self.a_coords[ma] - a) > 1e-9 * abs(a):
+        x, a = (float(c) for c in coord)
+        jx = int(np.abs(self.x_coords - x).argmin())
+        ma = int(np.abs(self.a_coords - a).argmin())
+        if not (abs(self.x_coords[jx] - x) <= 1e-9 * max(1.0, abs(x))
+                and abs(self.a_coords[ma] - a) <= 1e-9 * abs(a)):
             raise InvalidParameterError(f"coordinate {coord} is not on the grid")
         return jx * self.n_a + ma
 

@@ -185,3 +185,48 @@ def brute_envelope(model, orbit_g, atoms, points):
             if z >= 0:
                 phi[z] = max(phi[z], v[x])
     return phi
+
+
+# ---------------------------------------------------------------------------
+# affine carrier: per-point expressions, no use of the separable structure
+
+
+def per_point_affine_arrays(x_half_width, x_step, a_min, a_max, a_ratio):
+    """coords, haar, modular and q_indices of the affine carrier, built point by point.
+
+    The grid rule is written out here on its own: scale exponents
+    round(log(a)/ln r) anchored at a = 1, floor(x_half_width/x_step) x-cells on
+    each side of 0, point (j, m) at index j*n_a + m.
+    """
+    x_step = float(x_step)
+    a_ratio = float(a_ratio)
+    lnr = np.log(a_ratio)
+    m_lo = int(round(np.log(a_min) / lnr))
+    m_hi = int(round(np.log(a_max) / lnr))
+    k_max = int(np.floor(x_half_width / x_step + 1e-9))
+    n_a = m_hi - m_lo + 1
+    idx = np.arange((2 * k_max + 1) * n_a)
+    xs = (np.arange(2 * k_max + 1) - k_max)[idx // n_a] * x_step
+    avs = (a_ratio ** np.arange(m_lo, m_hi + 1))[idx % n_a]
+    return {
+        "coords": np.column_stack([xs, avs]),
+        "haar": x_step * lnr / avs,
+        "modular": 1.0 / avs,
+        "q_indices": np.nonzero((np.abs(xs) < 1.0) & (avs > 0.5) & (avs < 2.0))[0],
+    }
+
+
+def brute_affine_selfconvolution(model, alpha, beta, targets):
+    """(f^vee * f)(0, a0) as the Haar sum of f^vee(x, a) f(-x/a, a0/a) over every carrier point.
+
+    f(x, a) = e^{-|x|} min{a^alpha, a^{-beta}}, evaluated at each point of
+    ``model.coords``.
+    """
+
+    def f(x, a):
+        return np.exp(-np.abs(x)) * np.minimum(a ** alpha, a ** (-beta))
+
+    x = model.coords[:, 0]
+    a = model.coords[:, 1]
+    fvee = f(-x / a, 1.0 / a)
+    return np.array([float((fvee * f(-x / a, a0 / a) * model.haar).sum()) for a0 in targets])

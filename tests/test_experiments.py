@@ -10,8 +10,12 @@ import pytest
 
 import coorbitkit
 from coorbitkit import experiments as ex
+from coorbitkit import cli
 from coorbitkit.cli import main as cli_main
 from coorbitkit.errors import TruncationError
+from coorbitkit.groups import AffineGridModel, affine_axes, build_affine_grid
+
+from _oracles import brute_affine_selfconvolution
 
 
 FAST_REALLINE = {"t_list": (1.0, 2.0), "half_width": 8.0, "step": 0.02}
@@ -58,6 +62,36 @@ class TestAffineRunner:
     def test_rejects_bad_exponents(self):
         with pytest.raises(TruncationError):
             ex.run_counterexample_affine(alpha=0.5, beta=0.5)
+
+    # FAST_AFFINE's quadrature grid and a coarse one with a long scale range
+    @pytest.mark.parametrize("params", [(20.0, 0.05, 0.05, 16.0, 1.06),
+                                        (4.0, 0.1, 0.01, 64.0, 1.25)])
+    def test_selfconvolution_matches_per_point_sum(self, params):
+        targets = (0.5, 1.0, 2.0, 8.0)
+        got = ex.affine_selfconvolution_at(*affine_axes(*params), 2.0, 0.5, targets)
+        want = brute_affine_selfconvolution(build_affine_grid(*params), 2.0, 0.5, targets)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_builds_only_the_partial_norm_carriers(self, monkeypatch):
+        built = []
+        init = AffineGridModel.__init__
+
+        def recording_init(model, x_half_width, *args):
+            init(model, x_half_width, *args)
+            built.append((x_half_width, model.size))
+
+        monkeypatch.setattr(AffineGridModel, "__init__", recording_init)
+        report = ex.run_counterexample_affine(**FAST_AFFINE)
+        monkeypatch.undo()
+        # one M^L carrier per resolution, none for the quadrature grid (x_half 20)
+        partial_half = 1.1 * max(FAST_AFFINE["b_list"]) + 2.0
+        assert [h for h, _ in built] == [partial_half, partial_half]
+        assert max(n for _, n in built) <= 192_394
+        # the max over the 1-D grids' product equals the max over every carrier point
+        carrier = build_affine_grid(20.0, 0.05, 0.05, 16.0, 1.06)
+        per_point = ex.affine_test_function(2.0, 0.5)(carrier.coords[:, 0],
+                                                       carrier.coords[:, 1]).max()
+        assert next(m.value for m in report.metrics if m.name == "sup_norm") == per_point
 
 
 class TestSuites:
@@ -138,6 +172,24 @@ class TestReports:
 
 
 class TestCli:
+    @pytest.mark.parametrize("group, variant", list(cli._RUNNERS))
+    def test_every_runner_parses(self, group, variant, capsys):
+        args = cli.build_parser().parse_args([group, variant])
+        assert (args.group, args.variant) == (group, variant)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([group, "no-such-variant"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_affine_negative_half_width_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"x_half": -1.0}))
+        code = cli_main(["counterexample", "affine", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: InvalidParameterError: ")
+
     def test_gabor_frame_exit_zero(self, tmp_path):
         code = cli_main(["gabor", "frame", "--config", self._cfg(tmp_path),
                          "--out", str(tmp_path)])

@@ -16,6 +16,9 @@ from coorbitkit import (
     validate_p_weight,
 )
 from coorbitkit.errors import InvalidParameterError, InvalidWeightError
+from coorbitkit.groups import affine_axes
+
+from _oracles import per_point_affine_arrays
 
 
 class TestCyclicModel:
@@ -158,6 +161,42 @@ class TestAffineModel:
         j = m.index_of((0.5, 0.5))
         # (1,2)(0.5,0.5) = (1 + 2*0.5, 1) = (2, 1)
         assert m.point_label(m.mul(i, j)) == "(2,1)"
+
+    # the in-group diagnostic grid and both partial-norm grids of the counterexample
+    @pytest.mark.parametrize("params", [(8.0, 0.05, 1 / 128, 16.0, 1.04),
+                                        (72.4, 0.25, 1 / 2.6, 166.4, 1.075),
+                                        (72.4, 0.125, 1 / 2.6, 166.4, 1.0375)])
+    def test_arrays_match_per_point_rule(self, params):
+        m = build_affine_grid(*params)
+        expected = per_point_affine_arrays(*params)
+        for name, value in expected.items():
+            assert np.array_equal(getattr(m, name), value), name
+        assert tuple(m.coords[m.identity]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("x_half_width, x_step", [(-1.0, 0.5), (0.0, 0.5), (0.2, 0.5)])
+    def test_x_step_must_fit_half_width(self, x_half_width, x_step):
+        config = {"model": "affine", "x_half_width": x_half_width, "x_step": x_step,
+                  "a_min": 0.5, "a_max": 2.0, "a_ratio": 1.1}
+        with pytest.raises(InvalidParameterError, match="x_step <= x_half_width < inf"):
+            build_affine_grid(x_half_width, x_step, 0.5, 2.0, 1.1)
+        with pytest.raises(InvalidParameterError, match="x_step <= x_half_width < inf"):
+            affine_axes(x_half_width, x_step, 0.5, 2.0, 1.1)
+        with pytest.raises(InvalidParameterError, match="x_step <= x_half_width < inf"):
+            model_from_config(config)
+
+
+_GOOD = {"line": {"half_width": 2.0, "step": 0.5},
+         "affine": {"x_half_width": 2.0, "x_step": 0.5, "a_min": 0.25, "a_max": 4.0,
+                    "a_ratio": 2.0}}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind, field", [(kind, field) for kind, fields in _GOOD.items()
+                                         for field in fields])
+def test_non_finite_parameter_named(kind, field, value):
+    config = {"model": kind, **_GOOD[kind], field: value}
+    with pytest.raises(InvalidParameterError, match=rf"< inf, got .*\b{field}={value}\b"):
+        model_from_config(config)
 
 
 class TestModelFromConfig:

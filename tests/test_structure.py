@@ -45,3 +45,27 @@ def test_import_graph_is_acyclic():
     graph = _import_graph()
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
     assert "frames" not in graph["cdmatrix"]  # the power series lives in cdmatrix
+
+
+def _unused_imports(tree) -> list:
+    """Names bound by module-level imports (``__future__`` aside) that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__"}))
+def test_no_unused_module_import(module):
+    assert not _unused_imports(TREES[module]), f"{module}.py imports unused names"
+
+
+def test_unused_import_check_catches_a_leftover():
+    tree = ast.parse("import json\nfrom x import a, b as c\nimport os.path\nprint(a, os)\n")
+    assert _unused_imports(tree) == ["json (line 1)", "c (line 2)"]
