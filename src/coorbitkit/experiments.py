@@ -22,7 +22,7 @@ from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, convolve, indica
     maximal_left
 from .coorbit import CoorbitContext, embedding_check, window_independence_ratio, \
     wiener_vs_plain_ratio
-from .errors import ResolutionError, TruncationError
+from .errors import InvalidParameterError, ResolutionError, TruncationError
 from .frames import (
     KernelSystem,
     WINDOWS,
@@ -243,29 +243,30 @@ def affine_selfconvolution_at(x_coords, a_coords, scale_haar, alpha: float, beta
     The integrand f^vee(x, a) f(-x/a, a0/a) = e^{-2|x|/a} m(1/a) m(a0/a), with
     m(s) = min{s^alpha, s^-beta} = f(0, s), and the weight mu_a depend on x only
     through S(a) = sum_x e^{-2|x|/a}.  So sum_a m(1/a) m(a0/a) mu_a S(a) adds the
-    carrier sum's terms in another order: exact up to rounding.
+    carrier sum's terms in another order: exact up to rounding.  S is formed one
+    scale row at a time, so no n_a x n_x array is built.
     """
     f = affine_test_function(alpha, beta)
-    s = np.exp(-2.0 * np.abs(x_coords)[None, :] / a_coords[:, None]).sum(axis=1)
+    neg_2x = -2.0 * np.abs(x_coords)
+    s = np.array([np.exp(neg_2x / a).sum() for a in a_coords])
     row = f(0.0, 1.0 / a_coords) * scale_haar * s
     return np.array([float((row * f(0.0, a0 / a_coords)).sum()) for a0 in targets])
 
 
 def _scale_selfconvolution(y, b, alpha: float, beta: float, c_grid: np.ndarray,
                            lnr: float) -> np.ndarray:
-    """(f^vee * f)(y, b) with the Euclidean x-convolution in closed form.
+    """(f^vee * f)(y, b) on the grid product y x b, as the matrix product H = E @ M.
 
-    Uses int e^{-|z|} e^{-|z-u|} dz = e^{-|u|} (1 + |u|), leaving a single
-    quadrature over the scale variable.
+    int e^{-|z|} e^{-|z-u|} dz = e^{-|u|} (1 + |u|) does the x-convolution in
+    closed form, leaving one quadrature over the scale nodes c (step ln r):
+    E[y, c] = e^{-|y|/c} (1 + |y|/c) is n_y x n_c, M[c, b] = ln r m(1/c) m(b/c)
+    is n_c x n_b, with m(s) = min{s^alpha, s^-beta}.
     """
-    yy, bb = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(b, dtype=float))
-    out = np.zeros(yy.shape)
-    m1 = np.minimum(c_grid ** (-alpha), c_grid ** beta)
-    for m1c, c in zip(m1, c_grid):
-        u = np.abs(yy) / c
-        m2 = np.minimum((bb / c) ** alpha, (c / bb) ** beta)
-        out += m1c * m2 * np.exp(-u) * (1.0 + u) * lnr
-    return out
+    u = np.abs(y)[:, None] / c_grid[None, :]
+    bc = b[None, :] / c_grid[:, None]
+    m = np.minimum(c_grid ** (-alpha), c_grid ** beta)[:, None] \
+        * np.minimum(bc ** alpha, bc ** (-beta)) * lnr
+    return (np.exp(-u) * (1.0 + u)) @ m
 
 
 def _affine_partial_norms(alpha: float, beta: float, b_list, x_half: float,
@@ -287,11 +288,11 @@ def _affine_partial_norms(alpha: float, beta: float, b_list, x_half: float,
     c_grid = c_ratio ** np.arange(int(np.floor(np.log(1e-3) / lnr_c)),
                                   int(np.ceil(np.log(1e3) / lnr_c)) + 1)
     xg, ag = model.x_coords, model.a_coords
-    h_vals = _scale_selfconvolution(xg[:, None], ag[None, :], alpha, beta, c_grid, lnr_c)
+    h_vals = _scale_selfconvolution(xg, ag, alpha, beta, c_grid, lnr_c)
 
     grid_fn = GridFunction(model, h_vals.reshape(-1))
     ml = maximal_left(grid_fn).values.real.reshape(len(xg), len(ag))
-    h0 = h_vals[model._k_max, :]  # H(0, b') per scale row
+    h0 = h_vals[np.searchsorted(xg, 0.0)]  # H(0, b') per scale row
     # row b: max of H(0, b') over b' in (b/2, 2b), a window that always holds b' = b
     window = (ag[None, :] > ag[:, None] / 2.0) & (ag[None, :] < 2.0 * ag[:, None])
     minorant_level = np.where(window, h0[None, :], 0.0).max(axis=1)
@@ -319,6 +320,14 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
     """
     if not (alpha > 1.0 and 0.0 < beta < 1.0):
         raise TruncationError("need alpha > 1 and beta in (0,1)")
+    # the comparisons are False on NaN, so these also reject non-finite values
+    t, b = np.asarray(targets, dtype=float), np.asarray(b_list, dtype=float)
+    if not (t.ndim == 1 and t.size and np.all((0 < t) & (t < np.inf))):
+        raise InvalidParameterError(f"targets must be a non-empty list of finite values > 0, "
+                                    f"got targets={targets!r}")
+    if not (b.ndim == 1 and np.unique(b).size >= 2 and np.all((1 < b) & (b < np.inf))):
+        raise InvalidParameterError(f"b_list must hold at least two distinct finite values, "
+                                    f"all > 1, got b_list={b_list!r}")
     c2 = 1.0  # int (e^{-|z|})^2 dz
     lower = lambda a0: c2 / (2.0 * beta) * a0 ** (-beta)
 
@@ -336,7 +345,9 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
         growth = norms[b_hi] / norms[b_lo]
         needed = 0.8 * (b_hi ** (1 - beta) - 1.0) / (b_lo ** (1 - beta) - 1.0)
         flags["norm_growth"] = growth >= needed
-        sup_norm = float(affine_test_function(alpha, beta)(x[:, None], a[None, :]).max())
+        # f(x, a) = f(x, 1) f(0, a), both >= 0 and rounding monotone: the grid max, bit for bit
+        f = affine_test_function(alpha, beta)
+        sup_norm = float(f(x, 1.0).max() * f(0.0, a).max())
         flags["sup_norm"] = sup_norm <= 1.0 + 1e-12
         return values, norms, growth, needed, sup_norm, flags
 

@@ -230,3 +230,19 @@ def brute_affine_selfconvolution(model, alpha, beta, targets):
     a = model.coords[:, 1]
     fvee = f(-x / a, 1.0 / a)
     return np.array([float((fvee * f(-x / a, a0 / a) * model.haar).sum()) for a0 in targets])
+
+
+def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
+    """(f^vee * f)(y, b) for broadcastable y and b, accumulated one scale node c at a time.
+
+    Each node adds m(1/c) m(b/c) e^{-|y|/c} (1 + |y|/c) ln r over the whole
+    broadcast shape, with m(s) = min{s^alpha, s^-beta}.
+    """
+    yy, bb = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(b, dtype=float))
+    out = np.zeros(yy.shape)
+    m1 = np.minimum(c_grid ** (-alpha), c_grid ** beta)
+    for m1c, c in zip(m1, c_grid):
+        u = np.abs(yy) / c
+        m2 = np.minimum((bb / c) ** alpha, (c / bb) ** beta)
+        out += m1c * m2 * np.exp(-u) * (1.0 + u) * lnr
+    return out

@@ -12,10 +12,10 @@ import coorbitkit
 from coorbitkit import experiments as ex
 from coorbitkit import cli
 from coorbitkit.cli import main as cli_main
-from coorbitkit.errors import TruncationError
+from coorbitkit.errors import InvalidParameterError, TruncationError
 from coorbitkit.groups import AffineGridModel, affine_axes, build_affine_grid
 
-from _oracles import brute_affine_selfconvolution
+from _oracles import brute_affine_selfconvolution, brute_scale_selfconvolution
 
 
 FAST_REALLINE = {"t_list": (1.0, 2.0), "half_width": 8.0, "step": 0.02}
@@ -92,6 +92,72 @@ class TestAffineRunner:
         per_point = ex.affine_test_function(2.0, 0.5)(carrier.coords[:, 0],
                                                        carrier.coords[:, 1]).max()
         assert next(m.value for m in report.metrics if m.name == "sup_norm") == per_point
+
+
+# (field, value) pairs that leave the affine runner nothing to check or nothing to divide by
+DEGENERATE_AFFINE = [("b_list", [64.0]), ("b_list", [64.0, 64.0]), ("b_list", [0.5, 64.0]),
+                     ("b_list", [1.0, 64.0]), ("b_list", [16.0, float("inf")]),
+                     ("b_list", [16.0, float("nan")]), ("targets", []), ("targets", [0.0, 1.0]),
+                     ("targets", [-1.0]), ("targets", [float("inf")]),
+                     ("targets", [float("nan")])]
+
+
+class TestAffineConfig:
+    @pytest.mark.parametrize("key, value", DEGENERATE_AFFINE)
+    def test_runner_names_the_field(self, key, value):
+        with pytest.raises(InvalidParameterError, match=f"{key} .*got {key}="):
+            ex.run_counterexample_affine(**{**FAST_AFFINE, key: value})
+
+    @pytest.mark.parametrize("key, value", DEGENERATE_AFFINE)
+    def test_cli_exits_two(self, key, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        code = cli_main(["counterexample", "affine", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError: ") and f"got {key}=" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "counterexample_affine.json").exists()
+
+
+def _scale_nodes(a_ratio):
+    """The partial-norm scale nodes: ratio 1 + 2(a_ratio - 1), from 1e-3 to 1e3."""
+    c_ratio = 1.0 + 2.0 * (a_ratio - 1.0)
+    lnr = np.log(c_ratio)
+    exponents = np.arange(int(np.floor(np.log(1e-3) / lnr)), int(np.ceil(np.log(1e3) / lnr)) + 1)
+    return c_ratio ** exponents, lnr
+
+
+class TestScaleSelfconvolution:
+    # the two partial-norm grids of the default config, at the base and at the half step
+    @pytest.mark.parametrize("params", [(72.4, 0.25, 1 / 2.6, 166.4, 1.075),
+                                        (72.4, 0.125, 1 / 2.6, 166.4, 1.0375)])
+    def test_matches_per_node_loop(self, params):
+        y, b, _ = affine_axes(*params)
+        c_grid, lnr = _scale_nodes(params[-1])
+        got = ex._scale_selfconvolution(y, b, 2.0, 0.5, c_grid, lnr)
+        want = brute_scale_selfconvolution(y[:, None], b[None, :], 2.0, 0.5, c_grid, lnr)
+        assert got.shape == (len(y), len(b))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_matches_per_node_loop_off_grid(self):
+        y = np.linspace(-3.7, 11.3, 41)  # not symmetric about 0
+        b = np.array([0.3, 1.07, 1.37, 5.5, 17.1, 250.0])  # no node of ratio 1.15 is among them
+        c_grid, lnr = _scale_nodes(1.075)
+        assert np.abs(np.log(b)[:, None] - np.log(c_grid)[None, :]).min() > 1e-3
+        for alpha, beta in [(2.0, 0.5), (1.5, 0.25)]:
+            got = ex._scale_selfconvolution(y, b, alpha, beta, c_grid, lnr)
+            want = brute_scale_selfconvolution(y[:, None], b[None, :], alpha, beta, c_grid, lnr)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 3.0, 10.0])
+    def test_closed_form_x_convolution(self, u):
+        # int e^{-|z|} e^{-|z-u|} dz = e^{-|u|} (1 + |u|), by a fine trapezoid rule
+        # whose nodes include both kinks, z = 0 and z = u
+        z = np.linspace(-50.0, 60.0, 220_001)
+        integral = np.trapezoid(np.exp(-np.abs(z)) * np.exp(-np.abs(z - u)), z)
+        assert integral == pytest.approx(np.exp(-u) * (1.0 + u), rel=1e-6)
 
 
 class TestSuites:

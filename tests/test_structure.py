@@ -69,3 +69,21 @@ def test_no_unused_module_import(module):
 def test_unused_import_check_catches_a_leftover():
     tree = ast.parse("import json\nfrom x import a, b as c\nimport os.path\nprint(a, os)\n")
     assert _unused_imports(tree) == ["json (line 1)", "c (line 2)"]
+
+
+def _foreign_private_reads(tree) -> list:
+    """``obj._name`` (single underscore, not a dunder) read on anything but ``self`` or ``cls``."""
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_private_attribute_read_across_objects(module):
+    assert not _foreign_private_reads(TREES[module]), f"{module}.py reads another object's privates"
+
+
+def test_private_read_check_catches_a_leftover():
+    tree = ast.parse("h0 = h_vals[model._k_max, :]\nself._a = cls._b + o.__len__()\n")
+    assert _foreign_private_reads(tree) == ["model._k_max (line 1)"]
