@@ -51,9 +51,8 @@ class GridFunction:
                     writer.writerow([i // n, i % n, v.real, v.imag])
             elif self.model.kind == "affine":
                 writer.writerow(["x", "a", "re", "im"])
-                for i, v in enumerate(self.values):
-                    writer.writerow([self.model.coords[i, 0], self.model.coords[i, 1],
-                                     v.real, v.imag])
+                for (x, a), v in zip(self.model.coords, self.values):
+                    writer.writerow([x, a, v.real, v.imag])
             else:
                 writer.writerow(["x", "re", "im"])
                 for i, v in enumerate(self.values):

@@ -50,6 +50,8 @@ from .groups import (
 from .sampling import SampleSet
 
 E = float(np.e)
+# the most points ``counterexample affine`` lets its M^L carrier have
+MAX_CARRIER_POINTS = 2 ** 22
 
 
 def rng_for(seed: int, experiment: str, index: int = 0) -> np.random.Generator:
@@ -171,6 +173,10 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
     the two amalgam factors decays like e^{-2T} while ||f*g|| stays bounded
     below, so the ratio grows like e^{2T}.
     """
+    t = np.asarray(t_list, dtype=float)
+    if not (t.ndim == 1 and np.unique(t).size >= 2 and np.all(np.isfinite(t))):
+        raise InvalidParameterError(f"t_list must hold at least two distinct finite values, "
+                                    f"got t_list={t_list!r}")
     t_list = tuple(float(t) for t in t_list)
     if max(t_list) + 2.0 >= half_width:
         raise TruncationError(
@@ -269,8 +275,17 @@ def _scale_selfconvolution(y, b, alpha: float, beta: float, c_grid: np.ndarray,
     return (np.exp(-u) * (1.0 + u)) @ m
 
 
-def _affine_partial_norms(alpha: float, beta: float, b_list, x_half: float,
-                          x_step: float, a_ratio: float) -> dict:
+def _partial_norm_axes(b_max: float, x_step: float, a_ratio: float) -> tuple:
+    """The ``affine_axes`` arguments of the M^L carrier for the region 1 <= b <= b_max.
+
+    Window rows for b in [1, b_max] live in (1/2, 2 b_max); the minorant region
+    needs |y| < b only, so a modest margin beyond b_max suffices in x.
+    """
+    return 1.1 * b_max + 2.0, x_step, 1.0 / 2.6, 2.6 * b_max, a_ratio
+
+
+def _affine_partial_norms(alpha: float, beta: float, b_list, x_step: float,
+                          a_ratio: float) -> dict:
     """Partial amalgam norms of f^vee * f over the region 1 <= b <= B.
 
     The maximal function is lower-bounded by the larger of the on-grid window
@@ -278,11 +293,7 @@ def _affine_partial_norms(alpha: float, beta: float, b_list, x_half: float,
     b' in (b/2, 2b); both lie inside the continuum window, so the partial norm
     is an honest lower bound that still exhibits the divergence.
     """
-    b_max = max(b_list)
-    # window rows for b in [1, b_max] live in (1/2, 2 b_max); the minorant region
-    # needs |y| < b only, so a modest margin beyond b_max suffices in x
-    model = build_affine_grid(x_half, x_step, a_min=1.0 / 2.6,
-                              a_max=2.6 * b_max, a_ratio=a_ratio)
+    model = build_affine_grid(*_partial_norm_axes(max(b_list), x_step, a_ratio))
     c_ratio = 1.0 + 2.0 * (a_ratio - 1.0)
     lnr_c = np.log(c_ratio)
     c_grid = c_ratio ** np.arange(int(np.floor(np.log(1e-3) / lnr_c)),
@@ -328,16 +339,23 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
     if not (b.ndim == 1 and np.unique(b).size >= 2 and np.all((1 < b) & (b < np.inf))):
         raise InvalidParameterError(f"b_list must hold at least two distinct finite values, "
                                     f"all > 1, got b_list={b_list!r}")
+    # the quadrature grids come first, so a bad grid parameter is named as given
+    resolutions = [(x_step, a_ratio), (x_step / 2.0, 1.0 + (a_ratio - 1.0) / 2.0)]
+    grids = [affine_axes(x_half, xs, a_min, a_max, ratio) for xs, ratio in resolutions]
+    # (x_step, a_ratio) of the partial norms' M^L carrier at each resolution
+    ml_steps = [(0.25 * xs / x_step, 1.0 + 2.5 * (ratio - 1.0)) for xs, ratio in resolutions]
+    x_ml, a_ml, _ = affine_axes(*_partial_norm_axes(max(b_list), *ml_steps[1]))
+    if x_ml.size * a_ml.size > MAX_CARRIER_POINTS:
+        raise InvalidParameterError(
+            f"b_list needs a half-step M^L carrier of {x_ml.size * a_ml.size:,} points, more "
+            f"than {MAX_CARRIER_POINTS:,}; got b_list={b_list!r}")
     c2 = 1.0  # int (e^{-|z|})^2 dz
     lower = lambda a0: c2 / (2.0 * beta) * a0 ** (-beta)
 
-    def evaluate(xs: float, ratio: float) -> tuple:
-        x, a, mu = affine_axes(x_half, xs, a_min, a_max, ratio)
+    def evaluate(grid: tuple, ml_step: tuple) -> tuple:
+        x, a, mu = grid
         values = affine_selfconvolution_at(x, a, mu, alpha, beta, targets)
-        norms = _affine_partial_norms(alpha, beta, b_list,
-                                      x_half=1.1 * max(b_list) + 2.0,
-                                      x_step=0.25 * xs / x_step,
-                                      a_ratio=1.0 + 2.5 * (ratio - 1.0))
+        norms = _affine_partial_norms(alpha, beta, b_list, *ml_step)
         flags = {}
         for a0, val in zip(targets, values):
             flags[f"selfconv_a{a0:g}"] = val >= 0.95 * lower(a0)
@@ -351,8 +369,8 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
         flags["sup_norm"] = sup_norm <= 1.0 + 1e-12
         return values, norms, growth, needed, sup_norm, flags
 
-    values, norms, growth, needed, sup_norm, flags = evaluate(x_step, a_ratio)
-    half = evaluate(x_step / 2.0, 1.0 + (a_ratio - 1.0) / 2.0)
+    values, norms, growth, needed, sup_norm, flags = evaluate(grids[0], ml_steps[0])
+    half = evaluate(grids[1], ml_steps[1])
     flipped = [k for k in flags if flags[k] != half[5][k]]
     if flipped:
         raise ResolutionError(f"pass flags flipped at half step: {flipped}")
@@ -495,6 +513,9 @@ def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaus
 
 def run_in_diagnostic(model_id: str = "affine", seed: int = 0) -> Report:
     """Tabulate mu(QxQ): bounded on line/cyclic models, growing on the affine group."""
+    if model_id not in ("line", "cyclic", "affine", "all"):
+        raise InvalidParameterError(f"model_id must be one of 'line', 'cyclic', 'affine', "
+                                    f"'all', got model_id={model_id!r}")
     metrics = []
     curves = {}
     if model_id in ("line", "all"):

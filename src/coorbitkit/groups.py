@@ -4,7 +4,8 @@ A model is a finite carrier of group points with per-point left-Haar weights, a
 (possibly partial) group law, a modular function, a unit-modulus cocycle and a
 fixed base neighborhood Q of the identity.  Partial products and inverses are
 encoded by the index ABSENT = -1; every integral treats absent values as zero,
-matching zero-extension of compactly supported functions.
+matching zero-extension of compactly supported functions.  The affine model
+stores only the two 1-D grids of ``affine_axes`` and derives its per-point arrays.
 
 Absent convention.  An array read through product indices carries one trailing
 pad slot (``padded``) holding what an absent product reads: 0 for sums, maxima
@@ -305,7 +306,9 @@ class AffineGridModel(GroupModel):
 
     Group law (x,a)(y,b) = (x+ay, ab).  The scale component of products is exact
     (exponents add); the x component snaps to the nearest cell, absent when it
-    leaves the grid.
+    leaves the grid.  Point (x_j, a_m) has index j*n_a + m.  The model stores only
+    the two axes, so ``coords``, ``haar`` and ``modular`` are built on each access
+    and the group law recovers (j, m) from an index by ``divmod``.
     """
 
     kind = "affine"
@@ -320,31 +323,45 @@ class AffineGridModel(GroupModel):
         self._k_max = self.n_x // 2
         self._m_lo = -int(np.searchsorted(self.a_coords, 1.0))  # a_ratio**0 == 1.0
         self.size = self.n_x * self.n_a
-        self._jx, self._ma = np.divmod(np.arange(self.size), self.n_a)
-        xs = self.x_coords[self._jx]
-        avs = self.a_coords[self._ma]
-        self.coords = np.column_stack([xs, avs])
-        self.haar = self.scale_haar[self._ma]
-        self.modular = 1.0 / avs
         self.identity = self._k_max * self.n_a + (-self._m_lo)
-        self.q_indices = np.nonzero((np.abs(xs) < 1.0) & (avs > 0.5) & (avs < 2.0))[0]
+        q_x, q_a = self._q_windows()
+        self.q_indices = (q_x[:, None] * self.n_a + q_a[None, :]).ravel()
+
+    def _q_windows(self):
+        """Q = (-1, 1) x (1/2, 2) as its x-index window and its scale-index window."""
+        return (np.nonzero(np.abs(self.x_coords) < 1.0)[0],
+                np.nonzero((self.a_coords > 0.5) & (self.a_coords < 2.0))[0])
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(size, 2) array of the (x, a) of every carrier point, built on each access."""
+        return np.column_stack([np.repeat(self.x_coords, self.n_a),
+                                np.tile(self.a_coords, self.n_x)])
+
+    @property
+    def haar(self) -> np.ndarray:
+        return np.tile(self.scale_haar, self.n_x)
+
+    @property
+    def modular(self) -> np.ndarray:
+        return np.tile(1.0 / self.a_coords, self.n_x)
 
     def _pack(self, jx, ma, valid):
         ok = valid & (jx >= 0) & (jx < self.n_x) & (ma >= 0) & (ma < self.n_a)
         return np.where(ok, jx * self.n_a + ma, ABSENT)
 
     def mul_indices(self, i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        x = self.x_coords[self._jx[i]] + self.a_coords[self._ma[i]] * self.x_coords[self._jx[j]]
-        ma = self._ma[i] + self._ma[j] + self._m_lo
+        jx_i, ma_i = np.divmod(np.asarray(i), self.n_a)
+        jx_j, ma_j = np.divmod(np.asarray(j), self.n_a)
+        x = self.x_coords[jx_i] + self.a_coords[ma_i] * self.x_coords[jx_j]
+        ma = ma_i + ma_j + self._m_lo
         jx = np.rint(x / self.x_step).astype(int) + self._k_max
         return self._pack(jx, ma, np.isfinite(x))
 
     def inv_indices(self, i):
-        i = np.asarray(i)
-        x = -self.x_coords[self._jx[i]] / self.a_coords[self._ma[i]]
-        ma = -(self._ma[i] + self._m_lo) - self._m_lo
+        jx_i, ma_i = np.divmod(np.asarray(i), self.n_a)
+        x = -self.x_coords[jx_i] / self.a_coords[ma_i]
+        ma = -(ma_i + self._m_lo) - self._m_lo
         jx = np.rint(x / self.x_step).astype(int) + self._k_max
         return self._pack(jx, ma, np.isfinite(x))
 
@@ -353,8 +370,8 @@ class AffineGridModel(GroupModel):
         # only on (a, q_a) and its x-index only on (x, a, q_x)
         if side != "left":
             return super().local_max(mag, side)
-        q_x = np.unique(self._jx[self.q_indices])
-        s_a = np.unique(self._ma[self.q_indices]) + self._m_lo
+        q_x, q_a = self._q_windows()
+        s_a = q_a + self._m_lo
         # scale shifts first, then a zero pad row that absent x-indices read
         scaled = _window_max(np.reshape(mag, (self.n_x, self.n_a)), s_a[0], s_a[-1])
         scaled = np.vstack([scaled, np.zeros((1, self.n_a))])
@@ -368,7 +385,8 @@ class AffineGridModel(GroupModel):
         return out.ravel()
 
     def point_label(self, i: int) -> str:
-        return f"({self.coords[i, 0]:g},{self.coords[i, 1]:g})"
+        jx, ma = divmod(int(i), self.n_a)
+        return f"({self.x_coords[jx]:g},{self.a_coords[ma]:g})"
 
     def index_of(self, coord) -> int:
         x, a = (float(c) for c in coord)

@@ -4,11 +4,14 @@ These deliberately avoid the library's vectorized code paths: the cyclic-group
 oracle works on explicit (k, l) tuples with dict lookups, the generic
 neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
 representation is an explicit matrix stack built in nested loops, the frame
-kernel is summed atom by atom from the dense kernel table, and matrix functions
-come from a plain eigendecomposition.
+kernel is summed atom by atom from the dense kernel table, matrix functions
+come from a plain eigendecomposition, and the affine group law is a scalar
+product per pair of points of the per-point affine carrier.
 """
 
 import numpy as np
+
+ABSENT = -1
 
 
 def cyclic_points(n):
@@ -191,19 +194,26 @@ def brute_envelope(model, orbit_g, atoms, points):
 # affine carrier: per-point expressions, no use of the separable structure
 
 
+def _affine_rule(x_half_width, x_step, a_min, a_max, a_ratio):
+    """k_max, m_lo, m_hi of the affine grid, the grid rule written out on its own.
+
+    Scale exponents round(log(a)/ln r) anchored at a = 1, floor(x_half_width/x_step)
+    x-cells on each side of 0.
+    """
+    lnr = np.log(float(a_ratio))
+    return (int(np.floor(x_half_width / float(x_step) + 1e-9)),
+            int(round(np.log(a_min) / lnr)), int(round(np.log(a_max) / lnr)))
+
+
 def per_point_affine_arrays(x_half_width, x_step, a_min, a_max, a_ratio):
     """coords, haar, modular and q_indices of the affine carrier, built point by point.
 
-    The grid rule is written out here on its own: scale exponents
-    round(log(a)/ln r) anchored at a = 1, floor(x_half_width/x_step) x-cells on
-    each side of 0, point (j, m) at index j*n_a + m.
+    The grid follows ``_affine_rule``; point (j, m) is at index j*n_a + m.
     """
     x_step = float(x_step)
     a_ratio = float(a_ratio)
     lnr = np.log(a_ratio)
-    m_lo = int(round(np.log(a_min) / lnr))
-    m_hi = int(round(np.log(a_max) / lnr))
-    k_max = int(np.floor(x_half_width / x_step + 1e-9))
+    k_max, m_lo, m_hi = _affine_rule(x_half_width, x_step, a_min, a_max, a_ratio)
     n_a = m_hi - m_lo + 1
     idx = np.arange((2 * k_max + 1) * n_a)
     xs = (np.arange(2 * k_max + 1) - k_max)[idx // n_a] * x_step
@@ -214,6 +224,39 @@ def per_point_affine_arrays(x_half_width, x_step, a_min, a_max, a_ratio):
         "modular": 1.0 / avs,
         "q_indices": np.nonzero((np.abs(xs) < 1.0) & (avs > 0.5) & (avs < 2.0))[0],
     }
+
+
+def _affine_scalar_group(params):
+    """The affine carrier's points as (x, a, m) tuples, and the index of a snapped product.
+
+    ``index(x, m)`` snaps x to the cell round(x/x_step) and returns the carrier
+    index of that cell at scale exponent m, or ABSENT when either leaves the grid.
+    """
+    k_max, m_lo, m_hi = _affine_rule(*params)
+    n_a = m_hi - m_lo + 1
+    coords = per_point_affine_arrays(*params)["coords"]
+    points = [(float(x), float(a), m_lo + i % n_a) for i, (x, a) in enumerate(coords)]
+
+    def index(x, m):
+        j = round(x / float(params[1])) + k_max
+        return j * n_a + (m - m_lo) if 0 <= j <= 2 * k_max and m_lo <= m <= m_hi else ABSENT
+
+    return points, index
+
+
+def brute_affine_mul(*params):
+    """Index of p_i p_j for every pair of carrier points, one scalar product per pair.
+
+    (x, a)(y, b) = (x + a y, ab): x + a y is snapped, the scale exponents add.
+    """
+    points, index = _affine_scalar_group(params)
+    return np.array([[index(x + a * y, m + mb) for y, _, mb in points] for x, a, m in points])
+
+
+def brute_affine_inv(*params):
+    """Index of p_i^{-1} = (-x/a, 1/a) for every carrier point, one scalar per point."""
+    points, index = _affine_scalar_group(params)
+    return np.array([index(-x / a, -m) for x, a, m in points])
 
 
 def brute_affine_selfconvolution(model, alpha, beta, targets):

@@ -1,13 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_maximal_left, brute_twisted_convolve
+from _oracles import brute_maximal_left, brute_twisted_convolve, per_point_affine_arrays
 from coorbitkit import (
     GridFunction,
     QuasiNormSpec,
     amalgam_norm,
+    build_affine_grid,
     build_cyclic_phase_space,
     build_real_line,
     convolution_relation_check,
@@ -308,3 +311,13 @@ def test_csv_serialization(tmp_path, cyclic8):
     m = build_real_line(2.0, 1.0)
     path2 = GridFunction(m, np.arange(5.0) + 0j).to_csv(tmp_path / "line.csv")
     assert path2.read_text().splitlines()[0] == "x,re,im"
+    params = (2.0, 0.5, 0.25, 4.0, 2.0)
+    aff = build_affine_grid(*params)
+    values = np.arange(aff.size) - 2j
+    path3 = GridFunction(aff, values).to_csv(tmp_path / "affine.csv")
+    with path3.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x", "a", "re", "im"]
+    table = np.array(rows, dtype=float)
+    assert np.array_equal(table[:, :2], per_point_affine_arrays(*params)["coords"])
+    assert np.array_equal(table[:, 2] + 1j * table[:, 3], values)

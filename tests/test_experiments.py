@@ -120,6 +120,69 @@ class TestAffineConfig:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "counterexample_affine.json").exists()
 
+    def test_oversized_b_list_builds_no_carrier(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = AffineGridModel.__init__
+
+        def recording_init(model, *args):
+            init(model, *args)
+            built.append(model.size)
+
+        monkeypatch.setattr(AffineGridModel, "__init__", recording_init)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"b_list": [16.0, 1000.0]}))
+        code = cli_main(["counterexample", "affine", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2 and built == []
+        err = capsys.readouterr().err
+        # the half-step M^L carrier at b_max = 1000: 4,249,553 points, over 2**22
+        assert err.startswith("error: InvalidParameterError: b_list ")
+        assert "4,249,553 points" in err and "got b_list=[16.0, 1000.0]" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "counterexample_affine.json").exists()
+
+
+# t_list values that leave the real-line runner no growth to measure or nothing finite
+DEGENERATE_REALLINE = [[2.0], [], [2.0, 2.0], [1.0, float("inf")], [1.0, float("nan")]]
+
+
+class TestReallineConfig:
+    @pytest.mark.parametrize("value", DEGENERATE_REALLINE)
+    def test_runner_names_the_field(self, value):
+        with pytest.raises(InvalidParameterError, match="t_list .*got t_list="):
+            ex.run_counterexample_realline(**{**FAST_REALLINE, "t_list": value})
+
+    @pytest.mark.parametrize("value", DEGENERATE_REALLINE)
+    def test_cli_exits_two(self, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_list": value}))
+        code = cli_main(["counterexample", "realline", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError: ") and "got t_list=" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "counterexample_realline.json").exists()
+
+
+class TestDiagnosticConfig:
+    @pytest.mark.parametrize("value", ["bogus", "", "Affine"])
+    def test_runner_names_the_accepted_values(self, value):
+        with pytest.raises(InvalidParameterError,
+                           match="'line', 'cyclic', 'affine', 'all', got model_id="):
+            ex.run_in_diagnostic(value)
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model_id": "bogus"}))
+        code = cli_main(["diagnostic", "in-group", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError: model_id must be one of ")
+        assert len(err.splitlines()) == 1 and "got model_id='bogus'" in err
+        assert not (tmp_path / "diagnostic_in-group.json").exists()
+
 
 def _scale_nodes(a_ratio):
     """The partial-norm scale nodes: ratio 1 + 2(a_ratio - 1), from 1e-3 to 1e3."""

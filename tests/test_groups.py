@@ -18,7 +18,7 @@ from coorbitkit import (
 from coorbitkit.errors import InvalidParameterError, InvalidWeightError
 from coorbitkit.groups import affine_axes
 
-from _oracles import per_point_affine_arrays
+from _oracles import brute_affine_inv, brute_affine_mul, per_point_affine_arrays
 
 
 class TestCyclicModel:
@@ -172,6 +172,27 @@ class TestAffineModel:
         for name, value in expected.items():
             assert np.array_equal(getattr(m, name), value), name
         assert tuple(m.coords[m.identity]) == (0.0, 1.0)
+
+    # on both grids snapped products collide (scales a < 1 shrink x-steps below the
+    # grid step) and about half the products leave the grid
+    @pytest.mark.parametrize("params", [(2.0, 0.25, 0.3, 3.0, 1.5), (2.0, 0.5, 0.25, 4.0, 2.0)])
+    def test_group_law_matches_per_pair_oracle(self, params):
+        m = build_affine_grid(*params)
+        i, j = np.divmod(np.arange(m.size * m.size), m.size)
+        prod = m.mul_indices(i, j).reshape(m.size, m.size)
+        assert np.array_equal(prod, brute_affine_mul(*params))
+        assert np.array_equal(m.inv_indices(np.arange(m.size)), brute_affine_inv(*params))
+        assert np.any(prod == -1)
+        assert any(len(np.unique(r[r >= 0])) < np.count_nonzero(r >= 0) for r in prod)
+
+    @pytest.mark.parametrize("params", [(2.0, 0.5, 0.25, 4.0, 2.0),
+                                        (8.0, 0.05, 1 / 128, 16.0, 1.04)])
+    def test_stores_no_per_point_array(self, params):
+        m = build_affine_grid(*params)
+        assert len(m.q_indices) < m.size
+        stored = [name for name, value in vars(m).items()
+                  if isinstance(value, np.ndarray) and value.size == m.size]
+        assert stored == []
 
     @pytest.mark.parametrize("x_half_width, x_step", [(-1.0, 0.5), (0.0, 0.5), (0.2, 0.5)])
     def test_x_step_must_fit_half_width(self, x_half_width, x_step):
