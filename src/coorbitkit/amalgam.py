@@ -194,9 +194,14 @@ def _convolve_values(model: GroupModel, v1: np.ndarray, v2: np.ndarray,
     n = model.size
     if model.kind == "line" and not use_cocycle:
         # same quadrature sum; addition on a uniform grid is a plain sequence
-        # convolution, which numpy evaluates directly (no FFT involved)
+        # convolution, which numpy evaluates directly (no FFT involved) on the
+        # non-zero span of each input: the zeros outside it add exact zeros
         i0 = model.identity
-        full = np.convolve(v1, v2)
+        full = np.zeros(2 * n - 1, dtype=np.result_type(v1, v2))
+        nz1, nz2 = np.flatnonzero(v1), np.flatnonzero(v2)
+        if nz1.size and nz2.size:
+            part = np.convolve(v1[nz1[0]:nz1[-1] + 1], v2[nz2[0]:nz2[-1] + 1])
+            full[nz1[0] + nz2[0]:][:part.size] = part
         return model.step * full[i0:i0 + n]
     out = np.zeros(n, dtype=complex)
     x = np.arange(n)

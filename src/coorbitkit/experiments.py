@@ -178,10 +178,9 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
         raise InvalidParameterError(f"t_list must hold at least two distinct finite values, "
                                     f"got t_list={t_list!r}")
     t_list = tuple(float(t) for t in t_list)
-    if max(t_list) + 2.0 >= half_width:
-        raise TruncationError(
-            f"need max(T)+2 < half_width, got T={max(t_list)}, L={half_width}"
-        )
+    if max(abs(t) for t in t_list) + 2.0 >= half_width:
+        raise TruncationError(f"need |T|+2 < half_width for every T in t_list, "
+                              f"got t_list={list(t_list)!r}, half_width={half_width}")
 
     def evaluate(h: float) -> tuple:
         rows = {t: _realline_quantities(t, half_width, h) for t in t_list}

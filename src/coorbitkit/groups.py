@@ -32,6 +32,15 @@ construction serves both sides; on the affine grid x·q = (x + a q_x, a q_a)
 and Q = Q_x x Q_a, so M^L is a sliding-window max over the scale shifts q_a
 followed by one gather per q_x, whose x-index is snapped from the same float
 expression as ``mul_indices``.  Affine M^R keeps the base loop.
+
+Push sets.  ``GroupModel.q_neighbourhood(points)`` is the third primitive: the
+sorted, duplicate-free on-grid indices of P·Q = {p·q : p in P, q in Q}, from
+which the IN diagnostic measures mu(QxQ).  The base class marks the
+``translates`` of P and is the test oracle.  The affine grid overrides it with
+the split of ``local_max``: the x-index of p·q is snapped from (p, q_x) alone, by
+the float expression of ``mul_indices``, and its scale index is ma_p + ma_q, so
+one pass per q_x marks the x-index of p·q_x at the scale of p and the marks are
+dilated along the scale axis by the shifts of Q_a; the index set is the same.
 """
 
 from __future__ import annotations
@@ -152,6 +161,13 @@ class GroupModel:
         for t in self.translates(np.arange(self.size), self.q_indices, side):
             np.maximum(out, mag[t], out=out)
         return out
+
+    def q_neighbourhood(self, points) -> np.ndarray:
+        """Sorted, duplicate-free on-grid indices of {p·q : p in ``points``, q in Q}."""
+        hit = np.zeros(self.size + 1, dtype=bool)
+        for t in self.translates(points, self.q_indices):
+            hit[t] = True
+        return np.nonzero(hit[:-1])[0]
 
     def div_indices(self, i, j) -> np.ndarray:
         """Index of x_i^{-1} x_j, -1 when absent."""
@@ -346,24 +362,26 @@ class AffineGridModel(GroupModel):
     def modular(self) -> np.ndarray:
         return np.tile(1.0 / self.a_coords, self.n_x)
 
-    def _pack(self, jx, ma, valid):
-        ok = valid & (jx >= 0) & (jx < self.n_x) & (ma >= 0) & (ma < self.n_a)
+    def _snap_x(self, x):
+        """The x-index nearest each x, and whether it lies on the grid."""
+        jx = np.rint(x / self.x_step).astype(int) + self._k_max
+        return jx, (jx >= 0) & (jx < self.n_x) & np.isfinite(x)
+
+    def _pack(self, x, ma):
+        jx, ok = self._snap_x(x)
+        ok &= (ma >= 0) & (ma < self.n_a)
         return np.where(ok, jx * self.n_a + ma, ABSENT)
 
     def mul_indices(self, i, j):
         jx_i, ma_i = np.divmod(np.asarray(i), self.n_a)
         jx_j, ma_j = np.divmod(np.asarray(j), self.n_a)
         x = self.x_coords[jx_i] + self.a_coords[ma_i] * self.x_coords[jx_j]
-        ma = ma_i + ma_j + self._m_lo
-        jx = np.rint(x / self.x_step).astype(int) + self._k_max
-        return self._pack(jx, ma, np.isfinite(x))
+        return self._pack(x, ma_i + ma_j + self._m_lo)
 
     def inv_indices(self, i):
         jx_i, ma_i = np.divmod(np.asarray(i), self.n_a)
         x = -self.x_coords[jx_i] / self.a_coords[ma_i]
-        ma = -(ma_i + self._m_lo) - self._m_lo
-        jx = np.rint(x / self.x_step).astype(int) + self._k_max
-        return self._pack(jx, ma, np.isfinite(x))
+        return self._pack(x, -(ma_i + self._m_lo) - self._m_lo)
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         # x·q = (x + a q_x, a q_a) over Q = Q_x x Q_a: the scale index of x·q depends
@@ -379,10 +397,24 @@ class AffineGridModel(GroupModel):
         for jq in q_x:
             # the float expression of mul_indices, broadcast over the grid
             x = self.x_coords[:, None] + self.a_coords[None, :] * self.x_coords[jq]
-            jx = np.rint(x / self.x_step).astype(int) + self._k_max
-            jx[~((jx >= 0) & (jx < self.n_x) & np.isfinite(x))] = self.n_x
+            jx, ok = self._snap_x(x)
+            jx[~ok] = self.n_x
             np.maximum(out, np.take_along_axis(scaled, jx, axis=0), out=out)
         return out.ravel()
+
+    def q_neighbourhood(self, points) -> np.ndarray:
+        # p·q = (x_p + a_p q_x, a_p q_a): per q_x, mark (x-index of p·q_x, scale of p),
+        # then push the marks along the scale axis by the shifts of Q_a (a push, so
+        # the window is reflected against local_max's pull)
+        q_x, q_a = self._q_windows()
+        jx_p, ma_p = np.divmod(np.asarray(points), self.n_a)
+        x_p, a_p = self.x_coords[jx_p], self.a_coords[ma_p]
+        marks = np.zeros((self.n_x, self.n_a), dtype=bool)
+        for jq in q_x:
+            jx, ok = self._snap_x(x_p + a_p * self.x_coords[jq])
+            marks[jx[ok], ma_p[ok]] = True
+        s_a = q_a + self._m_lo
+        return np.flatnonzero(_window_max(marks, -s_a[-1], -s_a[0]))
 
     def point_label(self, i: int) -> str:
         jx, ma = divmod(int(i), self.n_a)
@@ -537,11 +569,5 @@ def measure_QxQ(model: GroupModel, x_index: int) -> float:
     """
     if not (0 <= x_index < model.size):
         raise InvalidParameterError(f"carrier index {x_index} out of range")
-    q = model.q_indices
-    # Q x as a duplicate-free sorted index set, then its right Q-translates
-    qx = np.zeros(model.size + 1, dtype=bool)
-    qx[next(model.translates(q, [x_index]))] = True
-    hit = np.zeros(model.size + 1, dtype=bool)
-    for t in model.translates(np.nonzero(qx[:-1])[0], q):
-        hit[t] = True
-    return float(model.haar[hit[:-1]].sum())
+    qx = model.mul_indices(model.q_indices, x_index)
+    return float(model.haar[model.q_neighbourhood(qx[qx >= 0])].sum())

@@ -28,6 +28,7 @@ from coorbitkit import (
     twisted_convolve,
     unit_weight,
 )
+from coorbitkit.amalgam import _convolve_values
 from coorbitkit.errors import IncompatibleOperandsError
 
 E = float(np.e)
@@ -209,6 +210,57 @@ class TestConvolution:
         lhs = twisted_convolve(twisted_convolve(f1, f2), f3).values
         rhs = twisted_convolve(f1, twisted_convolve(f2, f3)).values
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def untrimmed_line_convolution(m, v1, v2):
+    """The line convolution on the whole carrier, zeros included."""
+    return m.step * np.convolve(v1, v2)[m.identity:m.identity + m.size]
+
+
+class TestLineConvolutionTrim:
+    """The line path convolves only the non-zero span of each input."""
+
+    @pytest.mark.parametrize("step", [0.005, 0.0025])
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+    def test_realline_indicators_exact(self, step, t):
+        # the runner's indicators: 0/1 entries, so every partial sum is an exact integer
+        m = build_real_line(12.0, step)
+        f = indicator(m, np.nonzero((m.coords > t) & (m.coords < t + 1))[0])
+        g = indicator(m, np.nonzero((m.coords > -t - 1) & (m.coords < -t))[0])
+        assert np.array_equal(convolve(f, g).values,
+                              untrimmed_line_convolution(m, f.values, g.values))
+
+    @pytest.mark.parametrize("margins", [(0, 0, 0, 0), (1, 0, 0, 3), (5, 17, 30, 2),
+                                         (40, 40, 0, 80), (100, 3, 7, 110)])
+    def test_zero_margins_random(self, margins):
+        m = build_real_line(30.0, 0.25)
+        rng = np.random.default_rng(sum(margins))
+        v1, v2 = (rng.normal(size=m.size) + 1j * rng.normal(size=m.size) for _ in range(2))
+        lo1, hi1, lo2, hi2 = margins
+        v1[:lo1] = 0
+        v1[m.size - hi1:] = 0
+        v2[:lo2] = 0
+        v2[m.size - hi2:] = 0
+        got = convolve(GridFunction(m, v1), GridFunction(m, v2)).values
+        expected = untrimmed_line_convolution(m, v1, v2)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_degenerate_supports(self, dtype):
+        m = build_real_line(3.0, 0.25)
+        zero = np.zeros(m.size, dtype)
+        single = zero.copy()
+        single[4] = 2.0
+        full = random_grid(m, 18).values
+        full = full.real if dtype is float else full
+        for v1, v2 in [(zero, full), (full, zero), (zero, zero)]:
+            got = _convolve_values(m, v1, v2, False)
+            assert got.dtype == dtype and np.array_equal(got, np.zeros(m.size))
+        for v1, v2 in [(single, full), (full, single), (single, single), (full, full)]:
+            got = _convolve_values(m, v1, v2, False)
+            expected = untrimmed_line_convolution(m, v1, v2)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 class TestConvolutionRelation:

@@ -165,6 +165,23 @@ class TestReallineConfig:
         assert not (tmp_path / "counterexample_realline.json").exists()
 
 
+    # f = 1_(T,T+1) and g = 1_(-T-1,-T) must both fit on [-L, L]; at T = -20 they
+    # once fell off the grid and the ratio divided by zero
+    @pytest.mark.parametrize("value", [[-20.0, 1.0], [1.0, -10.0], [1.0, 10.0]])
+    def test_t_off_the_grid_names_the_field(self, value, tmp_path, capsys):
+        with pytest.raises(TruncationError, match="t_list"):
+            ex.run_counterexample_realline(t_list=value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_list": value}))
+        code = cli_main(["counterexample", "realline", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TruncationError: ") and f"got t_list={value!r}" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "counterexample_realline.json").exists()
+
+
 class TestDiagnosticConfig:
     @pytest.mark.parametrize("value", ["bogus", "", "Affine"])
     def test_runner_names_the_accepted_values(self, value):

@@ -37,7 +37,7 @@ from coorbitkit import (
     sequence_norm,
 )
 from coorbitkit.errors import InvalidParameterError, NotDenseError
-from coorbitkit.groups import GroupModel
+from coorbitkit.groups import AffineGridModel, GroupModel
 
 MODELS = {
     "line": lambda: build_real_line(4.0, 0.25),
@@ -173,8 +173,86 @@ def test_max_separated_subset(model):
                               brute_max_separated_subset(model, u))
 
 
+def edge_points(model):
+    """One point next to each edge of the carrier: the affine grid's x- and scale-edges.
+
+    The affine points next to an x-edge sit at a large scale, where the x-steps
+    of p·q exceed the grid step, so some products skip the edge cell and leave.
+    """
+    if model.kind != "affine":
+        return [1, model.size - 2]
+    mid_x, top = model.n_x // 2, model.n_a - 2
+    return [jx * model.n_a + ma for jx, ma in
+            [(1, top), (model.n_x - 2, top), (mid_x, 1), (mid_x, top)]]
+
+
+def carrier_edges(model):
+    """Every point on the edge of the carrier, where products leave the grid."""
+    if model.kind != "affine":
+        return np.array([0, model.size - 1])
+    jx, ma = np.divmod(np.arange(model.size), model.n_a)
+    return np.nonzero((jx == 0) | (jx == model.n_x - 1) | (ma == 0) | (ma == model.n_a - 1))[0]
+
+
+# Q_a = (1/2, 2) is symmetric in the scale exponent unless a_min or a_max clips it,
+# as the last grid's a_min = 0.75 does, so only it tells a push from a pull
+Q_NEIGHBOURHOOD_MODELS = {
+    **MODELS,
+    "affine_clipped": lambda: build_affine_grid(2.0, 0.25, 0.75, 3.0, 1.2),
+}
+
+
+@pytest.mark.parametrize("name", list(Q_NEIGHBOURHOOD_MODELS))
+def test_q_neighbourhood_matches_base_loop(name):
+    model = Q_NEIGHBOURHOOD_MODELS[name]()
+    for points in [*samples(model), carrier_edges(model), np.array(edge_points(model)),
+                   np.array([], dtype=int)]:
+        got = model.q_neighbourhood(points)
+        assert np.array_equal(got, GroupModel.q_neighbourhood(model, points))
+        assert np.array_equal(got, np.unique(got))
+
+
+IN_GROUP_GRID = LOCAL_MAX_MODELS["affine_in_group"]
+# the diagnostic's five points (0, a) at a near 1, 1/2, 1/4, 1/8 and 1/16
+IN_GROUP_SCALES = [1.0, 0.5, 0.25, 0.125, 0.0625]
+
+
+def in_group_points(model):
+    return [model.index_of((0.0, model.a_coords[np.argmin(np.abs(model.a_coords - s))]))
+            for s in IN_GROUP_SCALES]
+
+
+def test_measure_qxq_diagnostic_grid_matches_base_path(monkeypatch):
+    model = IN_GROUP_GRID()
+    points = in_group_points(model)
+    for x in points:
+        qx = model.mul_indices(model.q_indices, x)
+        assert np.array_equal(model.q_neighbourhood(qx[qx >= 0]),
+                              GroupModel.q_neighbourhood(model, qx[qx >= 0]))
+    fast = [measure_QxQ(model, x) for x in points]
+    monkeypatch.setattr(AffineGridModel, "q_neighbourhood", GroupModel.q_neighbourhood)
+    assert fast == [measure_QxQ(model, x) for x in points]
+
+
+def test_measure_qxq_takes_the_affine_fast_path(monkeypatch):
+    # the base loop makes 1 + |Q| = 1,366 mul_indices calls per point on this grid
+    model = IN_GROUP_GRID()
+    calls = []
+    mul_indices = AffineGridModel.mul_indices
+
+    def counted(self, i, j):
+        calls.append(1)
+        return mul_indices(self, i, j)
+
+    monkeypatch.setattr(AffineGridModel, "mul_indices", counted)
+    for x in in_group_points(model):
+        calls.clear()
+        measure_QxQ(model, x)
+        assert len(calls) <= 2
+
+
 def test_measure_qxq(model):
-    for x in (0, model.identity, model.size - 1):
+    for x in (0, model.identity, model.size - 1, *edge_points(model)):
         explicit = set()
         for q1 in model.q_indices:
             left = model.mul(int(q1), x)
