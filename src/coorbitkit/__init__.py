@@ -63,7 +63,6 @@ from .frames import (
     check_admissible,
     dual_frame,
     fit_envelope,
-    frame_bounds,
     frame_kernel_envelope_check,
     gabor_representation,
     gaussian_window,

@@ -53,12 +53,8 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
             f"coefficient vector must have length {len(sample)}, got {c.shape}"
         )
     model = sample.model
-    q = model.q_indices if q_indices is None else np.asarray(q_indices, dtype=int)
-    acc = np.zeros(model.size + 1)  # pad slot absorbs absent products
-    mags = np.abs(c)
-    for t in model.translates(sample.points, q):
-        np.add.at(acc, t, mags)
-    return amalgam_norm(GridFunction(model, acc[:-1]), sspec.base)
+    spread = model.q_spread(np.abs(c), sample.points, q_indices)
+    return amalgam_norm(GridFunction(model, spread), sspec.base)
 
 
 def _ratios(num, den, samples) -> list:
@@ -263,19 +259,6 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
                          "reconstruction_ratio": recon_ratio})
     return Calibration(coefficient_c=coeff_best, reconstruction_c=recon_best,
                        battery=rows)
-
-
-def coefficient_bound_report(ctx: CoorbitContext, atoms, cert: MoleculeCertificate,
-                             sample: SampleSet, f_samples, cal: Calibration) -> dict:
-    """Measured ||C|| against the calibrated certificate bound C rel(Lambda) ||M Phi||."""
-    measured = measured_coefficient_norm(ctx, atoms, sample, f_samples)
-    bound = cal.coefficient_c * rel_separation(sample) * cert.amalgam_value
-    return {
-        "context": {"p": ctx.p, "y_p": ctx.y_spec.p},
-        "measured": measured,
-        "certificate_bound": bound,
-        "pass": bool(measured <= bound * (1 + 1e-9)),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -402,7 +403,18 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
 # Gabor frame / Riesz suites on the cyclic model
 
 
+def _is_int_at_least(value, minimum: int) -> bool:
+    """True iff ``value`` is an integer (not a bool, not a float such as 2.0) >= ``minimum``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 def _cyclic_setup(n_side: int, window_id: str):
+    if not _is_int_at_least(n_side, 1):
+        raise InvalidParameterError(f"n_side must be an integer >= 1, got n_side={n_side!r}")
+    if window_id not in WINDOWS:
+        raise InvalidParameterError(f"window_id must be one of {', '.join(map(repr, WINDOWS))}, "
+                                    f"got window_id={window_id!r}")
     model = build_cyclic_phase_space(n_side)
     rep = gabor_representation(model)
     window = WINDOWS[window_id](model)
@@ -423,8 +435,14 @@ def block_indices(model, size_k: int, size_l: int) -> np.ndarray:
 def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gaussian",
                     eps_target: float = 0.5, p: float = 1.0, seed: int = 0) -> Report:
     """Almost-tight frame, canonical dual by power series, Parseval companion."""
+    try:
+        sk, sl = lattice_steps
+    except (TypeError, ValueError):
+        sk = sl = None
+    if not (_is_int_at_least(sk, 1) and _is_int_at_least(sl, 1)):
+        raise InvalidParameterError(f"lattice_steps must be two positive integers, "
+                                    f"got lattice_steps={lattice_steps!r}")
     model, rep, ks = _cyclic_setup(n_side, window_id)
-    sk, sl = lattice_steps
     if n_side % sk or n_side % sl:
         raise TruncationError("lattice steps must divide N")
     sample = lattice_points(model, sk, sl)
@@ -477,6 +495,9 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
 def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaussian",
                     seed: int = 0) -> Report:
     """Gramian bounds, biorthogonal system and orthonormalization on a sparse lattice."""
+    if not _is_int_at_least(separation, 1):
+        raise InvalidParameterError(f"separation must be a positive integer, "
+                                    f"got separation={separation!r}")
     model, _, ks = _cyclic_setup(n_side, window_id)
     if n_side % separation:
         raise TruncationError("separation must divide N")

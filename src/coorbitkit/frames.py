@@ -247,10 +247,6 @@ def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> 
     return FrameSystem(ks, sample, tau, s, hermitian_extremes(s))
 
 
-def frame_bounds(fs: FrameSystem) -> tuple:
-    return hermitian_extremes(fs.frame_operator)
-
-
 # ---------------------------------------------------------------------------
 # dual / Parseval frames
 

@@ -27,7 +27,7 @@ are built on it.  The base class takes the max over ``translates`` and is the
 test oracle.  Three models override it with the same products, so the maxima
 are bit-identical: the line's Q is a contiguous index window around the
 identity (x·q = q·x = x + q), read as one sliding-window max; on Z_N x Z_N the
-index of x·q equals that of q·x, so one n x |Q| product table built at
+index of x·q equals that of q·x, so one |Q| x n product table built at
 construction serves both sides; on the affine grid x·q = (x + a q_x, a q_a)
 and Q = Q_x x Q_a, so M^L is a sliding-window max over the scale shifts q_a
 followed by one gather per q_x, whose x-index is snapped from the same float
@@ -41,6 +41,14 @@ the split of ``local_max``: the x-index of p·q is snapped from (p, q_x) alone, 
 the float expression of ``mul_indices``, and its scale index is ma_p + ma_q, so
 one pass per q_x marks the x-index of p·q_x at the scale of p and the marks are
 dilated along the scale axis by the shifts of Q_a; the index set is the same.
+
+Push sums.  ``GroupModel.q_spread(mags, points, u)``, the adjoint of ``local_max``,
+is the fourth primitive: sum_i mags_i 1_{p_i U} (U = Q by default), whose amalgam
+norm is the Y_d sequence norm.  The base class, the test oracle, adds ``mags``
+along each ``translates`` vector into a padded accumulator.  Z_N x Z_N makes one
+``np.bincount`` over the U-major product table; bincount adds in input order from
+0.0, so each entry sums its terms in the base loop's order (u outer, i inner) and
+the result is bit-identical.
 """
 
 from __future__ import annotations
@@ -169,6 +177,14 @@ class GroupModel:
             hit[t] = True
         return np.nonzero(hit[:-1])[0]
 
+    def q_spread(self, mags, points, u=None) -> np.ndarray:
+        """sum_i ``mags``_i 1_{p_i U} over the carrier, U = Q by default; absent products drop."""
+        u = self.q_indices if u is None else np.asarray(u, dtype=int)
+        acc = np.zeros(self.size + 1)  # pad slot absorbs absent products
+        for t in self.translates(points, u):
+            np.add.at(acc, t, mags)
+        return acc[:-1]
+
     def div_indices(self, i, j) -> np.ndarray:
         """Index of x_i^{-1} x_j, -1 when absent."""
         inv_i = self.inv_indices(i)
@@ -215,8 +231,8 @@ class CyclicPhaseSpace(GroupModel):
         idx = np.arange(n)
         self._k = idx // self.n_side
         self._l = idx % self.n_side
-        # x·q and q·x have the same index on Z_N x Z_N
-        self._q_table = self.mul_indices(idx[:, None], self.q_indices[None, :])
+        # x·q and q·x have the same index on Z_N x Z_N; one row per q
+        self._q_table = self.mul_indices(idx[None, :], self.q_indices[:, None])
 
     def mul_indices(self, i, j):
         i = np.asarray(i)
@@ -238,7 +254,16 @@ class CyclicPhaseSpace(GroupModel):
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         _check_side(side)
-        return np.asarray(mag)[self._q_table].max(axis=1)
+        return np.asarray(mag)[self._q_table].max(axis=0)
+
+    def q_spread(self, mags, points, u=None) -> np.ndarray:
+        # one row of t per u, so bincount adds in the base loop's order
+        points = np.asarray(points, dtype=int)
+        if u is None:
+            t = self._q_table[:, points]
+        else:
+            t = self.mul_indices(points[None, :], np.asarray(u, dtype=int)[:, None])
+        return np.bincount(t.ravel(), np.tile(mags, len(t)), minlength=self.size)
 
     @property
     def has_trivial_cocycle(self) -> bool:

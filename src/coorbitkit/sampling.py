@@ -127,17 +127,6 @@ def max_separated_subset(model: GroupModel, u_indices) -> SampleSet:
     return SampleSet(model=model, points=np.array(chosen, dtype=int))
 
 
-def uu_inverse_indices(model: GroupModel, u_indices) -> np.ndarray:
-    """The product set U U^{-1} as carrier indices (absent factors skipped)."""
-    u = np.asarray(u_indices, dtype=int)
-    inv = model.inv_indices(u)
-    inv = inv[inv >= 0]
-    hit = np.zeros(model.size + 1, dtype=bool)  # pad slot absorbs absent products
-    for t in model.translates(u, inv):
-        hit[t] = True
-    return np.nonzero(hit[:-1])[0]
-
-
 def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) -> dict:
     """Verify sum_i F1(lam_i^{-1} x) F2(y^{-1} lam_i) <= rel/mu(Q) (M^L F2 * M^R F1)(y^{-1}x).
 

@@ -6,10 +6,14 @@ neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
 representation is an explicit matrix stack built in nested loops, the frame
 kernel is summed atom by atom from the dense kernel table, matrix functions
 come from a plain eigendecomposition, and the affine group law is a scalar
-product per pair of points of the per-point affine carrier.
+product per pair of points of the per-point affine carrier.  The last section
+holds helpers that only the tests call.
 """
 
 import numpy as np
+
+from coorbitkit import rel_separation
+from coorbitkit.coorbit import measured_coefficient_norm
 
 ABSENT = -1
 
@@ -138,6 +142,14 @@ def brute_max_separated_subset(model, u):
             chosen.append(x)
             blocked |= cell
     return chosen
+
+
+def uu_inverse_indices(model, u):
+    """The product set U U^{-1} as sorted carrier indices (absent factors skipped)."""
+    inverses = (model.inv(int(b)) for b in u)
+    on_grid = [b for b in inverses if b >= 0]
+    products = {model.mul(int(a), b) for a in u for b in on_grid}
+    return np.array(sorted(t for t in products if t >= 0), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +301,19 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
         m2 = np.minimum((bb / c) ** alpha, (c / bb) ** beta)
         out += m1c * m2 * np.exp(-u) * (1.0 + u) * lnr
     return out
+
+
+# ---------------------------------------------------------------------------
+# test-only report helpers
+
+
+def coefficient_bound_report(ctx, atoms, cert, sample, f_samples, cal):
+    """Measured ||C|| against the calibrated certificate bound C rel(Lambda) ||M Phi||."""
+    measured = measured_coefficient_norm(ctx, atoms, sample, f_samples)
+    bound = cal.coefficient_c * rel_separation(sample) * cert.amalgam_value
+    return {
+        "context": {"p": ctx.p, "y_p": ctx.y_spec.p},
+        "measured": measured,
+        "certificate_bound": bound,
+        "pass": bool(measured <= bound * (1 + 1e-9)),
+    }

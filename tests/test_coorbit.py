@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import coefficient_bound_report
 from coorbitkit import (
     CoorbitContext,
     KernelSystem,
@@ -28,11 +29,7 @@ from coorbitkit import (
     wiener_vs_plain_ratio,
     window_independence_ratio,
 )
-from coorbitkit.coorbit import (
-    coefficient_bound_report,
-    measured_coefficient_norm,
-    measured_reconstruction_norm,
-)
+from coorbitkit.coorbit import measured_coefficient_norm, measured_reconstruction_norm
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
     NoCertificateError
 

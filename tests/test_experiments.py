@@ -201,6 +201,25 @@ class TestDiagnosticConfig:
         assert not (tmp_path / "diagnostic_in-group.json").exists()
 
 
+# cyclic configs that once ended in ZeroDivisionError, ValueError, IndexError or
+# KeyError, or (n_side 2.5) were truncated by int() and misreported as a lattice mismatch
+BAD_CYCLIC = [(ex.run_gabor_suite, "lattice_steps", [0, 2]),
+              (ex.run_gabor_suite, "lattice_steps", [2]),
+              (ex.run_gabor_suite, "lattice_steps", [2, 1.5]),
+              (ex.run_riesz_suite, "separation", 0),
+              (ex.run_riesz_suite, "separation", -2),
+              (ex.run_gabor_suite, "n_side", 2.5),
+              (ex.run_riesz_suite, "n_side", 0),
+              (ex.run_coorbit_norm, "n_side", 8.0),
+              (ex.run_riesz_suite, "window_id", "bogus")]
+
+
+@pytest.mark.parametrize("runner, key, value", BAD_CYCLIC)
+def test_cyclic_runner_names_the_field(runner, key, value):
+    with pytest.raises(InvalidParameterError, match=f"{key} .*got {key}="):
+        runner(**{key: value})
+
+
 def _scale_nodes(a_ratio):
     """The partial-norm scale nodes: ratio 1 + 2(a_ratio - 1), from 1e-3 to 1e3."""
     c_ratio = 1.0 + 2.0 * (a_ratio - 1.0)

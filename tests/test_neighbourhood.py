@@ -140,6 +140,32 @@ def test_sequence_norm_accumulator(model):
                               expected)
 
 
+def q_and_qq(model):
+    """Q and the on-grid part of Q·Q, the base sets of the sequence norms."""
+    q = model.q_indices
+    qq = np.unique(model.mul_indices(q[:, None], q[None, :]))
+    return [q, qq[qq >= 0]]
+
+
+def test_q_spread_matches_base_loop(model):
+    rng = np.random.default_rng(6)
+    for points in [*samples(model), carrier_edges(model), np.array([], dtype=int)]:
+        mags = np.abs(rng.normal(size=len(points)) + 1j * rng.normal(size=len(points)))
+        for u in q_and_qq(model):
+            got = model.q_spread(mags, points, u)
+            assert np.array_equal(got, GroupModel.q_spread(model, mags, points, u))
+            assert np.array_equal(got, brute_sequence_accumulator(model, points, mags, u))
+        assert np.array_equal(model.q_spread(mags, points),
+                              GroupModel.q_spread(model, mags, points, model.q_indices))
+
+
+def test_q_spread_samples_have_absent_products(model):
+    # the line and affine samples push mass off the grid, which q_spread must drop
+    absent = [np.any(t < 0) for u in q_and_qq(model)
+              for t in model.translates(samples(model)[0], u)]
+    assert any(absent) == (model.kind != "cyclic")
+
+
 def test_density_separation_and_rel(model):
     for points in samples(model):
         sample = SampleSet(model=model, points=points)

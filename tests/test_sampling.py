@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_rel_separation
+from _oracles import brute_rel_separation, uu_inverse_indices
 from coorbitkit import (
     GridFunction,
     SampleSet,
@@ -16,7 +16,6 @@ from coorbitkit import (
     shifted_series_check,
 )
 from coorbitkit.errors import InvalidParameterError, NotDenseError
-from coorbitkit.sampling import uu_inverse_indices
 
 
 def cyclic_lattice(model, step):
