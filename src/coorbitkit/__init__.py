@@ -22,7 +22,6 @@ from .amalgam import (
     lpw_norm,
     maximal_left,
     maximal_right,
-    maximal_two_sided,
     translate_left,
     translate_right,
     twisted_convolve,

@@ -2,6 +2,13 @@
 
 All operations are pure; a GridFunction never mutates its model.  Absent group
 products contribute zero everywhere, consistent with zero-extension.
+
+Every quasi-norm is one kernel, ``magnitude_norm(model, mags, spec)``, on an
+array of nonnegative magnitudes: the spec's flavor takes ``model.local_max`` on
+no side (plain L^p_w), the left (W^L), the right (W^R) or the right and then
+the left (two-sided W), and the weighted Haar sum (the weighted maximum for
+p = inf) follows.  ``lpw_norm`` and ``amalgam_norm`` are its front ends for a
+GridFunction.
 """
 
 from __future__ import annotations
@@ -149,36 +156,32 @@ def maximal_right(f: GridFunction) -> GridFunction:
     return GridFunction(f.model, f.model.local_max(np.abs(f.values), "right"))
 
 
-def maximal_two_sided(f: GridFunction) -> GridFunction:
-    return maximal_left(maximal_right(f))
-
-
 # ---------------------------------------------------------------------------
 # norms
+
+
+def magnitude_norm(model: GroupModel, mags, spec: QuasiNormSpec) -> float:
+    """The spec's quasi-norm of a function whose magnitudes on ``model`` are ``mags`` (>= 0)."""
+    if spec.flavor in ("right", "two_sided"):
+        mags = model.local_max(mags, "right")
+    if spec.flavor in ("left", "two_sided"):
+        mags = model.local_max(mags, "left")
+    weighted = mags * spec.weight_values(model)
+    if np.isinf(spec.p):
+        return float(weighted.max()) if weighted.size else 0.0
+    return float((weighted ** spec.p * model.haar).sum() ** (1.0 / spec.p))
 
 
 def lpw_norm(f: GridFunction, spec: QuasiNormSpec) -> float:
     """Weighted Haar-quadrature L^p norm; p = inf gives the weighted maximum."""
     if spec.flavor != "plain":
         raise InvalidParameterError("lpw_norm expects a plain-flavor spec")
-    w = spec.weight_values(f.model)
-    weighted = np.abs(f.values) * w
-    if np.isinf(spec.p):
-        return float(weighted.max()) if weighted.size else 0.0
-    return float((weighted ** spec.p * f.model.haar).sum() ** (1.0 / spec.p))
+    return magnitude_norm(f.model, np.abs(f.values), spec)
 
 
 def amalgam_norm(f: GridFunction, spec: QuasiNormSpec) -> float:
     """Quasi-norm for any flavor: plain L^p_w, or L^p_w of the flavor's maximal function."""
-    if spec.flavor == "plain":
-        return lpw_norm(f, spec)
-    if spec.flavor == "left":
-        mf = maximal_left(f)
-    elif spec.flavor == "right":
-        mf = maximal_right(f)
-    else:
-        mf = maximal_two_sided(f)
-    return lpw_norm(mf, QuasiNormSpec(p=spec.p, weight=spec.weight, flavor="plain"))
+    return magnitude_norm(f.model, np.abs(f.values), spec)
 
 
 # the older name of amalgam_norm; perfbench/tracing.py still wraps it by name

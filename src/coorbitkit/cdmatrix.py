@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, convolve, involution, \
-    maximal_left, maximal_right
+from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, involution
 from .errors import (
     CoverageWarning,
     IncompatibleOperandsError,
@@ -26,7 +25,7 @@ from .errors import (
     NotContractiveError,
 )
 from .groups import PWeight, padded, unit_weight
-from .sampling import SampleSet, rel_separation
+from .sampling import SampleSet, molecule_bound, rel_separation
 
 
 @dataclass
@@ -151,11 +150,7 @@ def product_with_envelope(a: CDMatrix, b: CDMatrix) -> CDMatrix:
     if a.envelope is None or b.envelope is None:
         raise NoCertificateError("both factors need envelope certificates")
     phi, theta = a.envelope, b.envelope
-    factor = rel_separation(a.cols) / a.model.q_mass()
-    h_vals = factor * (
-        convolve(maximal_left(theta), maximal_right(phi)).values.real
-        + convolve(maximal_left(phi), maximal_right(theta)).values.real
-    )
+    h_vals = molecule_bound(rel_separation(a.cols), [(theta, phi), (phi, theta)])
     out = CDMatrix(rows=a.rows, cols=b.cols, entries=a.entries @ b.entries,
                    envelope=GridFunction(a.model, h_vals),
                    context=dict(a.context) or dict(b.context))

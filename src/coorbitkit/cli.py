@@ -2,9 +2,11 @@
 
 One subcommand ``<group> <variant>`` per entry of ``_RUNNERS``, for example
 ``counterexample affine``.  Each accepts ``--config`` (JSON overrides for the
-runner's keyword arguments) and ``--out`` (report directory).  Exit code 0 iff
-every bounded metric passes, 1 if one fails, 2 on a bad config or an exception
-from the runner or report writer (one ``error:`` line).
+runner's keyword arguments) and ``--out`` (report directory).  A config value
+must have the JSON type of the runner's default: an integer for an int default,
+a number for a float, a string for a str and a list for a tuple, and never a
+bool.  Exit code 0 iff every bounded metric passes, 1 if one fails, 2 on a bad
+config or an exception from the runner or report writer (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ _RUNNERS = {
     ("coorbit", "norm"): experiments.run_coorbit_norm,
     ("coorbit", "embed"): experiments.run_coorbit_embed,
 }
+
+# the JSON types a config value may have, by the type of the runner's default
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string"), tuple: ((list,), "a list")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,11 +63,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"cannot read --config {args.config}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"--config must hold a JSON object, got {type(config).__name__}")
-    accepted = list(inspect.signature(runner).parameters)
-    unknown = [key for key in config if key not in accepted]
+    params = inspect.signature(runner).parameters
+    unknown = [key for key in config if key not in params]
     if unknown:
         parser.error(f"unknown --config key(s) {', '.join(map(repr, unknown))} for "
-                     f"{args.group} {args.variant}; accepted keys: {', '.join(accepted)}")
+                     f"{args.group} {args.variant}; accepted keys: {', '.join(params)}")
+    for key, value in config.items():
+        kinds, name = _CONFIG_TYPES[type(params[key].default)]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            parser.error(f"--config key {key!r} needs {name}, got {json.dumps(value)}")
     try:
         report = runner(**config)
         paths = experiments.emit_report(report, args.out, fmt=args.format)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm
+from .amalgam import QuasiNormSpec, amalgam_norm, magnitude_norm
 from .errors import (
     IncompatibleOperandsError,
     InvalidParameterError,
@@ -53,8 +53,7 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
             f"coefficient vector must have length {len(sample)}, got {c.shape}"
         )
     model = sample.model
-    spread = model.q_spread(np.abs(c), sample.points, q_indices)
-    return amalgam_norm(GridFunction(model, spread), sspec.base)
+    return magnitude_norm(model, model.q_spread(np.abs(c), sample.points, q_indices), sspec.base)
 
 
 def _ratios(num, den, samples) -> list:

@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, convolve, indicator, involution, \
-    maximal_left
+from .amalgam import QuasiNormSpec, amalgam_norm, convolve, indicator, involution
 from .coorbit import CoorbitContext, embedding_check, window_independence_ratio, \
     wiener_vs_plain_ratio
 from .errors import InvalidParameterError, ResolutionError, TruncationError
@@ -301,8 +300,7 @@ def _affine_partial_norms(alpha: float, beta: float, b_list, x_step: float,
     xg, ag = model.x_coords, model.a_coords
     h_vals = _scale_selfconvolution(xg, ag, alpha, beta, c_grid, lnr_c)
 
-    grid_fn = GridFunction(model, h_vals.reshape(-1))
-    ml = maximal_left(grid_fn).values.real.reshape(len(xg), len(ag))
+    ml = model.local_max(h_vals.reshape(-1), "left").reshape(len(xg), len(ag))
     h0 = h_vals[np.searchsorted(xg, 0.0)]  # H(0, b') per scale row
     # row b: max of H(0, b') over b' in (b/2, 2b), a window that always holds b' = b
     window = (ag[None, :] > ag[:, None] / 2.0) & (ag[None, :] < 2.0 * ag[:, None])
@@ -612,6 +610,9 @@ def run_coorbit_norm(n_side: int = 8, p: float = 0.5, seed: int = 0) -> Report:
 def run_coorbit_embed(n_side: int = 8, p_from: float = 0.5, p_to: float = 1.0,
                       seed: int = 0) -> Report:
     """Factorized coorbit embedding constant through the sequence spaces."""
+    if not p_from <= p_to:
+        raise InvalidParameterError(f"coorbit embed needs p_from <= p_to, "
+                                    f"got p_from={p_from!r}, p_to={p_to!r}")
     model, rep, ks = _cyclic_setup(n_side, "gaussian")
     weight = symmetrize_weight(model, np.ones(model.size), p_from)
     sample = lattice_points(model, 2, 2)

@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amalgam import GridFunction, QuasiNormSpec, convolve, lpw_norm, maximal_left, \
-    maximal_right, maximal_two_sided, twisted_convolve
+from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, twisted_convolve
 from .cdmatrix import CDMatrix, _series_apply, holomorphic_apply, minimal_envelope
 from .errors import (
     IncompatibleOperandsError,
@@ -23,8 +22,8 @@ from .errors import (
     NotRieszError,
     ReducibilityWarning,
 )
-from .groups import CyclicPhaseSpace, PWeight, index_pairs, padded, unit_weight
-from .sampling import SampleSet, build_cover, rel_separation
+from .groups import CyclicPhaseSpace, PWeight, unit_weight
+from .sampling import SampleSet, build_cover, molecule_bound, pair_check, rel_separation
 
 
 class Representation:
@@ -375,7 +374,7 @@ def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
     carrier = SampleSet(model=rep.model, points=np.arange(rep.model.size))
     voices = rep.orbit(np.asarray(g, dtype=complex)).conj() @ atoms.T
     env = minimal_envelope(CDMatrix(rows=carrier, cols=sample, entries=voices))
-    amalgam_value = lpw_norm(maximal_two_sided(env), QuasiNormSpec(p=p, weight=weight))
+    amalgam_value = amalgam_norm(env, QuasiNormSpec(p=p, weight=weight, flavor="two_sided"))
     return MoleculeCertificate(envelope=env, p=p, weight=weight,
                                amalgam_value=amalgam_value, max_violation=0.0)
 
@@ -391,21 +390,12 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     model = ks.rep.model
     if len(fs.sample) == 0 or not np.any(fs.tau):
         return {"max_excess": 0.0, "holds": True, "pairs": 0}
-    weights = np.sqrt(fs.tau)
-    weighted_atoms = weights[:, None] * fs.atoms
-    cert = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
-                        unit_weight(model))
-    phi = cert.envelope
+    weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
+    phi = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
+                       unit_weight(model)).envelope
     h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
-    bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
-    factor = rel_separation(fs.sample) / model.q_mass()
-
-    xs, ys, _ = index_pairs(model.size, exhaustive_limit=200_000, sample_size=200_000, seed=5)
-    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
-    lhs = np.abs(h[xs, ys])
-    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
-    max_excess = float((lhs - rhs).max()) / scale
-    return {"max_excess": max_excess, "holds": max_excess <= 1e-10, "pairs": int(xs.size)}
+    bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
+    return pair_check(model, bound, lambda xs, ys: np.abs(h[xs, ys]), seed=5)
 
 
 # ---------------------------------------------------------------------------

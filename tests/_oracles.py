@@ -6,14 +6,18 @@ neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
 representation is an explicit matrix stack built in nested loops, the frame
 kernel is summed atom by atom from the dense kernel table, matrix functions
 come from a plain eigendecomposition, and the affine group law is a scalar
-product per pair of points of the per-point affine carrier.  The last section
-holds helpers that only the tests call.
+product per pair of points of the per-point affine carrier.  One section keeps
+the GridFunction compositions that the amalgam-norm kernel, the molecule bound
+and the pair check replaced, so the tests can pin those to them bit for bit.
+The last section holds helpers that only the tests call.
 """
 
 import numpy as np
 
-from coorbitkit import rel_separation
+from coorbitkit import GridFunction, QuasiNormSpec, convolve, fit_envelope, maximal_left, \
+    maximal_right, rel_separation, unit_weight
 from coorbitkit.coorbit import measured_coefficient_norm
+from coorbitkit.groups import index_pairs, padded
 
 ABSENT = -1
 
@@ -301,6 +305,93 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
         m2 = np.minimum((bb / c) ** alpha, (c / bb) ** beta)
         out += m1c * m2 * np.exp(-u) * (1.0 + u) * lnr
     return out
+
+
+# ---------------------------------------------------------------------------
+# the compositions the norm kernel, the molecule bound and the pair check replaced
+
+
+def composed_amalgam_norm(f, spec):
+    """L^p_w of the flavor's maximal function, each step a complex GridFunction."""
+    if spec.flavor == "left":
+        f = maximal_left(f)
+    elif spec.flavor == "right":
+        f = maximal_right(f)
+    elif spec.flavor == "two_sided":
+        f = maximal_left(maximal_right(f))
+    plain = QuasiNormSpec(p=spec.p, weight=spec.weight, flavor="plain")
+    weighted = np.abs(f.values) * plain.weight_values(f.model)
+    if np.isinf(plain.p):
+        return float(weighted.max()) if weighted.size else 0.0
+    return float((weighted ** plain.p * f.model.haar).sum() ** (1.0 / plain.p))
+
+
+def composed_sequence_norm(c, sspec, q_indices=None):
+    """The amalgam norm of the push sum sum_i |c_i| 1_{lambda_i Q}, wrapped in a GridFunction."""
+    model = sspec.sample.model
+    spread = model.q_spread(np.abs(np.asarray(c)), sspec.sample.points, q_indices)
+    return composed_amalgam_norm(GridFunction(model, spread), sspec.base)
+
+
+def composed_product_envelope(a, b):
+    """rel/mu(Q) * (M^L Theta * M^R Phi + M^L Phi * M^R Theta) for the product A B."""
+    phi, theta = a.envelope, b.envelope
+    factor = rel_separation(a.cols) / a.model.q_mass()
+    return factor * (
+        convolve(maximal_left(theta), maximal_right(phi)).values.real
+        + convolve(maximal_left(phi), maximal_right(theta)).values.real
+    )
+
+
+def inline_shifted_series_check(f1, f2, sample):
+    """The shifted-series check with its bound, pairs and excess written out in place."""
+    model = sample.model
+    v1, v2 = f1.values.real, f2.values.real
+    rel = rel_separation(sample)
+    bound_fn = convolve(maximal_left(f2), maximal_right(f1)).values.real
+    factor = rel / model.q_mass()
+    xs, ys, exhaustive = index_pairs(model.size, exhaustive_limit=200_000,
+                                     sample_size=200_000, seed=11)
+    v1_pad, v2_pad = padded(v1), padded(v2)
+    lhs = np.zeros(xs.shape)
+    for lam in sample.points:
+        lhs += v1_pad[model.div_indices(lam, xs)] * v2_pad[model.div_indices(ys, lam)]
+    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
+    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
+    max_excess = float((lhs - rhs).max()) / scale
+    with np.errstate(invalid="ignore"):
+        ratios = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), 0.0)
+    return {
+        "rel": rel,
+        "pairs": int(xs.size),
+        "exhaustive": exhaustive,
+        "max_excess": max_excess,
+        "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
+        "holds": max_excess <= 1e-10,
+    }
+
+
+def inline_frame_kernel_check(fs):
+    """The frame-kernel envelope check with its bound, pairs and excess written out in place."""
+    ks = fs.kernel_system
+    model = ks.rep.model
+    weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
+    phi = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
+                       unit_weight(model)).envelope
+    h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
+    bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
+    factor = rel_separation(fs.sample) / model.q_mass()
+    xs, ys, _ = index_pairs(model.size, exhaustive_limit=200_000, sample_size=200_000, seed=5)
+    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
+    lhs = np.abs(h[xs, ys])
+    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
+    max_excess = float((lhs - rhs).max()) / scale
+    return {"max_excess": max_excess, "holds": max_excess <= 1e-10, "pairs": int(xs.size)}
+
+
+def brute_absent_pairs(is_absent, xs, ys):
+    """#{(x, y) : y^{-1} x is off the grid}, one scalar ``is_absent(y, x)`` call per pair."""
+    return sum(bool(is_absent(int(y), int(x))) for x, y in zip(xs, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import functools
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -218,6 +221,74 @@ BAD_CYCLIC = [(ex.run_gabor_suite, "lattice_steps", [0, 2]),
 def test_cyclic_runner_names_the_field(runner, key, value):
     with pytest.raises(InvalidParameterError, match=f"{key} .*got {key}="):
         runner(**{key: value})
+
+
+# one mistyped field per runner group; each once ended in a bare TypeError or was
+# truncated silently before the CLI checked config types against the runner's defaults
+MISTYPED = [("gabor frame", "eps_target", "x"), ("gabor frame", "p", "x"),
+            ("coorbit embed", "p_to", None), ("gabor frame", "n_side", 8.0),
+            ("gabor riesz", "separation", True), ("coorbit norm", "p", True),
+            ("gabor frame", "lattice_steps", "2,2"), ("gabor riesz", "window_id", 1),
+            ("diagnostic in-group", "model_id", ["all"]),
+            ("counterexample affine", "b_list", 64.0),
+            ("counterexample realline", "step", "0.01"), ("coorbit embed", "seed", 1.5)]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, key, value", MISTYPED)
+    def test_cli_names_the_field(self, command, key, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command.split(), "--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config key {key!r} needs " in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("group, variant", list(cli._RUNNERS))
+    def test_every_default_has_a_type_rule(self, group, variant):
+        params = inspect.signature(cli._RUNNERS[(group, variant)]).parameters
+        assert all(type(p.default) in cli._CONFIG_TYPES for p in params.values())
+
+    def test_benchmark_configs_pass_the_check(self, tmp_path, monkeypatch, capsys):
+        spec_path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+        loader = importlib.util.spec_from_file_location("perfbench_spec", spec_path)
+        spec = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(spec)
+        configs = [(command, config) for ops in spec.WORKLOADS.values()
+                   for command, config in ops if config is not None]
+        assert len(configs) == 11
+        for command, config in configs:
+            runner = cli._RUNNERS[tuple(command.split())]
+
+            @functools.wraps(runner)
+            def reached(**kwargs):
+                raise RuntimeError("the config reached the runner")
+
+            monkeypatch.setitem(cli._RUNNERS, tuple(command.split()), reached)
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            assert cli_main([*command.split(), "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == \
+                "error: RuntimeError: the config reached the runner\n"
+
+
+class TestEmbedDirection:
+    def test_runner_names_both_fields(self):
+        with pytest.raises(InvalidParameterError, match="got p_from=1.0, p_to=0.5"):
+            ex.run_coorbit_embed(p_from=1.0, p_to=0.5)
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p_from": 1.0, "p_to": 0.5}))
+        code = cli_main(["coorbit", "embed", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: InvalidParameterError: coorbit embed needs p_from <= p_to, "
+                       "got p_from=1.0, p_to=0.5\n")
+        assert not (tmp_path / "coorbit_embed.json").exists()
 
 
 def _scale_nodes(a_ratio):

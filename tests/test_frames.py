@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_envelope, brute_frame_kernel_excess, brute_gabor_matrices, eig_apply
+from _oracles import brute_envelope, brute_frame_kernel_excess, brute_gabor_matrices, eig_apply, \
+    inline_frame_kernel_check
 from coorbitkit import (
     GridFunction,
     KernelSystem,
@@ -583,6 +584,22 @@ class TestFrameKernelEnvelope:
             convolve(maximal_left(phi), maximal_right(phi)).values.real
         expected = brute_frame_kernel_excess(model, ks.kernel_matrix, lam.points, fs.tau, bound)
         assert frame_kernel_envelope_check(fs)["max_excess"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8, 24])  # N = 24: 331,776 pairs, so 200,000 are drawn
+    def test_matches_inline_check(self, n):
+        model, rep, g = setup_gabor(n)
+        fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
+                                      block(model, 2))
+        result = frame_kernel_envelope_check(fs)
+        expected = inline_frame_kernel_check(fs)
+        assert {k: result[k] for k in expected} == expected
+        assert result["absent"] == 0 and result["exhaustive"] == (n < 24)
+
+    def test_irregular_frame_matches_inline_check(self):
+        fs = irregular_complex_frame()
+        result = frame_kernel_envelope_check(fs)
+        assert {k: result[k] for k in ("max_excess", "holds", "pairs")} \
+            == inline_frame_kernel_check(fs)
 
 
 class TestWindowVariants:

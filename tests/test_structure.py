@@ -87,3 +87,30 @@ def test_no_private_attribute_read_across_objects(module):
 def test_private_read_check_catches_a_leftover():
     tree = ast.parse("h0 = h_vals[model._k_max, :]\nself._a = cls._b + o.__len__()\n")
     assert _foreign_private_reads(tree) == ["model._k_max (line 1)"]
+
+
+def _callers(matches) -> set:
+    """``module.function`` for every function whose body holds a call that ``matches`` accepts."""
+    return {f"{module}.{fn.name}" for module, tree in TREES.items() for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Call) and matches(node) for node in ast.walk(fn))}
+
+
+def _calls(name):
+    return lambda node: isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def test_one_pair_enumerator():
+    """Pairs are drawn by the weight check and by the shared molecule pair check only."""
+    assert _callers(_calls("index_pairs")) == {"groups.validate_p_weight", "sampling.pair_check"}
+
+
+def test_one_molecule_bound():
+    """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
+    def conv_of_left_max(node):
+        return _calls("convolve")(node) and bool(node.args) \
+            and isinstance(node.args[0], ast.Call) and _calls("maximal_left")(node.args[0])
+
+    assert _callers(conv_of_left_max) == {"sampling.molecule_bound"}
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert sum(src.count("convolve(maximal_left(") for src in sources) == 1
