@@ -52,7 +52,7 @@ pars = parseval_frame(fs)
 gap = np.abs(pars.T @ pars.conj() - np.eye(N)).max()
 print(f"Parseval companion: frame operator deviates from identity by {gap:.2e}")
 
-atom_cert = fit_envelope(rep, g, fs.atoms, lattice, 1.0, unit_weight(model))
+atom_cert = fit_envelope(ks, fs.atoms, lattice, 1.0, unit_weight(model))
 print(f"atom envelope amalgam value {atom_cert.amalgam_value:.4f} "
       "(the symmetrized window autocorrelation)")
 kernel_check = frame_kernel_envelope_check(fs)

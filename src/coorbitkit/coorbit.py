@@ -27,10 +27,8 @@ from .frames import (
     MoleculeCertificate,
     Representation,
     build_almost_tight_frame,
-    check_admissible,
     dual_frame,
     fit_envelope,
-    voice_transform,
 )
 from .groups import PWeight, unit_weight
 from .sampling import SampleSet, rel_separation
@@ -70,35 +68,30 @@ def _ratios(num, den, samples) -> list:
 
 @dataclass
 class CoorbitContext:
-    """Admissible window plus the target quasi-norm Y and its control data (p, w)."""
+    """Admissible window (its kernel system) plus the target quasi-norm Y and its (p, w)."""
 
-    rep: Representation
-    window: np.ndarray
+    kernel_system: KernelSystem
     y_spec: QuasiNormSpec
     weight: PWeight
     p: float
-    window_amalgam: float = float("nan")
+    window_amalgam: float
 
     @classmethod
     def build(cls, rep: Representation, window: np.ndarray, y_spec: QuasiNormSpec,
               weight: Optional[PWeight] = None, p: float = 1.0) -> "CoorbitContext":
-        info = check_admissible(rep, window)
-        if not info["is_admissible"]:
-            raise InvalidParameterError("coorbit context needs an admissible window")
+        ks = KernelSystem.build(rep, window)
         w = weight or unit_weight(rep.model, p)
-        ctx = cls(rep=rep, window=np.asarray(window, dtype=complex), y_spec=y_spec,
-                  weight=w, p=p)
         # the window class condition: V_g g finite in the two-sided amalgam of L^p_w
-        vgg = voice_transform(rep, ctx.window, ctx.window)
-        ctx.window_amalgam = amalgam_norm(vgg, QuasiNormSpec(p=p, weight=w, flavor="two_sided"))
-        if not np.isfinite(ctx.window_amalgam):
+        two_sided = QuasiNormSpec(p=p, weight=w, flavor="two_sided")
+        amalgam = amalgam_norm(ks.voice(ks.window), two_sided)
+        if not np.isfinite(amalgam):
             raise InvalidParameterError("window fails the two-sided amalgam condition")
-        return ctx
+        return cls(kernel_system=ks, y_spec=y_spec, weight=w, p=p, window_amalgam=amalgam)
 
 
 def coorbit_norm(ctx: CoorbitContext, f: np.ndarray) -> float:
     """||f||_{Co(Y)} = ||V_g f||_{W^L(Y)}."""
-    vf = voice_transform(ctx.rep, ctx.window, f)
+    vf = ctx.kernel_system.voice(f)
     return amalgam_norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
                                           flavor="left"))
 
@@ -106,7 +99,7 @@ def coorbit_norm(ctx: CoorbitContext, f: np.ndarray) -> float:
 def window_independence_ratio(ctx: CoorbitContext, other_window: np.ndarray,
                               f_samples: Sequence[np.ndarray]) -> dict:
     """Extreme ratios of the two coorbit quasi-norms over a sample of vectors."""
-    alt = CoorbitContext.build(ctx.rep, other_window, ctx.y_spec, ctx.weight, ctx.p)
+    alt = CoorbitContext.build(ctx.kernel_system.rep, other_window, ctx.y_spec, ctx.weight, ctx.p)
     ratios = _ratios(lambda f: coorbit_norm(ctx, f), lambda f: coorbit_norm(alt, f), f_samples)
     return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios)),
             "spread": float(max(ratios) / min(ratios))}
@@ -210,9 +203,8 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     """
     n_random = 12
     rng = np.random.default_rng(seed)
-    rep, g = ctx.rep, ctx.window
-    model = rep.model
-    ks = KernelSystem.build(rep, g)
+    ks = ctx.kernel_system
+    rep, model = ks.rep, ks.rep.model
     sample_sets = _calibration_samples(model, seed)
     if sample is not None:
         sample_sets.append(sample)
@@ -244,7 +236,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
         c_samples.extend(atoms0.conj() @ f for f in f_samples)
         rel = rel_separation(lam)
         for name, atoms in families.items():
-            cert = fit_envelope(rep, g, atoms, lam, ctx.p, ctx.weight)
+            cert = fit_envelope(ks, atoms, lam, ctx.p, ctx.weight)
             if cert.amalgam_value == 0:
                 continue
             mc = measured_coefficient_norm(ctx, atoms, lam, f_samples)
@@ -274,9 +266,8 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
     factorized bound a per-sample guarantee rather than a statistical one.
     """
     n_samples = 20
-    rep = ctx_y.rep
     rng = np.random.default_rng(seed)
-    f_samples = _random_vectors(rng, rep.dim, n_samples)
+    f_samples = _random_vectors(rng, ctx_y.kernel_system.rep.dim, n_samples)
     atoms = np.asarray(atoms)
     dual_atoms = np.asarray(dual_atoms)
     y_seq = SequenceSpaceSpec(base=ctx_y.y_spec, sample=sample)
@@ -316,15 +307,14 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     vectors is reported alongside; when it stays below the calibrated factor
     the per-sample chain makes the bound a guarantee, not a statistic.
     """
-    rep = ctx.rep
+    ks = ctx.kernel_system
     rng = np.random.default_rng(seed)
     t_matrix = np.asarray(t_matrix, dtype=complex)
     dual_atoms = np.asarray(dual_atoms)
-    atoms = rep.orbit(ctx.window)[sample.points]
-    images = atoms @ t_matrix.T
-    cert = fit_envelope(rep, ctx.window, images, sample, ctx.p, ctx.weight)
+    images = ks.orbit[sample.points] @ t_matrix.T
+    cert = fit_envelope(ks, images, sample, ctx.p, ctx.weight)
 
-    f_samples = _random_vectors(rng, rep.dim, 20)
+    f_samples = _random_vectors(rng, ks.rep.dim, 20)
     measured = max(_ratios(lambda f: coorbit_norm(ctx, t_matrix @ f),
                            lambda f: coorbit_norm(ctx, f), f_samples))
     c_norm = measured_coefficient_norm(ctx, dual_atoms, sample, f_samples)
@@ -346,6 +336,6 @@ def wiener_vs_plain_ratio(ctx: CoorbitContext, f_samples: Sequence[np.ndarray]) 
     """Extreme ratios ||V_g f||_{W^L(Y)} / ||V_g f||_Y over the samples."""
     plain = QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="plain")
     wiener = QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="left")
-    vfs = (voice_transform(ctx.rep, ctx.window, f) for f in f_samples)
+    vfs = (ctx.kernel_system.voice(f) for f in f_samples)
     ratios = _ratios(lambda vf: amalgam_norm(vf, wiener), lambda vf: amalgam_norm(vf, plain), vfs)
     return {"min": float(min(ratios)), "max": float(max(ratios))}

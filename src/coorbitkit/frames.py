@@ -94,37 +94,13 @@ WINDOWS: dict = {"gaussian": gaussian_window, "boxcar": boxcar_window}
 
 
 def voice_transform(rep: Representation, g: np.ndarray, f: np.ndarray) -> GridFunction:
-    """V_g f(x) = <f, pi(x) g> evaluated at every carrier point."""
-    g = np.asarray(g, dtype=complex)
-    f = np.asarray(f, dtype=complex)
-    if g.shape != (rep.dim,) or f.shape != (rep.dim,):
-        raise IncompatibleOperandsError("vector length must match the representation")
-    if np.linalg.norm(g) == 0:
-        raise InvalidParameterError("window must be nonzero")
-    return GridFunction(rep.model, rep.orbit(g).conj() @ f)
+    """V_g f(x) = <f, pi(x) g> evaluated at every carrier point, for any nonzero g."""
+    return KernelSystem.form(rep, g).voice(f)
 
 
 def check_admissible(rep: Representation, g: np.ndarray) -> dict:
     """Measure the admissibility constant ||V_g f||^2 / ||f||^2 and its f-dependence."""
-    tol = 1e-10
-    g = np.asarray(g, dtype=complex)
-    if np.linalg.norm(g) == 0:
-        raise InvalidParameterError("window must be nonzero")
-    # C = sum_x mu(x) |pi(x)g><pi(x)g| equals const * I iff V_g is a scaled isometry
-    orbit = rep.orbit(g)
-    gram = (orbit * rep.model.haar[:, None]).T @ orbit.conj()
-    constant = float(np.trace(gram).real) / rep.dim
-    deviation = float(np.abs(gram - constant * np.eye(rep.dim)).max())
-    if deviation > tol * max(1.0, constant):
-        warnings.warn(
-            f"admissibility constant varies by {deviation:.2e}; representation may be reducible",
-            ReducibilityWarning,
-        )
-    return {
-        "constant": constant,
-        "deviation": deviation,
-        "is_admissible": abs(constant - 1.0) <= tol and deviation <= tol * max(1.0, constant),
-    }
+    return KernelSystem.form(rep, g).admissibility()
 
 
 def normalize_admissible(rep: Representation, g: np.ndarray) -> np.ndarray:
@@ -136,8 +112,9 @@ def normalize_admissible(rep: Representation, g: np.ndarray) -> np.ndarray:
 def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
                       f: np.ndarray) -> float:
     """sup-norm error of the reproducing formula V_h f = V_g f *_sigma V_h g."""
-    lhs = voice_transform(rep, h, f)
-    rhs = twisted_convolve(voice_transform(rep, g, f), voice_transform(rep, h, g))
+    ks_g, ks_h = KernelSystem.form(rep, g), KernelSystem.form(rep, h)
+    lhs = ks_h.voice(f)
+    rhs = twisted_convolve(ks_g.voice(f), ks_h.voice(g))
     return float(np.abs(lhs.values - rhs.values).max())
 
 
@@ -147,22 +124,49 @@ def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
 
 @dataclass
 class KernelSystem:
-    """Admissible window together with its reproducing kernels K_x = V_g(pi(x)g)."""
+    """Window g and its orbit pi(x) g, formed once; V_g f, kernels and atoms read the orbit."""
 
     rep: Representation
     window: np.ndarray
     orbit: np.ndarray  # (n, dim); row x holds pi(x) g
 
     @classmethod
-    def build(cls, rep: Representation, window: np.ndarray) -> "KernelSystem":
+    def form(cls, rep: Representation, window: np.ndarray) -> "KernelSystem":
+        """Any nonzero window and its orbit; ``build`` also requires it admissible."""
         window = np.asarray(window, dtype=complex)
-        info = check_admissible(rep, window)
-        if not info["is_admissible"]:
-            raise InvalidParameterError(
-                f"window is not admissible (constant {info['constant']:.6f}); "
-                "normalize_admissible() first"
-            )
+        if np.linalg.norm(window) == 0:
+            raise InvalidParameterError("window must be nonzero")
         return cls(rep=rep, window=window, orbit=rep.orbit(window))
+
+    @classmethod
+    def build(cls, rep: Representation, window: np.ndarray) -> "KernelSystem":
+        ks = cls.form(rep, window)
+        info = ks.admissibility()
+        if not info["is_admissible"]:
+            raise InvalidParameterError(f"window is not admissible (constant "
+                                        f"{info['constant']:.6f}); normalize_admissible() first")
+        return ks
+
+    def admissibility(self) -> dict:
+        """The admissibility constant ||V_g f||^2 / ||f||^2 and its f-dependence."""
+        tol = 1e-10
+        # C = sum_x mu(x) |pi(x)g><pi(x)g| equals const * I iff V_g is a scaled isometry
+        gram = (self.orbit * self.rep.model.haar[:, None]).T @ self.orbit.conj()
+        constant = float(np.trace(gram).real) / self.rep.dim
+        deviation = float(np.abs(gram - constant * np.eye(self.rep.dim)).max())
+        flat = deviation <= tol * max(1.0, constant)
+        if not flat:
+            warnings.warn(f"admissibility constant varies by {deviation:.2e}; "
+                          "representation may be reducible", ReducibilityWarning)
+        return {"constant": constant, "deviation": deviation,
+                "is_admissible": abs(constant - 1.0) <= tol and flat}
+
+    def voice(self, f: np.ndarray) -> GridFunction:
+        """V_g f(x) = <f, pi(x) g> at every carrier point."""
+        f = np.asarray(f, dtype=complex)
+        if f.shape != (self.rep.dim,):
+            raise IncompatibleOperandsError("vector length must match the representation")
+        return GridFunction(self.rep.model, self.orbit.conj() @ f)
 
     def kernels(self, points) -> np.ndarray:
         """Kernel columns [x, i] = K_{points[i]}(x) = <pi(points[i]) g, pi(x) g>."""
@@ -272,10 +276,8 @@ def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None
     recon_err = reconstruction_error(fs, duals)
     if recon_err > 1e-9:
         raise NotAFrameError(f"dual reconstruction error {recon_err:.2e} exceeds 1e-9")
-    fs.certificates["dual"] = fit_envelope(
-        fs.kernel_system.rep, fs.kernel_system.window, duals, fs.sample, p,
-        weight or unit_weight(fs.kernel_system.rep.model, p),
-    )
+    fs.certificates["dual"] = fit_envelope(fs.kernel_system, duals, fs.sample, p,
+                                           weight or unit_weight(fs.sample.model, p))
     return duals
 
 
@@ -359,8 +361,8 @@ def orthonormalize(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
 # molecule envelopes
 
 
-def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
-                 sample: SampleSet, p: float, weight: PWeight) -> MoleculeCertificate:
+def fit_envelope(ks: KernelSystem, atoms: np.ndarray, sample: SampleSet, p: float,
+                 weight: PWeight) -> MoleculeCertificate:
     """Minimal sampled envelope Phi(z) = max_i |V_g h_i(lambda_i z)|, symmetrized.
 
     It is the minimal envelope of the matrix [x, i] = V_g h_i(x) over the carrier
@@ -369,10 +371,10 @@ def fit_envelope(rep: Representation, g: np.ndarray, atoms: np.ndarray,
     position is absent are skipped.
     """
     atoms = np.asarray(atoms, dtype=complex)
-    if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != rep.dim:
+    if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != ks.rep.dim:
         raise IncompatibleOperandsError("atoms must be one length-dim vector per sample point")
-    carrier = SampleSet(model=rep.model, points=np.arange(rep.model.size))
-    voices = rep.orbit(np.asarray(g, dtype=complex)).conj() @ atoms.T
+    carrier = SampleSet(model=ks.rep.model, points=np.arange(ks.rep.model.size))
+    voices = ks.orbit.conj() @ atoms.T
     env = minimal_envelope(CDMatrix(rows=carrier, cols=sample, entries=voices))
     amalgam_value = amalgam_norm(env, QuasiNormSpec(p=p, weight=weight, flavor="two_sided"))
     return MoleculeCertificate(envelope=env, p=p, weight=weight,
@@ -388,11 +390,11 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     """
     ks = fs.kernel_system
     model = ks.rep.model
-    if len(fs.sample) == 0 or not np.any(fs.tau):
-        return {"max_excess": 0.0, "holds": True, "pairs": 0}
+    if len(fs.sample) == 0 or not np.any(fs.tau):  # the keys of pair_check, no pair read
+        return {"pairs": 0, "exhaustive": True, "absent": 0, "max_excess": 0.0,
+                "max_ratio": 0.0, "holds": True}
     weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
-    phi = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
-                       unit_weight(model)).envelope
+    phi = fit_envelope(ks, weighted_atoms, fs.sample, 1.0, unit_weight(model)).envelope
     h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
     bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
     return pair_check(model, bound, lambda xs, ys: np.abs(h[xs, ys]), seed=5)

@@ -54,6 +54,7 @@ the result is bit-identical.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -492,6 +493,10 @@ def model_from_config(config: Union[str, Path, dict]) -> GroupModel:
         raise InvalidParameterError(
             f"{kind} model config is missing {', '.join(repr(k) for k in missing)}"
         )
+    need, noun = (numbers.Integral, "an integer") if cast is int else (numbers.Real, "a number")
+    for key in fields:  # the CLI's rule: an integer for an int field, a number for a float, no bool
+        if isinstance(config[key], bool) or not isinstance(config[key], need):
+            raise InvalidParameterError(f"{kind} field {key!r} needs {noun}, got {config[key]!r}")
     return build(*(cast(config[key]) for key in fields))
 
 

@@ -28,14 +28,16 @@ class SampleSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=int)
+        pts = np.asarray(self.points)
+        if pts.size and not np.issubdtype(pts.dtype, np.integer):
+            raise InvalidParameterError(f"sample points must be integer indices, got {pts.dtype}")
         if pts.ndim != 1:
             raise InvalidParameterError("sample points must form a flat index list")
         if pts.size and (pts.min() < 0 or pts.max() >= self.model.size):
             raise InvalidParameterError("sample index out of carrier range")
         if len(np.unique(pts)) != len(pts):
             raise InvalidParameterError("sample points must be duplicate-free")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", np.asarray(pts, dtype=int))
 
     def __len__(self) -> int:
         return len(self.points)

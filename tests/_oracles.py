@@ -376,8 +376,7 @@ def inline_frame_kernel_check(fs):
     ks = fs.kernel_system
     model = ks.rep.model
     weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
-    phi = fit_envelope(ks.rep, ks.window, weighted_atoms, fs.sample, 1.0,
-                       unit_weight(model)).envelope
+    phi = fit_envelope(ks, weighted_atoms, fs.sample, 1.0, unit_weight(model)).envelope
     h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
     bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
     factor = rel_separation(fs.sample) / model.q_mass()

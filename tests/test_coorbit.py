@@ -6,6 +6,7 @@ from coorbitkit import (
     CoorbitContext,
     KernelSystem,
     QuasiNormSpec,
+    Representation,
     SampleSet,
     SequenceSpaceSpec,
     amalgam_norm,
@@ -180,6 +181,29 @@ class TestCoorbitNorm:
             assert shifted <= w.values[x] * base * (1 + 1e-10)
 
 
+class TestContextOwnsTheOrbit:
+    def test_non_admissible_window_rejected(self, setup):
+        model, rep, g, ks = setup
+        with pytest.raises(InvalidParameterError, match="not admissible"):
+            CoorbitContext.build(rep, 3.0 * g, QuasiNormSpec(p=1.0))
+
+    def test_norms_form_no_orbit(self, setup, monkeypatch):
+        model, rep, g, ks = setup
+        calls = []
+        orbit = Representation.orbit
+        monkeypatch.setattr(Representation, "orbit",
+                            lambda self, vec: calls.append(vec) or orbit(self, vec))
+        KernelSystem.build(rep, g)
+        assert len(calls) == 1
+        calls.clear()
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+        one_build = len(calls)
+        for f in rand_vectors(8, 10, 11):
+            coorbit_norm(ctx, f)
+        wiener_vs_plain_ratio(ctx, rand_vectors(8, 3, 12))
+        assert one_build == 1 and len(calls) == one_build
+
+
 class TestWindowIndependence:
     def test_same_window(self, setup):
         model, rep, g, ks = setup
@@ -230,7 +254,7 @@ class TestOperators:
         cert = fs.certificates["dual"]
         ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
         atoms = fs.atoms
-        atom_cert = fit_envelope(rep, g, atoms, lam, 1.0, unit_weight(model))
+        atom_cert = fit_envelope(ks, atoms, lam, 1.0, unit_weight(model))
         for f in np.eye(8):
             c = coefficient_operator(ctx, atoms, atom_cert, lam, f + 0j)
             back = reconstruction_operator(ctx, duals, cert, lam, c)
@@ -260,7 +284,7 @@ class TestOperators:
         ]
         for lam in samples:
             atoms = rep.orbit(g)[lam.points]
-            cert = fit_envelope(rep, g, atoms, lam, p, w)
+            cert = fit_envelope(ks, atoms, lam, p, w)
             report = coefficient_bound_report(ctx, atoms, cert, lam, f_samples, cal)
             assert report["pass"], report
 

@@ -473,7 +473,7 @@ class TestFitEnvelope:
         model, rep, g = setup_gabor(8)
         lam = lattice(model, 2)
         atoms = rep.orbit(g)[lam.points]
-        cert = fit_envelope(rep, g, atoms, lam, 1.0, unit_weight(model))
+        cert = fit_envelope(KernelSystem.build(rep, g), atoms, lam, 1.0, unit_weight(model))
         vgg = np.abs(voice_transform(rep, g, g).values)
         inv = model.inv_indices(np.arange(model.size))
         expected = np.maximum(vgg, vgg[inv])
@@ -487,14 +487,15 @@ class TestFitEnvelope:
         atoms = rng.normal(size=(len(lam), 8)) + 1j * rng.normal(size=(len(lam), 8))
         phi = brute_envelope(model, rep.orbit(g + 0j), atoms, lam.points)
         expected = np.maximum(phi, phi[model.inv_indices(np.arange(model.size))])
-        env = fit_envelope(rep, g, atoms, lam, 1.0, unit_weight(model)).envelope.values.real
+        ks = KernelSystem.build(rep, g)
+        env = fit_envelope(ks, atoms, lam, 1.0, unit_weight(model)).envelope.values.real
         assert np.abs(env - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_zero_atoms(self):
         model, rep, g = setup_gabor(4)
         lam = lattice(model, 2)
-        cert = fit_envelope(rep, g, np.zeros((len(lam), 4), complex), lam, 1.0,
-                            unit_weight(model))
+        cert = fit_envelope(KernelSystem.build(rep, g), np.zeros((len(lam), 4), complex), lam,
+                            1.0, unit_weight(model))
         assert np.all(cert.envelope.values == 0)
         assert cert.amalgam_value == 0.0
 
@@ -572,13 +573,30 @@ class TestFrameKernelEnvelope:
             ks, lam, np.arange(model.size))
         assert frame_kernel_envelope_check(fs)["holds"]
 
+    @pytest.mark.parametrize("empty", ["sample", "tau"])
+    def test_early_return_has_every_key(self, empty):
+        model, rep, g = setup_gabor(4)
+        ks = KernelSystem.build(rep, g)
+        full = frame_kernel_envelope_check(
+            build_almost_tight_frame(ks, lattice(model, 1), np.array([model.identity])))
+        if empty == "sample":
+            fs = build_almost_tight_frame(ks, SampleSet(model=model, points=[]),
+                                          np.array([model.identity]))
+        else:
+            fs = build_almost_tight_frame(ks, lattice(model, 1), np.array([model.identity]))
+            fs.tau = np.zeros(len(fs.sample))
+        result = frame_kernel_envelope_check(fs)
+        assert result.keys() == full.keys()
+        assert result == {"pairs": 0, "exhaustive": True, "absent": 0, "max_excess": 0.0,
+                          "max_ratio": 0.0, "holds": True}
+
     def test_matches_kernel_table_oracle(self):
         fs = irregular_complex_frame()
         ks, lam = fs.kernel_system, fs.sample
         model = ks.rep.model
         s = fs.frame_operator
         assert np.abs(s - s.real).max() > 1e-3  # S != S^T, so a conjugation slip shows
-        phi = fit_envelope(ks.rep, ks.window, np.sqrt(fs.tau)[:, None] * fs.atoms, lam, 1.0,
+        phi = fit_envelope(ks, np.sqrt(fs.tau)[:, None] * fs.atoms, lam, 1.0,
                            unit_weight(model)).envelope
         bound = rel_separation(lam) / model.q_mass() * \
             convolve(maximal_left(phi), maximal_right(phi)).values.real

@@ -248,6 +248,25 @@ class TestModelFromConfig:
         path.write_text('{"model": "cyclic", "N": 2}')
         assert model_from_config(path).size == 4
 
+    # int() and float() once cast these silently (N 8.7 -> 8, true -> 1, 8.0 -> 8) or
+    # ended in a bare ValueError or TypeError
+    @pytest.mark.parametrize("kind, field, value", [
+        ("cyclic", "N", 8.7), ("cyclic", "N", True), ("cyclic", "N", 8.0), ("cyclic", "N", "8"),
+        ("cyclic", "N", None), ("line", "step", True), ("line", "half_width", "2.0"),
+        ("affine", "a_ratio", [2.0]), ("affine", "x_step", False)])
+    def test_mistyped_field_named(self, kind, field, value):
+        config = {"model": kind, **_GOOD.get(kind, {}), field: value}
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{kind} field '{field}' needs (an integer|a number), got "):
+            model_from_config(config)
+
+    @pytest.mark.parametrize("config, size", [
+        ({"model": "line", "half_width": 2, "step": 1}, 5),
+        ({"model": "cyclic", "N": np.int64(3)}, 9),
+        ({"model": "line", "half_width": np.float64(2.0), "step": 0.5}, 9)])
+    def test_integers_and_numpy_scalars_accepted(self, config, size):
+        assert model_from_config(config).size == size
+
 
 class TestPWeight:
     def test_unit_weight_passes(self):

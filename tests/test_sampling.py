@@ -29,6 +29,21 @@ def block(model, size):
     return np.array([(k % n) * n + (l % n) for k in range(size) for l in range(size)])
 
 
+class TestSampleSetPoints:
+    @pytest.mark.parametrize("points", [[0.5, 1.7, 3.2], np.array([0.0, 2.0]), [True, False]])
+    def test_non_integer_points_rejected(self, points):
+        m = build_cyclic_phase_space(2)
+        with pytest.raises(InvalidParameterError, match="integer indices"):
+            SampleSet(model=m, points=points)
+
+    @pytest.mark.parametrize("points, expected", [([], []), (np.array([], dtype=int), []),
+                                                  (np.array([3, 1], dtype=np.int32), [3, 1]),
+                                                  ([0, 2], [0, 2])])
+    def test_integer_and_empty_points_accepted(self, points, expected):
+        lam = SampleSet(model=build_cyclic_phase_space(2), points=points)
+        assert lam.points.dtype == int and lam.points.tolist() == expected
+
+
 class TestRelSeparation:
     def test_singleton(self):
         m = build_cyclic_phase_space(8)

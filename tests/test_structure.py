@@ -105,6 +105,14 @@ def test_one_pair_enumerator():
     assert _callers(_calls("index_pairs")) == {"groups.validate_p_weight", "sampling.pair_check"}
 
 
+def test_one_orbit_per_window():
+    """A window's orbit is formed by the kernel system; the calibration orbits its atoms."""
+    def orbit_call(node):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "orbit"
+
+    assert _callers(orbit_call) == {"frames.form", "coorbit.calibrate_constants"}
+
+
 def test_one_molecule_bound():
     """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
     def conv_of_left_max(node):
