@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import IncompatibleOperandsError, InvalidParameterError
+from .errors import IncompatibleOperandsError, InvalidParameterError, InvalidWeightError
 from .groups import GroupModel, PWeight, padded
 
 _BLOCK = 512
@@ -90,7 +90,10 @@ class QuasiNormSpec:
     """Exponent, weight and flavor of a (possibly amalgam) quasi-norm.
 
     flavor: "plain" (L^p_w), "left" (W^L), "right" (W^R) or "two_sided" (W).
-    weight may be a PWeight, a raw positive array, or None for the unit weight.
+    p is a number > 0 or +inf (the weighted maximum), never a bool.  weight may be
+    a PWeight, a raw array of finite positive entries, or None for the unit
+    weight.  p and a raw weight are checked here and a PWeight when it is made,
+    so no norm call checks them again.
     """
 
     p: float
@@ -102,8 +105,13 @@ class QuasiNormSpec:
     def __post_init__(self):
         if self.flavor not in self._FLAVORS:
             raise InvalidParameterError(f"unknown flavor {self.flavor!r}")
-        if not (self.p > 0 or np.isinf(self.p)):
+        # p > 0 is False on NaN and on -inf; a bool passes it (True > 0), so its type is checked
+        if isinstance(self.p, (bool, np.bool_)) or not self.p > 0:
             raise InvalidParameterError(f"p must be positive or inf, got {self.p}")
+        if self.weight is not None and not isinstance(self.weight, PWeight):
+            values = np.asarray(self.weight, dtype=float)
+            if not np.all(np.isfinite(values) & (values > 0)):
+                raise InvalidWeightError("weight entries must be positive and finite")
 
     def weight_values(self, model: GroupModel) -> np.ndarray:
         if self.weight is None:

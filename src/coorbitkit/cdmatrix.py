@@ -256,6 +256,8 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     Envelope: |a_0| E_I + sum_{n<=n0} |a_n| Theta^{(n)} + tail bump, where Theta
     is the minimal envelope of A - I, Theta^{(n)} the n-fold product envelope,
     and the bump is the geometric operator-norm tail folded into a constant.
+    Theta^{(n+1)} is the envelope ``product_with_envelope`` gives the product of
+    Theta^{(n)} and Theta, formed without the product's entries.
     """
     if not np.array_equal(a.rows.points, a.cols.points):
         raise IncompatibleOperandsError("holomorphic calculus needs a square sample")
@@ -264,15 +266,16 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
 
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m),
                     context=dict(a.context))
-    diff.envelope = minimal_envelope(diff)
+    theta = minimal_envelope(diff)
+    rel = rel_separation(a.cols)
     eye_env = identity_cd(a.rows).envelope
     coeffs = _series_coefficients(phi, n_terms + 1)
     env_vals = np.abs(coeffs[0]) * eye_env.values.real
-    power = diff
+    power = theta
     for n in range(1, n_terms + 1):
-        env_vals = env_vals + abs(coeffs[n]) * power.envelope.values.real
+        env_vals = env_vals + abs(coeffs[n]) * power.values.real
         if n < n_terms:
-            power = product_with_envelope(power, diff)
+            power = GridFunction(a.model, molecule_bound(rel, [(theta, power), (power, theta)]))
     env_vals = env_vals + op_tail  # constant bump dominating the truncated tail
     out = CDMatrix(rows=a.rows, cols=a.cols, entries=result,
                    envelope=GridFunction(a.model, env_vals), context=dict(a.context))

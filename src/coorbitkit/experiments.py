@@ -1,7 +1,7 @@
 """Experiment runners producing machine-readable reports.
 
-Every quadrature-based pass flag is re-verified at half the step size; a flag
-that flips raises ResolutionError.  Random samples come from a counter-based
+Every quadrature pass flag is re-verified at half the step by ``_rechecked``; a
+flag that flips raises ResolutionError.  Random samples come from a counter-based
 generator keyed by (seed, experiment, index) so sweeps are reproducible.
 """
 
@@ -12,7 +12,7 @@ import hashlib
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -50,7 +50,8 @@ from .groups import (
 from .sampling import SampleSet
 
 E = float(np.e)
-# the most points ``counterexample affine`` lets its M^L carrier have
+# the most points a counterexample runner lets its largest carrier (the half-step
+# line, the half-step M^L carrier) have
 MAX_CARRIER_POINTS = 2 ** 22
 
 
@@ -141,6 +142,23 @@ def _stamp(report: Report) -> Report:
     return report
 
 
+def _rechecked(evaluate, coarse, fine) -> tuple:
+    """``evaluate`` at the coarse and at the fine (half-step) resolution, both results.
+
+    ``evaluate(resolution)`` returns (metrics, flags, data): the report's metrics,
+    the pass flags the report does not carry, and what else the runner reads.
+    A pass flag of a bounded metric or in ``flags`` that differs between the two
+    resolutions raises ResolutionError naming it.
+    """
+    results = evaluate(coarse), evaluate(fine)
+    base, half = ({**{m.name: m.passed for m in metrics if m.bound is not None}, **flags}
+                  for metrics, flags, _ in results)
+    flipped = [name for name in base if base[name] != half[name]]
+    if flipped:
+        raise ResolutionError(f"pass flags flipped at half step: {flipped}")
+    return results
+
+
 # ---------------------------------------------------------------------------
 # counterexample on the real line
 
@@ -181,45 +199,40 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
     if max(abs(t) for t in t_list) + 2.0 >= half_width:
         raise TruncationError(f"need |T|+2 < half_width for every T in t_list, "
                               f"got t_list={list(t_list)!r}, half_width={half_width}")
+    # the half-step line has 2 floor(L / (h/2)) + 1 points; the chained comparison
+    # leaves a non-finite or non-positive step to the line model's own check
+    if 0 < step <= half_width < np.inf:
+        n_half = 2 * int(np.floor(half_width / (step / 2.0) + 1e-9)) + 1
+        if n_half > MAX_CARRIER_POINTS:
+            raise InvalidParameterError(
+                f"half_width and step need a half-step line of {n_half:,} points, more than "
+                f"{MAX_CARRIER_POINTS:,}; got half_width={half_width!r}, step={step!r}")
 
     def evaluate(h: float) -> tuple:
         rows = {t: _realline_quantities(t, half_width, h) for t in t_list}
-        flags = {}
-        for t, q in rows.items():
-            flags[f"conv_at_zero_T{t:g}"] = abs(q["conv_at_zero"] - 1.0) <= 2 * h
-            flags[f"f_amalgam_T{t:g}"] = q["f_wl_norm"] <= E * np.exp(-t) * 1.05
-        flags["conv_norm_lower"] = all(
-            q["conv_wl_norm"] >= (E - 1.0 / E) * 0.95 for q in rows.values()
-        )
+        metrics = []
+        for t in t_list:
+            q = rows[t]
+            metrics.append(Metric(f"conv_at_zero_T{t:g}", q["conv_at_zero"], 1.0,
+                                  abs(q["conv_at_zero"] - 1.0) <= 2 * h))
+            bound = E * float(np.exp(-t)) * 1.05
+            metrics.append(Metric(f"f_amalgam_T{t:g}", q["f_wl_norm"], bound,
+                                  q["f_wl_norm"] <= bound))
+        lowest, bound = min(q["conv_wl_norm"] for q in rows.values()), (E - 1.0 / E) * 0.95
+        metrics.append(Metric("conv_norm_lower", lowest, bound, lowest >= bound))
         t0, t1 = t_list[0], t_list[-1]
         growth = rows[t1]["ratio"] / rows[t0]["ratio"]
         expected = np.exp(2.0 * (t1 - t0))
-        flags["ratio_growth"] = abs(growth / expected - 1.0) <= 0.10
-        for ta, tb in zip(t_list, t_list[1:]):
-            gr = rows[tb]["ratio"] / rows[ta]["ratio"]
-            flags[f"ratio_step_T{ta:g}_T{tb:g}"] = \
-                abs(gr / np.exp(2.0 * (tb - ta)) - 1.0) <= 0.10
-        return rows, flags, growth, expected
+        metrics.append(Metric("ratio_growth", growth, expected,
+                              abs(growth / expected - 1.0) <= 0.10))
+        steps = {f"ratio_step_T{ta:g}_T{tb:g}": abs(rows[tb]["ratio"] / rows[ta]["ratio"]
+                                                    / np.exp(2.0 * (tb - ta)) - 1.0) <= 0.10
+                 for ta, tb in zip(t_list, t_list[1:])}
+        return metrics, steps, rows
 
-    rows, flags, growth, expected = evaluate(step)
-    _, flags_half, _, _ = evaluate(step / 2.0)
-    flipped = [k for k in flags if flags[k] != flags_half[k]]
-    if flipped:
-        raise ResolutionError(f"pass flags flipped at half step: {flipped}")
-
-    metrics = []
-    curve = []
-    for t in t_list:
-        q = rows[t]
-        metrics.append(Metric(f"conv_at_zero_T{t:g}", q["conv_at_zero"], 1.0,
-                              flags[f"conv_at_zero_T{t:g}"]))
-        metrics.append(Metric(f"f_amalgam_T{t:g}", q["f_wl_norm"],
-                              E * float(np.exp(-t)) * 1.05, flags[f"f_amalgam_T{t:g}"]))
-        curve.append({"parameter": t, "value": q["ratio"],
-                      "bound": float(np.exp(2 * t)), "pass": True})
-    metrics.append(Metric("conv_norm_lower", min(q["conv_wl_norm"] for q in rows.values()),
-                          (E - 1.0 / E) * 0.95, flags["conv_norm_lower"]))
-    metrics.append(Metric("ratio_growth", growth, expected, flags["ratio_growth"]))
+    (metrics, _, rows), _ = _rechecked(evaluate, step, step / 2.0)
+    curve = [{"parameter": t, "value": rows[t]["ratio"], "bound": float(np.exp(2 * t)),
+              "pass": True} for t in t_list]
     report = Report(
         command="counterexample realline",
         parameters={"T_list": list(t_list), "half_width": half_width, "step": step},
@@ -350,40 +363,31 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
     c2 = 1.0  # int (e^{-|z|})^2 dz
     lower = lambda a0: c2 / (2.0 * beta) * a0 ** (-beta)
 
-    def evaluate(grid: tuple, ml_step: tuple) -> tuple:
-        x, a, mu = grid
+    def evaluate(resolution: tuple) -> tuple:
+        (x, a, mu), ml_step = resolution
         values = affine_selfconvolution_at(x, a, mu, alpha, beta, targets)
         norms = _affine_partial_norms(alpha, beta, b_list, *ml_step)
-        flags = {}
-        for a0, val in zip(targets, values):
-            flags[f"selfconv_a{a0:g}"] = val >= 0.95 * lower(a0)
-        b_lo, b_hi = min(b_list), max(b_list)
-        growth = norms[b_hi] / norms[b_lo]
-        needed = 0.8 * (b_hi ** (1 - beta) - 1.0) / (b_lo ** (1 - beta) - 1.0)
-        flags["norm_growth"] = growth >= needed
         # f(x, a) = f(x, 1) f(0, a), both >= 0 and rounding monotone: the grid max, bit for bit
         f = affine_test_function(alpha, beta)
         sup_norm = float(f(x, 1.0).max() * f(0.0, a).max())
-        flags["sup_norm"] = sup_norm <= 1.0 + 1e-12
-        return values, norms, growth, needed, sup_norm, flags
+        metrics = [Metric("sup_norm", sup_norm, 1.0, sup_norm <= 1.0 + 1e-12)]
+        for a0, val in zip(targets, values):
+            bound = 0.95 * lower(a0)
+            metrics.append(Metric(f"selfconv_a{a0:g}", float(val), bound, val >= bound))
+        b_lo, b_hi = min(b_list), max(b_list)
+        growth = norms[b_hi] / norms[b_lo]
+        needed = 0.8 * (b_hi ** (1 - beta) - 1.0) / (b_lo ** (1 - beta) - 1.0)
+        metrics.append(Metric("norm_growth_ratio", growth, needed, growth >= needed))
+        return metrics, {}, (values, norms)
 
-    values, norms, growth, needed, sup_norm, flags = evaluate(grids[0], ml_steps[0])
-    half = evaluate(grids[1], ml_steps[1])
-    flipped = [k for k in flags if flags[k] != half[5][k]]
-    if flipped:
-        raise ResolutionError(f"pass flags flipped at half step: {flipped}")
-    drift = max(abs(v1 / v0 - 1.0) for v0, v1 in zip(values, half[0]))
+    (metrics, _, (values, norms)), (_, _, (half_values, _)) = \
+        _rechecked(evaluate, *zip(grids, ml_steps))
+    drift = max(abs(v1 / v0 - 1.0) for v0, v1 in zip(values, half_values))
     if drift > 0.05:
         raise ResolutionError(f"values drift {drift:.3f} > 5% under refinement")
 
-    metrics = [Metric("sup_norm", sup_norm, 1.0, flags["sup_norm"])]
-    curve = []
-    for a0, val in zip(targets, values):
-        metrics.append(Metric(f"selfconv_a{a0:g}", float(val), 0.95 * lower(a0),
-                              flags[f"selfconv_a{a0:g}"]))
-        curve.append({"parameter": a0, "value": float(val),
-                      "bound": 0.95 * lower(a0), "pass": flags[f"selfconv_a{a0:g}"]})
-    metrics.append(Metric("norm_growth_ratio", growth, needed, flags["norm_growth"]))
+    curve = [{"parameter": a0, "value": m.value, "bound": m.bound, "pass": m.passed}
+             for a0, m in zip(targets, metrics[1:])]  # metrics[0] is sup_norm
     norm_curve = [{"parameter": b, "value": norms[b], "bound": None, "pass": None}
                   for b in b_list]
     report = Report(
@@ -415,8 +419,7 @@ def _cyclic_setup(n_side: int, window_id: str):
                                     f"got window_id={window_id!r}")
     model = build_cyclic_phase_space(n_side)
     rep = gabor_representation(model)
-    window = WINDOWS[window_id](model)
-    return model, rep, KernelSystem.build(rep, window)
+    return model, rep, WINDOWS[window_id](model)
 
 
 def lattice_points(model, step_k: int, step_l: int) -> SampleSet:
@@ -440,9 +443,10 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
     if not (_is_int_at_least(sk, 1) and _is_int_at_least(sl, 1)):
         raise InvalidParameterError(f"lattice_steps must be two positive integers, "
                                     f"got lattice_steps={lattice_steps!r}")
-    model, rep, ks = _cyclic_setup(n_side, window_id)
+    model, rep, window = _cyclic_setup(n_side, window_id)
     if n_side % sk or n_side % sl:
         raise TruncationError("lattice steps must divide N")
+    ks = KernelSystem.build(rep, window)
     sample = lattice_points(model, sk, sl)
     u = block_indices(model, sk, sl)
     fs = build_almost_tight_frame(ks, sample, u)
@@ -496,9 +500,10 @@ def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaus
     if not _is_int_at_least(separation, 1):
         raise InvalidParameterError(f"separation must be a positive integer, "
                                     f"got separation={separation!r}")
-    model, _, ks = _cyclic_setup(n_side, window_id)
+    model, rep, window = _cyclic_setup(n_side, window_id)
     if n_side % separation:
         raise TruncationError("separation must divide N")
+    ks = KernelSystem.build(rep, window)
     sample = lattice_points(model, separation, separation)
     gram = gramian(ks, sample)
     lo, hi = riesz_bounds(gram)
@@ -585,10 +590,10 @@ def run_in_diagnostic(model_id: str = "affine", seed: int = 0) -> Report:
 
 def run_coorbit_norm(n_side: int = 8, p: float = 0.5, seed: int = 0) -> Report:
     """Window-independence and Wiener-vs-plain ratio measurements on the cyclic model."""
-    model, rep, ks = _cyclic_setup(n_side, "gaussian")
+    model, rep, window = _cyclic_setup(n_side, "gaussian")
     weight = symmetrize_weight(model, np.ones(model.size), p)
     y_spec = QuasiNormSpec(p=p, weight=weight, flavor="plain")
-    ctx = CoorbitContext.build(rep, ks.window, y_spec, weight, p)
+    ctx = CoorbitContext.build(rep, window, y_spec, weight, p)
     rng = rng_for(seed, "coorbit-norm")
     f_samples = [rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
                  for _ in range(100)]
@@ -613,15 +618,15 @@ def run_coorbit_embed(n_side: int = 8, p_from: float = 0.5, p_to: float = 1.0,
     if not p_from <= p_to:
         raise InvalidParameterError(f"coorbit embed needs p_from <= p_to, "
                                     f"got p_from={p_from!r}, p_to={p_to!r}")
-    model, rep, ks = _cyclic_setup(n_side, "gaussian")
+    model, rep, window = _cyclic_setup(n_side, "gaussian")
     weight = symmetrize_weight(model, np.ones(model.size), p_from)
+    ctx_y = CoorbitContext.build(rep, window, QuasiNormSpec(p=p_from, weight=weight),
+                                 weight, p_from)
+    # Co(Z) shares the window, weight, p and window norm of Co(Y); only Y differs
+    ctx_z = replace(ctx_y, y_spec=QuasiNormSpec(p=p_to, weight=weight))
     sample = lattice_points(model, 2, 2)
-    fs = build_almost_tight_frame(ks, sample, block_indices(model, 2, 2))
+    fs = build_almost_tight_frame(ctx_y.kernel_system, sample, block_indices(model, 2, 2))
     duals = dual_frame(fs, p=p_from, weight=weight)
-    ctx_y = CoorbitContext.build(rep, ks.window,
-                                 QuasiNormSpec(p=p_from, weight=weight), weight, p_from)
-    ctx_z = CoorbitContext.build(rep, ks.window,
-                                 QuasiNormSpec(p=p_to, weight=weight), weight, p_from)
     result = embedding_check(ctx_y, ctx_z, sample, fs.atoms, duals, seed=seed + 3)
     metrics = [
         Metric("embedding_measured", result["measured"], result["certificate_bound"] * (1 + 1e-6),

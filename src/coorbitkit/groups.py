@@ -506,13 +506,21 @@ def model_from_config(config: Union[str, Path, dict]) -> GroupModel:
 
 @dataclass(frozen=True)
 class PWeight:
-    """Validated weight w >= 1 with submultiplicativity and the p-symmetry axiom."""
+    """Weight values with the exponent p they serve; the values are checked finite and > 0.
+
+    The axioms (w >= 1, submultiplicativity, p-symmetry) are checked by
+    ``validate_p_weight``, not here; p is not checked, since ``gabor frame``
+    accepts p > 1.
+    """
 
     values: np.ndarray
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise InvalidWeightError("weight entries must be positive and finite")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass

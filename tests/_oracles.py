@@ -7,15 +7,18 @@ representation is an explicit matrix stack built in nested loops, the frame
 kernel is summed atom by atom from the dense kernel table, matrix functions
 come from a plain eigendecomposition, and the affine group law is a scalar
 product per pair of points of the per-point affine carrier.  One section keeps
-the GridFunction compositions that the amalgam-norm kernel, the molecule bound
-and the pair check replaced, so the tests can pin those to them bit for bit.
+the GridFunction compositions that the amalgam-norm kernel, the molecule bound,
+the pair check and the direct holomorphic envelopes replaced, so the tests can
+pin those to them bit for bit.
 The last section holds helpers that only the tests call.
 """
 
 import numpy as np
 
-from coorbitkit import GridFunction, QuasiNormSpec, convolve, fit_envelope, maximal_left, \
-    maximal_right, rel_separation, unit_weight
+from coorbitkit import CDMatrix, GridFunction, QuasiNormSpec, convolve, fit_envelope, \
+    identity_cd, maximal_left, maximal_right, minimal_envelope, product_with_envelope, \
+    rel_separation, unit_weight
+from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import measured_coefficient_norm
 from coorbitkit.groups import index_pairs, padded
 
@@ -308,7 +311,8 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
 
 
 # ---------------------------------------------------------------------------
-# the compositions the norm kernel, the molecule bound and the pair check replaced
+# the compositions the norm kernel, the molecule bound, the pair check and the
+# direct holomorphic envelopes replaced
 
 
 def composed_amalgam_norm(f, spec):
@@ -341,6 +345,22 @@ def composed_product_envelope(a, b):
         convolve(maximal_left(theta), maximal_right(phi)).values.real
         + convolve(maximal_left(phi), maximal_right(theta)).values.real
     )
+
+
+def composed_holomorphic_envelope(a, phi, tail_tol=1e-10):
+    """The envelope of phi(A), each Theta^{(n+1)} read off the full product of CD-matrices."""
+    _, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
+    diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(len(a.rows)),
+                    context=dict(a.context))
+    diff.envelope = minimal_envelope(diff)
+    coeffs = _series_coefficients(phi, n_terms + 1)
+    env_vals = np.abs(coeffs[0]) * identity_cd(a.rows).envelope.values.real
+    power = diff
+    for n in range(1, n_terms + 1):
+        env_vals = env_vals + abs(coeffs[n]) * power.envelope.values.real
+        if n < n_terms:
+            power = product_with_envelope(power, diff)
+    return env_vals + op_tail
 
 
 def inline_shifted_series_check(f1, f2, sample):

@@ -29,7 +29,8 @@ from coorbitkit import (
     unit_weight,
 )
 from coorbitkit.amalgam import _convolve_values
-from coorbitkit.errors import IncompatibleOperandsError
+from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
+    InvalidWeightError
 
 E = float(np.e)
 
@@ -88,6 +89,35 @@ class TestLpwNorm:
         w = 1.0 + np.arange(64.0)
         spec = QuasiNormSpec(p=np.inf, weight=w)
         assert lpw_norm(f, spec) == pytest.approx((np.abs(f.values) * w).max())
+
+
+
+class TestSpecInput:
+    """p = -inf once read as the sup norm, a bool as p = 1; a weight <= 0 gave a negative norm."""
+
+    @pytest.mark.parametrize("p", [-np.inf, np.nan, 0.0, -1.0, True, False, np.True_])
+    def test_rejects_p(self, p):
+        with pytest.raises(InvalidParameterError, match="p must be positive or inf, got "):
+            QuasiNormSpec(p=p)
+
+    @pytest.mark.parametrize("p", [0.25, 1, 2.0, np.float64(0.5), np.inf])
+    def test_accepts_p(self, p):
+        assert QuasiNormSpec(p=p).p == p
+
+    def test_inf_is_the_sup_norm(self):
+        m = build_cyclic_phase_space(4)
+        f = GridFunction(m, np.arange(16.0))
+        assert amalgam_norm(f, QuasiNormSpec(p=np.inf)) == 15.0
+
+    @pytest.mark.parametrize("entry", [-1.0, 0.0, -np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("flavor", ["plain", "left"])
+    def test_rejects_raw_weight(self, entry, flavor):
+        w = np.ones(16)
+        w[5] = entry
+        with pytest.raises(InvalidWeightError, match="positive and finite"):
+            QuasiNormSpec(p=1.0, weight=w, flavor=flavor)
+        with pytest.raises(InvalidWeightError, match="positive and finite"):
+            QuasiNormSpec(p=1.0, weight=np.full(16, entry), flavor=flavor)
 
 
 class TestMaximalFunctions:

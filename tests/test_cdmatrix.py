@@ -26,6 +26,8 @@ from coorbitkit.errors import (
     NotContractiveError,
 )
 
+from _oracles import composed_holomorphic_envelope
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -221,6 +223,17 @@ class TestMatrixHolomorphic:
         assert result["max_excess"] <= tail_tol
         resid = np.linalg.norm(out.entries @ a.entries - np.eye(32), 2)
         assert resid <= 10 * tail_tol
+
+    @pytest.mark.parametrize("phi", ["inverse", "inverse_sqrt"])
+    @pytest.mark.parametrize("seed, step", [(14, 2), (15, 1)])
+    def test_envelope_matches_product_composition(self, model, phi, seed, step):
+        lam = SampleSet(model=model, points=np.arange(0, 64, step))
+        perturb = random_localized(model, lam, seed)
+        a = CDMatrix(rows=lam, cols=lam, entries=np.eye(len(lam))
+                     + 0.3 / np.linalg.norm(perturb.entries, 2) * perturb.entries)
+        a.envelope = minimal_envelope(a)
+        out = matrix_holomorphic(a, phi)
+        assert np.array_equal(out.envelope.values.real, composed_holomorphic_envelope(a, phi))
 
     def test_not_contractive(self, model, full_sample):
         a = identity_cd(full_sample)

@@ -15,8 +15,10 @@ import coorbitkit
 from coorbitkit import experiments as ex
 from coorbitkit import cli
 from coorbitkit.cli import main as cli_main
-from coorbitkit.errors import InvalidParameterError, TruncationError
-from coorbitkit.groups import AffineGridModel, affine_axes, build_affine_grid
+from coorbitkit.coorbit import CoorbitContext
+from coorbitkit.errors import InvalidParameterError, ResolutionError, TruncationError
+from coorbitkit.frames import Representation
+from coorbitkit.groups import AffineGridModel, RealLineModel, affine_axes, build_affine_grid
 
 from _oracles import brute_affine_selfconvolution, brute_scale_selfconvolution
 
@@ -183,6 +185,142 @@ class TestReallineConfig:
         assert err.startswith("error: TruncationError: ") and f"got t_list={value!r}" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "counterexample_realline.json").exists()
+
+
+# (half_width, step) whose half-step line would exceed MAX_CARRIER_POINTS = 2**22,
+# with its point count 2 floor(2 L / h) + 1; none of these was capped before
+OVERSIZED_LINE = [({"step": 1e-6}, "48,000,001"), ({"half_width": 1e5}, "80,000,001"),
+                  ({"half_width": 6000.0, "step": 0.005}, "4,800,001")]
+
+
+class TestReallineCarrierCap:
+    @pytest.mark.parametrize("config, points", OVERSIZED_LINE)
+    def test_runner_names_both_fields(self, config, points, monkeypatch):
+        built = []
+        init = RealLineModel.__init__
+
+        def recording_init(model, *args):
+            init(model, *args)
+            built.append(model.size)
+
+        monkeypatch.setattr(RealLineModel, "__init__", recording_init)
+        cfg = {"half_width": 12.0, "step": 0.005, **config}
+        with pytest.raises(InvalidParameterError,
+                           match=f"half_width and step need a half-step line of {points} points, "
+                                 f"more than 4,194,304; got half_width={cfg['half_width']!r}, "
+                                 f"step={cfg['step']!r}"):
+            ex.run_counterexample_realline(**config)
+        assert built == []
+
+    @pytest.mark.parametrize("config, points", OVERSIZED_LINE)
+    def test_cli_exits_two(self, config, points, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli_main(["counterexample", "realline", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError: half_width and step need ")
+        assert f"{points} points" in err and "got half_width=" in err and ", step=" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "counterexample_realline.json").exists()
+
+    @pytest.mark.parametrize("half_width, step", [(12.0, 0.005), (5.5, 0.3), (8.0, 0.02),
+                                                  (5.5, 0.07), (6.0, 0.1)])
+    def test_count_is_the_line_model_size(self, half_width, step, monkeypatch):
+        # with no point allowed, the runner names the size the half-step line model has
+        monkeypatch.setattr(ex, "MAX_CARRIER_POINTS", 0)
+        with pytest.raises(InvalidParameterError, match="half-step line of ") as exc:
+            ex.run_counterexample_realline(half_width=half_width, step=step)
+        points = int(re.search(r"line of ([\d,]+) points", str(exc.value))[1].replace(",", ""))
+        assert points == RealLineModel(half_width, step / 2.0).size
+
+
+class TestHalfStepRecheck:
+    """One re-check for both quadrature runners: a flag that flips at the half step raises."""
+
+    def test_names_every_flipped_flag(self):
+        def evaluate(h):
+            metrics = [ex.Metric("steady", h, 2.0, True),
+                       ex.Metric("flaky", h, 0.75, h <= 0.75),
+                       ex.Metric("unbounded", h, None, h > 0.75)]  # no bound: not a pass flag
+            return metrics, {"unreported": h > 0.75, "kept": True}, None
+
+        with pytest.raises(ResolutionError,
+                           match=r"^pass flags flipped at half step: \['flaky', 'unreported'\]$"):
+            ex._rechecked(evaluate, 1.0, 0.5)
+
+    def test_returns_both_results(self):
+        def evaluate(h):
+            return [ex.Metric("steady", h, 2.0, h < 2.0)], {"kept": True}, 10 * h
+
+        coarse, fine = ex._rechecked(evaluate, 1.0, 0.5)
+        assert (coarse[0][0].value, coarse[2]) == (1.0, 10.0)
+        assert (fine[0][0].value, fine[2]) == (0.5, 5.0)
+
+    @staticmethod
+    def _at_half_step(monkeypatch, name, change, is_half):
+        """Wrap ``ex.<name>`` so that ``change`` is applied to its result at the half step."""
+        original = getattr(ex, name)
+
+        def wrapped(*args):
+            out = original(*args)
+            return change(out) if is_half(*args) else out
+
+        monkeypatch.setattr(ex, name, wrapped)
+
+    def test_realline_reported_flag(self, monkeypatch, tmp_path, capsys):
+        self._at_half_step(monkeypatch, "_realline_quantities",
+                           lambda q: {**q, "conv_at_zero": q["conv_at_zero"] + 1.0},
+                           lambda t, half_width, step: step < FAST_REALLINE["step"] and t == 2.0)
+        with pytest.raises(ResolutionError, match=r"\['conv_at_zero_T2'\]"):
+            ex.run_counterexample_realline(**FAST_REALLINE)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: list(v) if isinstance(v, tuple) else v
+                                    for k, v in FAST_REALLINE.items()}))
+        code = cli_main(["counterexample", "realline", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: ResolutionError: pass flags flipped at half "
+                                           "step: ['conv_at_zero_T2']\n")
+        assert not (tmp_path / "counterexample_realline.json").exists()
+
+    def test_realline_unreported_step_flags(self, monkeypatch):
+        # doubling the T = 2 ratio at the half step breaks both steps but not T1 -> T3
+        config = {**FAST_REALLINE, "t_list": (1.0, 2.0, 3.0)}
+        assert ex.run_counterexample_realline(**config).all_pass
+        self._at_half_step(monkeypatch, "_realline_quantities",
+                           lambda q: {**q, "ratio": 2.0 * q["ratio"]},
+                           lambda t, half_width, step: step < config["step"] and t == 2.0)
+        with pytest.raises(ResolutionError,
+                           match=r"\['ratio_step_T1_T2', 'ratio_step_T2_T3'\]$"):
+            ex.run_counterexample_realline(**config)
+
+    def test_affine_flag_is_named_by_its_metric(self, monkeypatch):
+        # the M^L carrier's x_step is 0.25 at the base resolution and 0.125 at the half step
+        self._at_half_step(monkeypatch, "_affine_partial_norms",
+                           lambda norms: dict.fromkeys(norms, 1.0),
+                           lambda alpha, beta, b_list, x_step, a_ratio: x_step < 0.25)
+        with pytest.raises(ResolutionError, match=r"\['norm_growth_ratio'\]$"):
+            ex.run_counterexample_affine(**FAST_AFFINE)
+
+    @pytest.mark.parametrize("factor, drifts", [(1.06, True), (0.94, True), (1.04, False)])
+    def test_affine_value_drift(self, monkeypatch, factor, drifts):
+        # the half step returns the base step's values times ``factor``, a drift of
+        # |factor - 1| that flips no flag here
+        selfconv, base = ex.affine_selfconvolution_at, []
+
+        def scaled(*args):
+            base.append(selfconv(*args))
+            return factor * base[0] if len(base) == 2 else base[0]
+
+        monkeypatch.setattr(ex, "affine_selfconvolution_at", scaled)
+        if drifts:
+            with pytest.raises(ResolutionError,
+                               match=r"^values drift 0\.060 > 5% under refinement$"):
+                ex.run_counterexample_affine(**FAST_AFFINE)
+        else:
+            assert ex.run_counterexample_affine(**FAST_AFFINE).all_pass
 
 
 class TestDiagnosticConfig:
@@ -358,6 +496,44 @@ class TestSuites:
     def test_coorbit_runners(self):
         assert ex.run_coorbit_norm().all_pass
         assert ex.run_coorbit_embed().all_pass
+
+
+class TestOneKernelSystem:
+    """Each cyclic runner forms the orbit of each window it uses once."""
+
+    @pytest.mark.parametrize("runner, orbits", [(ex.run_gabor_suite, 1), (ex.run_riesz_suite, 1),
+                                                (ex.run_coorbit_norm, 2),  # gaussian, boxcar
+                                                (ex.run_coorbit_embed, 1)])
+    def test_orbit_calls(self, runner, orbits, monkeypatch):
+        calls = []
+        orbit = Representation.orbit
+
+        def counting(rep, vec):
+            calls.append(vec.shape)
+            return orbit(rep, vec)
+
+        monkeypatch.setattr(Representation, "orbit", counting)
+        assert runner().all_pass
+        assert len(calls) == orbits
+
+    def test_embed_target_context_is_the_built_one(self, monkeypatch):
+        # Co(Z) by dataclasses.replace equals the context CoorbitContext.build makes for Z
+        contexts = []
+        check = ex.embedding_check
+
+        def recording(ctx_y, ctx_z, *args, **kwargs):
+            contexts.append((ctx_y, ctx_z))
+            return check(ctx_y, ctx_z, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "embedding_check", recording)
+        ex.run_coorbit_embed()
+        ((ctx_y, ctx_z),) = contexts
+        ks = ctx_y.kernel_system
+        built = CoorbitContext.build(ks.rep, ks.window, ctx_z.y_spec, ctx_y.weight, ctx_y.p)
+        assert ctx_z.kernel_system is ks and ctx_z.y_spec.p == 1.0
+        assert ctx_z.weight is built.weight and ctx_z.p == built.p
+        assert ctx_z.window_amalgam == built.window_amalgam
+        assert np.array_equal(ctx_z.kernel_system.orbit, built.kernel_system.orbit)
 
 
 class TestReports:

@@ -16,7 +16,7 @@ from coorbitkit import (
     validate_p_weight,
 )
 from coorbitkit.errors import InvalidParameterError, InvalidWeightError
-from coorbitkit.groups import affine_axes
+from coorbitkit.groups import PWeight, affine_axes
 
 from _oracles import brute_affine_inv, brute_affine_mul, per_point_affine_arrays
 
@@ -321,6 +321,18 @@ class TestPWeight:
         m = build_real_line(3.0, 0.5)
         with pytest.raises(InvalidWeightError):
             symmetrize_weight(m, np.exp(m.coords), 1.0)
+
+    @pytest.mark.parametrize("values", [-1, 0.0, [1.0, -1.0], [1.0, 0.0], [1.0, np.inf],
+                                        [np.nan, 1.0], [-np.inf]])
+    def test_construction_rejects_nonpositive_or_nonfinite(self, values):
+        with pytest.raises(InvalidWeightError, match="positive and finite"):
+            PWeight(values=values, p=5.0)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 5.0])
+    def test_construction_leaves_p_and_the_axioms_to_validate_p_weight(self, p):
+        # 0.5 < 1 breaks w >= 1; p > 1 is what ``gabor frame`` may ask for
+        w = PWeight(values=[0.5, 2.0], p=p)
+        assert w.values.dtype == float and w.p == p
 
 
 class TestMeasureQxQ:

@@ -105,6 +105,14 @@ def test_one_pair_enumerator():
     assert _callers(_calls("index_pairs")) == {"groups.validate_p_weight", "sampling.pair_check"}
 
 
+def test_one_half_step_recheck():
+    """Both quadrature runners re-check through one helper; only it and the drift check raise."""
+    assert _callers(_calls("_rechecked")) == {"experiments.run_counterexample_realline",
+                                              "experiments.run_counterexample_affine"}
+    assert _callers(_calls("ResolutionError")) == {"experiments._rechecked",
+                                                   "experiments.run_counterexample_affine"}
+
+
 def test_one_orbit_per_window():
     """A window's orbit is formed by the kernel system; the calibration orbits its atoms."""
     def orbit_call(node):
