@@ -29,7 +29,6 @@ from .amalgam import (
 from .cdmatrix import (
     CDMatrix,
     add_with_envelope,
-    holomorphic_apply,
     identity_cd,
     matrix_holomorphic,
     minimal_envelope,
@@ -66,6 +65,7 @@ from .frames import (
     gabor_representation,
     gaussian_window,
     gramian,
+    holomorphic_apply,
     normalize_admissible,
     orthonormalize,
     parseval_frame,

@@ -26,6 +26,7 @@ from .errors import InvalidParameterError, ResolutionError, TruncationError
 from .frames import (
     KernelSystem,
     WINDOWS,
+    _identity_gap,
     biorthogonal_system,
     boxcar_window,
     build_almost_tight_frame,
@@ -192,9 +193,10 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
     below, so the ratio grows like e^{2T}.
     """
     t = np.asarray(t_list, dtype=float)
-    if not (t.ndim == 1 and np.unique(t).size >= 2 and np.all(np.isfinite(t))):
-        raise InvalidParameterError(f"t_list must hold at least two distinct finite values, "
-                                    f"got t_list={t_list!r}")
+    if not (t.ndim == 1 and t.size >= 2 and np.unique(t).size == t.size
+            and np.all(np.isfinite(t))):
+        raise InvalidParameterError(f"t_list must hold at least two finite values, none "
+                                    f"repeated, got t_list={t_list!r}")
     t_list = tuple(float(t) for t in t_list)
     if max(abs(t) for t in t_list) + 2.0 >= half_width:
         raise TruncationError(f"need |T|+2 < half_width for every T in t_list, "
@@ -207,6 +209,12 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
             raise InvalidParameterError(
                 f"half_width and step need a half-step line of {n_half:,} points, more than "
                 f"{MAX_CARRIER_POINTS:,}; got half_width={half_width!r}, step={step!r}")
+    # the weights e^x and e^-x of the amalgam factors span the line, and e^x
+    # overflows beyond ln(max float)
+    max_half_width = float(np.log(np.finfo(float).max))
+    if half_width >= max_half_width:
+        raise InvalidParameterError(f"half_width must be below ln(max float) = {max_half_width!r}, "
+                                    f"where the weight e^x overflows; got half_width={half_width!r}")
 
     def evaluate(h: float) -> tuple:
         rows = {t: _realline_quantities(t, half_width, h) for t in t_list}
@@ -220,7 +228,7 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
                                   q["f_wl_norm"] <= bound))
         lowest, bound = min(q["conv_wl_norm"] for q in rows.values()), (E - 1.0 / E) * 0.95
         metrics.append(Metric("conv_norm_lower", lowest, bound, lowest >= bound))
-        t0, t1 = t_list[0], t_list[-1]
+        t0, t1 = min(t_list), max(t_list)
         growth = rows[t1]["ratio"] / rows[t0]["ratio"]
         expected = np.exp(2.0 * (t1 - t0))
         metrics.append(Metric("ratio_growth", growth, expected,
@@ -458,8 +466,7 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
     dual_gap = float(np.abs(duals - direct).max())
     recon = reconstruction_error(fs, duals)
     pars = parseval_frame(fs)
-    pars_op = pars.T @ pars.conj()
-    pars_err = float(np.abs(pars_op - np.eye(rep.dim)).max())
+    pars_err = _identity_gap(pars.T @ pars.conj())
     kernel_env = frame_kernel_envelope_check(fs)
 
     metrics = [
@@ -510,9 +517,9 @@ def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaus
     oracle_lo, oracle_hi = rayleigh_extremes(gram.entries, seed=seed + 1)
     bio = biorthogonal_system(ks, sample)
     atoms = ks.orbit[sample.points]
-    bio_dev = float(np.abs(atoms.conj() @ bio.T - np.eye(len(sample))).max())
+    bio_dev = _identity_gap(atoms.conj() @ bio.T)
     ortho = orthonormalize(ks, sample)
-    ortho_dev = float(np.abs(ortho @ ortho.conj().T - np.eye(len(sample))).max())
+    ortho_dev = _identity_gap(ortho @ ortho.conj().T)
 
     metrics = [
         Metric("riesz_lower", lo, None, None),

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, twisted_convolve
-from .cdmatrix import CDMatrix, _series_apply, holomorphic_apply, minimal_envelope
+from .cdmatrix import CDMatrix, _series_apply, minimal_envelope
 from .errors import (
     IncompatibleOperandsError,
     InvalidParameterError,
@@ -222,16 +222,56 @@ class FrameSystem:
         return self.kernel_system.orbit[self.sample.points]
 
 
-def hermitian_extremes(s: np.ndarray) -> tuple:
-    """Extreme eigenvalues by direct Hermitian eigensolve with a residual check."""
-    s = np.asarray(s)
-    vals, vecs = np.linalg.eigh(s)
+def _eigh(m: np.ndarray) -> tuple:
+    """Ascending eigenvalues and eigenvectors of Hermitian M; extreme pairs residual-checked."""
+    vals, vecs = np.linalg.eigh(m)
     for pick in (0, -1):
         v = vecs[:, pick]
-        resid = np.linalg.norm(s @ v - vals[pick] * v)
+        resid = np.linalg.norm(m @ v - vals[pick] * v)
         if resid > 1e-9 * max(1.0, abs(vals[pick])):
             raise ArithmeticError(f"eigensolve residual {resid:.2e} exceeds tolerance")
+    return vals, vecs
+
+
+def hermitian_extremes(s: np.ndarray) -> tuple:
+    """Extreme eigenvalues by direct Hermitian eigensolve with a residual check."""
+    vals, _ = _eigh(np.asarray(s))
     return float(vals[0]), float(vals[-1])
+
+
+def _phi(m: np.ndarray, phi: str, tail_tol: Optional[float] = None, eps_bound: float = 0.999,
+         eig: Optional[tuple] = None) -> tuple:
+    """(phi(M), series terms) for Hermitian M > 0: M^{-1} (inverse) or M^{-1/2} (inverse_sqrt).
+
+    Given ``tail_tol``, the power series around I (``_series_apply``, which needs
+    ||M - I||_2 <= eps_bound) with ||R M - I||_2, or ||R M R - I||_2, held to
+    10 tail_tol; otherwise the eigendecomposition ``eig`` (default ``_eigh(M)``).
+    """
+    if tail_tol is not None:
+        result, n_terms, _ = _series_apply(m, phi, eps_bound, tail_tol)
+        product = result @ m if phi == "inverse" else result @ m @ result
+        resid = _identity_gap(product, spectral=True)
+        if resid > 10 * tail_tol:
+            raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
+        return result, n_terms
+    vals, vecs = _eigh(m) if eig is None else eig
+    return (vecs / vals ** {"inverse": 1.0, "inverse_sqrt": 0.5}[phi]) @ vecs.conj().T, 0
+
+
+def holomorphic_apply(s: np.ndarray, phi: str, eps_bound: float = 0.999,
+                      tail_tol: float = 1e-12) -> np.ndarray:
+    """phi(S) for phi in {inverse, inverse_sqrt} via the power series around I.
+
+    Requires the measured ||S - I||_2 to stay below eps_bound < 1.  The residual
+    of the returned matrix is checked against 10 * tail_tol.
+    """
+    return _phi(s, phi, tail_tol, eps_bound)[0]
+
+
+def _identity_gap(x: np.ndarray, spectral: bool = False) -> float:
+    """||X - I|| of a square X: the largest entry modulus, or the 2-norm if ``spectral``."""
+    gap = x - np.eye(len(x))
+    return float(np.linalg.norm(gap, 2) if spectral else np.abs(gap).max())
 
 
 def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> FrameSystem:
@@ -254,25 +294,18 @@ def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> 
 # dual / Parseval frames
 
 
+def _frame_phi(fs: FrameSystem, phi: str, tail_tol: float) -> tuple:
+    """phi(S): the power series while ||S - I||_2 < 0.999, the eigendecomposition otherwise."""
+    if fs.bounds[0] <= 0:
+        raise NotAFrameError("lower frame bound is zero")
+    return _phi(fs.frame_operator, phi, tail_tol if fs.deviation < 0.999 else None)
+
+
 def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None,
                tail_tol: float = 1e-12) -> np.ndarray:
-    """Canonical dual atoms h_i = S^{-1}(tau_i pi(lambda_i) g) with certificate.
-
-    Uses the power series when S is measurably contractive, a direct solve
-    otherwise; reconstruction is verified on the full basis to 1e-9.
-    """
-    a_bound, _ = fs.bounds
-    if a_bound <= 0:
-        raise NotAFrameError("lower frame bound is zero")
-    atoms = fs.atoms
-    weighted = fs.tau[:, None] * atoms
-    if fs.deviation < 0.999:
-        s_inv, n_terms, _ = _series_apply(fs.frame_operator, "inverse", 0.999, tail_tol)
-        duals = weighted @ s_inv.T
-        fs.neumann_terms = n_terms
-    else:
-        duals = np.linalg.solve(fs.frame_operator, weighted.T).T
-        fs.neumann_terms = 0
+    """Canonical dual atoms h_i = S^{-1}(tau_i pi(lambda_i) g); reconstruction verified to 1e-9."""
+    s_inv, fs.neumann_terms = _frame_phi(fs, "inverse", tail_tol)
+    duals = (fs.tau[:, None] * fs.atoms) @ s_inv.T
     recon_err = reconstruction_error(fs, duals)
     if recon_err > 1e-9:
         raise NotAFrameError(f"dual reconstruction error {recon_err:.2e} exceeds 1e-9")
@@ -283,27 +316,14 @@ def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None
 
 def reconstruction_error(fs: FrameSystem, duals: np.ndarray) -> float:
     """max entry error of sum_i <e_j, pi(lam_i)g> h_i = e_j over the full basis."""
-    atoms = fs.atoms
-    recon = atoms.conj().T @ duals  # row j: sum_i conj(atom_i[j]) h_i
-    eye = np.eye(fs.kernel_system.rep.dim)
-    return float(np.abs(recon - eye).max())
+    return _identity_gap(fs.atoms.conj().T @ duals)  # row j: sum_i conj(atom_i[j]) h_i
 
 
 def parseval_frame(fs: FrameSystem) -> np.ndarray:
     """Atoms S^{-1/2}(tau_i^{1/2} pi(lambda_i) g); their frame operator is I to 1e-8."""
-    a_bound, _ = fs.bounds
-    if a_bound <= 0:
-        raise NotAFrameError("lower frame bound is zero")
-    atoms = fs.atoms
-    weighted = np.sqrt(fs.tau)[:, None] * atoms
-    if fs.deviation < 0.999:
-        s_isqrt = holomorphic_apply(fs.frame_operator, "inverse_sqrt", 0.999, 1e-12)
-    else:
-        vals, vecs = np.linalg.eigh(fs.frame_operator)
-        s_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    pars = weighted @ s_isqrt.T
-    new_s = pars.T @ pars.conj()
-    if float(np.abs(new_s - np.eye(pars.shape[1])).max()) > 1e-8:
+    s_isqrt, _ = _frame_phi(fs, "inverse_sqrt", 1e-12)
+    pars = (np.sqrt(fs.tau)[:, None] * fs.atoms) @ s_isqrt.T
+    if _identity_gap(pars.T @ pars.conj()) > 1e-8:
         raise NotAFrameError("Parseval construction failed the identity check")
     return pars
 
@@ -325,21 +345,20 @@ def riesz_bounds(gram_cdm) -> tuple:
     return hermitian_extremes(gram_cdm.entries)
 
 
-def _riesz_gramian(ks: KernelSystem, sample: SampleSet) -> tuple:
-    """Atoms pi(lambda_i) g and their Gramian; NotRieszError if it is numerically singular."""
+def _riesz_phi(ks: KernelSystem, sample: SampleSet, phi: str) -> tuple:
+    """Atoms pi(lambda_i) g and conj(phi(G)) of them; NotRieszError if lambda_min(G) <= 1e-12."""
     atoms = ks.orbit[sample.points]
     g = atoms.conj() @ atoms.T
-    lo, _ = hermitian_extremes(g)
-    if lo <= 1e-12:
-        raise NotRieszError(f"Gramian minimal eigenvalue {lo:.2e} is numerically singular")
-    return atoms, g
+    eig = _eigh(g)
+    if eig[0][0] <= 1e-12:
+        raise NotRieszError(f"Gramian minimal eigenvalue {eig[0][0]:.2e} is numerically singular")
+    return atoms, _phi(g, phi, eig=eig)[0].conj() @ atoms
 
 
 def biorthogonal_system(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
     """h_i = sum_{i'} conj(G^{-1})_{i,i'} pi(lambda_{i'}) g; exact biorthogonality."""
-    atoms, g = _riesz_gramian(ks, sample)
-    duals = np.linalg.solve(g, atoms.conj()).conj()
-    dev = float(np.abs(atoms.conj() @ duals.T - np.eye(len(sample))).max())
+    atoms, duals = _riesz_phi(ks, sample, "inverse")
+    dev = _identity_gap(atoms.conj() @ duals.T)
     if dev > 1e-9:
         raise NotRieszError(f"biorthogonality deviation {dev:.2e} exceeds 1e-9")
     return duals
@@ -347,11 +366,8 @@ def biorthogonal_system(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
 
 def orthonormalize(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
     """Atoms conj(G^{-1/2}) (pi(lambda_i) g): an orthonormal family to 1e-9."""
-    atoms, g = _riesz_gramian(ks, sample)
-    vals, vecs = np.linalg.eigh(g)
-    g_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    ortho = g_isqrt.conj() @ atoms
-    dev = float(np.abs(ortho @ ortho.conj().T - np.eye(len(sample))).max())
+    _, ortho = _riesz_phi(ks, sample, "inverse_sqrt")
+    dev = _identity_gap(ortho @ ortho.conj().T)
     if dev > 1e-9:
         raise NotRieszError(f"orthonormalization deviation {dev:.2e} exceeds 1e-9")
     return ortho

@@ -44,11 +44,14 @@ dilated along the scale axis by the shifts of Q_a; the index set is the same.
 
 Push sums.  ``GroupModel.q_spread(mags, points, u)``, the adjoint of ``local_max``,
 is the fourth primitive: sum_i mags_i 1_{p_i U} (U = Q by default), whose amalgam
-norm is the Y_d sequence norm.  The base class, the test oracle, adds ``mags``
-along each ``translates`` vector into a padded accumulator.  Z_N x Z_N makes one
-``np.bincount`` over the U-major product table; bincount adds in input order from
-0.0, so each entry sums its terms in the base loop's order (u outer, i inner) and
-the result is bit-identical.
+norm is the Y_d sequence norm and whose value at ``mags`` = 1 is the multiplicity
+of the translates p_i U.  The base class, the test oracle, adds ``mags`` along each
+``translates`` vector into a padded accumulator.  On a snapped grid two u_j can
+give p_i one product, which the indicator 1_{p_i U} counts once: the base class
+keeps the first such u_j.  Z_N x Z_N makes one ``np.bincount`` over the U-major
+product table (its products p_i u_j are distinct); bincount adds in input order
+from 0.0, so each entry sums its terms in the base loop's order (u outer, i inner)
+and the result is bit-identical.
 """
 
 from __future__ import annotations
@@ -179,11 +182,19 @@ class GroupModel:
         return np.nonzero(hit[:-1])[0]
 
     def q_spread(self, mags, points, u=None) -> np.ndarray:
-        """sum_i ``mags``_i 1_{p_i U} over the carrier, U = Q by default; absent products drop."""
+        """sum_i ``mags``_i 1_{p_i U} over the carrier, U = Q by default; absent products drop.
+
+        1_{p_i U} is an indicator: a product p_i u_j that an earlier u_j gave is not added again.
+        """
         u = self.q_indices if u is None else np.asarray(u, dtype=int)
+        t = np.array(list(self.translates(points, u)), dtype=int).reshape(len(u), np.size(points))
+        order = np.argsort(t, axis=0, kind="stable")  # equal products stay in u order
+        s = np.take_along_axis(t, order, axis=0)
+        s[1:][s[1:] == s[:-1]] = ABSENT  # a product an earlier u_j gave
+        np.put_along_axis(t, order, s, axis=0)
         acc = np.zeros(self.size + 1)  # pad slot absorbs absent products
-        for t in self.translates(points, u):
-            np.add.at(acc, t, mags)
+        for row in t:
+            np.add.at(acc, row, mags)
         return acc[:-1]
 
     def div_indices(self, i, j) -> np.ndarray:

@@ -65,14 +65,6 @@ def _distinct(columns) -> np.ndarray:
     return rows
 
 
-def _multiplicity(sample: SampleSet, u_indices) -> np.ndarray:
-    """Per carrier point y, #{i : y in lambda_i U}; each lambda_i counts once per y."""
-    u = _check_u(sample.model, u_indices)
-    counts = np.zeros(sample.model.size + 1, dtype=int)  # pad slot absorbs absent products
-    np.add.at(counts, _distinct(sample.model.translates(sample.points, u)), 1)
-    return counts[:-1]
-
-
 def rel_separation(sample: SampleSet) -> int:
     """rel(Lambda) = max over carrier x of #{i : lambda_i in xQ}.
 
@@ -88,16 +80,19 @@ def rel_separation(sample: SampleSet) -> int:
 
 def is_U_dense(sample: SampleSet, u_indices) -> bool:
     """True iff the translates lambda_i U cover the whole carrier."""
-    return bool(_multiplicity(sample, u_indices).all())
+    u = _check_u(sample.model, u_indices)
+    return bool(sample.model.q_spread(np.ones(len(sample)), sample.points, u).all())
 
 
 def is_U_separated(sample: SampleSet, u_indices) -> bool:
     """True iff the translates lambda_i U are pairwise disjoint."""
-    return bool(_multiplicity(sample, u_indices).max() <= 1)
+    u = _check_u(sample.model, u_indices)
+    return bool(sample.model.q_spread(np.ones(len(sample)), sample.points, u).max() <= 1)
 
 
 def _check_u(model: GroupModel, u_indices) -> np.ndarray:
-    u = np.asarray(u_indices, dtype=int)
+    """U as a sorted duplicate-free index array; it must contain the identity."""
+    u = np.unique(np.asarray(u_indices, dtype=int))
     if model.identity not in u:
         raise InvalidParameterError("U must contain the identity")
     return u

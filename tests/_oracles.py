@@ -101,12 +101,18 @@ def brute_maximal(model, values, side="left"):
 
 
 def brute_sequence_accumulator(model, points, coeffs, q_indices):
-    """sum_i |c_i| 1_{lambda_i Q}, added in the library's order (q outer, i inner)."""
+    """sum_i |c_i| 1_{lambda_i Q}, added in the library's order (q outer, i inner).
+
+    1_{lambda_i Q} is an indicator, so a product lambda_i q that an earlier q
+    already gave for the same lambda_i is skipped.
+    """
     acc = np.zeros(model.size)
+    seen = set()
     for q in q_indices:
         for lam, c in zip(points, np.abs(coeffs)):
             t = model.mul(int(lam), int(q))
-            if t >= 0:
+            if t >= 0 and (int(lam), t) not in seen:
+                seen.add((int(lam), t))
                 acc[t] += c
     return acc
 

@@ -148,7 +148,8 @@ class TestAffineConfig:
 
 
 # t_list values that leave the real-line runner no growth to measure or nothing finite
-DEGENERATE_REALLINE = [[2.0], [], [2.0, 2.0], [1.0, float("inf")], [1.0, float("nan")]]
+DEGENERATE_REALLINE = [[2.0], [], [2.0, 2.0], [1.0, float("inf")], [1.0, float("nan")],
+                       [1.0, 2.0, 1.0]]
 
 
 class TestReallineConfig:
@@ -169,6 +170,41 @@ class TestReallineConfig:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "counterexample_realline.json").exists()
 
+
+    def test_growth_runs_from_the_smallest_to_the_largest_t(self):
+        # in list order [3, 1] once read the decay e^-4 and passed
+        report = ex.run_counterexample_realline(**{**FAST_REALLINE, "t_list": [3.0, 1.0]})
+        growth = next(m for m in report.metrics if m.name == "ratio_growth")
+        assert growth.bound == pytest.approx(np.exp(4.0))
+        assert abs(growth.value / np.exp(4.0) - 1.0) <= 0.10 and growth.passed
+        assert report.all_pass
+
+    # e^x overflows beyond ln(max float) = 709.78...; 800 once stopped with an
+    # InvalidWeightError that did not name half_width
+    @pytest.mark.parametrize("half_width", [800.0, 709.79, float("inf")])
+    def test_overflowing_half_width_names_the_field(self, half_width, tmp_path, capsys,
+                                                    monkeypatch):
+        built = []
+        init = RealLineModel.__init__
+
+        def recording_init(model, *args):
+            init(model, *args)
+            built.append(model.size)
+
+        monkeypatch.setattr(RealLineModel, "__init__", recording_init)
+        with pytest.raises(InvalidParameterError,
+                           match=r"half_width must be below ln\(max float\) = 709\.78.*"
+                                 f"got half_width={half_width!r}"):
+            ex.run_counterexample_realline(half_width=half_width, step=0.5)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"half_width": half_width, "step": 0.5}))
+        code = cli_main(["counterexample", "realline", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2 and built == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError: half_width must be below ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "counterexample_realline.json").exists()
 
     # f = 1_(T,T+1) and g = 1_(-T-1,-T) must both fit on [-L, L]; at T = -20 they
     # once fell off the grid and the ratio divided by zero

@@ -41,7 +41,8 @@ from coorbitkit.errors import (
     NotContractiveError,
     NotRieszError,
 )
-from coorbitkit.frames import hermitian_extremes, reconstruction_error
+from coorbitkit.cdmatrix import _series_apply
+from coorbitkit.frames import FrameSystem, hermitian_extremes, reconstruction_error
 
 
 def setup_gabor(n):
@@ -387,6 +388,62 @@ class TestParsevalFrame:
         a, b = hermitian_extremes(s_new)
         assert a == pytest.approx(1.0, abs=1e-8)
         assert b == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count the calls of np.linalg.eigh and np.linalg.solve."""
+    calls = {"eigh": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def scaled_frame(fs, c):
+    """The frame system with tau and S scaled by c: the same duals and Parseval atoms."""
+    a_bound, b_bound = fs.bounds
+    return FrameSystem(fs.kernel_system, fs.sample, c * fs.tau, c * fs.frame_operator,
+                       (c * a_bound, c * b_bound))
+
+
+class TestCanonicalConstructions:
+    """phi(M) comes from the power series or one eigendecomposition, never a solve."""
+
+    def test_dual_series_path_terms(self, linalg_calls):
+        model, rep, g = setup_gabor(8)
+        fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
+                                      block(model, 2))
+        linalg_calls.update(eigh=0, solve=0)  # building the frame ran one for its bounds
+        dual_frame(fs)
+        assert linalg_calls == {"eigh": 0, "solve": 0}
+        # the default `gabor frame` report records 17 terms
+        assert fs.neumann_terms == 17
+        assert fs.neumann_terms == _series_apply(fs.frame_operator, "inverse", 0.999, 1e-12)[1]
+
+    def test_eigendecomposition_path(self, linalg_calls):
+        model, rep, g = setup_gabor(8)
+        fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
+                                      block(model, 2))
+        big = scaled_frame(fs, 3.0)
+        assert big.deviation >= 0.999
+        linalg_calls.update(eigh=0, solve=0)
+        duals = dual_frame(big)
+        assert big.neumann_terms == 0
+        assert linalg_calls == {"eigh": 1, "solve": 0}
+        assert np.abs(duals - dual_frame(fs)).max() < 1e-12
+        assert np.abs(parseval_frame(big) - parseval_frame(fs)).max() < 1e-12
+
+    def test_riesz_constructions_decompose_once(self, linalg_calls):
+        model, rep, g = setup_gabor(8)
+        ks = KernelSystem.build(rep, g)
+        lam = lattice(model, 4)
+        orthonormalize(ks, lam)
+        assert linalg_calls == {"eigh": 1, "solve": 0}
+        biorthogonal_system(ks, lam)
+        assert linalg_calls == {"eigh": 2, "solve": 0}
 
 
 class TestGramianRiesz:

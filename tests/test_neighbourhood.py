@@ -16,6 +16,7 @@ from _oracles import (
     brute_maximal,
     brute_rel_separation,
     brute_sequence_accumulator,
+    brute_translate_sets,
 )
 from coorbitkit import (
     GridFunction,
@@ -59,9 +60,10 @@ def samples(model):
 
 
 def neighbourhoods(model):
-    """Q, the identity alone, and Q^{-1}."""
+    """Q, the identity alone, Q^{-1}, and Q listed twice (U is a set)."""
     q_inv = model.inv_indices(model.q_indices)
-    return [model.q_indices, np.array([model.identity]), q_inv[q_inv >= 0]]
+    return [model.q_indices, np.array([model.identity]), q_inv[q_inv >= 0],
+            np.tile(model.q_indices, 2)]
 
 
 def test_affine_model_has_colliding_products():
@@ -159,6 +161,17 @@ def test_q_spread_matches_base_loop(model):
                               GroupModel.q_spread(model, mags, points, model.q_indices))
 
 
+def test_q_spread_of_ones_is_the_translate_multiplicity(model):
+    # 1_{lambda_i U} is an indicator: on the affine grid with every point sampled,
+    # counting each snapped product lambda_i u once per u overcounted 68 of 119 points
+    for points in [*samples(model), np.arange(model.size)]:
+        for u in q_and_qq(model):
+            mult = np.zeros(model.size)
+            for cell in brute_translate_sets(model, points, u):
+                mult[list(cell)] += 1
+            assert np.array_equal(model.q_spread(np.ones(len(points)), points, u), mult)
+
+
 def test_q_spread_samples_have_absent_products(model):
     # the line and affine samples push mass off the grid, which q_spread must drop
     absent = [np.any(t < 0) for u in q_and_qq(model)
@@ -167,7 +180,9 @@ def test_q_spread_samples_have_absent_products(model):
 
 
 def test_density_separation_and_rel(model):
-    for points in samples(model):
+    # a Q-separated sample, on which a U listed twice must still read separated
+    separated = max_separated_subset(model, model.q_indices).points
+    for points in [*samples(model), separated]:
         sample = SampleSet(model=model, points=points)
         for u in neighbourhoods(model):
             if model.identity in u:

@@ -89,11 +89,16 @@ def test_private_read_check_catches_a_leftover():
     assert _foreign_private_reads(tree) == ["model._k_max (line 1)"]
 
 
+def _holders(matches, modules=TREES) -> set:
+    """``module.function`` for every function in ``modules`` holding a node ``matches`` accepts."""
+    return {f"{module}.{fn.name}" for module in modules for fn in ast.walk(TREES[module])
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(matches(node) for node in ast.walk(fn))}
+
+
 def _callers(matches) -> set:
     """``module.function`` for every function whose body holds a call that ``matches`` accepts."""
-    return {f"{module}.{fn.name}" for module, tree in TREES.items() for fn in ast.walk(tree)
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(isinstance(node, ast.Call) and matches(node) for node in ast.walk(fn))}
+    return _holders(lambda node: isinstance(node, ast.Call) and matches(node))
 
 
 def _calls(name):
@@ -130,3 +135,24 @@ def test_one_molecule_bound():
     assert _callers(conv_of_left_max) == {"sampling.molecule_bound"}
     sources = [path.read_text() for path in PACKAGE.glob("*.py")]
     assert sum(src.count("convolve(maximal_left(") for src in sources) == 1
+
+
+def test_one_eigendecomposition_and_no_solve_in_frames():
+    """phi(M) is the power series or one residual-checked eigh; frames solves no system."""
+    def linalg(attr):
+        return lambda node: isinstance(node, ast.Attribute) and node.attr == attr \
+            and ast.unparse(node.value) == "np.linalg"
+
+    assert _holders(linalg("eigh"), ["frames"]) == {"frames._eigh"}
+    assert not any(linalg("solve")(node) for node in ast.walk(TREES["frames"]))
+
+
+def test_one_identity_gap():
+    """X - I is formed by the identity-gap helper only, in frames and experiments."""
+    def minus_eye(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+            and isinstance(node.right, ast.Call) and ast.unparse(node.right.func) == "np.eye"
+
+    modules = ["frames", "experiments"]
+    assert _holders(minus_eye, modules) == {"frames._identity_gap"}
+    assert sum(minus_eye(node) for module in modules for node in ast.walk(TREES[module])) == 1
