@@ -4,12 +4,14 @@ A matrix indexed by two sample sets is localized when its entries are dominated
 by a symmetric envelope evaluated at the relative positions of its index points.
 The envelope travels through sums, products and the inverse power series, which
 is what makes the class an algebra at desk scale.  The power series itself,
-phi(S) = sum a_n (I - S)^n, lives here; frames sums it for S^{-1} and S^{-1/2}
-of a frame operator and checks the result (``holomorphic_apply``).
+phi(S) = sum a_n (I - S)^n, lives here; frames sums it relaxed,
+w^{1 or 1/2} sum a_n (I - wS)^n with w = 2/(A + B), for S^{-1} and S^{-1/2} of a
+frame operator A <= S <= B, its count fixed by the rate q = (B - A)/(B + A).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -201,30 +203,45 @@ def _series_coefficients(phi: str, n_terms: int) -> np.ndarray:
     raise InvalidParameterError(f"unknown series function {phi!r}")
 
 
-def _series_apply(s: np.ndarray, phi: str, eps_bound: float, tail_tol: float):
-    """Truncated power series in D = I - S; returns (result, n_terms, tail_bound)."""
+def _series_apply(s: np.ndarray, phi: str, eps_bound: float, tail_tol: float,
+                  relax: Optional[tuple] = None):
+    """Truncated power series sum a_n D^n; returns (result, n_terms, tail_bound).
+
+    As |a_n| <= 1, the tail after term n is at most q^{n+1}/(1 - q) for ||D||_2 <= q.
+    Unrelaxed, D = I - S with q = ||D||_2 <= eps_bound measured, summed until the last
+    term's 2-norm plus that tail is <= tail_tol.  With ``relax = (w, q)``, where
+    ||I - wS||_2 = q is known, D = I - wS, n is the smallest with q^n/(1 - q) <= tail_tol,
+    fixed before summing, and result and tail are scaled by w^{1 or 1/2}.
+    """
+    max_terms, omega, n_fixed = 20_000, 1.0, None
+    if relax is not None:
+        omega, dev = relax
+        n_fixed = 1 if dev == 0 else math.ceil(math.log(tail_tol * (1 - dev)) / math.log(dev))
+        n_fixed = max(1, n_fixed + (dev ** n_fixed / (1 - dev) > tail_tol))  # log rounding
+        if n_fixed > max_terms:
+            raise NotContractiveError(
+                f"the relaxed series at q = {dev:.6f} (B/A = {(1 + dev) / (1 - dev):.4g}) needs "
+                f"{n_fixed} terms, more than the {max_terms}-term cap")
     s = np.asarray(s, dtype=complex)
-    d = np.eye(s.shape[0]) - s
-    dev = float(np.linalg.norm(d, 2))
-    if dev >= 1.0 or dev > eps_bound:
-        raise NotContractiveError(
-            f"||S - I||_2 = {dev:.4f} exceeds the contractivity budget {min(eps_bound, 1.0):.4f}; "
-            "densify the sample set"
-        )
-    max_terms = 20_000
-    coeffs = _series_coefficients(phi, max_terms)
+    d = np.eye(s.shape[0]) - omega * s
+    if relax is None:
+        dev = float(np.linalg.norm(d, 2))
+        if dev >= 1.0 or dev > eps_bound:
+            raise NotContractiveError(
+                f"||S - I||_2 = {dev:.4f} exceeds the contractivity budget "
+                f"{min(eps_bound, 1.0):.4f}; densify the sample set")
+    coeffs = _series_coefficients(phi, (n_fixed or max_terms) + 1)
+    scale = omega if phi == "inverse" else math.sqrt(omega)
     result = np.eye(s.shape[0], dtype=complex)
     power = np.eye(s.shape[0], dtype=complex)
-    for n in range(1, max_terms):
+    for n in range(1, max_terms + 1):
         power = power @ d
         term = coeffs[n] * power
         result = result + term
-        term_norm = float(np.linalg.norm(term, 2))
-        # all coefficient sequences here are bounded by 1, so the remaining tail
-        # is dominated by the geometric series in dev
         tail_bound = dev ** (n + 1) / (1.0 - dev)
-        if term_norm + tail_bound <= tail_tol:
-            return result, n, tail_bound
+        if n == n_fixed or (n_fixed is None
+                            and float(np.linalg.norm(term, 2)) + tail_bound <= tail_tol):
+            return scale * result, n, scale * tail_bound
     raise NotContractiveError(f"series did not reach the tail tolerance in {max_terms} terms")
 
 

@@ -489,6 +489,8 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
             "p": p,
             "bounds": [a_bound, b_bound],
             "neumann_terms": fs.neumann_terms,
+            "series_rate": fs.relaxation[1],
+            "series_tail_bound": fs.series_tail_bound,
             "reconstruction_error": recon,
             "envelope": fs.certificates["dual"].to_json_obj(),
         },

@@ -209,12 +209,19 @@ class FrameSystem:
     bounds: tuple
     certificates: dict = field(default_factory=dict)
     neumann_terms: Optional[int] = None
+    series_tail_bound: Optional[float] = None
 
     @property
     def deviation(self) -> float:
         """||S - I||_2, exact from the frame bounds because S is Hermitian."""
         a_bound, b_bound = self.bounds
         return max(1.0 - a_bound, b_bound - 1.0)
+
+    @property
+    def relaxation(self) -> tuple:
+        """(w, q) with w = 2/(A + B): ||I - wS||_2 = q = (B - A)/(B + A) since S is Hermitian."""
+        a_bound, b_bound = self.bounds
+        return 2.0 / (a_bound + b_bound), (b_bound - a_bound) / (b_bound + a_bound)
 
     @property
     def atoms(self) -> np.ndarray:
@@ -240,30 +247,32 @@ def hermitian_extremes(s: np.ndarray) -> tuple:
 
 
 def _phi(m: np.ndarray, phi: str, tail_tol: Optional[float] = None, eps_bound: float = 0.999,
-         eig: Optional[tuple] = None) -> tuple:
-    """(phi(M), series terms) for Hermitian M > 0: M^{-1} (inverse) or M^{-1/2} (inverse_sqrt).
+         relax: Optional[tuple] = None, eig: Optional[tuple] = None) -> tuple:
+    """(phi(M), series terms, tail bound) for Hermitian M > 0: M^{-1} or M^{-1/2}.
 
-    Given ``tail_tol``, the power series around I (``_series_apply``, which needs
-    ||M - I||_2 <= eps_bound) with ||R M - I||_2, or ||R M R - I||_2, held to
-    10 tail_tol; otherwise the eigendecomposition ``eig`` (default ``_eigh(M)``).
+    Given ``tail_tol``, the power series ``_series_apply``, relaxed by ``relax``
+    (count and tail bound fixed in advance) or around I (||M - I||_2 <= eps_bound),
+    with ||R M - I||_2, or ||R M R - I||_2, held to 10 tail_tol: the check that
+    catches a wrong q.  Otherwise the eigendecomposition ``eig`` (default ``_eigh(M)``).
     """
     if tail_tol is not None:
-        result, n_terms, _ = _series_apply(m, phi, eps_bound, tail_tol)
+        result, n_terms, tail_bound = _series_apply(m, phi, eps_bound, tail_tol, relax)
         product = result @ m if phi == "inverse" else result @ m @ result
         resid = _identity_gap(product, spectral=True)
         if resid > 10 * tail_tol:
             raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
-        return result, n_terms
+        return result, n_terms, tail_bound
     vals, vecs = _eigh(m) if eig is None else eig
-    return (vecs / vals ** {"inverse": 1.0, "inverse_sqrt": 0.5}[phi]) @ vecs.conj().T, 0
+    return (vecs / vals ** {"inverse": 1.0, "inverse_sqrt": 0.5}[phi]) @ vecs.conj().T, 0, 0.0
 
 
 def holomorphic_apply(s: np.ndarray, phi: str, eps_bound: float = 0.999,
                       tail_tol: float = 1e-12) -> np.ndarray:
-    """phi(S) for phi in {inverse, inverse_sqrt} via the power series around I.
+    """phi(S) = sum a_n (I - S)^n for phi in {inverse, inverse_sqrt}, unrelaxed.
 
-    Requires the measured ||S - I||_2 to stay below eps_bound < 1.  The residual
-    of the returned matrix is checked against 10 * tail_tol.
+    The measured d = ||S - I||_2 must stay below eps_bound < 1; the sum stops when
+    the last term's 2-norm plus d^{n+1}/(1 - d) is <= tail_tol.  The residual of
+    the returned matrix is checked against 10 * tail_tol.
     """
     return _phi(s, phi, tail_tol, eps_bound)[0]
 
@@ -295,16 +304,20 @@ def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> 
 
 
 def _frame_phi(fs: FrameSystem, phi: str, tail_tol: float) -> tuple:
-    """phi(S): the power series while ||S - I||_2 < 0.999, the eigendecomposition otherwise."""
+    """phi(S) = w^{1 or 1/2} sum a_n (I - wS)^n with w = 2/(A + B), for every frame.
+
+    The rate q = (B - A)/(B + A) < 1 (``fs.relaxation``) fixes the count and the tail
+    bound w^{1 or 1/2} q^{n+1}/(1 - q) before summing; past the term cap it raises.
+    """
     if fs.bounds[0] <= 0:
         raise NotAFrameError("lower frame bound is zero")
-    return _phi(fs.frame_operator, phi, tail_tol if fs.deviation < 0.999 else None)
+    return _phi(fs.frame_operator, phi, tail_tol, relax=fs.relaxation)
 
 
 def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None,
                tail_tol: float = 1e-12) -> np.ndarray:
     """Canonical dual atoms h_i = S^{-1}(tau_i pi(lambda_i) g); reconstruction verified to 1e-9."""
-    s_inv, fs.neumann_terms = _frame_phi(fs, "inverse", tail_tol)
+    s_inv, fs.neumann_terms, fs.series_tail_bound = _frame_phi(fs, "inverse", tail_tol)
     duals = (fs.tau[:, None] * fs.atoms) @ s_inv.T
     recon_err = reconstruction_error(fs, duals)
     if recon_err > 1e-9:
@@ -321,7 +334,7 @@ def reconstruction_error(fs: FrameSystem, duals: np.ndarray) -> float:
 
 def parseval_frame(fs: FrameSystem) -> np.ndarray:
     """Atoms S^{-1/2}(tau_i^{1/2} pi(lambda_i) g); their frame operator is I to 1e-8."""
-    s_isqrt, _ = _frame_phi(fs, "inverse_sqrt", 1e-12)
+    s_isqrt = _frame_phi(fs, "inverse_sqrt", 1e-12)[0]
     pars = (np.sqrt(fs.tau)[:, None] * fs.atoms) @ s_isqrt.T
     if _identity_gap(pars.T @ pars.conj()) > 1e-8:
         raise NotAFrameError("Parseval construction failed the identity check")

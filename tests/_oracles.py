@@ -5,11 +5,12 @@ oracle works on explicit (k, l) tuples with dict lookups, the generic
 neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
 representation is an explicit matrix stack built in nested loops, the frame
 kernel is summed atom by atom from the dense kernel table, matrix functions
-come from a plain eigendecomposition, and the affine group law is a scalar
-product per pair of points of the per-point affine carrier.  One section keeps
-the GridFunction compositions that the amalgam-norm kernel, the molecule bound,
-the pair check and the direct holomorphic envelopes replaced, so the tests can
-pin those to them bit for bit.
+come from a plain eigendecomposition (and frame operators also from the series
+around I, with its eigendecomposition fallback, the oracle of the relaxed
+series), and the affine group law is a scalar product per pair of points of
+the per-point affine carrier.  One section keeps the GridFunction compositions
+that the amalgam-norm kernel, the molecule bound, the pair check and the direct
+holomorphic envelopes replaced, so the tests can pin those to them bit for bit.
 The last section holds helpers that only the tests call.
 """
 
@@ -67,6 +68,14 @@ def eig_apply(s, fn):
     """Matrix function via eigendecomposition (oracle for the power series)."""
     vals, vecs = np.linalg.eigh(np.asarray(s))
     return (vecs * fn(vals)) @ vecs.conj().T
+
+
+def unrelaxed_frame_phi(fs, phi, tail_tol=1e-12):
+    """(phi(S), terms) by the series around I while ||S - I||_2 < 0.999, else eigh (0 terms)."""
+    if fs.deviation < 0.999:
+        return _series_apply(fs.frame_operator, phi, 0.999, tail_tol)[:2]
+    return eig_apply(fs.frame_operator, {"inverse": lambda v: 1.0 / v,
+                                         "inverse_sqrt": lambda v: v ** -0.5}[phi]), 0
 
 
 def brute_rel_separation(model, points):

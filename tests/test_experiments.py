@@ -518,7 +518,15 @@ class TestSuites:
         assert report.all_pass
         recon = next(m for m in report.metrics if m.name == "reconstruction_error")
         assert recon.value <= 1e-9
-        assert report.parameters["neumann_terms"] > 0
+        assert report.parameters["neumann_terms"] == 16
+        # q = (B - A)/(B + A) fixes the count and the tail bound before summing
+        a, b = report.parameters["bounds"]
+        q = report.parameters["series_rate"]
+        assert q == pytest.approx((b - a) / (b + a), rel=1e-15) and 0.16 < q < 0.18
+        omega = 2.0 / (a + b)
+        assert report.parameters["series_tail_bound"] == pytest.approx(
+            omega * q ** 17 / (1.0 - q), rel=1e-12)
+        assert report.parameters["series_tail_bound"] <= 1e-12
         assert "amalgam_value" in report.parameters["envelope"]
 
     def test_riesz_suite(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_envelope, brute_frame_kernel_excess, brute_gabor_matrices, eig_apply, \
-    inline_frame_kernel_check
+    inline_frame_kernel_check, unrelaxed_frame_phi
 from coorbitkit import (
     GridFunction,
     KernelSystem,
@@ -39,9 +39,11 @@ from coorbitkit.errors import (
     InvalidParameterError,
     NotAFrameError,
     NotContractiveError,
+    NotDenseError,
     NotRieszError,
 )
 from coorbitkit.cdmatrix import _series_apply
+from coorbitkit.coorbit import _calibration_samples
 from coorbitkit.frames import FrameSystem, hermitian_extremes, reconstruction_error
 
 
@@ -417,24 +419,31 @@ class TestCanonicalConstructions:
         fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
                                       block(model, 2))
         linalg_calls.update(eigh=0, solve=0)  # building the frame ran one for its bounds
-        dual_frame(fs)
+        duals = dual_frame(fs)
         assert linalg_calls == {"eigh": 0, "solve": 0}
-        # the default `gabor frame` report records 17 terms
-        assert fs.neumann_terms == 17
-        assert fs.neumann_terms == _series_apply(fs.frame_operator, "inverse", 0.999, 1e-12)[1]
+        # the default `gabor frame` report records 16 terms; the series around I takes 17
+        assert fs.neumann_terms == 16
+        assert fs.neumann_terms == _series_apply(fs.frame_operator, "inverse", 0.999, 1e-12,
+                                                 fs.relaxation)[1]
+        s_inv, unrelaxed_terms = unrelaxed_frame_phi(fs, "inverse")
+        assert unrelaxed_terms == 17
+        assert np.abs(duals - (fs.tau[:, None] * fs.atoms) @ s_inv.T).max() < 1e-12
 
     def test_eigendecomposition_path(self, linalg_calls):
+        """A frame far from I takes the relaxed series too: no eigh, the same count."""
         model, rep, g = setup_gabor(8)
         fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
                                       block(model, 2))
         big = scaled_frame(fs, 3.0)
         assert big.deviation >= 0.999
+        assert unrelaxed_frame_phi(big, "inverse")[1] == 0  # beyond the series around I
         linalg_calls.update(eigh=0, solve=0)
         duals = dual_frame(big)
-        assert big.neumann_terms == 0
-        assert linalg_calls == {"eigh": 1, "solve": 0}
+        assert linalg_calls == {"eigh": 0, "solve": 0}
         assert np.abs(duals - dual_frame(fs)).max() < 1e-12
+        assert big.neumann_terms == fs.neumann_terms == 16  # q does not change under scaling
         assert np.abs(parseval_frame(big) - parseval_frame(fs)).max() < 1e-12
+        assert linalg_calls == {"eigh": 0, "solve": 0}
 
     def test_riesz_constructions_decompose_once(self, linalg_calls):
         model, rep, g = setup_gabor(8)
@@ -444,6 +453,91 @@ class TestCanonicalConstructions:
         assert linalg_calls == {"eigh": 1, "solve": 0}
         biorthogonal_system(ks, lam)
         assert linalg_calls == {"eigh": 2, "solve": 0}
+
+
+def n8_frames():
+    """The N = 8 frames of the calibration battery (Q covers) and the (2, 2) lattice frames."""
+    model, rep, g = setup_gabor(8)
+    ks = KernelSystem.build(rep, g)
+    lat = lattice(model, 2)
+    frames = [build_almost_tight_frame(ks, lat, block(model, 2)),
+              build_almost_tight_frame(ks, lat, model.q_indices)]
+    for lam in _calibration_samples(model, 2024):
+        try:
+            frames.append(build_almost_tight_frame(ks, lam, model.q_indices))
+        except NotDenseError:  # every fourth point leaves Q-gaps
+            assert len(lam) == 16
+    return frames
+
+
+def smallest_count(q, tail_tol=1e-12):
+    n = 1
+    while q ** n / (1.0 - q) > tail_tol:
+        n += 1
+    return n
+
+
+class TestRelaxedSeries:
+    """S^{-1} = w sum (I - wS)^n and S^{-1/2} = w^{1/2} sum a_n (I - wS)^n at rate q."""
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_tail_is_earned(self, index):
+        fs = n8_frames()[index]
+        omega, q = fs.relaxation
+        assert 0 < q < 1
+        for phi, fn in (("inverse", lambda v: 1.0 / v), ("inverse_sqrt", lambda v: v ** -0.5)):
+            r, n_terms, tail = _series_apply(fs.frame_operator, phi, 0.999, 1e-12, fs.relaxation)
+            exact = eig_apply(fs.frame_operator, fn)
+            assert n_terms == smallest_count(q)
+            scale = omega if phi == "inverse" else np.sqrt(omega)
+            assert tail == pytest.approx(scale * q ** (n_terms + 1) / (1.0 - q), rel=1e-14)
+            assert np.abs(r - exact).max() <= 1e-12
+            assert np.linalg.norm(r - exact, 2) <= tail + 1e-13
+
+    def test_counts(self):
+        frames = n8_frames()
+        terms = []
+        for fs in frames:
+            dual_frame(fs)
+            terms.append(fs.neumann_terms)
+        assert len(frames) == 6
+        assert terms[0] == 16  # the default `gabor frame`
+        assert terms[2] == 171  # the full carrier, q = 0.841
+        assert max(terms) == 171
+
+    def test_tight_frame_rate_zero(self):
+        model, rep, g = setup_gabor(4)
+        ks = KernelSystem.build(rep, g)
+        fs = build_almost_tight_frame(ks, lattice(model, 1), np.array([model.identity]))
+        exact = FrameSystem(ks, fs.sample, fs.tau, np.eye(4, dtype=complex), (1.0, 1.0))
+        assert exact.relaxation == (1.0, 0.0)
+        for phi in ("inverse", "inverse_sqrt"):
+            r, n_terms, tail = _series_apply(exact.frame_operator, phi, 0.999, 1e-12,
+                                             exact.relaxation)
+            assert (n_terms, tail) == (1, 0.0)
+            assert np.array_equal(r, np.eye(4))
+        duals = dual_frame(exact)
+        assert (exact.neumann_terms, exact.series_tail_bound) == (1, 0.0)
+        assert np.array_equal(duals, exact.tau[:, None] * exact.atoms)
+
+    def test_ill_conditioned_frame_is_named(self):
+        class Unread:
+            """A frame operator that fails the test when the series reads it."""
+
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("the frame operator was read")
+
+        model, rep, g = setup_gabor(4)
+        ks = KernelSystem.build(rep, g)
+        lam = lattice(model, 1)
+        fs = FrameSystem(ks, lam, np.ones(len(lam)), Unread(), (1e-6, 1.0))
+        with pytest.raises(NotContractiveError) as err:
+            dual_frame(fs)
+        # q = 0.999998 needs n = ceil(log(1e-12 (1 - q))/log q) = 20,376,693 terms
+        assert str(err.value) == ("the relaxed series at q = 0.999998 (B/A = 1e+06) needs "
+                                  "20376693 terms, more than the 20000-term cap")
+        with pytest.raises(NotContractiveError):
+            parseval_frame(fs)
 
 
 class TestGramianRiesz:

@@ -156,3 +156,22 @@ def test_one_identity_gap():
     modules = ["frames", "experiments"]
     assert _holders(minus_eye, modules) == {"frames._identity_gap"}
     assert sum(minus_eye(node) for module in modules for node in ast.walk(TREES[module])) == 1
+
+
+def test_one_relaxed_series_for_every_frame():
+    """The frame phi(S) path is the relaxed series: it reaches no eigh and has no cut-off."""
+    frame_phi = next(fn for fn in ast.walk(TREES["frames"])
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "_frame_phi")
+    calls = [node for node in ast.walk(frame_phi) if isinstance(node, ast.Call)]
+    assert not any(_calls("_eigh")(node) for node in calls)
+    (phi_call,) = [node for node in calls if _calls("_phi")(node)]
+    # tail_tol is passed as it is, so _phi always sums the series, relaxed by fs.relaxation
+    assert ast.unparse(phi_call) == "_phi(fs.frame_operator, phi, tail_tol, relax=fs.relaxation)"
+    assert _callers(_calls("_frame_phi")) == {"frames.dual_frame", "frames.parseval_frame"}
+    assert _callers(_calls("_eigh")) == {"frames.hermitian_extremes", "frames._phi",
+                                         "frames._riesz_phi"}
+    cutoffs = [ast.unparse(node) for node in ast.walk(TREES["frames"])
+               if isinstance(node, ast.Compare)
+               and any(isinstance(c, ast.Constant) and c.value == 0.999
+                       for c in [node.left, *node.comparators])]
+    assert not cutoffs, f"frames compares against 0.999: {cutoffs}"
