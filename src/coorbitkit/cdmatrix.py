@@ -11,6 +11,7 @@ frame operator A <= S <= B, its count fixed by the rate q = (B - A)/(B + A).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -186,20 +187,17 @@ def identity_cd(sample: SampleSet, p: float = 1.0,
 # holomorphic functional calculus by power series
 
 
-def _series_coefficients(phi: str, n_terms: int) -> np.ndarray:
-    """Coefficients a_n of phi(S) = sum a_n (I - S)^n.
+def _series_coefficients(phi: str):
+    """The coefficients a_0, a_1, ... of phi(S) = sum a_n (I - S)^n, formed as they are read.
 
-    inverse: a_n = 1; inverse_sqrt: a_0 = 1, a_{n+1} = a_n (n + 1/2)/(n + 1),
-    generated by recurrence to avoid factorial overflow.
+    inverse: a_n = 1; inverse_sqrt: a_0 = 1, a_n = a_{n-1} (n - 1/2)/n, generated by
+    recurrence to avoid factorial overflow.  A sum of n terms forms only a_0 .. a_n.
     """
     if phi == "inverse":
-        return np.ones(n_terms)
+        return itertools.repeat(1.0)
     if phi == "inverse_sqrt":
-        a = np.empty(n_terms)
-        a[0] = 1.0
-        for n in range(n_terms - 1):
-            a[n + 1] = a[n] * (n + 0.5) / (n + 1.0)
-        return a
+        return itertools.accumulate(itertools.count(1), lambda a, n: a * (n - 0.5) / n,
+                                    initial=1.0)
     raise InvalidParameterError(f"unknown series function {phi!r}")
 
 
@@ -230,13 +228,14 @@ def _series_apply(s: np.ndarray, phi: str, eps_bound: float, tail_tol: float,
             raise NotContractiveError(
                 f"||S - I||_2 = {dev:.4f} exceeds the contractivity budget "
                 f"{min(eps_bound, 1.0):.4f}; densify the sample set")
-    coeffs = _series_coefficients(phi, (n_fixed or max_terms) + 1)
+    coeffs = _series_coefficients(phi)
+    next(coeffs)  # a_0 = 1, the identity the result starts from
     scale = omega if phi == "inverse" else math.sqrt(omega)
     result = np.eye(s.shape[0], dtype=complex)
     power = np.eye(s.shape[0], dtype=complex)
     for n in range(1, max_terms + 1):
         power = power @ d
-        term = coeffs[n] * power
+        term = next(coeffs) * power
         result = result + term
         tail_bound = dev ** (n + 1) / (1.0 - dev)
         if n == n_fixed or (n_fixed is None
@@ -264,7 +263,7 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     theta = minimal_envelope(diff)
     rel = rel_separation(a.cols)
     eye_env = identity_cd(a.rows).envelope
-    coeffs = _series_coefficients(phi, n_terms + 1)
+    coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
     env_vals = np.abs(coeffs[0]) * eye_env.values.real
     power = theta
     for n in range(1, n_terms + 1):

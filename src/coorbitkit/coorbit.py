@@ -5,6 +5,11 @@ every operator acts on the representation space directly; the quasi-norms are th
 ones that distinguish coorbit levels.  Implicit constants are never invented:
 each report carries a constant calibrated by the documented sampling battery in
 ``calibrate_constants`` and the measured quantity it certifies.
+
+Both quasi-norms take a stack: ``coorbit_norm`` a (k, dim) array of vectors and
+``sequence_norm`` a (k, |Lambda|) array of sequences give k norms, each
+bit-identical to the row's own call.  Every sup over sampled vectors measures
+its whole sample in one call per norm.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ from .errors import (
     InvalidParameterError,
     NoCertificateError,
     NotAFrameError,
+    NotContractiveError,
     NotDenseError,
 )
 from .frames import (
     KernelSystem,
     MoleculeCertificate,
     Representation,
+    _matvecs,
     build_almost_tight_frame,
     dual_frame,
     fit_envelope,
@@ -42,11 +49,14 @@ class SequenceSpaceSpec:
     sample: SampleSet
 
 
-def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
-    """||c||_{Y_d} = || sum_i |c_i| 1_{lambda_i Q} ||_Y (optionally with another Q)."""
+def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None):
+    """||c||_{Y_d} = || sum_i |c_i| 1_{lambda_i Q} ||_Y (optionally with another Q).
+
+    ``c`` of shape (|Lambda|,) gives a float; a (k, |Lambda|) stack gives k norms.
+    """
     c = np.asarray(c)
     sample = sspec.sample
-    if c.shape != (len(sample),):
+    if c.shape[-1:] != (len(sample),):
         raise IncompatibleOperandsError(
             f"coefficient vector must have length {len(sample)}, got {c.shape}"
         )
@@ -54,16 +64,25 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None) -> float:
     return magnitude_norm(model, model.q_spread(np.abs(c), sample.points, q_indices), sspec.base)
 
 
-def _ratios(num, den, samples) -> list:
-    """num(s) / den(s) for every sample s with den(s) > 0; raises if there is none."""
-    out = []
-    for s in samples:
-        d = den(s)
-        if d > 0:
-            out.append(num(s) / d)
-    if not out:
-        raise InvalidParameterError("no sample has a positive denominator")
+def _stack(vectors, dim: int) -> np.ndarray:
+    """The vectors as the rows of a (k, dim) complex array; no vectors give k = 0."""
+    try:
+        out = np.asarray(vectors, dtype=complex)
+    except ValueError as exc:  # rows of unequal length
+        raise IncompatibleOperandsError(f"every vector must have length {dim}") from exc
+    if not out.size:
+        return out.reshape(0, dim)
+    if out.ndim != 2 or out.shape[1] != dim:
+        raise IncompatibleOperandsError(f"every vector must have length {dim}, got {out.shape}")
     return out
+
+
+def _ratios(num, den) -> np.ndarray:
+    """num / den over the entries with den > 0; raises if there is none."""
+    keep = den > 0
+    if not np.any(keep):
+        raise InvalidParameterError("no sample has a positive denominator")
+    return num[keep] / den[keep]
 
 
 @dataclass
@@ -89,20 +108,21 @@ class CoorbitContext:
         return cls(kernel_system=ks, y_spec=y_spec, weight=w, p=p, window_amalgam=amalgam)
 
 
-def coorbit_norm(ctx: CoorbitContext, f: np.ndarray) -> float:
-    """||f||_{Co(Y)} = ||V_g f||_{W^L(Y)}."""
-    vf = ctx.kernel_system.voice(f)
-    return amalgam_norm(vf, QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight,
-                                          flavor="left"))
+def coorbit_norm(ctx: CoorbitContext, f: np.ndarray):
+    """||f||_{Co(Y)} = ||V_g f||_{W^L(Y)}; a (k, dim) stack of vectors gives k norms."""
+    ks = ctx.kernel_system
+    return magnitude_norm(ks.rep.model, np.abs(ks.voices(f)),
+                          QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="left"))
 
 
 def window_independence_ratio(ctx: CoorbitContext, other_window: np.ndarray,
                               f_samples: Sequence[np.ndarray]) -> dict:
     """Extreme ratios of the two coorbit quasi-norms over a sample of vectors."""
     alt = CoorbitContext.build(ctx.kernel_system.rep, other_window, ctx.y_spec, ctx.weight, ctx.p)
-    ratios = _ratios(lambda f: coorbit_norm(ctx, f), lambda f: coorbit_norm(alt, f), f_samples)
-    return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios)),
-            "spread": float(max(ratios) / min(ratios))}
+    f_samples = _stack(f_samples, ctx.kernel_system.rep.dim)
+    ratios = _ratios(coorbit_norm(ctx, f_samples), coorbit_norm(alt, f_samples))
+    return {"min_ratio": float(ratios.min()), "max_ratio": float(ratios.max()),
+            "spread": float(ratios.max() / ratios.min())}
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +157,19 @@ def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
                               f_samples: Sequence[np.ndarray]) -> float:
     """sup over samples of ||C f||_{Y_d} / ||f||_{Co(Y)}."""
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
-    conj_atoms = np.asarray(atoms).conj()
-    return max(_ratios(lambda f: sequence_norm(conj_atoms @ f, sspec),
-                       lambda f: coorbit_norm(ctx, f), f_samples))
+    f_samples = _stack(f_samples, ctx.kernel_system.rep.dim)
+    coefficients = _matvecs(np.asarray(atoms).conj(), f_samples)
+    return float(_ratios(sequence_norm(coefficients, sspec), coorbit_norm(ctx, f_samples)).max())
 
 
 def measured_reconstruction_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
                                  c_samples: Sequence[np.ndarray]) -> float:
     """sup over samples of ||D c||_{Co(Y)} / ||c||_{Y_d}."""
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
-    atoms = np.asarray(atoms)
-    return max(_ratios(lambda c: coorbit_norm(ctx, np.asarray(c, dtype=complex) @ atoms),
-                       lambda c: sequence_norm(c, sspec), c_samples))
+    c_samples = _stack(c_samples, len(sample))
+    # c @ atoms for each row c, one vector-matrix product per row as in _matvecs
+    images = np.matmul(c_samples[:, None, :], np.asarray(atoms))[:, 0]
+    return float(_ratios(coorbit_norm(ctx, images), sequence_norm(c_samples, sspec)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +189,15 @@ class Calibration:
     battery: list
 
 
-def _random_vectors(rng, dim: int, count: int) -> list:
-    out = [np.eye(dim)[j] + 0j for j in range(dim)]
-    for _ in range(count):
-        out.append(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-    return out
+def _random_vectors(rng, dim: int, count: int) -> np.ndarray:
+    """The dim basis vectors, then ``count`` seeded complex Gaussian vectors, as rows."""
+    return np.concatenate([np.eye(dim, dtype=complex), _random_sequences(rng, count, dim)])
+
+
+def _random_sequences(rng, count: int, length: int) -> np.ndarray:
+    """``count`` complex Gaussian rows, each drawing its real part and then its imaginary part."""
+    z = rng.normal(size=(count, 2, length))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def _calibration_samples(model, seed: int) -> list:
@@ -220,7 +245,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             fs = build_almost_tight_frame(ks, lam, model.q_indices)
             if fs.bounds[0] > 1e-9:
                 families["dual"] = dual_frame(fs, p=ctx.p, weight=ctx.weight)
-        except (NotAFrameError, NotDenseError):
+        except (NotAFrameError, NotDenseError, NotContractiveError):
             pass
         for t in range(2):
             coeff = rng.normal(size=model.size) * np.exp(
@@ -228,12 +253,13 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             # images T h of the atoms under T = sum_x coeff(x) pi(x)
             families[f"conv{t}"] = np.array([coeff @ rep.orbit(a) for a in atoms0])
 
-        c_samples = [rng.normal(size=len(lam)) + 1j * rng.normal(size=len(lam))
-                     for _ in range(n_random)]
-        c_samples.extend(np.eye(len(lam)))  # delta sequences are often extremal
+        # random sequences, delta sequences (often extremal), then the coefficients
+        # of the sampled vectors against the dual family and the atoms
+        c_samples = [_random_sequences(rng, n_random, len(lam)), np.eye(len(lam))]
         if "dual" in families:
-            c_samples.extend(np.asarray(families["dual"]).conj() @ f for f in f_samples)
-        c_samples.extend(atoms0.conj() @ f for f in f_samples)
+            c_samples.append(_matvecs(np.asarray(families["dual"]).conj(), f_samples))
+        c_samples.append(_matvecs(atoms0.conj(), f_samples))
+        c_samples = np.concatenate(c_samples)
         rel = rel_separation(lam)
         for name, atoms in families.items():
             cert = fit_envelope(ks, atoms, lam, ctx.p, ctx.weight)
@@ -273,16 +299,13 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
     y_seq = SequenceSpaceSpec(base=ctx_y.y_spec, sample=sample)
     z_seq = SequenceSpaceSpec(base=ctx_z.y_spec, sample=sample)
 
-    coefficient_seqs = [dual_atoms.conj() @ f for f in f_samples]
-    extra_seqs = [rng.normal(size=len(sample)) + 1j * rng.normal(size=len(sample))
-                  for _ in range(n_samples)]
+    seqs = np.concatenate([_matvecs(dual_atoms.conj(), f_samples),
+                           _random_sequences(rng, n_samples, len(sample))])
 
-    emb = max(_ratios(lambda f: coorbit_norm(ctx_z, f), lambda f: coorbit_norm(ctx_y, f),
-                      f_samples))
+    emb = float(_ratios(coorbit_norm(ctx_z, f_samples), coorbit_norm(ctx_y, f_samples)).max())
     c_norm = measured_coefficient_norm(ctx_y, dual_atoms, sample, f_samples)
-    iota = max(_ratios(lambda c: sequence_norm(c, z_seq), lambda c: sequence_norm(c, y_seq),
-                       coefficient_seqs + extra_seqs))
-    d_norm = measured_reconstruction_norm(ctx_z, atoms, sample, coefficient_seqs + extra_seqs)
+    iota = float(_ratios(sequence_norm(seqs, z_seq), sequence_norm(seqs, y_seq)).max())
+    d_norm = measured_reconstruction_norm(ctx_z, atoms, sample, seqs)
 
     bound = d_norm * iota * c_norm
     return {
@@ -315,10 +338,10 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     cert = fit_envelope(ks, images, sample, ctx.p, ctx.weight)
 
     f_samples = _random_vectors(rng, ks.rep.dim, 20)
-    measured = max(_ratios(lambda f: coorbit_norm(ctx, t_matrix @ f),
-                           lambda f: coorbit_norm(ctx, f), f_samples))
+    measured = float(_ratios(coorbit_norm(ctx, _matvecs(t_matrix, f_samples)),
+                             coorbit_norm(ctx, f_samples)).max())
     c_norm = measured_coefficient_norm(ctx, dual_atoms, sample, f_samples)
-    induced = [dual_atoms.conj() @ f for f in f_samples]
+    induced = _matvecs(dual_atoms.conj(), f_samples)
     d_images = measured_reconstruction_norm(ctx, images, sample, induced)
     bound = cal.reconstruction_c * cert.amalgam_value * c_norm
     return {
@@ -336,6 +359,8 @@ def wiener_vs_plain_ratio(ctx: CoorbitContext, f_samples: Sequence[np.ndarray]) 
     """Extreme ratios ||V_g f||_{W^L(Y)} / ||V_g f||_Y over the samples."""
     plain = QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="plain")
     wiener = QuasiNormSpec(p=ctx.y_spec.p, weight=ctx.y_spec.weight, flavor="left")
-    vfs = (ctx.kernel_system.voice(f) for f in f_samples)
-    ratios = _ratios(lambda vf: amalgam_norm(vf, wiener), lambda vf: amalgam_norm(vf, plain), vfs)
-    return {"min": float(min(ratios)), "max": float(max(ratios))}
+    ks = ctx.kernel_system
+    mags = np.abs(ks.voices(_stack(f_samples, ks.rep.dim)))
+    ratios = _ratios(magnitude_norm(ks.rep.model, mags, wiener),
+                     magnitude_norm(ks.rep.model, mags, plain))
+    return {"min": float(ratios.min()), "max": float(ratios.max())}

@@ -122,6 +122,15 @@ def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
 # kernel systems, frames and molecules
 
 
+def _matvecs(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for each row v of a (..., m) stack.
+
+    One matrix-vector product per row, the product a lone vector takes: a single
+    matrix-matrix product over the stack rounds differently.
+    """
+    return np.matmul(matrix, vectors[..., None])[..., 0]
+
+
 @dataclass
 class KernelSystem:
     """Window g and its orbit pi(x) g, formed once; V_g f, kernels and atoms read the orbit."""
@@ -163,10 +172,19 @@ class KernelSystem:
 
     def voice(self, f: np.ndarray) -> GridFunction:
         """V_g f(x) = <f, pi(x) g> at every carrier point."""
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (self.rep.dim,):
+        if np.shape(f) != (self.rep.dim,):
             raise IncompatibleOperandsError("vector length must match the representation")
-        return GridFunction(self.rep.model, self.orbit.conj() @ f)
+        return GridFunction(self.rep.model, self.voices(f))
+
+    def voices(self, f: np.ndarray) -> np.ndarray:
+        """V_g f for each row f of a (..., dim) stack, as a (..., n) array of finite values."""
+        f = np.asarray(f, dtype=complex)
+        if f.shape[-1:] != (self.rep.dim,):
+            raise IncompatibleOperandsError("vector length must match the representation")
+        values = _matvecs(self.orbit.conj(), f)
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameterError("grid function entries must be finite")
+        return values
 
     def kernels(self, points) -> np.ndarray:
         """Kernel columns [x, i] = K_{points[i]}(x) = <pi(points[i]) g, pi(x) g>."""

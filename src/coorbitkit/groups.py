@@ -23,12 +23,15 @@ vector per element of ``u``, so peak memory stays at one ``len(points)`` vector.
 Local maxima.  ``GroupModel.local_max(mag, side)`` is the second primitive: the
 max over q in Q of ``mag`` at x·q (left) or q·x (right), an absent product
 reading 0; the local maximal functions M^L, M^R and the amalgams W^L(Y), W^R(Y)
-are built on it.  The base class takes the max over ``translates`` and is the
-test oracle.  Three models override it with the same products, so the maxima
-are bit-identical: the line's Q is a contiguous index window around the
-identity (x·q = q·x = x + q), read as one sliding-window max; on Z_N x Z_N the
-index of x·q equals that of q·x, so one |Q| x n product table built at
-construction serves both sides; on the affine grid x·q = (x + a q_x, a q_a)
+are built on it.  ``mag`` is (..., n): a stack of rows gets one maximal
+function per row, bit-identical to the row's own call.  The base class takes
+the max over ``translates`` and is the test oracle.  Three models override it
+with the same products, so the maxima are bit-identical: the line's Q is a
+contiguous index window around the identity (x·q = q·x = x + q), read as one
+sliding-window max; on Z_N x Z_N the index of x·q equals that of q·x, so one
+|Q| x n product table built at construction serves both sides (a stack takes
+|Q| in-place maxima over its rows, so the temporary stays one stack, not |Q|
+of them); on the affine grid x·q = (x + a q_x, a q_a)
 and Q = Q_x x Q_a, so M^L is a sliding-window max over the scale shifts q_a
 followed by one gather per q_x, whose x-index is snapped from the same float
 expression as ``mul_indices``.  Affine M^R keeps the base loop.
@@ -45,18 +48,20 @@ dilated along the scale axis by the shifts of Q_a; the index set is the same.
 Push sums.  ``GroupModel.q_spread(mags, points, u)``, the adjoint of ``local_max``,
 is the fourth primitive: sum_i mags_i 1_{p_i U} (U = Q by default), whose amalgam
 norm is the Y_d sequence norm and whose value at ``mags`` = 1 is the multiplicity
-of the translates p_i U.  The base class, the test oracle, adds ``mags`` along each
-``translates`` vector into a padded accumulator.  On a snapped grid two u_j can
+of the translates p_i U.  ``mags`` is (..., |P|): a stack of rows gets one push
+sum per row, shape (..., n).  The base class, the test oracle, adds ``mags`` along
+each ``translates`` vector into a padded accumulator.  On a snapped grid two u_j can
 give p_i one product, which the indicator 1_{p_i U} counts once: the base class
 keeps the first such u_j.  Z_N x Z_N makes one ``np.bincount`` over the U-major
-product table (its products p_i u_j are distinct); bincount adds in input order
-from 0.0, so each entry sums its terms in the base loop's order (u outer, i inner)
-and the result is bit-identical.
+product table (its products p_i u_j are distinct), with row r of a stack offset
+by r·n; bincount adds in input order from 0.0, so each entry sums its terms in the
+base loop's order (u outer, i inner) and the result is bit-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,8 +102,9 @@ def _window_max(values, lo: int, hi: int) -> np.ndarray:
 
 
 def padded(values, fill=0.0) -> np.ndarray:
-    """``values`` followed by one pad slot holding ``fill``, read by ABSENT indices."""
-    return np.append(np.asarray(values), fill)
+    """``values`` with one pad slot holding ``fill`` after its last axis, read by ABSENT indices."""
+    values = np.asarray(values)
+    return np.concatenate([values, np.full(values.shape[:-1] + (1,), fill)], axis=-1)
 
 
 def index_pairs(n: int, exhaustive_limit: int, sample_size: int, seed: int):
@@ -167,11 +173,14 @@ class GroupModel:
         return (self.mul_indices(uj, points) for uj in np.asarray(u))
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
-        """max over q in Q of ``mag`` (nonnegative) at x·q (left) or q·x (right); absent reads 0."""
+        """max over q in Q of ``mag`` (nonnegative, (..., n)) at x·q (left) or q·x (right).
+
+        An absent product reads 0.
+        """
         mag = padded(mag)
-        out = np.zeros(self.size)
+        out = np.zeros(mag.shape[:-1] + (self.size,))
         for t in self.translates(np.arange(self.size), self.q_indices, side):
-            np.maximum(out, mag[t], out=out)
+            np.maximum(out, mag[..., t], out=out)
         return out
 
     def q_neighbourhood(self, points) -> np.ndarray:
@@ -185,6 +194,7 @@ class GroupModel:
         """sum_i ``mags``_i 1_{p_i U} over the carrier, U = Q by default; absent products drop.
 
         1_{p_i U} is an indicator: a product p_i u_j that an earlier u_j gave is not added again.
+        ``mags`` may be a (..., len(points)) stack; each row gets its own sum.
         """
         u = self.q_indices if u is None else np.asarray(u, dtype=int)
         t = np.array(list(self.translates(points, u)), dtype=int).reshape(len(u), np.size(points))
@@ -192,10 +202,11 @@ class GroupModel:
         s = np.take_along_axis(t, order, axis=0)
         s[1:][s[1:] == s[:-1]] = ABSENT  # a product an earlier u_j gave
         np.put_along_axis(t, order, s, axis=0)
-        acc = np.zeros(self.size + 1)  # pad slot absorbs absent products
+        mags = np.asarray(mags)
+        acc = np.zeros(mags.shape[:-1] + (self.size + 1,))  # pad slot absorbs absent products
         for row in t:
-            np.add.at(acc, row, mags)
-        return acc[:-1]
+            np.add.at(acc, (..., row), mags)
+        return acc[..., :-1]
 
     def div_indices(self, i, j) -> np.ndarray:
         """Index of x_i^{-1} x_j, -1 when absent."""
@@ -266,16 +277,30 @@ class CyclicPhaseSpace(GroupModel):
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         _check_side(side)
-        return np.asarray(mag)[self._q_table].max(axis=0)
+        mag = np.asarray(mag)
+        if mag.ndim == 1:  # one |Q| x n gather, the faster form for a single vector
+            return mag[self._q_table].max(axis=0)
+        # a stack: one in-place max per q keeps the result C-contiguous, so its
+        # row sums add in the 1-D order, and the temporary at one stack
+        out = np.take(mag, self._q_table[0], axis=-1)
+        for t in self._q_table[1:]:
+            np.maximum(out, np.take(mag, t, axis=-1), out=out)
+        return out
 
     def q_spread(self, mags, points, u=None) -> np.ndarray:
-        # one row of t per u, so bincount adds in the base loop's order
+        # one row of t per u, so bincount adds in the base loop's order; row r of a
+        # stack writes to bins offset by r * size
         points = np.asarray(points, dtype=int)
         if u is None:
             t = self._q_table[:, points]
         else:
             t = self.mul_indices(points[None, :], np.asarray(u, dtype=int)[:, None])
-        return np.bincount(t.ravel(), np.tile(mags, len(t)), minlength=self.size)
+        mags = np.asarray(mags)
+        rows = mags.reshape(math.prod(mags.shape[:-1]), len(points))
+        bins = t.ravel() + self.size * np.arange(len(rows))[:, None]
+        sums = np.bincount(bins.ravel(), np.tile(rows, len(t)).ravel(),
+                           minlength=len(rows) * self.size)
+        return sums.reshape(mags.shape[:-1] + (self.size,))
 
     @property
     def has_trivial_cocycle(self) -> bool:
@@ -427,17 +452,19 @@ class AffineGridModel(GroupModel):
             return super().local_max(mag, side)
         q_x, q_a = self._q_windows()
         s_a = q_a + self._m_lo
+        lead = np.shape(mag)[:-1]
         # scale shifts first, then a zero pad row that absent x-indices read
-        scaled = _window_max(np.reshape(mag, (self.n_x, self.n_a)), s_a[0], s_a[-1])
-        scaled = np.vstack([scaled, np.zeros((1, self.n_a))])
-        out = np.zeros((self.n_x, self.n_a))
+        scaled = _window_max(np.reshape(mag, lead + (self.n_x, self.n_a)), s_a[0], s_a[-1])
+        scaled = np.concatenate([scaled, np.zeros(lead + (1, self.n_a))], axis=-2)
+        out = np.zeros(lead + (self.n_x, self.n_a))
         for jq in q_x:
             # the float expression of mul_indices, broadcast over the grid
             x = self.x_coords[:, None] + self.a_coords[None, :] * self.x_coords[jq]
             jx, ok = self._snap_x(x)
             jx[~ok] = self.n_x
-            np.maximum(out, np.take_along_axis(scaled, jx, axis=0), out=out)
-        return out.ravel()
+            np.maximum(out, np.take_along_axis(scaled, jx.reshape((1,) * len(lead) + jx.shape),
+                                               axis=-2), out=out)
+        return out.reshape(lead + (self.size,))
 
     def q_neighbourhood(self, points) -> np.ndarray:
         # p·q = (x_p + a_p q_x, a_p q_a): per q_x, mark (x-index of p·q_x, scale of p),

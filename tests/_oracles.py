@@ -10,9 +10,12 @@ around I, with its eigendecomposition fallback, the oracle of the relaxed
 series), and the affine group law is a scalar product per pair of points of
 the per-point affine carrier.  One section keeps the GridFunction compositions
 that the amalgam-norm kernel, the molecule bound, the pair check and the direct
-holomorphic envelopes replaced, so the tests can pin those to them bit for bit.
+holomorphic envelopes replaced, and the power series with its coefficients built
+eagerly, so the tests can pin those to them bit for bit.
 The last section holds helpers that only the tests call.
 """
+
+import itertools
 
 import numpy as np
 
@@ -326,8 +329,8 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
 
 
 # ---------------------------------------------------------------------------
-# the compositions the norm kernel, the molecule bound, the pair check and the
-# direct holomorphic envelopes replaced
+# the compositions the norm kernel, the molecule bound, the pair check, the
+# direct holomorphic envelopes and the lazy series coefficients replaced
 
 
 def composed_amalgam_norm(f, spec):
@@ -362,13 +365,35 @@ def composed_product_envelope(a, b):
     )
 
 
+def eager_series_apply(s, phi, eps_bound, tail_tol):
+    """The unrelaxed power series with all 20,001 coefficients built before summing."""
+    max_terms = 20_000
+    coeffs = np.ones(max_terms + 1)
+    if phi == "inverse_sqrt":
+        for n in range(max_terms):
+            coeffs[n + 1] = coeffs[n] * (n + 0.5) / (n + 1.0)
+    d = np.eye(len(s)) - np.asarray(s, dtype=complex)
+    dev = float(np.linalg.norm(d, 2))
+    assert dev < min(eps_bound, 1.0)
+    result = np.eye(len(s), dtype=complex)
+    power = np.eye(len(s), dtype=complex)
+    for n in range(1, max_terms + 1):
+        power = power @ d
+        term = coeffs[n] * power
+        result = result + term
+        tail_bound = dev ** (n + 1) / (1.0 - dev)
+        if float(np.linalg.norm(term, 2)) + tail_bound <= tail_tol:
+            return result, n, tail_bound
+    raise AssertionError("the series did not converge")
+
+
 def composed_holomorphic_envelope(a, phi, tail_tol=1e-10):
     """The envelope of phi(A), each Theta^{(n+1)} read off the full product of CD-matrices."""
     _, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(len(a.rows)),
                     context=dict(a.context))
     diff.envelope = minimal_envelope(diff)
-    coeffs = _series_coefficients(phi, n_terms + 1)
+    coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
     env_vals = np.abs(coeffs[0]) * identity_cd(a.rows).envelope.values.real
     power = diff
     for n in range(1, n_terms + 1):

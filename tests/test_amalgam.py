@@ -28,7 +28,7 @@ from coorbitkit import (
     twisted_convolve,
     unit_weight,
 )
-from coorbitkit.amalgam import _convolve_values
+from coorbitkit.amalgam import _convolve_values, magnitude_norm
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
     InvalidWeightError
 
@@ -328,6 +328,34 @@ class TestConvolutionRelation:
         assert ratios.max() / ratios.min() < 10.0
 
 
+STACK_MODELS = {
+    "line": lambda: build_real_line(4.0, 0.25),
+    "affine": lambda: build_affine_grid(2.0, 0.25, 0.3, 3.0, 1.5),
+    "cyclic5": lambda: build_cyclic_phase_space(5),
+    "cyclic8": lambda: build_cyclic_phase_space(8),
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_MODELS))
+def test_magnitude_norm_stack_rows_match_single_calls(name):
+    # every row of a stack bit for bit as its own call: the row sums add in the
+    # 1-D order and the root is numpy's scalar power
+    model = STACK_MODELS[name]()
+    rng = np.random.default_rng(9)
+    stack = np.abs(rng.normal(size=(4, model.size)))
+    stack[1] = 0.0
+    weight = 1.0 + rng.random(model.size)
+    for p in (1.0 / 3.0, 0.5, 1.0, 2.0, np.inf):
+        for flavor in ("plain", "left", "right", "two_sided"):
+            spec = QuasiNormSpec(p=p, weight=weight, flavor=flavor)
+            got = magnitude_norm(model, stack, spec)
+            assert got.shape == (4,)
+            singles = [magnitude_norm(model, mags, spec) for mags in stack]
+            assert all(isinstance(x, float) for x in singles)
+            assert np.array_equal(got, singles), (p, flavor)
+    assert isinstance(magnitude_norm(model, np.zeros(model.size), QuasiNormSpec(p=np.inf)), float)
+
+
 class TestEmbeddingConstant:
     def test_single_delta_closed_form(self):
         m = build_cyclic_phase_space(4)
@@ -345,6 +373,19 @@ class TestEmbeddingConstant:
         mass = cyclic8.total_mass()
         assert report.max_ratio == pytest.approx(mass ** (1.0 - 2.0))
         assert report.max_ratio <= 1.0
+
+    def test_stack_matches_per_sample_ratios(self, cyclic8):
+        fs = [random_grid(cyclic8, 40 + k) for k in range(4)]
+        fs.append(GridFunction(cyclic8, np.zeros(64)))
+        w = unit_weight(cyclic8)
+        report = embedding_constant_check(fs, 0.5, 1.0, w)
+        plain, left = QuasiNormSpec(p=1.0, weight=w), QuasiNormSpec(p=0.5, weight=w, flavor="left")
+        ratios = [lpw_norm(f, plain) / amalgam_norm(f, left) for f in fs[:4]] + [0.0]
+        assert report.ratios == ratios and report.max_ratio == max(ratios)
+        with pytest.raises(IncompatibleOperandsError):
+            embedding_constant_check([fs[0], random_grid(build_cyclic_phase_space(4), 1)],
+                                     0.5, 1.0, w)
+        assert embedding_constant_check([], 0.5, 1.0, w).max_ratio == 0.0
 
     def test_same_exponent_dominated(self, cyclic8):
         fs = [random_grid(cyclic8, 30 + k) for k in range(5)]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from coorbitkit import (
     gabor_representation,
     gaussian_window,
     gramian,
+    holomorphic_apply,
     identity_cd,
     matrix_holomorphic,
     minimal_envelope,
@@ -20,13 +23,15 @@ from coorbitkit import (
     verify_envelope,
     voice_transform,
 )
+from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.errors import (
     IncompatibleOperandsError,
+    InvalidParameterError,
     NoCertificateError,
     NotContractiveError,
 )
 
-from _oracles import composed_holomorphic_envelope
+from _oracles import composed_holomorphic_envelope, eager_series_apply
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +245,38 @@ class TestMatrixHolomorphic:
         a.entries = 3.0 * a.entries
         with pytest.raises(NotContractiveError):
             matrix_holomorphic(a, "inverse")
+
+
+class TestLazySeriesCoefficients:
+    """The series forms a_n as it sums; values and term counts match the eager coefficients."""
+
+    def test_stream_matches_eager_recurrence(self):
+        eager = np.ones(20_001)
+        for n in range(20_000):
+            eager[n + 1] = eager[n] * (n + 0.5) / (n + 1.0)
+        stream = itertools.islice(_series_coefficients("inverse_sqrt"), 20_001)
+        assert np.array_equal(np.fromiter(stream, float), eager)
+        assert list(itertools.islice(_series_coefficients("inverse"), 3)) == [1.0, 1.0, 1.0]
+        with pytest.raises(InvalidParameterError):
+            _series_coefficients("log")
+
+    @pytest.mark.parametrize("seed, scale, terms, holomorphic_terms",
+                             [(14, 0.3, 19, 23), (16, 0.99, 2749, 3207)])
+    def test_inverse_sqrt_pinned(self, model, seed, scale, terms, holomorphic_terms):
+        lam = SampleSet(model=model, points=np.arange(0, 64, 2))
+        perturb = random_localized(model, lam, seed)
+        a = CDMatrix(rows=lam, cols=lam, entries=np.eye(32)
+                     + scale / np.linalg.norm(perturb.entries, 2) * perturb.entries)
+        a.envelope = minimal_envelope(a)
+        expected, n_terms, tail = eager_series_apply(a.entries, "inverse_sqrt", 0.999999, 1e-10)
+        result = _series_apply(a.entries, "inverse_sqrt", 0.999999, 1e-10)
+        assert np.array_equal(result[0], expected) and result[1:] == (n_terms, tail)
+        assert n_terms == terms
+        if terms < 100:  # the propagated envelope overflows long before 2,749 terms
+            assert np.array_equal(matrix_holomorphic(a, "inverse_sqrt").entries, expected)
+        expected, n_terms, _ = eager_series_apply(a.entries, "inverse_sqrt", 0.999, 1e-12)
+        assert n_terms == holomorphic_terms
+        assert np.array_equal(holomorphic_apply(a.entries, "inverse_sqrt"), expected)
 
 
 def test_cd_matrix_json_object(model):

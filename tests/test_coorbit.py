@@ -32,7 +32,7 @@ from coorbitkit import (
 )
 from coorbitkit.coorbit import measured_coefficient_norm, measured_reconstruction_norm
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
-    NoCertificateError
+    NoCertificateError, NotContractiveError
 
 
 @pytest.fixture(scope="module")
@@ -410,3 +410,101 @@ class TestMeasuredNorms:
         cs = [rng.normal(size=16) for _ in range(5)]
         val = measured_reconstruction_norm(ctx, atoms, lam, cs)
         assert val > 0
+
+
+class TestStacks:
+    """A stack of vectors or sequences gets the norms its rows get one at a time."""
+
+    @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 1.0, 2.0, np.inf])
+    def test_coorbit_norm_stack_matches_rows(self, setup, p):
+        model, rep, g, ks = setup
+        w = symmetrize_weight(model, 1.0 + np.arange(model.size) / 32.0, min(p, 1.0))
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=p, weight=w), w, min(p, 1.0))
+        stack = np.array(rand_vectors(8, 12, 21))
+        rows = np.array([coorbit_norm(ctx, f) for f in stack])
+        got = coorbit_norm(ctx, stack)
+        assert got.shape == (12,)
+        assert np.array_equal(got, rows)
+        assert isinstance(coorbit_norm(ctx, stack[0]), float)
+
+    @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 1.0, 2.0, np.inf])
+    def test_sequence_norm_stack_matches_rows(self, setup, p):
+        model, rep, g, ks = setup
+        for lam in (lattice(model, 2), SampleSet(model=model, points=np.arange(0, 64, 3))):
+            sspec = SequenceSpaceSpec(base=QuasiNormSpec(p=p), sample=lam)
+            stack = np.array(rand_vectors(len(lam), 9, 22))
+            for q in (None, block(model, 3)):
+                got = sequence_norm(stack, sspec, q)
+                assert np.array_equal(got, [sequence_norm(c, sspec, q) for c in stack])
+                assert np.array_equal(sequence_norm(stack.reshape(3, 3, -1), sspec, q),
+                                      got.reshape(3, 3))
+
+    def test_stack_errors(self, setup):
+        model, rep, g, ks = setup
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+        stack = np.array(rand_vectors(8, 3, 23))
+        with pytest.raises(IncompatibleOperandsError):
+            coorbit_norm(ctx, stack[:, :7])
+        bad = stack.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(InvalidParameterError, match="finite"):
+            coorbit_norm(ctx, bad)
+        sspec = SequenceSpaceSpec(base=QuasiNormSpec(p=1.0), sample=lattice(model, 2))
+        with pytest.raises(IncompatibleOperandsError):
+            sequence_norm(np.ones((3, 15)), sspec)
+        with pytest.raises(IncompatibleOperandsError):
+            sequence_norm(np.float64(1.0), sspec)
+        zeros = np.zeros((2, 8))
+        with pytest.raises(InvalidParameterError, match="positive denominator"):
+            window_independence_ratio(ctx, boxcar_window(model), zeros)
+        with pytest.raises(InvalidParameterError, match="positive denominator"):
+            measured_coefficient_norm(ctx, ks.orbit[lattice(model, 2).points],
+                                      lattice(model, 2), zeros)
+        with pytest.raises(InvalidParameterError, match="positive denominator"):
+            wiener_vs_plain_ratio(ctx, [])
+        lam = lattice(model, 2)
+        atoms = ks.orbit[lam.points]
+        for short in (stack[:, :7], [stack[0], stack[1, :7]]):
+            with pytest.raises(IncompatibleOperandsError):
+                measured_coefficient_norm(ctx, atoms, lam, short)
+        seqs = np.array(rand_vectors(len(lam), 3, 24))
+        for short in (seqs[:, :-1], [seqs[0], seqs[1, :-1]]):
+            with pytest.raises(IncompatibleOperandsError):
+                measured_reconstruction_norm(ctx, atoms, lam, short)
+
+    def test_ratio_sups_match_row_loops(self, setup):
+        model, rep, g, ks = setup
+        p = 0.5
+        w = symmetrize_weight(model, np.ones(model.size), p)
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=p, weight=w), w, p)
+        lam = lattice(model, 2)
+        sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=lam)
+        atoms = ks.orbit[lam.points]
+        fs = rand_vectors(8, 10, 24)
+        cs = rand_vectors(len(lam), 10, 25)
+        coefficient = max(sequence_norm(atoms.conj() @ f, sspec) / coorbit_norm(ctx, f)
+                          for f in fs)
+        reconstruction = max(coorbit_norm(ctx, c @ atoms) / sequence_norm(c, sspec) for c in cs)
+        assert measured_coefficient_norm(ctx, atoms, lam, fs) == coefficient
+        assert measured_reconstruction_norm(ctx, atoms, lam, cs) == reconstruction
+        ratios = [coorbit_norm(ctx, f) for f in fs]
+        alt = CoorbitContext.build(rep, boxcar_window(model), ctx.y_spec, w, p)
+        ratios = [r / coorbit_norm(alt, f) for r, f in zip(ratios, fs)]
+        result = window_independence_ratio(ctx, boxcar_window(model), fs)
+        assert (result["min_ratio"], result["max_ratio"]) == (min(ratios), max(ratios))
+
+
+def test_calibration_skips_a_dual_the_series_cannot_reach():
+    # B/A = 6,449 for this sample: the relaxed series would need 115,144 terms
+    model = build_cyclic_phase_space(4)
+    rep = gabor_representation(model)
+    g = gaussian_window(model)
+    ks = KernelSystem.build(rep, g)
+    lam = SampleSet(model=model, points=np.array([3, 6, 7, 8, 12]))
+    with pytest.raises(NotContractiveError):
+        dual_frame(build_almost_tight_frame(ks, lam, model.q_indices))
+    ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+    cal = calibrate_constants(ctx, lam)
+    assert [row["family"] for row in cal.battery if row["size"] == 5] == \
+        ["atoms", "shifted", "conv0", "conv1"]
+    assert np.isfinite(cal.coefficient_c) and np.isfinite(cal.reconstruction_c)

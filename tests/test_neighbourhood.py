@@ -116,6 +116,31 @@ def test_local_max_matches_base_loop(name):
                               GroupModel.local_max(model, mag, side))
 
 
+def test_local_max_stack_matches_base_loop_by_row(model):
+    rng = np.random.default_rng(7)
+    stack = rng.random((3, model.size))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    for side in ("left", "right"):
+        got = model.local_max(stack, side)
+        assert got.shape == stack.shape and got.flags.c_contiguous
+        for row, mag in zip(got, stack):
+            assert np.array_equal(row, GroupModel.local_max(model, mag, side))
+        assert np.array_equal(GroupModel.local_max(model, stack, side), got)
+        assert np.array_equal(model.local_max(stack.reshape(3, 1, -1), side), got[:, None])
+
+
+def test_q_spread_stack_matches_base_loop_by_row(model):
+    rng = np.random.default_rng(8)
+    for points in [*samples(model), np.array([], dtype=int)]:
+        stack = np.abs(rng.normal(size=(3, len(points))))
+        for u in [None, *q_and_qq(model)]:
+            got = model.q_spread(stack, points, u)
+            assert got.shape == (3, model.size)
+            for row, mags in zip(got, stack):
+                assert np.array_equal(row, GroupModel.q_spread(model, mags, points, u))
+            assert np.array_equal(GroupModel.q_spread(model, stack, points, u), got)
+
+
 def test_line_clipped_window_covers_carrier():
     model = LOCAL_MAX_MODELS["line_clipped"]()
     assert np.array_equal(model.q_indices, np.arange(model.size))

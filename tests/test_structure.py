@@ -175,3 +175,31 @@ def test_one_relaxed_series_for_every_frame():
                and any(isinstance(c, ast.Constant) and c.value == 0.999
                        for c in [node.left, *node.comparators])]
     assert not cutoffs, f"frames compares against 0.999: {cutoffs}"
+
+
+NORMS = ("coorbit_norm", "sequence_norm", "magnitude_norm", "amalgam_norm", "lpw_norm")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _norms_per_sample(tree) -> list:
+    """Norm calls inside a loop or a comprehension, and every lambda: a norm taken per sample."""
+    looped = [f"{ast.unparse(node)} (line {node.lineno})"
+              for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+              for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and any(_calls(name)(node) for name in NORMS)]
+    return looped + [f"lambda (line {node.lineno})" for node in ast.walk(tree)
+                     if isinstance(node, ast.Lambda)]
+
+
+def test_coorbit_norms_take_stacks():
+    """Every sup over samples measures its stack in one norm call; _ratios divides two arrays."""
+    tree = TREES["coorbit"]
+    assert not _norms_per_sample(tree), "coorbit.py takes a norm per sample"
+    (ratios,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_ratios"]
+    assert [arg.arg for arg in ratios.args.args] == ["num", "den"]
+
+
+def test_per_sample_norm_check_catches_a_loop():
+    tree = ast.parse("def f(ctx, fs):\n    return max(coorbit_norm(ctx, f) for f in fs)\n"
+                     "def g(s):\n    return _ratios(lambda c: 1.0, s)\n")
+    assert _norms_per_sample(tree) == ["coorbit_norm(ctx, f) (line 2)", "lambda (line 4)"]
