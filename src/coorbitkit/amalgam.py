@@ -234,10 +234,11 @@ def _convolve_values(model: GroupModel, v1: np.ndarray, v2: np.ndarray,
         rows = weighted[block]
         if not np.any(rows):
             continue
-        z = model.div_indices(block[:, None], x[None, :])
-        vals = v2_pad[z]
         if use_cocycle:
-            vals = vals * model.cocycle_values(block[:, None], z)  # absent entries stay zero
+            z = model.div_indices(block[:, None], x[None, :])
+            vals = v2_pad[z] * model.cocycle_values(block[:, None], z)  # absent entries stay zero
+        else:
+            vals = model.left_translates(v2, block)
         out += rows @ vals
     return out
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, involution
 from .errors import (
-    CoverageWarning,
     IncompatibleOperandsError,
     InvalidParameterError,
     NoCertificateError,
@@ -73,16 +71,10 @@ class CDMatrix:
         return obj
 
 
-def _relative_positions(a: CDMatrix):
-    """Indices of gamma_j^{-1} lambda_i, shape (m_rows, m_cols); -1 when absent."""
-    model = a.model
-    return model.div_indices(a.cols.points[None, :], a.rows.points[:, None])
-
-
 def verify_envelope(a: CDMatrix, phi: GridFunction) -> dict:
     """Exhaustive check of |A_ij| <= min over defined positions of the envelope."""
     model = a.model
-    z1 = _relative_positions(a)                       # gamma_j^{-1} lambda_i
+    z1 = model.div_indices(a.cols.points[None, :], a.rows.points[:, None])  # gamma_j^{-1} lambda_i
     z2 = model.div_indices(a.rows.points[:, None], a.cols.points[None, :])
     vals = padded(phi.values.real, np.inf)  # an absent position bounds nothing
     bound = np.minimum(vals[z1], vals[z2])
@@ -94,20 +86,9 @@ def verify_envelope(a: CDMatrix, phi: GridFunction) -> dict:
 def minimal_envelope(a: CDMatrix) -> GridFunction:
     """Smallest symmetric sampled envelope: per-bin max of |A_ij|, then symmetrized."""
     model = a.model
-    phi = np.zeros(model.size + 1)  # pad slot absorbs absent relative positions
-    z1 = _relative_positions(a)
-    mags = np.abs(a.entries)
-    if not np.all((z1 >= 0) | (mags == 0)):
-        warnings.warn(
-            "some nonzero entries have no carrier representative for their relative "
-            "position; the minimal envelope does not certify them",
-            CoverageWarning,
-        )
-    np.maximum.at(phi, z1, mags)
-    phi = phi[:-1]
-    env = GridFunction(model, phi)
-    sym = np.maximum(phi, involution(env).values.real)
-    return GridFunction(model, sym)
+    env = GridFunction(model, model.relative_max(np.abs(a.entries), a.rows.points,
+                                                 a.cols.points))
+    return GridFunction(model, np.maximum(env.values.real, involution(env).values.real))
 
 
 def schur_bounds(a: CDMatrix) -> dict:
@@ -251,7 +232,9 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     is the minimal envelope of A - I, Theta^{(n)} the n-fold product envelope,
     and the bump is the geometric operator-norm tail folded into a constant.
     Theta^{(n+1)} is the envelope ``product_with_envelope`` gives the product of
-    Theta^{(n)} and Theta, formed without the product's entries.
+    Theta^{(n)} and Theta, formed without the product's entries.  A long series
+    can overflow the envelope: the first term whose sum is not finite raises
+    ArithmeticError.
     """
     if not np.array_equal(a.rows.points, a.cols.points):
         raise IncompatibleOperandsError("holomorphic calculus needs a square sample")
@@ -265,11 +248,19 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     eye_env = identity_cd(a.rows).envelope
     coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
     env_vals = np.abs(coeffs[0]) * eye_env.values.real
-    power = theta
+    power = theta.values.real
     for n in range(1, n_terms + 1):
-        env_vals = env_vals + abs(coeffs[n]) * power.values.real
-        if n < n_terms:
-            power = GridFunction(a.model, molecule_bound(rel, [(theta, power), (power, theta)]))
+        with np.errstate(over="ignore"):  # the first non-finite term is named below
+            if n > 1:
+                prev = GridFunction(a.model, power)
+                try:
+                    power = molecule_bound(rel, [(theta, prev), (prev, theta)])
+                except InvalidParameterError:  # one of its convolutions overflowed
+                    power = np.full(a.model.size, np.inf)
+            env_vals = env_vals + abs(coeffs[n]) * power
+        if not np.all(np.isfinite(env_vals)):
+            raise ArithmeticError(f"the propagated envelope of the {phi} series overflows "
+                                  f"at term {n} of {n_terms}")
     env_vals = env_vals + op_tail  # constant bump dominating the truncated tail
     out = CDMatrix(rows=a.rows, cols=a.cols, entries=result,
                    envelope=GridFunction(a.model, env_vals), context=dict(a.context))

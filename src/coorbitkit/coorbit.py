@@ -156,10 +156,16 @@ def reconstruction_operator(ctx: CoorbitContext, atoms, cert: MoleculeCertificat
 def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
                               f_samples: Sequence[np.ndarray]) -> float:
     """sup over samples of ||C f||_{Y_d} / ||f||_{Co(Y)}."""
-    sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
     f_samples = _stack(f_samples, ctx.kernel_system.rep.dim)
+    return _coefficient_norm(ctx, atoms, sample, f_samples, coorbit_norm(ctx, f_samples))
+
+
+def _coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet, f_samples: np.ndarray,
+                      f_norms: np.ndarray) -> float:
+    """``measured_coefficient_norm`` of a (k, dim) stack whose coorbit norms are ``f_norms``."""
+    sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
     coefficients = _matvecs(np.asarray(atoms).conj(), f_samples)
-    return float(_ratios(sequence_norm(coefficients, sspec), coorbit_norm(ctx, f_samples)).max())
+    return float(_ratios(sequence_norm(coefficients, sspec), f_norms).max())
 
 
 def measured_reconstruction_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
@@ -235,6 +241,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
         sample_sets.append(sample)
 
     f_samples = _random_vectors(rng, rep.dim, n_random)
+    f_norms = coorbit_norm(ctx, f_samples)  # the denominator of every coefficient ratio
     coeff_best, recon_best, rows = 0.0, 0.0, []
     for lam in sample_sets:
         atoms0 = ks.orbit[lam.points]
@@ -265,7 +272,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             cert = fit_envelope(ks, atoms, lam, ctx.p, ctx.weight)
             if cert.amalgam_value == 0:
                 continue
-            mc = measured_coefficient_norm(ctx, atoms, lam, f_samples)
+            mc = _coefficient_norm(ctx, atoms, lam, f_samples, f_norms)
             mr = measured_reconstruction_norm(ctx, atoms, lam, c_samples)
             coeff_ratio = mc / (rel * cert.amalgam_value)
             recon_ratio = mr / cert.amalgam_value
@@ -302,8 +309,9 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
     seqs = np.concatenate([_matvecs(dual_atoms.conj(), f_samples),
                            _random_sequences(rng, n_samples, len(sample))])
 
-    emb = float(_ratios(coorbit_norm(ctx_z, f_samples), coorbit_norm(ctx_y, f_samples)).max())
-    c_norm = measured_coefficient_norm(ctx_y, dual_atoms, sample, f_samples)
+    y_norms = coorbit_norm(ctx_y, f_samples)
+    emb = float(_ratios(coorbit_norm(ctx_z, f_samples), y_norms).max())
+    c_norm = _coefficient_norm(ctx_y, dual_atoms, sample, f_samples, y_norms)
     iota = float(_ratios(sequence_norm(seqs, z_seq), sequence_norm(seqs, y_seq)).max())
     d_norm = measured_reconstruction_norm(ctx_z, atoms, sample, seqs)
 
@@ -338,9 +346,9 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     cert = fit_envelope(ks, images, sample, ctx.p, ctx.weight)
 
     f_samples = _random_vectors(rng, ks.rep.dim, 20)
-    measured = float(_ratios(coorbit_norm(ctx, _matvecs(t_matrix, f_samples)),
-                             coorbit_norm(ctx, f_samples)).max())
-    c_norm = measured_coefficient_norm(ctx, dual_atoms, sample, f_samples)
+    f_norms = coorbit_norm(ctx, f_samples)
+    measured = float(_ratios(coorbit_norm(ctx, _matvecs(t_matrix, f_samples)), f_norms).max())
+    c_norm = _coefficient_norm(ctx, dual_atoms, sample, f_samples, f_norms)
     induced = _matvecs(dual_atoms.conj(), f_samples)
     d_images = measured_reconstruction_norm(ctx, images, sample, induced)
     bound = cal.reconstruction_c * cert.amalgam_value * c_norm

@@ -56,6 +56,23 @@ keeps the first such u_j.  Z_N x Z_N makes one ``np.bincount`` over the U-major
 product table (its products p_i u_j are distinct), with row r of a stack offset
 by r·n; bincount adds in input order from 0.0, so each entry sums its terms in the
 base loop's order (u outer, i inner) and the result is bit-identical.
+
+Left translates.  ``GroupModel.left_translates(values, points)`` is the fifth
+primitive: row i is L_{p_i} v, x -> v(p_i^{-1} x) over the carrier, an absent
+product reading 0; ``values`` is one (n,) vector for every point or a stack with
+one row per point.  The untwisted convolution reads its rows from it, and
+``relative_max(mags, rows, cols)``, the envelope bins phi(z) = max |A_ij| over
+cols_j^{-1} rows_i = z, is built on it.  The base class gathers ``padded(values)``
+at ``div_indices`` and fills the bins by a scatter-max; both are the test
+oracles, and the scatter-max is the path of the snapped grids.  On Z_N x Z_N,
+p^{-1} x = (a - k_p, b - l_p) for x = (a, b): one vector or a stack is read as
+an N x N grid through two |P| x N tables of shifted coordinates.  x -> lambda^{-1}
+x is a bijection there, so phi(z) = max_j |A|[lambda_j z, j]: the columns are
+spread onto the carrier (0 off the rows), translated by lambda_j^{-1} and maxed
+over j; with fewer rows than half the carrier the scatter-max, whose cost goes
+with rows x cols, is the faster and is kept.  A gather moves values without
+arithmetic and a max is exact, so both are bit-identical.  Its ``div_indices``
+adds two N x N tables of coordinate differences.
 """
 
 from __future__ import annotations
@@ -63,6 +80,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -70,7 +88,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidParameterError, InvalidWeightError
+from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 
 ABSENT = -1
 
@@ -213,6 +231,38 @@ class GroupModel:
         inv_i = self.inv_indices(i)
         return np.where(inv_i >= 0, self.mul_indices(np.maximum(inv_i, 0), j), ABSENT)
 
+    def left_translates(self, values, points) -> np.ndarray:
+        """Row i is L_{p_i} v: x -> v(p_i^{-1} x) over the carrier; an absent product reads 0.
+
+        ``values`` is one (n,) vector for every point or a (len(points), n) stack,
+        row i translated by p_i.
+        """
+        points = np.asarray(points, dtype=int)
+        z = self.div_indices(points[:, None], np.arange(self.size))
+        values = padded(values)
+        if values.ndim == 1:
+            return values[z]
+        return np.take_along_axis(values, z, axis=-1)
+
+    def relative_max(self, mags, rows, cols) -> np.ndarray:
+        """phi(z) = max of ``mags``[i, j] over the pairs with cols_j^{-1} rows_i = z; 0 if none.
+
+        ``mags`` is nonnegative, (len(rows), len(cols)); ``rows`` and ``cols`` are
+        duplicate-free carrier indices.  A nonzero entry whose relative position
+        is absent has no bin: phi does not bound it, and a CoverageWarning says so.
+        """
+        z = self.div_indices(np.asarray(cols)[None, :], np.asarray(rows)[:, None])
+        mags = np.asarray(mags)
+        if not np.all((z >= 0) | (mags == 0)):
+            warnings.warn(
+                "some nonzero entries have no carrier representative for their relative "
+                "position; the minimal envelope does not certify them",
+                CoverageWarning,
+            )
+        phi = np.zeros(self.size + 1)  # pad slot absorbs absent relative positions
+        np.maximum.at(phi, z, mags)
+        return phi[:-1]
+
     def point_label(self, i: int) -> str:
         raise NotImplementedError
 
@@ -256,6 +306,10 @@ class CyclicPhaseSpace(GroupModel):
         self._l = idx % self.n_side
         # x·q and q·x have the same index on Z_N x Z_N; one row per q
         self._q_table = self.mul_indices(idx[None, :], self.q_indices[:, None])
+        # _sub[a, b] = (b - a) mod N, the coordinate of x_i^{-1} x_j, and its row offset
+        axis = np.arange(self.n_side)
+        self._sub = (axis[None, :] - axis[:, None]) % self.n_side
+        self._sub_rows = self._sub * self.n_side
 
     def mul_indices(self, i, j):
         i = np.asarray(i)
@@ -269,6 +323,37 @@ class CyclicPhaseSpace(GroupModel):
         k = (-self._k[i]) % self.n_side
         l = (-self._l[i]) % self.n_side
         return k * self.n_side + l
+
+    def div_indices(self, i, j):
+        i = np.asarray(i)
+        j = np.asarray(j)
+        return self._sub_rows[self._k[i], self._k[j]] + self._sub[self._l[i], self._l[j]]
+
+    def left_translates(self, values, points) -> np.ndarray:
+        # p^{-1} x = (a - k_p, b - l_p) for x = (a, b): row i reads v as an N x N grid
+        # through two |P| x N tables of shifted coordinates
+        points = np.asarray(points, dtype=int)
+        values = np.asarray(values)
+        n_side = self.n_side
+        axis = np.arange(n_side)
+        rows = (axis - self._k[points][:, None]) % n_side
+        cols = (axis - self._l[points][:, None]) % n_side
+        grids = values.reshape(values.shape[:-1] + (n_side, n_side))
+        lead = (np.arange(len(points))[:, None, None],) if values.ndim > 1 else ()
+        out = grids[lead + (rows[:, :, None], cols[:, None, :])]
+        return out.reshape(len(points), self.size)
+
+    def relative_max(self, mags, rows, cols) -> np.ndarray:
+        # the spread gathers len(cols) * n entries, the scatter-max bins len(rows) * len(cols)
+        # at about twice the cost each, so it is the faster below half the carrier
+        if 2 * len(rows) < self.size:
+            return super().relative_max(mags, rows, cols)
+        # x -> lambda^{-1} x is a bijection, so phi(z) = max_j mags[row at cols_j z, j]:
+        # column j spread onto the carrier (0 off the rows), read at cols_j z
+        spread = np.zeros((len(cols), self.size))
+        spread[:, np.asarray(rows, dtype=int)] = np.asarray(mags).T
+        translated = self.left_translates(spread, self.inv_indices(np.asarray(cols, dtype=int)))
+        return translated.max(axis=0, initial=0.0)
 
     def cocycle_values(self, i, j):
         i = np.asarray(i)

@@ -10,8 +10,10 @@ around I, with its eigendecomposition fallback, the oracle of the relaxed
 series), and the affine group law is a scalar product per pair of points of
 the per-point affine carrier.  One section keeps the GridFunction compositions
 that the amalgam-norm kernel, the molecule bound, the pair check and the direct
-holomorphic envelopes replaced, and the power series with its coefficients built
-eagerly, so the tests can pin those to them bit for bit.
+holomorphic envelopes replaced, the power series with its coefficients built
+eagerly, the convolution read through a y^{-1} x index table and the envelope
+bins filled one scalar product at a time, so the tests can pin those to them
+bit for bit.
 The last section holds helpers that only the tests call.
 """
 
@@ -24,7 +26,7 @@ from coorbitkit import CDMatrix, GridFunction, QuasiNormSpec, convolve, fit_enve
     rel_separation, unit_weight
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import measured_coefficient_norm
-from coorbitkit.groups import index_pairs, padded
+from coorbitkit.groups import GroupModel, index_pairs, padded
 
 ABSENT = -1
 
@@ -330,7 +332,8 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
 
 # ---------------------------------------------------------------------------
 # the compositions the norm kernel, the molecule bound, the pair check, the
-# direct holomorphic envelopes and the lazy series coefficients replaced
+# direct holomorphic envelopes, the lazy series coefficients and the left
+# translates replaced
 
 
 def composed_amalgam_norm(f, spec):
@@ -446,6 +449,31 @@ def inline_frame_kernel_check(fs):
     scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
     max_excess = float((lhs - rhs).max()) / scale
     return {"max_excess": max_excess, "holds": max_excess <= 1e-10, "pairs": int(xs.size)}
+
+
+def blocked_convolve(model, v1, v2, block=512):
+    """The untwisted convolution, one row block at a time of the y^{-1} x table read padded."""
+    n = model.size
+    out = np.zeros(n, dtype=complex)
+    weighted = v1 * model.haar
+    for start in range(0, n, block):
+        ys = np.arange(start, min(start + block, n))
+        if np.any(weighted[ys]):
+            z = GroupModel.div_indices(model, ys[:, None], np.arange(n)[None, :])
+            out += weighted[ys] @ padded(v2)[z]
+    return out
+
+
+def brute_relative_max(model, mags, rows, cols):
+    """Per bin cols_j^{-1} rows_i the max of mags[i, j], one scalar inv and mul per pair."""
+    phi = np.zeros(model.size)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            col_inv = model.inv(int(col))
+            z = model.mul(col_inv, int(row)) if col_inv >= 0 else ABSENT
+            if z >= 0:
+                phi[z] = max(phi[z], mags[i, j])
+    return phi
 
 
 def brute_absent_pairs(is_absent, xs, ys):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,16 @@ class TestMatrixHolomorphic:
         a.entries = 3.0 * a.entries
         with pytest.raises(NotContractiveError):
             matrix_holomorphic(a, "inverse")
+
+    def test_envelope_overflow_is_named(self, model, full_sample):
+        # 240 inverse_sqrt terms: the propagated envelope leaves the floats at term 239
+        perturb = random_localized(model, full_sample, 15)
+        a = CDMatrix(rows=full_sample, cols=full_sample, entries=np.eye(64)
+                     + 0.9 / np.linalg.norm(perturb.entries, 2) * perturb.entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="inverse_sqrt series overflows at term 239 "):
+                matrix_holomorphic(a, "inverse_sqrt")
 
 
 class TestLazySeriesCoefficients:

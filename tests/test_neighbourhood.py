@@ -5,16 +5,20 @@ translate lambda U (its scales a < 1 shrink x-steps below the grid step),
 which is where deduplication and the absent-product convention matter.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from _oracles import (
+    blocked_convolve,
     brute_cover_owners,
     brute_is_dense,
     brute_is_separated,
     brute_max_separated_subset,
     brute_maximal,
     brute_rel_separation,
+    brute_relative_max,
     brute_sequence_accumulator,
     brute_translate_sets,
 )
@@ -28,6 +32,7 @@ from coorbitkit import (
     build_cover,
     build_cyclic_phase_space,
     build_real_line,
+    convolve,
     is_U_dense,
     is_U_separated,
     maximal_left,
@@ -37,8 +42,8 @@ from coorbitkit import (
     rel_separation,
     sequence_norm,
 )
-from coorbitkit.errors import InvalidParameterError, NotDenseError
-from coorbitkit.groups import AffineGridModel, GroupModel
+from coorbitkit.errors import CoverageWarning, InvalidParameterError, NotDenseError
+from coorbitkit.groups import AffineGridModel, GroupModel, padded
 
 MODELS = {
     "line": lambda: build_real_line(4.0, 0.25),
@@ -330,3 +335,102 @@ def test_measure_qxq(model):
                     explicit.add(t)
         expected = model.haar[sorted(explicit)].sum()
         assert np.array_equal(measure_QxQ(model, x), expected)
+
+
+# left translates, relative maxima and y^{-1} x: the Z_N x Z_N overrides against
+# the base class, whose N <= 2 carriers fold the shifts onto each other
+CYCLIC_SIDES = (1, 2, 3, 5, 8)
+
+
+def test_left_translates_read_scalar_products(model):
+    rng = np.random.default_rng(10)
+    points = samples(model)[2]
+    v = rng.normal(size=model.size)
+    stack = rng.random((len(points), model.size))
+    one, rows = model.left_translates(v, points), model.left_translates(stack, points)
+    for i, p in enumerate(points):
+        p_inv = model.inv(int(p))
+        z = [model.mul(p_inv, x) if p_inv >= 0 else -1 for x in range(model.size)]
+        assert np.array_equal(one[i], padded(v)[z])
+        assert np.array_equal(rows[i], padded(stack[i])[z])
+
+
+@pytest.mark.parametrize("n_side", CYCLIC_SIDES)
+def test_cyclic_left_translates_match_base(n_side):
+    model = build_cyclic_phase_space(n_side)
+    rng = np.random.default_rng(11)
+    for points in (np.arange(model.size), rng.permutation(model.size)[:(model.size + 1) // 2],
+                   np.array([], dtype=int)):
+        v = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
+        for values in (v, rng.random((len(points), model.size))):
+            got = model.left_translates(values, points)
+            assert got.shape == (len(points), model.size)
+            assert np.array_equal(got, GroupModel.left_translates(model, values, points))
+
+
+@pytest.mark.parametrize("n_side", CYCLIC_SIDES)
+def test_cyclic_div_indices_match_inv_and_mul(n_side):
+    model = build_cyclic_phase_space(n_side)
+    i, j = np.arange(model.size)[:, None], np.arange(model.size)[None, :]
+    assert np.array_equal(model.div_indices(i, j), GroupModel.div_indices(model, i, j))
+    last = model.size - 1  # a scalar x_i, as translate_left passes it
+    assert np.array_equal(model.div_indices(last, j[0]), GroupModel.div_indices(model, last, j[0]))
+
+
+def relative_max_cases(model, rng):
+    """(mags, rows, cols) on random row and column subsets with zero entries, 1 x 1 and empty.
+
+    Z_N x Z_N spreads the columns from half the carrier's rows on, and bins below.
+    """
+    n = model.size
+    cases = []
+    for rows, cols in [(np.arange(n), rng.permutation(n)[:max(1, n // 4)]),
+                       (rng.permutation(n)[:(n + 1) // 2], rng.permutation(n)[:max(1, n // 3)]),
+                       (rng.permutation(n)[:max(1, n // 3)], rng.permutation(n)[:max(1, n // 2)]),
+                       (np.array([n - 1]), np.array([0])),
+                       (np.arange(n), np.array([], dtype=int)),
+                       (np.array([], dtype=int), np.arange(n))]:
+        mags = rng.random((len(rows), len(cols)))
+        mags[rng.random(mags.shape) < 0.3] = 0.0
+        cases.append((mags, rows, cols))
+    return cases
+
+
+def test_relative_max_matches_scalar_bins(model):
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)  # line and affine positions leave the grid
+        for mags, rows, cols in relative_max_cases(model, rng):
+            assert np.array_equal(model.relative_max(mags, rows, cols),
+                                  brute_relative_max(model, mags, rows, cols))
+
+
+@pytest.mark.parametrize("n_side", CYCLIC_SIDES)
+def test_cyclic_relative_max_matches_base(n_side):
+    model = build_cyclic_phase_space(n_side)
+    rng = np.random.default_rng(13)
+    for mags, rows, cols in relative_max_cases(model, rng):
+        assert np.array_equal(model.relative_max(mags, rows, cols),
+                              GroupModel.relative_max(model, mags, rows, cols))
+
+
+def test_relative_max_warns_of_an_uncovered_entry():
+    model = MODELS["line"]()
+    rows, cols = np.array([0]), np.array([model.size - 1])  # x_0 - x_{n-1} = -8 is off the grid
+    with pytest.warns(CoverageWarning):
+        assert not model.relative_max(np.ones((1, 1)), rows, cols).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model.relative_max(np.zeros((1, 1)), rows, cols)  # a zero entry needs no bin
+
+
+@pytest.mark.parametrize("n_side", (*CYCLIC_SIDES, 32))
+def test_cyclic_convolution_matches_blocked_table_path(n_side):
+    # N = 32 has two row blocks of 512; zeroing the first half of F1 skips the first
+    model = build_cyclic_phase_space(n_side)
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=(4, model.size))
+    v1, v2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
+    for factor in (v1, np.where(np.arange(model.size) < model.size // 2, 0, v1)):
+        got = convolve(GridFunction(model, factor), GridFunction(model, v2)).values
+        assert np.array_equal(got, blocked_convolve(model, factor, v2))

@@ -126,6 +126,26 @@ def test_one_orbit_per_window():
     assert _callers(orbit_call) == {"frames.form", "coorbit.calibrate_constants"}
 
 
+def _is_scatter_max(node) -> bool:
+    """A call of ``<module>.maximum.at``: numpy's unbuffered scatter-max."""
+    func = node.func
+    return isinstance(func, ast.Attribute) and func.attr == "at" \
+        and isinstance(func.value, ast.Attribute) and func.value.attr == "maximum"
+
+
+def test_scatter_max_only_in_groups():
+    """Envelope bins are filled by the group model, whose base scatter-max is the oracle."""
+    assert _callers(_is_scatter_max) == {"groups.relative_max"}
+
+
+def test_scatter_max_check_catches_a_leftover():
+    tree = ast.parse("def f(phi, z, m):\n    np.maximum.at(phi, z, m)\n"
+                     "    np.minimum.at(phi, z, m)\n    return np.maximum(phi, m)\n")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [ast.unparse(node) for node in calls if _is_scatter_max(node)] \
+        == ["np.maximum.at(phi, z, m)"]
+
+
 def test_one_molecule_bound():
     """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
     def conv_of_left_max(node):
