@@ -86,8 +86,13 @@ def verify_envelope(a: CDMatrix, phi: GridFunction) -> dict:
 def minimal_envelope(a: CDMatrix) -> GridFunction:
     """Smallest symmetric sampled envelope: per-bin max of |A_ij|, then symmetrized."""
     model = a.model
-    env = GridFunction(model, model.relative_max(np.abs(a.entries), a.rows.points,
-                                                 a.cols.points))
+    return _symmetrized(model, model.relative_max(np.abs(a.entries), a.rows.points,
+                                                  a.cols.points))
+
+
+def _symmetrized(model, values) -> GridFunction:
+    """max(Phi, Phi^vee) of the per-bin maxima Phi (real, one per carrier point)."""
+    env = GridFunction(model, values)
     return GridFunction(model, np.maximum(env.values.real, involution(env).values.real))
 
 

@@ -48,7 +48,7 @@ from .groups import (
     measure_QxQ,
     symmetrize_weight,
 )
-from .sampling import SampleSet
+from .sampling import SampleSet, _sorted_unique
 
 E = float(np.e)
 # the most points a counterexample runner lets its largest carrier (the half-step
@@ -193,7 +193,7 @@ def run_counterexample_realline(t_list=(1.0, 2.0, 3.0), half_width: float = 12.0
     below, so the ratio grows like e^{2T}.
     """
     t = np.asarray(t_list, dtype=float)
-    if not (t.ndim == 1 and t.size >= 2 and np.unique(t).size == t.size
+    if not (t.ndim == 1 and t.size >= 2 and _sorted_unique(t).size == t.size
             and np.all(np.isfinite(t))):
         raise InvalidParameterError(f"t_list must hold at least two finite values, none "
                                     f"repeated, got t_list={t_list!r}")
@@ -355,7 +355,7 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
     if not (t.ndim == 1 and t.size and np.all((0 < t) & (t < np.inf))):
         raise InvalidParameterError(f"targets must be a non-empty list of finite values > 0, "
                                     f"got targets={targets!r}")
-    if not (b.ndim == 1 and np.unique(b).size >= 2 and np.all((1 < b) & (b < np.inf))):
+    if not (b.ndim == 1 and _sorted_unique(b).size >= 2 and np.all((1 < b) & (b < np.inf))):
         raise InvalidParameterError(f"b_list must hold at least two distinct finite values, "
                                     f"all > 1, got b_list={b_list!r}")
     # the quadrature grids come first, so a bad grid parameter is named as given

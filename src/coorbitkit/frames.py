@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, twisted_convolve
-from .cdmatrix import CDMatrix, _series_apply, minimal_envelope
+from .cdmatrix import CDMatrix, _series_apply, _symmetrized, minimal_envelope
 from .errors import (
     IncompatibleOperandsError,
     InvalidParameterError,
@@ -23,7 +23,8 @@ from .errors import (
     ReducibilityWarning,
 )
 from .groups import CyclicPhaseSpace, PWeight, unit_weight
-from .sampling import SampleSet, build_cover, molecule_bound, pair_check, rel_separation
+from .sampling import SampleSet, _block_items, build_cover, molecule_bound, pair_check, \
+    rel_separation
 
 
 class Representation:
@@ -415,14 +416,24 @@ def fit_envelope(ks: KernelSystem, atoms: np.ndarray, sample: SampleSet, p: floa
     It is the minimal envelope of the matrix [x, i] = V_g h_i(x) over the carrier
     rows and the sample columns: matching the truncation policy, the bin of a pair
     (i, x) is the carrier point nearest to lambda_i^{-1} x; pairs whose relative
-    position is absent are skipped.
+    position is absent are skipped.  The matrix is formed one block of atoms at a
+    time, at most ``_BLOCK_ENTRIES`` entries, and the per-bin maxima are carried
+    over the blocks; a single block at N <= 32 with the default lattices.
     """
     atoms = np.asarray(atoms, dtype=complex)
     if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != ks.rep.dim:
         raise IncompatibleOperandsError("atoms must be one length-dim vector per sample point")
-    carrier = SampleSet(model=ks.rep.model, points=np.arange(ks.rep.model.size))
-    voices = ks.orbit.conj() @ atoms.T
-    env = minimal_envelope(CDMatrix(rows=carrier, cols=sample, entries=voices))
+    model = ks.rep.model
+    carrier = np.arange(model.size)
+    orbit_conj = ks.orbit.conj()
+    per_bin = np.zeros(model.size)
+    step = _block_items(model.size)
+    for start in range(0, len(sample), step):
+        block = slice(start, start + step)
+        voices = orbit_conj @ atoms[block].T
+        np.maximum(per_bin, model.relative_max(np.abs(voices), carrier, sample.points[block]),
+                   out=per_bin)
+    env = _symmetrized(model, per_bin)
     amalgam_value = amalgam_norm(env, QuasiNormSpec(p=p, weight=weight, flavor="two_sided"))
     return MoleculeCertificate(envelope=env, p=p, weight=weight,
                                amalgam_value=amalgam_value, max_violation=0.0)
@@ -431,9 +442,12 @@ def fit_envelope(ks: KernelSystem, atoms: np.ndarray, sample: SampleSet, p: floa
 def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     """Check |H(x,y)| <= rel/mu(Q) (M^L Phi * M^R Phi)(y^{-1} x) for the frame kernel.
 
-    H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) = <S pi(y)g, pi(x)g>, read
-    from the frame operator S, and Phi is the fitted envelope of the weighted
-    kernel family (sqrt(tau_i) K_{lam_i}).
+    H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) = <S pi(y)g, pi(x)g>, and
+    Phi is the fitted envelope of the weighted kernel family (sqrt(tau_i) K_{lam_i}).
+    H is evaluated only at the pairs ``pair_check`` reads, grouped by row blocks
+    of x: each block is one product of the rows of conj(orbit) S with the orbit
+    rows its pairs use, at most ``_BLOCK_ENTRIES`` entries.  No n x n table of H
+    is formed.
     """
     ks = fs.kernel_system
     model = ks.rep.model
@@ -442,9 +456,35 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
                 "max_ratio": 0.0, "holds": True}
     weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
     phi = fit_envelope(ks, weighted_atoms, fs.sample, 1.0, unit_weight(model)).envelope
-    h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
     bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
-    return pair_check(model, bound, lambda xs, ys: np.abs(h[xs, ys]), seed=5)
+    left = ks.orbit.conj() @ fs.frame_operator  # H(x, y) = left[x] . orbit[y]
+    n = model.size
+    rows = min(_block_items(n), n)
+    n_blocks = -(-n // rows)
+
+    def lhs_at(xs, ys):
+        out = np.empty(xs.shape)
+        table = np.empty(rows * n, dtype=complex)  # room for one row block of H
+        key = (xs // rows).astype(np.min_scalar_type(n_blocks))
+        order = np.argsort(key, kind="stable")  # a radix sort on a narrow key
+        counts = np.bincount(key, minlength=n_blocks)
+        ends = np.cumsum(counts)
+        for b in np.flatnonzero(counts):
+            sel = order[ends[b] - counts[b]:ends[b]]
+            lo = b * rows
+            used = np.zeros(n, dtype=bool)
+            used[ys[sel]] = True
+            cols = np.flatnonzero(used)
+            block = table[:(min(lo + rows, n) - lo) * cols.size]
+            np.matmul(left[lo:lo + rows], ks.orbit[cols].T, out=block.reshape(-1, cols.size))
+            # H(x, y) sits at (x - lo) * len(cols) + (the rank of y in cols) in the block
+            at = xs[sel] - lo
+            at *= cols.size
+            at += (np.cumsum(used) - 1)[ys[sel]]
+            out[sel] = np.abs(block[at])
+        return out
+
+    return pair_check(model, bound, lhs_at, seed=5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ Lambda.  ``pair_check(model, bound, lhs_at, seed)`` compares lhs_at(x, y) with
 bound(y^{-1} x) over every carrier pair, or over 200,000 seeded pairs on larger
 carriers; it reports the pairs checked, whether that was all of them, and how
 many had y^{-1} x off the grid (``absent``; the bound reads inf there).
+
+The verification kernels (the frame-kernel check and envelope fitting on
+Z_N x Z_N, and ``pair_check`` on every model) form their temporaries in blocks
+of at most ``_BLOCK_ENTRIES`` entries, so none of them holds an n x n or n x m
+array.
 """
 
 from __future__ import annotations
@@ -18,6 +23,26 @@ import numpy as np
 from .amalgam import GridFunction, convolve, maximal_left, maximal_right
 from .errors import IncompatibleOperandsError, InvalidParameterError, NotDenseError
 from .groups import ABSENT, GroupModel, index_pairs, padded
+
+# entries of the largest temporary one block forms: a frame-kernel row block, an
+# envelope's voices block, a pair-check chunk
+_BLOCK_ENTRIES = 2 ** 18
+
+
+def _block_items(entries_per_item: int) -> int:
+    """Items per block, at least one, for blocks of at most ``_BLOCK_ENTRIES`` entries."""
+    return max(1, _BLOCK_ENTRIES // max(1, entries_per_item))
+
+
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct entries of ``values``, sorted; np.unique without its numpy.ma import.
+
+    NaNs are not merged, so a caller that counts distinct values rejects NaN itself.
+    """
+    s = np.sort(np.ravel(values))
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 @dataclass(frozen=True)
@@ -35,7 +60,7 @@ class SampleSet:
             raise InvalidParameterError("sample points must form a flat index list")
         if pts.size and (pts.min() < 0 or pts.max() >= self.model.size):
             raise InvalidParameterError("sample index out of carrier range")
-        if len(np.unique(pts)) != len(pts):
+        if _sorted_unique(pts).size != pts.size:
             raise InvalidParameterError("sample points must be duplicate-free")
         object.__setattr__(self, "points", np.asarray(pts, dtype=int))
 
@@ -92,7 +117,7 @@ def is_U_separated(sample: SampleSet, u_indices) -> bool:
 
 def _check_u(model: GroupModel, u_indices) -> np.ndarray:
     """U as a sorted duplicate-free index array; it must contain the identity."""
-    u = np.unique(np.asarray(u_indices, dtype=int))
+    u = _sorted_unique(np.asarray(u_indices, dtype=int))
     if model.identity not in u:
         raise InvalidParameterError("U must contain the identity")
     return u
@@ -147,23 +172,35 @@ def pair_check(model: GroupModel, bound: np.ndarray, lhs_at, seed: int) -> dict:
     """Check lhs_at(xs, ys) <= bound at y^{-1} x over all carrier pairs, or 200,000 seeded ones.
 
     An absent y^{-1} x reads an infinite bound and counts in ``absent``; the
-    excess is relative to max(1, the largest finite bound read).
+    excess is relative to max(1, the largest finite bound read).  ``lhs_at`` is
+    called once with every pair; y^{-1} x, the bound it reads, the excess and the
+    ratio are formed one chunk of ``_BLOCK_ENTRIES`` pairs at a time, and the
+    chunk maxima combine by numpy's max, so a NaN left side still propagates.
     """
     xs, ys, exhaustive = index_pairs(model.size, exhaustive_limit=200_000,
                                      sample_size=200_000, seed=seed)
-    z = model.div_indices(ys, xs)
-    rhs = padded(bound, np.inf)[z]
     lhs = lhs_at(xs, ys)
-    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
-    max_excess = float((lhs - rhs).max()) / scale
-    with np.errstate(invalid="ignore"):
-        ratios = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), 0.0)
+    bound = padded(bound, np.inf)
+    step = _block_items(1)
+    top_bound, excess, ratio, absent = [], [], [], 0
+    for start in range(0, xs.size, step):
+        chunk = slice(start, start + step)
+        z = model.div_indices(ys[chunk], xs[chunk])
+        rhs = bound[z]
+        top_bound.append(rhs[np.isfinite(rhs)].max(initial=0.0))
+        excess.append((lhs[chunk] - rhs).max())
+        with np.errstate(invalid="ignore"):
+            ratios = np.where(rhs > 0, lhs[chunk] / np.maximum(rhs, 1e-300), 0.0)
+        ratio.append(ratios[np.isfinite(ratios)].max(initial=0.0))
+        absent += int(np.count_nonzero(z == ABSENT))
+    scale = max(1.0, float(np.max(top_bound)))
+    max_excess = float(np.max(excess)) / scale
     return {
         "pairs": int(xs.size),
         "exhaustive": exhaustive,
-        "absent": int(np.count_nonzero(z == ABSENT)),
+        "absent": absent,
         "max_excess": max_excess,
-        "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
+        "max_ratio": float(np.max(ratio)),
         "holds": max_excess <= 1e-10,
     }
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,36 @@ class TestSuites:
     def test_coorbit_runners(self):
         assert ex.run_coorbit_norm().all_pass
         assert ex.run_coorbit_embed().all_pass
+
+
+class TestScale:
+    @pytest.mark.parametrize("runner, limit_mb", [(ex.run_gabor_suite, 120),
+                                                  (ex.run_coorbit_embed, 60)])
+    def test_n64_peak_memory(self, runner, limit_mb):
+        # an n x n frame kernel (268 MB at N = 64) or an n x m voices matrix
+        # (67 MB) held at once would break these limits
+        tracemalloc.start()
+        try:
+            report = runner(n_side=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass
+        assert peak < limit_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_runs_do_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 14 ms inside a run
+        code = ("import sys\n"
+                "from coorbitkit.cli import main\n"
+                "for command in (['gabor', 'frame'], ['counterexample', 'realline']):\n"
+                f"    assert main(command + ['--out', {str(tmp_path)!r}]) == 0\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = os.path.dirname(os.path.dirname(coorbitkit.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOneKernelSystem:

@@ -42,6 +42,7 @@ from coorbitkit.errors import (
     NotDenseError,
     NotRieszError,
 )
+from coorbitkit import frames, sampling
 from coorbitkit.cdmatrix import _series_apply
 from coorbitkit.coorbit import _calibration_samples
 from coorbitkit.frames import FrameSystem, hermitian_extremes, reconstruction_error
@@ -769,6 +770,73 @@ class TestFrameKernelEnvelope:
         result = frame_kernel_envelope_check(fs)
         assert {k: result[k] for k in ("max_excess", "holds", "pairs")} \
             == inline_frame_kernel_check(fs)
+
+
+class TestBlockBoundaries:
+    """The blocked kernels at N = 8 with the block budget cut to a few rows or atoms.
+
+    A gemm over a sub-block may round differently, so floating values match their
+    one-block result to 1e-12; counts and flags match exactly.
+    """
+
+    def test_frame_kernel_row_blocks(self, monkeypatch):
+        fs = irregular_complex_frame()
+        one = frame_kernel_envelope_check(fs)
+        # 5 rows a block: 13 row blocks, the last of 4 rows; the envelope takes 8
+        # blocks of 5 atoms and pair_check 13 chunks of its 4,096 pairs
+        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 5)
+        blocked = frame_kernel_envelope_check(fs)
+        exact = ("pairs", "exhaustive", "absent", "holds")
+        assert {k: blocked[k] for k in exact} == {k: one[k] for k in exact}
+        for key in ("max_excess", "max_ratio"):
+            assert blocked[key] == pytest.approx(one[key], abs=1e-12)
+        inline = inline_frame_kernel_check(fs)
+        assert blocked["max_excess"] == pytest.approx(inline["max_excess"], abs=1e-12)
+        assert (blocked["holds"], blocked["pairs"]) == (inline["holds"], inline["pairs"])
+
+    def test_frame_kernel_blocks_on_column_subsets(self, monkeypatch):
+        fs = irregular_complex_frame()
+        ks = fs.kernel_system
+        read = []
+        check = frames.pair_check
+
+        def spy(model, bound, lhs_at, seed):
+            read.append(lhs_at)
+            return check(model, bound, lhs_at, seed)
+
+        monkeypatch.setattr(frames, "pair_check", spy)
+        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 4)  # 4 rows a block
+        frame_kernel_envelope_check(fs)
+        rng = np.random.default_rng(3)
+        xs, ys = rng.integers(0, 64, 150), rng.integers(0, 64, 150)
+        xs[xs // 4 == 3] = 0  # row block 3 has no pair
+        ys[:2], xs[:2] = 5, 9  # a repeated pair
+        used = [np.unique(ys[xs // 4 == b]).size for b in range(16)]
+        assert used[3] == 0 and 0 < max(used) < 64
+        kern = ks.kernel_matrix[:, fs.sample.points]
+        h = (kern * fs.tau) @ kern.conj().T  # H(x, y) = sum_i tau_i K_i(x) conj(K_i(y))
+        assert np.abs(read[0](xs, ys) - np.abs(h[xs, ys])).max() <= 1e-12
+
+    def test_fit_envelope_atom_blocks(self, monkeypatch):
+        model, rep, g = setup_gabor(8)
+        rng = np.random.default_rng(7)
+        lam = SampleSet(model=model, points=np.sort(rng.choice(model.size, 20, replace=False)))
+        atoms = rng.normal(size=(len(lam), 8)) + 1j * rng.normal(size=(len(lam), 8))
+        ks = KernelSystem.build(rep, g)
+        one = fit_envelope(ks, atoms, lam, 1.0, unit_weight(model))
+        bins = model.relative_max
+        calls = []
+        monkeypatch.setattr(model, "relative_max",
+                            lambda *args: calls.append(len(args[2])) or bins(*args))
+        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 3)  # 3 atoms a block
+        blocked = fit_envelope(ks, atoms, lam, 1.0, unit_weight(model))
+        assert calls == [3] * 6 + [2]
+        phi = brute_envelope(model, rep.orbit(g + 0j), atoms, lam.points)
+        expected = np.maximum(phi, phi[model.inv_indices(np.arange(model.size))])
+        env = blocked.envelope.values.real
+        assert np.abs(env - one.envelope.values.real).max() <= 1e-12
+        assert np.abs(env - expected).max() <= 1e-12
+        assert blocked.amalgam_value == pytest.approx(one.amalgam_value, abs=1e-12)
 
 
 class TestWindowVariants:

@@ -16,6 +16,7 @@ from coorbitkit import (
     shifted_series_check,
 )
 from coorbitkit.errors import InvalidParameterError, NotDenseError
+from coorbitkit.sampling import _sorted_unique
 
 
 def cyclic_lattice(model, step):
@@ -27,6 +28,13 @@ def cyclic_lattice(model, step):
 def block(model, size):
     n = model.n_side
     return np.array([(k % n) * n + (l % n) for k in range(size) for l in range(size)])
+
+
+@pytest.mark.parametrize("values", [[], [3, 1, 3, 2, 1], np.array([[4, 0], [0, 7]]), 5,
+                                    [0.5, -0.0, 0.0, 2.0, 0.5], np.array([7], dtype=np.int32)])
+def test_sorted_unique_matches_np_unique(values):
+    got, expected = _sorted_unique(values), np.unique(values)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestSampleSetPoints:
