@@ -55,9 +55,11 @@ from .frames import (
     KernelSystem,
     MoleculeCertificate,
     Representation,
+    RieszSystem,
     biorthogonal_system,
     boxcar_window,
     build_almost_tight_frame,
+    build_riesz_system,
     check_admissible,
     dual_frame,
     fit_envelope,
@@ -71,7 +73,6 @@ from .frames import (
     parseval_frame,
     rayleigh_extremes,
     reproducing_check,
-    riesz_bounds,
     voice_transform,
 )
 from .groups import (

@@ -247,7 +247,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
         atoms0 = ks.orbit[lam.points]
         families = {"atoms": atoms0}
         shift = int(rng.integers(0, model.size))
-        families["shifted"] = np.array([rep.apply(shift, a) for a in atoms0])
+        families["shifted"] = rep.apply(shift, atoms0)
         try:
             fs = build_almost_tight_frame(ks, lam, model.q_indices)
             if fs.bounds[0] > 1e-9:
@@ -257,8 +257,10 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
         for t in range(2):
             coeff = rng.normal(size=model.size) * np.exp(
                 -3.0 * np.arange(model.size) / model.size) * model.haar
-            # images T h of the atoms under T = sum_x coeff(x) pi(x)
-            families[f"conv{t}"] = np.array([coeff @ rep.orbit(a) for a in atoms0])
+            # images T h of the atoms under T = sum_x coeff(x) pi(x): row j of t_rows is
+            # T e_j, so atoms0 @ t_rows has row i equal to T atoms0[i]
+            t_rows = np.array([coeff @ rep.orbit(e) for e in np.eye(rep.dim)])
+            families[f"conv{t}"] = atoms0 @ t_rows
 
         # random sequences, delta sequences (often extremal), then the coefficients
         # of the sampled vectors against the dual family and the atoms

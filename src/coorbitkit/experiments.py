@@ -30,15 +30,14 @@ from .frames import (
     biorthogonal_system,
     boxcar_window,
     build_almost_tight_frame,
+    build_riesz_system,
     dual_frame,
     frame_kernel_envelope_check,
     gabor_representation,
-    gramian,
     orthonormalize,
     parseval_frame,
     rayleigh_extremes,
     reconstruction_error,
-    riesz_bounds,
 )
 from .groups import (
     affine_axes,
@@ -514,13 +513,12 @@ def run_riesz_suite(n_side: int = 8, separation: int = 4, window_id: str = "gaus
         raise TruncationError("separation must divide N")
     ks = KernelSystem.build(rep, window)
     sample = lattice_points(model, separation, separation)
-    gram = gramian(ks, sample)
-    lo, hi = riesz_bounds(gram)
-    oracle_lo, oracle_hi = rayleigh_extremes(gram.entries, seed=seed + 1)
-    bio = biorthogonal_system(ks, sample)
-    atoms = ks.orbit[sample.points]
-    bio_dev = _identity_gap(atoms.conj() @ bio.T)
-    ortho = orthonormalize(ks, sample)
+    rs = build_riesz_system(ks, sample)
+    lo, hi = rs.bounds
+    oracle_lo, oracle_hi = rayleigh_extremes(rs.gram.entries, seed=seed + 1)
+    bio = biorthogonal_system(rs)
+    bio_dev = _identity_gap(rs.atoms.conj() @ bio.T)
+    ortho = orthonormalize(rs)
     ortho_dev = _identity_gap(ortho @ ortho.conj().T)
 
     metrics = [

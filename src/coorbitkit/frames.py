@@ -50,20 +50,24 @@ class Representation:
         """All pi(x) stacked, shape (n, dim, dim), built on every access."""
         return np.stack([self.action(i) for i in range(self.model.size)])
 
-    def apply(self, i: int, vec: np.ndarray) -> np.ndarray:
-        k, l = divmod(int(i), self.dim)
-        return self.phase[l] * self._shifted(vec, k)
+    def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
+        """pi(x_i) vec for one vector or for each row of a (k, dim) stack, 0 <= i < n."""
+        i = int(i)
+        if not 0 <= i < self.model.size:
+            raise InvalidParameterError(f"point index {i} is outside [0, {self.model.size})")
+        k, l = divmod(i, self.dim)
+        return self.phase[l] * self._shifted(vecs, k, (1, 2))
 
     def orbit(self, vec: np.ndarray) -> np.ndarray:
         """All pi(x) vec stacked as rows, shape (n, dim), in O(n dim) from the two tables."""
-        shifted = self._shifted(vec, slice(None))  # [k, t] = vec((t - k) mod N)
+        shifted = self._shifted(vec, slice(None), (1,))  # [k, t] = vec((t - k) mod N)
         return (self.phase[None, :, :] * shifted[:, None, :]).reshape(-1, self.dim)
 
-    def _shifted(self, vec, k) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.shape != (self.dim,):
-            raise IncompatibleOperandsError(f"need a length-{self.dim} vector, got {vec.shape}")
-        return vec[self.shift[k]]
+    def _shifted(self, vecs, k, ndims) -> np.ndarray:
+        vecs = np.asarray(vecs)
+        if vecs.ndim not in ndims or vecs.shape[-1] != self.dim:
+            raise IncompatibleOperandsError(f"need length-{self.dim} vectors, got {vecs.shape}")
+        return vecs[..., self.shift[k]]
 
 
 def gabor_representation(model: CyclicPhaseSpace) -> Representation:
@@ -161,7 +165,7 @@ class KernelSystem:
         """The admissibility constant ||V_g f||^2 / ||f||^2 and its f-dependence."""
         tol = 1e-10
         # C = sum_x mu(x) |pi(x)g><pi(x)g| equals const * I iff V_g is a scaled isometry
-        gram = (self.orbit * self.rep.model.haar[:, None]).T @ self.orbit.conj()
+        gram = (self.orbit.T * self.rep.model.haar) @ self.orbit.conj()
         constant = float(np.trace(gram).real) / self.rep.dim
         deviation = float(np.abs(gram - constant * np.eye(self.rep.dim)).max())
         flat = deviation <= tol * max(1.0, constant)
@@ -265,24 +269,20 @@ def hermitian_extremes(s: np.ndarray) -> tuple:
     return float(vals[0]), float(vals[-1])
 
 
-def _phi(m: np.ndarray, phi: str, tail_tol: Optional[float] = None, eps_bound: float = 0.999,
-         relax: Optional[tuple] = None, eig: Optional[tuple] = None) -> tuple:
+def _phi(m: np.ndarray, phi: str, tail_tol: float, eps_bound: float = 0.999,
+         relax: Optional[tuple] = None) -> tuple:
     """(phi(M), series terms, tail bound) for Hermitian M > 0: M^{-1} or M^{-1/2}.
 
-    Given ``tail_tol``, the power series ``_series_apply``, relaxed by ``relax``
-    (count and tail bound fixed in advance) or around I (||M - I||_2 <= eps_bound),
-    with ||R M - I||_2, or ||R M R - I||_2, held to 10 tail_tol: the check that
-    catches a wrong q.  Otherwise the eigendecomposition ``eig`` (default ``_eigh(M)``).
+    The power series ``_series_apply``, relaxed by ``relax`` (count and tail bound
+    fixed in advance) or around I (||M - I||_2 <= eps_bound), with ||R M - I||_2,
+    or ||R M R - I||_2, held to 10 tail_tol: the check that catches a wrong q.
     """
-    if tail_tol is not None:
-        result, n_terms, tail_bound = _series_apply(m, phi, eps_bound, tail_tol, relax)
-        product = result @ m if phi == "inverse" else result @ m @ result
-        resid = _identity_gap(product, spectral=True)
-        if resid > 10 * tail_tol:
-            raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
-        return result, n_terms, tail_bound
-    vals, vecs = _eigh(m) if eig is None else eig
-    return (vecs / vals ** {"inverse": 1.0, "inverse_sqrt": 0.5}[phi]) @ vecs.conj().T, 0, 0.0
+    result, n_terms, tail_bound = _series_apply(m, phi, eps_bound, tail_tol, relax)
+    product = result @ m if phi == "inverse" else result @ m @ result
+    resid = _identity_gap(product, spectral=True)
+    if resid > 10 * tail_tol:
+        raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
+    return result, n_terms, tail_bound
 
 
 def holomorphic_apply(s: np.ndarray, phi: str, eps_bound: float = 0.999,
@@ -313,7 +313,7 @@ def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> 
     cover = build_cover(sample, u_indices)
     tau = cover.cell_masses()
     atoms = ks.orbit[sample.points]
-    s = (atoms * tau[:, None]).T @ atoms.conj()
+    s = (atoms.T * tau) @ atoms.conj()
     s = 0.5 * (s + s.conj().T)
     return FrameSystem(ks, sample, tau, s, hermitian_extremes(s))
 
@@ -373,32 +373,49 @@ def gramian(ks: KernelSystem, sample: SampleSet):
     return cdm
 
 
-def riesz_bounds(gram_cdm) -> tuple:
-    return hermitian_extremes(gram_cdm.entries)
+@dataclass
+class RieszSystem:
+    """Atoms pi(lambda_i) g, their Gramian G and its eigendecomposition, formed once."""
+
+    sample: SampleSet
+    atoms: np.ndarray  # (m, dim); row i holds pi(lambda_i) g
+    gram: CDMatrix  # with its minimal envelope attached
+    eig: tuple  # ascending eigenvalues and eigenvectors of gram.entries
+
+    @property
+    def bounds(self) -> tuple:
+        """The Riesz bounds (lambda_min(G), lambda_max(G)), read off ``eig``."""
+        return float(self.eig[0][0]), float(self.eig[0][-1])
 
 
-def _riesz_phi(ks: KernelSystem, sample: SampleSet, phi: str) -> tuple:
-    """Atoms pi(lambda_i) g and conj(phi(G)) of them; NotRieszError if lambda_min(G) <= 1e-12."""
-    atoms = ks.orbit[sample.points]
-    g = atoms.conj() @ atoms.T
-    eig = _eigh(g)
-    if eig[0][0] <= 1e-12:
-        raise NotRieszError(f"Gramian minimal eigenvalue {eig[0][0]:.2e} is numerically singular")
-    return atoms, _phi(g, phi, eig=eig)[0].conj() @ atoms
+def build_riesz_system(ks: KernelSystem, sample: SampleSet) -> RieszSystem:
+    """The family pi(lambda_i) g on ``sample`` with its Gramian, decomposed once."""
+    if len(sample) == 0:
+        raise InvalidParameterError("a Riesz system needs at least one sample point")
+    gram = gramian(ks, sample)
+    return RieszSystem(sample, ks.orbit[sample.points], gram, _eigh(gram.entries))
 
 
-def biorthogonal_system(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
+def _riesz_phi(rs: RieszSystem, power: float) -> np.ndarray:
+    """conj(G^{-power}) of the atoms from ``rs.eig``; NotRieszError if lambda_min(G) <= 1e-12."""
+    vals, vecs = rs.eig
+    if vals[0] <= 1e-12:
+        raise NotRieszError(f"Gramian minimal eigenvalue {vals[0]:.2e} is numerically singular")
+    return ((vecs / vals ** power) @ vecs.conj().T).conj() @ rs.atoms
+
+
+def biorthogonal_system(rs: RieszSystem) -> np.ndarray:
     """h_i = sum_{i'} conj(G^{-1})_{i,i'} pi(lambda_{i'}) g; exact biorthogonality."""
-    atoms, duals = _riesz_phi(ks, sample, "inverse")
-    dev = _identity_gap(atoms.conj() @ duals.T)
+    duals = _riesz_phi(rs, 1.0)
+    dev = _identity_gap(rs.atoms.conj() @ duals.T)
     if dev > 1e-9:
         raise NotRieszError(f"biorthogonality deviation {dev:.2e} exceeds 1e-9")
     return duals
 
 
-def orthonormalize(ks: KernelSystem, sample: SampleSet) -> np.ndarray:
+def orthonormalize(rs: RieszSystem) -> np.ndarray:
     """Atoms conj(G^{-1/2}) (pi(lambda_i) g): an orthonormal family to 1e-9."""
-    _, ortho = _riesz_phi(ks, sample, "inverse_sqrt")
+    ortho = _riesz_phi(rs, 0.5)
     dev = _identity_gap(ortho @ ortho.conj().T)
     if dev > 1e-9:
         raise NotRieszError(f"orthonormalization deviation {dev:.2e} exceeds 1e-9")

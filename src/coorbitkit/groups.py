@@ -378,8 +378,10 @@ class CyclicPhaseSpace(GroupModel):
         points = np.asarray(points, dtype=int)
         if u is None:
             t = self._q_table[:, points]
-        else:
-            t = self.mul_indices(points[None, :], np.asarray(u, dtype=int)[:, None])
+        else:  # U is a set: a repeated u_j adds nothing, as in the base loop
+            u = np.asarray(u, dtype=int)
+            u = u[np.sort(np.unique(u, return_index=True)[1])]
+            t = self.mul_indices(points[None, :], u[:, None])
         mags = np.asarray(mags)
         rows = mags.reshape(math.prod(mags.shape[:-1]), len(points))
         bins = t.ravel() + self.size * np.arange(len(rows))[:, None]

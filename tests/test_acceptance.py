@@ -21,6 +21,7 @@ from coorbitkit import (
     amalgam_norm,
     build_almost_tight_frame,
     build_cyclic_phase_space,
+    build_riesz_system,
     calibrate_constants,
     convolve,
     dual_frame,
@@ -28,7 +29,6 @@ from coorbitkit import (
     extend_operator_check,
     gabor_representation,
     gaussian_window,
-    gramian,
     biorthogonal_system,
     involution,
     lpw_norm,
@@ -40,7 +40,6 @@ from coorbitkit import (
     product_with_envelope,
     rayleigh_extremes,
     reproducing_check,
-    riesz_bounds,
     schur_bounds,
     sequence_norm,
     symmetrize_weight,
@@ -257,15 +256,15 @@ def test_criterion_6_riesz_machinery():
     ks = KernelSystem.build(rep, g)
 
     lam = lattice(model, 4)
-    duals = biorthogonal_system(ks, lam)
+    rs = build_riesz_system(ks, lam)
+    duals = biorthogonal_system(rs)
     atoms = rep.orbit(g)[lam.points]
     bio_dev = float(np.abs(atoms.conj() @ duals.T - np.eye(len(lam))).max())
-    ortho = orthonormalize(ks, lam)
+    ortho = orthonormalize(rs)
     ortho_dev = float(np.abs(ortho @ ortho.conj().T - np.eye(len(lam))).max())
 
-    gram = gramian(ks, lam)
-    lo, hi = riesz_bounds(gram)
-    olo, ohi = rayleigh_extremes(gram.entries)
+    lo, hi = rs.bounds
+    olo, ohi = rayleigh_extremes(rs.gram.entries)
     fs = build_almost_tight_frame(ks, lattice(model, 2), block(model, 2))
     fa, fb = fs.bounds
     ofa, ofb = rayleigh_extremes(fs.frame_operator)

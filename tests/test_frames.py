@@ -12,6 +12,7 @@ from coorbitkit import (
     build_almost_tight_frame,
     build_cyclic_phase_space,
     build_real_line,
+    build_riesz_system,
     check_admissible,
     convolve,
     dual_frame,
@@ -29,7 +30,6 @@ from coorbitkit import (
     rayleigh_extremes,
     rel_separation,
     reproducing_check,
-    riesz_bounds,
     translate_left,
     unit_weight,
     voice_transform,
@@ -42,7 +42,7 @@ from coorbitkit.errors import (
     NotDenseError,
     NotRieszError,
 )
-from coorbitkit import frames, sampling
+from coorbitkit import experiments, frames, sampling
 from coorbitkit.cdmatrix import _series_apply
 from coorbitkit.coorbit import _calibration_samples
 from coorbitkit.frames import FrameSystem, hermitian_extremes, reconstruction_error
@@ -131,11 +131,27 @@ class TestOrbitMap:
 
     def test_wrong_length_vector_rejected(self):
         model, rep, _ = setup_gabor(4)
-        for vec in (np.ones(3), np.ones(5), np.ones((4, 4))):
+        for vec in (np.ones(3), np.ones(5), np.ones((2, 5)), np.ones((2, 2, 4))):
             with pytest.raises(IncompatibleOperandsError):
                 rep.orbit(vec)
             with pytest.raises(IncompatibleOperandsError):
                 rep.apply(1, vec)
+        with pytest.raises(IncompatibleOperandsError):  # apply takes it as a stack of four
+            rep.orbit(np.ones((4, 4)))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_apply_to_a_stack_is_rowwise(self, n):
+        model, rep, _ = setup_gabor(n)
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        for i in range(model.size):
+            assert np.array_equal(rep.apply(i, stack), np.array([rep.apply(i, v) for v in stack]))
+
+    @pytest.mark.parametrize("i", [-1, 16, 17, -16])
+    def test_apply_rejects_an_index_off_the_carrier(self, i):
+        model, rep, g = setup_gabor(4)
+        with pytest.raises(InvalidParameterError, match="outside"):
+            rep.apply(i, g)
 
     def test_non_cyclic_model_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -449,11 +465,23 @@ class TestCanonicalConstructions:
     def test_riesz_constructions_decompose_once(self, linalg_calls):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
-        lam = lattice(model, 4)
-        orthonormalize(ks, lam)
+        rs = build_riesz_system(ks, lattice(model, 4))
         assert linalg_calls == {"eigh": 1, "solve": 0}
-        biorthogonal_system(ks, lam)
-        assert linalg_calls == {"eigh": 2, "solve": 0}
+        orthonormalize(rs)
+        biorthogonal_system(rs)
+        assert rs.bounds[0] > 0
+        assert linalg_calls == {"eigh": 1, "solve": 0}
+
+    @pytest.mark.parametrize("n_side, separation", [(8, 4), (32, 8)])
+    def test_riesz_suite_forms_and_decomposes_the_gramian_once(self, linalg_calls, monkeypatch,
+                                                                n_side, separation):
+        formed = []
+        real_gramian = frames.gramian
+        monkeypatch.setattr(frames, "gramian", lambda *a: formed.append(1) or real_gramian(*a))
+        report = experiments.run_riesz_suite(n_side=n_side, separation=separation)
+        assert report.all_pass
+        assert linalg_calls == {"eigh": 1, "solve": 0}
+        assert len(formed) == 1
 
 
 def n8_frames():
@@ -549,14 +577,14 @@ class TestGramianRiesz:
         cdm = gramian(ks, lam)
         assert cdm.entries.shape == (1, 1)
         assert cdm.entries[0, 0] == pytest.approx(1.0)
-        duals = biorthogonal_system(ks, lam)
+        duals = biorthogonal_system(build_riesz_system(ks, lam))
         assert np.abs(duals[0] - g).max() < 1e-12  # g / ||g||^2 with unit norm
 
     def test_biorthogonality(self):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 4)
-        duals = biorthogonal_system(ks, lam)
+        duals = biorthogonal_system(build_riesz_system(ks, lam))
         atoms = rep.orbit(g)[lam.points]
         dev = np.abs(atoms.conj() @ duals.T - np.eye(len(lam))).max()
         assert dev <= 1e-9
@@ -568,13 +596,13 @@ class TestGramianRiesz:
         atoms = rep.orbit(g)[lam.points]
         gram = atoms.conj() @ atoms.T
         oracle = np.conj(np.linalg.inv(gram)) @ atoms
-        assert np.abs(biorthogonal_system(ks, lam) - oracle).max() < 1e-10
+        assert np.abs(biorthogonal_system(build_riesz_system(ks, lam)) - oracle).max() < 1e-10
 
     def test_orthonormalize(self):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 4)
-        ortho = orthonormalize(ks, lam)
+        ortho = orthonormalize(build_riesz_system(ks, lam))
         dev = np.abs(ortho @ ortho.conj().T - np.eye(len(lam))).max()
         assert dev <= 1e-9
 
@@ -594,17 +622,17 @@ class TestGramianRiesz:
     def test_riesz_bounds_and_oracle(self):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
-        cdm = gramian(ks, lattice(model, 4))
-        lo, hi = riesz_bounds(cdm)
+        rs = build_riesz_system(ks, lattice(model, 4))
+        lo, hi = rs.bounds
         assert lo > 0
-        olo, ohi = rayleigh_extremes(cdm.entries)
+        olo, ohi = rayleigh_extremes(rs.gram.entries)
         assert abs(lo - olo) < 1e-6 and abs(hi - ohi) < 1e-6
 
     def test_moment_problem(self):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 4)
-        duals = biorthogonal_system(ks, lam)
+        duals = biorthogonal_system(build_riesz_system(ks, lam))
         atoms = rep.orbit(g)[lam.points]
         rng = np.random.default_rng(6)
         c = rng.normal(size=len(lam)) + 1j * rng.normal(size=len(lam))
@@ -616,8 +644,27 @@ class TestGramianRiesz:
         model, rep, g = setup_gabor(4)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 1)  # 16 atoms in C^4: necessarily not Riesz
+        rs = build_riesz_system(ks, lam)
         with pytest.raises(NotRieszError):
-            biorthogonal_system(ks, lam)
+            biorthogonal_system(rs)
+        with pytest.raises(NotRieszError):
+            orthonormalize(rs)
+
+    def test_system_holds_the_gramian_and_its_envelope(self):
+        model, rep, g = setup_gabor(8)
+        ks = KernelSystem.build(rep, g)
+        lam = lattice(model, 4)
+        rs = build_riesz_system(ks, lam)
+        cdm = gramian(ks, lam)
+        assert np.array_equal(rs.atoms, ks.orbit[lam.points])
+        assert np.array_equal(rs.gram.entries, cdm.entries)
+        assert np.array_equal(rs.gram.envelope.values, cdm.envelope.values)
+
+    def test_empty_sample_rejected(self):
+        model, rep, g = setup_gabor(4)
+        with pytest.raises(InvalidParameterError):
+            build_riesz_system(KernelSystem.build(rep, g),
+                               SampleSet(model=model, points=np.zeros(0, dtype=int)))
 
 
 class TestFitEnvelope:

@@ -434,3 +434,30 @@ def test_cyclic_convolution_matches_blocked_table_path(n_side):
     for factor in (v1, np.where(np.arange(model.size) < model.size // 2, 0, v1)):
         got = convolve(GridFunction(model, factor), GridFunction(model, v2)).values
         assert np.array_equal(got, blocked_convolve(model, factor, v2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_cyclic_q_spread_counts_a_repeated_u_once(n):
+    """U is a set: the Z_N x Z_N override agrees with the base loop when u repeats."""
+    model = build_cyclic_phase_space(n)
+    rng = np.random.default_rng(n)
+    points = np.sort(rng.choice(model.size, max(1, model.size // 2), replace=False))
+    stack = np.abs(rng.normal(size=(2, len(points))))
+    for u in ([0, 0], np.array([0, 1, 1]) % model.size,
+              rng.integers(0, model.size, 3 * model.size),
+              np.concatenate([model.q_indices[::-1], model.q_indices])):
+        got = model.q_spread(stack, points, u)
+        assert np.array_equal(got, GroupModel.q_spread(model, stack, points, u))
+        # the same sums as over the distinct u, added in another order
+        assert np.allclose(got, model.q_spread(stack, points, np.unique(u)), rtol=1e-14, atol=0)
+
+
+def test_repeated_u_leaves_the_sequence_norm_alone():
+    model = build_cyclic_phase_space(4)
+    points, mags = np.array([0, 5]), np.array([1.0, 2.0])
+    spread = model.q_spread(mags, points, [0, 1, 1])
+    assert spread[[0, 1, 5, 6]].tolist() == [1.0, 1.0, 2.0, 2.0] and spread.sum() == 6.0
+    sspec = SequenceSpaceSpec(base=QuasiNormSpec(p=1.0),
+                              sample=SampleSet(model=model, points=points))
+    assert sequence_norm(mags, sspec, q_indices=[0, 1, 1]) \
+        == sequence_norm(mags, sspec, q_indices=[0, 1]) == 1.5

@@ -188,13 +188,33 @@ def test_one_relaxed_series_for_every_frame():
     # tail_tol is passed as it is, so _phi always sums the series, relaxed by fs.relaxation
     assert ast.unparse(phi_call) == "_phi(fs.frame_operator, phi, tail_tol, relax=fs.relaxation)"
     assert _callers(_calls("_frame_phi")) == {"frames.dual_frame", "frames.parseval_frame"}
-    assert _callers(_calls("_eigh")) == {"frames.hermitian_extremes", "frames._phi",
-                                         "frames._riesz_phi"}
+    assert _callers(_calls("_eigh")) == {"frames.hermitian_extremes", "frames.build_riesz_system"}
     cutoffs = [ast.unparse(node) for node in ast.walk(TREES["frames"])
                if isinstance(node, ast.Compare)
                and any(isinstance(c, ast.Constant) and c.value == 0.999
                        for c in [node.left, *node.comparators])]
     assert not cutoffs, f"frames compares against 0.999: {cutoffs}"
+
+
+def test_phi_is_the_series_only():
+    """_phi has no eigendecomposition mode: no eig parameter, no _eigh or eigh reached."""
+    (phi,) = [fn for fn in TREES["frames"].body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_phi"]
+    params = [arg.arg for arg in phi.args.args + phi.args.kwonlyargs]
+    assert params == ["m", "phi", "tail_tol", "eps_bound", "relax"]
+    called = {ast.unparse(node.func) for node in ast.walk(phi) if isinstance(node, ast.Call)}
+    assert "_series_apply" in called
+    assert not called & {"_eigh", "np.linalg.eigh", "hermitian_extremes"}
+
+
+def test_riesz_constructions_read_the_system():
+    """The Gramian is formed in gramian only; the Riesz constructions take a RieszSystem."""
+    assert _callers(_calls("gramian")) == {"frames.build_riesz_system"}
+    for name in ("biorthogonal_system", "orthonormalize"):
+        (fn,) = [fn for fn in TREES["frames"].body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == name]
+        assert [(arg.arg, ast.unparse(arg.annotation)) for arg in fn.args.args] \
+            == [("rs", "RieszSystem")]
 
 
 NORMS = ("coorbit_norm", "sequence_norm", "magnitude_norm", "amalgam_norm", "lpw_norm")
