@@ -19,6 +19,7 @@ from coorbitkit import (
     frame_kernel_envelope_check,
     gabor_representation,
     gaussian_window,
+    normalize_admissible,
     parseval_frame,
     unit_weight,
 )
@@ -30,6 +31,10 @@ rep = gabor_representation(model)
 g = gaussian_window(model)
 ks = KernelSystem.build(rep, g)
 print(f"phase space Z_{N} x Z_{N}: {model.size} points, Haar weight 1/{N} each")
+scaled = KernelSystem.form(rep, 3.0 * g).admissibility()["constant"]
+h = normalize_admissible(rep, 3.0 * g)
+print(f"3g has admissibility constant {scaled:.4f} = 9 C(g); normalize_admissible rescales "
+      f"it back to g (max difference {np.abs(h - g).max():.1e})")
 
 lattice = SampleSet(model=model, points=np.array(
     [k * N + l for k in range(0, N, 2) for l in range(0, N, 2)]))

@@ -15,7 +15,6 @@ from .amalgam import (
     amalgam_norm,
     convolve,
     convolution_relation_check,
-    delta,
     embedding_constant_check,
     indicator,
     involution,
@@ -60,14 +59,12 @@ from .frames import (
     boxcar_window,
     build_almost_tight_frame,
     build_riesz_system,
-    check_admissible,
     dual_frame,
     fit_envelope,
     frame_kernel_envelope_check,
     gabor_representation,
     gaussian_window,
     gramian,
-    holomorphic_apply,
     normalize_admissible,
     orthonormalize,
     parseval_frame,

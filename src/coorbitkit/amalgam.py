@@ -15,9 +15,7 @@ front ends for a GridFunction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -48,37 +46,10 @@ class GridFunction:
     def __abs__(self) -> "GridFunction":
         return GridFunction(self.model, np.abs(self.values))
 
-    def to_csv(self, path: Union[str, Path]) -> Path:
-        """One row per carrier point: coordinate label(s), re, im."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.model.kind == "cyclic":
-                writer.writerow(["k", "l", "re", "im"])
-                n = self.model.n_side
-                for i, v in enumerate(self.values):
-                    writer.writerow([i // n, i % n, v.real, v.imag])
-            elif self.model.kind == "affine":
-                writer.writerow(["x", "a", "re", "im"])
-                for (x, a), v in zip(self.model.coords, self.values):
-                    writer.writerow([x, a, v.real, v.imag])
-            else:
-                writer.writerow(["x", "re", "im"])
-                for i, v in enumerate(self.values):
-                    writer.writerow([self.model.coords[i], v.real, v.imag])
-        return path
-
 
 def indicator(model: GroupModel, indices) -> GridFunction:
     v = np.zeros(model.size, dtype=complex)
     v[np.asarray(indices, dtype=int)] = 1.0
-    return GridFunction(model, v)
-
-
-def delta(model: GroupModel, index: int, normalized: bool = False) -> GridFunction:
-    """Point mass; ``normalized`` scales by 1/mu so it acts as convolution identity."""
-    v = np.zeros(model.size, dtype=complex)
-    v[index] = 1.0 / model.haar[index] if normalized else 1.0
     return GridFunction(model, v)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     NoCertificateError,
     NotContractiveError,
 )
-from .groups import PWeight, padded, unit_weight
+from .groups import padded
 from .sampling import SampleSet, molecule_bound, rel_separation
 
 
@@ -37,7 +37,6 @@ class CDMatrix:
     cols: SampleSet
     entries: np.ndarray
     envelope: Optional[GridFunction] = None
-    context: dict = field(default_factory=dict)  # {"p": ..., "weight": PWeight}
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -52,23 +51,6 @@ class CDMatrix:
     @property
     def model(self):
         return self.rows.model
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "rows": self.rows.points.tolist(),
-            "cols": self.cols.points.tolist(),
-            "entries_re": self.entries.real.tolist(),
-            "entries_im": self.entries.imag.tolist(),
-        }
-        if self.envelope is not None:
-            obj["envelope"] = self.envelope.values.real.tolist()
-        if self.context:
-            obj["context"] = {
-                "p": self.context.get("p"),
-                "weight_id": f"pweight(p={self.context['weight'].p})"
-                if "weight" in self.context else None,
-            }
-        return obj
 
 
 def verify_envelope(a: CDMatrix, phi: GridFunction) -> dict:
@@ -140,10 +122,8 @@ def product_with_envelope(a: CDMatrix, b: CDMatrix) -> CDMatrix:
         raise NoCertificateError("both factors need envelope certificates")
     phi, theta = a.envelope, b.envelope
     h_vals = molecule_bound(rel_separation(a.cols), [(theta, phi), (phi, theta)])
-    out = CDMatrix(rows=a.rows, cols=b.cols, entries=a.entries @ b.entries,
-                   envelope=GridFunction(a.model, h_vals),
-                   context=dict(a.context) or dict(b.context))
-    return out
+    return CDMatrix(rows=a.rows, cols=b.cols, entries=a.entries @ b.entries,
+                    envelope=GridFunction(a.model, h_vals))
 
 
 def add_with_envelope(a: CDMatrix, b: CDMatrix, p: float) -> CDMatrix:
@@ -156,15 +136,12 @@ def add_with_envelope(a: CDMatrix, b: CDMatrix, p: float) -> CDMatrix:
         raise NoCertificateError("both summands need envelope certificates")
     vals = (a.envelope.values.real ** p + b.envelope.values.real ** p) ** (1.0 / p)
     return CDMatrix(rows=a.rows, cols=b.cols, entries=a.entries + b.entries,
-                    envelope=GridFunction(a.model, vals), context=dict(a.context))
+                    envelope=GridFunction(a.model, vals))
 
 
-def identity_cd(sample: SampleSet, p: float = 1.0,
-                weight: Optional[PWeight] = None) -> CDMatrix:
+def identity_cd(sample: SampleSet) -> CDMatrix:
     """Identity matrix on a sample set with its minimal envelope."""
-    m = len(sample)
-    out = CDMatrix(rows=sample, cols=sample, entries=np.eye(m, dtype=complex),
-                   context={"p": p, "weight": weight or unit_weight(sample.model, p)})
+    out = CDMatrix(rows=sample, cols=sample, entries=np.eye(len(sample), dtype=complex))
     out.envelope = minimal_envelope(out)
     return out
 
@@ -187,15 +164,16 @@ def _series_coefficients(phi: str):
     raise InvalidParameterError(f"unknown series function {phi!r}")
 
 
-def _series_apply(s: np.ndarray, phi: str, eps_bound: float, tail_tol: float,
+def _series_apply(s: np.ndarray, phi: str, eps_bound: Optional[float], tail_tol: float,
                   relax: Optional[tuple] = None):
     """Truncated power series sum a_n D^n; returns (result, n_terms, tail_bound).
 
     As |a_n| <= 1, the tail after term n is at most q^{n+1}/(1 - q) for ||D||_2 <= q.
-    Unrelaxed, D = I - S with q = ||D||_2 <= eps_bound measured, summed until the last
-    term's 2-norm plus that tail is <= tail_tol.  With ``relax = (w, q)``, where
-    ||I - wS||_2 = q is known, D = I - wS, n is the smallest with q^n/(1 - q) <= tail_tol,
-    fixed before summing, and result and tail are scaled by w^{1 or 1/2}.
+    Unrelaxed, D = I - S with q = ||D||_2 <= eps_bound measured (the only read of
+    eps_bound), summed until the last term's 2-norm plus that tail is <= tail_tol.
+    With ``relax = (w, q)``, where ||I - wS||_2 = q is known, D = I - wS, n is the
+    smallest with q^n/(1 - q) <= tail_tol, fixed before summing, and result and tail
+    are scaled by w^{1 or 1/2}.
     """
     max_terms, omega, n_fixed = 20_000, 1.0, None
     if relax is not None:
@@ -246,8 +224,7 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     m = len(a.rows)
     result, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
 
-    diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m),
-                    context=dict(a.context))
+    diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m))
     theta = minimal_envelope(diff)
     rel = rel_separation(a.cols)
     eye_env = identity_cd(a.rows).envelope
@@ -268,7 +245,7 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
                                   f"at term {n} of {n_terms}")
     env_vals = env_vals + op_tail  # constant bump dominating the truncated tail
     out = CDMatrix(rows=a.rows, cols=a.cols, entries=result,
-                   envelope=GridFunction(a.model, env_vals), context=dict(a.context))
+                   envelope=GridFunction(a.model, env_vals))
     check = verify_envelope(out, out.envelope)
     if check["max_excess"] > tail_tol:
         raise ArithmeticError(

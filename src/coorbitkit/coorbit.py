@@ -319,7 +319,6 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
 
     bound = d_norm * iota * c_norm
     return {
-        "context": {"y_p": ctx_y.y_spec.p, "z_p": ctx_z.y_spec.p},
         "measured": emb,
         "certificate_bound": bound,
         "sequence_embedding_constant": iota,
@@ -355,7 +354,6 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     d_images = measured_reconstruction_norm(ctx, images, sample, induced)
     bound = cal.reconstruction_c * cert.amalgam_value * c_norm
     return {
-        "context": {"p": ctx.p, "y_p": ctx.y_spec.p},
         "measured": measured,
         "certificate_bound": bound,
         "envelope_amalgam": cert.amalgam_value,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -40,6 +39,7 @@ from .frames import (
     reconstruction_error,
 )
 from .groups import (
+    _is_int_at_least,
     affine_axes,
     build_affine_grid,
     build_cyclic_phase_space,
@@ -117,6 +117,8 @@ def emit_report(report: Report, out_dir, fmt: str = "json") -> list:
     relative to ``out_dir`` so the JSON does not depend on where it is written;
     the return value holds the same files as full paths.
     """
+    if fmt not in ("json", "csv"):
+        raise InvalidParameterError(f"fmt must be 'json' or 'csv', got fmt={fmt!r}")
     out_dir = Path(out_dir)
     stem = report.command.replace(" ", "_")
     csv_names = {name: f"{stem}_{name}.csv" for name in report.curves} if fmt == "csv" else {}
@@ -412,15 +414,7 @@ def run_counterexample_affine(alpha: float = 2.0, beta: float = 0.5,
 # Gabor frame / Riesz suites on the cyclic model
 
 
-def _is_int_at_least(value, minimum: int) -> bool:
-    """True iff ``value`` is an integer (not a bool, not a float such as 2.0) >= ``minimum``."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum)
-
-
 def _cyclic_setup(n_side: int, window_id: str):
-    if not _is_int_at_least(n_side, 1):
-        raise InvalidParameterError(f"n_side must be an integer >= 1, got n_side={n_side!r}")
     if window_id not in WINDOWS:
         raise InvalidParameterError(f"window_id must be one of {', '.join(map(repr, WINDOWS))}, "
                                     f"got window_id={window_id!r}")

@@ -22,7 +22,7 @@ from .errors import (
     NotRieszError,
     ReducibilityWarning,
 )
-from .groups import CyclicPhaseSpace, PWeight, unit_weight
+from .groups import CyclicPhaseSpace, PWeight, _is_int_at_least, unit_weight
 from .sampling import SampleSet, _block_items, build_cover, molecule_bound, pair_check, \
     rel_separation
 
@@ -51,11 +51,11 @@ class Representation:
         return np.stack([self.action(i) for i in range(self.model.size)])
 
     def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
-        """pi(x_i) vec for one vector or for each row of a (k, dim) stack, 0 <= i < n."""
-        i = int(i)
-        if not 0 <= i < self.model.size:
-            raise InvalidParameterError(f"point index {i} is outside [0, {self.model.size})")
-        k, l = divmod(i, self.dim)
+        """pi(x_i) vec for one vector or for each row of a (k, dim) stack, integer 0 <= i < n."""
+        if not (_is_int_at_least(i, 0) and i < self.model.size):
+            raise InvalidParameterError(f"point index {i!r} is not an integer, or is outside "
+                                        f"[0, {self.model.size})")
+        k, l = divmod(int(i), self.dim)
         return self.phase[l] * self._shifted(vecs, k, (1, 2))
 
     def orbit(self, vec: np.ndarray) -> np.ndarray:
@@ -103,14 +103,9 @@ def voice_transform(rep: Representation, g: np.ndarray, f: np.ndarray) -> GridFu
     return KernelSystem.form(rep, g).voice(f)
 
 
-def check_admissible(rep: Representation, g: np.ndarray) -> dict:
-    """Measure the admissibility constant ||V_g f||^2 / ||f||^2 and its f-dependence."""
-    return KernelSystem.form(rep, g).admissibility()
-
-
 def normalize_admissible(rep: Representation, g: np.ndarray) -> np.ndarray:
     """Rescale g by constant^{-1/2} so the coefficient transform is an isometry."""
-    info = check_admissible(rep, g)
+    info = KernelSystem.form(rep, g).admissibility()
     return np.asarray(g, dtype=complex) / np.sqrt(info["constant"])
 
 
@@ -200,9 +195,6 @@ class KernelSystem:
         """Every kernel as a column, shape (n, n), built on every access."""
         return self.kernels(np.arange(self.rep.model.size))
 
-    def kernel(self, x_index: int) -> GridFunction:
-        return GridFunction(self.rep.model, self.kernels([x_index])[:, 0])
-
 
 @dataclass
 class MoleculeCertificate:
@@ -269,31 +261,19 @@ def hermitian_extremes(s: np.ndarray) -> tuple:
     return float(vals[0]), float(vals[-1])
 
 
-def _phi(m: np.ndarray, phi: str, tail_tol: float, eps_bound: float = 0.999,
-         relax: Optional[tuple] = None) -> tuple:
+def _phi(m: np.ndarray, phi: str, tail_tol: float, relax: tuple) -> tuple:
     """(phi(M), series terms, tail bound) for Hermitian M > 0: M^{-1} or M^{-1/2}.
 
-    The power series ``_series_apply``, relaxed by ``relax`` (count and tail bound
-    fixed in advance) or around I (||M - I||_2 <= eps_bound), with ||R M - I||_2,
-    or ||R M R - I||_2, held to 10 tail_tol: the check that catches a wrong q.
+    The power series ``_series_apply`` relaxed by ``relax`` = (w, q), its count and
+    tail bound fixed in advance, with ||R M - I||_2, or ||R M R - I||_2, held to
+    10 tail_tol: the check that catches a wrong q.
     """
-    result, n_terms, tail_bound = _series_apply(m, phi, eps_bound, tail_tol, relax)
+    result, n_terms, tail_bound = _series_apply(m, phi, None, tail_tol, relax)
     product = result @ m if phi == "inverse" else result @ m @ result
     resid = _identity_gap(product, spectral=True)
     if resid > 10 * tail_tol:
         raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
     return result, n_terms, tail_bound
-
-
-def holomorphic_apply(s: np.ndarray, phi: str, eps_bound: float = 0.999,
-                      tail_tol: float = 1e-12) -> np.ndarray:
-    """phi(S) = sum a_n (I - S)^n for phi in {inverse, inverse_sqrt}, unrelaxed.
-
-    The measured d = ||S - I||_2 must stay below eps_bound < 1; the sum stops when
-    the last term's 2-norm plus d^{n+1}/(1 - d) is <= tail_tol.  The residual of
-    the returned matrix is checked against 10 * tail_tol.
-    """
-    return _phi(s, phi, tail_tol, eps_bound)[0]
 
 
 def _identity_gap(x: np.ndarray, spectral: bool = False) -> float:

@@ -93,6 +93,12 @@ from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 ABSENT = -1
 
 
+def _is_int_at_least(value, minimum: int) -> bool:
+    """True iff ``value`` is an integer (not a bool, not a float such as 2.0) >= ``minimum``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 def _check_side(side: str) -> None:
     if side not in ("left", "right"):
         raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
@@ -269,9 +275,6 @@ class GroupModel:
     def q_mass(self) -> float:
         return float(self.haar[self.q_indices].sum())
 
-    def total_mass(self) -> float:
-        return float(self.haar.sum())
-
     def index_of(self, coord) -> int:
         """Carrier index of an exactly representable coordinate (raises if off-grid)."""
         raise NotImplementedError
@@ -289,8 +292,8 @@ class CyclicPhaseSpace(GroupModel):
     exact = True
 
     def __init__(self, n_side: int):
-        if n_side < 1:
-            raise InvalidParameterError(f"cyclic phase space needs N >= 1, got {n_side}")
+        if not _is_int_at_least(n_side, 1):
+            raise InvalidParameterError(f"n_side must be an integer >= 1, got n_side={n_side!r}")
         self.n_side = int(n_side)
         n = self.n_side * self.n_side
         self.size = n

@@ -67,9 +67,6 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_json_obj(self) -> dict:
-        return {"model": self.model.kind, "points": self.points.tolist()}
-
 
 @dataclass(frozen=True)
 class DisjointCover:

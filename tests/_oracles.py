@@ -393,8 +393,7 @@ def eager_series_apply(s, phi, eps_bound, tail_tol):
 def composed_holomorphic_envelope(a, phi, tail_tol=1e-10):
     """The envelope of phi(A), each Theta^{(n+1)} read off the full product of CD-matrices."""
     _, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
-    diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(len(a.rows)),
-                    context=dict(a.context))
+    diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(len(a.rows)))
     diff.envelope = minimal_envelope(diff)
     coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
     env_vals = np.abs(coeffs[0]) * identity_cd(a.rows).envelope.values.real
@@ -490,7 +489,6 @@ def coefficient_bound_report(ctx, atoms, cert, sample, f_samples, cal):
     measured = measured_coefficient_norm(ctx, atoms, sample, f_samples)
     bound = cal.coefficient_c * rel_separation(sample) * cert.amalgam_value
     return {
-        "context": {"p": ctx.p, "y_p": ctx.y_spec.p},
         "measured": measured,
         "certificate_bound": bound,
         "pass": bool(measured <= bound * (1 + 1e-9)),

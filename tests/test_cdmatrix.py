@@ -15,7 +15,6 @@ from coorbitkit import (
     gabor_representation,
     gaussian_window,
     gramian,
-    holomorphic_apply,
     identity_cd,
     matrix_holomorphic,
     minimal_envelope,
@@ -287,16 +286,5 @@ class TestLazySeriesCoefficients:
             assert np.array_equal(matrix_holomorphic(a, "inverse_sqrt").entries, expected)
         expected, n_terms, _ = eager_series_apply(a.entries, "inverse_sqrt", 0.999, 1e-12)
         assert n_terms == holomorphic_terms
-        assert np.array_equal(holomorphic_apply(a.entries, "inverse_sqrt"), expected)
+        assert np.array_equal(_series_apply(a.entries, "inverse_sqrt", 0.999, 1e-12)[0], expected)
 
-
-def test_cd_matrix_json_object(model):
-    import json
-
-    lam = SampleSet(model=model, points=np.array([0, 9]))
-    cdm = identity_cd(lam, p=0.5)
-    obj = json.loads(json.dumps(cdm.to_json_obj()))
-    assert obj["rows"] == [0, 9]
-    assert obj["entries_re"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert len(obj["envelope"]) == model.size
-    assert obj["context"]["p"] == 0.5

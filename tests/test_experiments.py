@@ -628,6 +628,14 @@ class TestReports:
         assert paths == [str(tmp_path / "csv" / name) for name in obj["artifacts"]]
         assert all(Path(path).exists() for path in paths)
 
+    @pytest.mark.parametrize("fmt", ["xml", "JSON", "", None])
+    def test_unknown_format_writes_nothing(self, tmp_path, fmt):
+        # an unknown fmt once wrote the JSON alone and said nothing
+        report = ex.Report(command="demo", parameters={}, metrics=[])
+        with pytest.raises(InvalidParameterError, match="fmt must be 'json' or 'csv', got fmt="):
+            ex.emit_report(report, tmp_path / "out", fmt=fmt)
+        assert not (tmp_path / "out").exists()
+
     def test_csv_rows_per_parameter(self, tmp_path):
         report = ex.run_counterexample_realline(**FAST_REALLINE)
         ex.emit_report(report, tmp_path, fmt="csv")

@@ -13,7 +13,6 @@ from coorbitkit import (
     build_cyclic_phase_space,
     build_real_line,
     build_riesz_system,
-    check_admissible,
     convolve,
     dual_frame,
     fit_envelope,
@@ -21,7 +20,6 @@ from coorbitkit import (
     gabor_representation,
     gaussian_window,
     gramian,
-    holomorphic_apply,
     maximal_left,
     maximal_right,
     normalize_admissible,
@@ -120,7 +118,7 @@ class TestOrbitMap:
         points = rng.permutation(model.size)[: max(1, model.size // 3)]
         dense_cols = (orbit.conj() @ orbit.T)[:, points]
         assert np.abs(ks.kernels(points) - dense_cols).max() <= 1e-14
-        assert np.abs(ks.kernel(points[0]).values - dense_cols[:, 0]).max() <= 1e-14
+        assert np.abs(ks.kernels([points[0]])[:, 0] - dense_cols[:, 0]).max() <= 1e-14
 
     def test_no_dense_state(self):
         model, rep, g = setup_gabor(32)
@@ -152,6 +150,18 @@ class TestOrbitMap:
         model, rep, g = setup_gabor(4)
         with pytest.raises(InvalidParameterError, match="outside"):
             rep.apply(i, g)
+
+    @pytest.mark.parametrize("i", [2.7, 2.0, np.float64(3.0), True, np.True_, "1", np.nan])
+    def test_apply_rejects_a_non_integer_index(self, i):
+        # apply(2.7, v) once applied pi(x_2): int() truncated before the range check
+        model, rep, g = setup_gabor(4)
+        with pytest.raises(InvalidParameterError, match="not an integer"):
+            rep.apply(i, g)
+
+    def test_apply_takes_numpy_integers(self):
+        model, rep, g = setup_gabor(4)
+        for i in (np.int64(5), np.int32(15), np.uint8(0)):
+            assert np.array_equal(rep.apply(i, g), rep.apply(int(i), g))
 
     def test_non_cyclic_model_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -190,25 +200,25 @@ class TestAdmissibility:
         rng = np.random.default_rng(2)
         g = rng.normal(size=4) + 1j * rng.normal(size=4)
         g /= np.linalg.norm(g)
-        info = check_admissible(rep, g)
+        info = KernelSystem.form(rep, g).admissibility()
         assert info["is_admissible"]
         assert info["constant"] == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_homogeneity(self):
         model, rep, g = setup_gabor(4)
         c = 1.7 - 0.3j
-        info = check_admissible(rep, c * g)
+        info = KernelSystem.form(rep, c * g).admissibility()
         assert info["constant"] == pytest.approx(abs(c) ** 2, rel=1e-12)
 
     def test_zero_window_rejected(self):
         model, rep, _ = setup_gabor(4)
         with pytest.raises(InvalidParameterError):
-            check_admissible(rep, np.zeros(4))
+            KernelSystem.form(rep, np.zeros(4)).admissibility()
 
     def test_normalize(self):
         model, rep, g = setup_gabor(4)
         h = normalize_admissible(rep, 3.0 * g)
-        assert check_admissible(rep, h)["is_admissible"]
+        assert KernelSystem.form(rep, h).admissibility()["is_admissible"]
 
 
 class TestReproducingFormula:
@@ -306,19 +316,19 @@ class TestFrameBounds:
 
 class TestHolomorphicApply:
     def test_identity_input(self):
-        r = holomorphic_apply(np.eye(3), "inverse", 0.5, 1e-12)
+        r = _series_apply(np.eye(3), "inverse", 0.5, 1e-12)[0]
         assert np.allclose(r, np.eye(3))
 
     def test_diagonal_inverse(self):
         s = np.diag([0.8, 1.2])
-        r = holomorphic_apply(s, "inverse", 0.5, 1e-13)
+        r = _series_apply(s, "inverse", 0.5, 1e-13)[0]
         assert np.abs(r - np.diag([1.25, 1.0 / 1.2])).max() < 1e-11
 
     def test_inverse_sqrt_against_eig_oracle(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(5, 5))
         s = np.eye(5) + 0.05 * (a + a.T)
-        r = holomorphic_apply(s, "inverse_sqrt", 0.9, 1e-13)
+        r = _series_apply(s, "inverse_sqrt", 0.9, 1e-13)[0]
         oracle = eig_apply(s, lambda v: v ** -0.5)
         assert np.abs(r - oracle).max() < 1e-10
 
@@ -327,18 +337,18 @@ class TestHolomorphicApply:
         ks = KernelSystem.build(rep, g)
         fs = build_almost_tight_frame(ks, lattice(model, 2), block(model, 2))
         tail = 1e-12
-        r = holomorphic_apply(fs.frame_operator, "inverse_sqrt", 0.999, tail)
+        r = _series_apply(fs.frame_operator, "inverse_sqrt", 0.999, tail)[0]
         resid = np.linalg.norm(r @ r @ fs.frame_operator - np.eye(8), 2)
         assert resid <= 10 * tail
-        inv = holomorphic_apply(fs.frame_operator, "inverse", 0.999, tail)
+        inv = _series_apply(fs.frame_operator, "inverse", 0.999, tail)[0]
         assert np.abs(r @ r - inv).max() < 100 * tail
 
     def test_not_contractive(self):
         with pytest.raises(NotContractiveError):
-            holomorphic_apply(np.diag([-0.5, 1.0]), "inverse", 0.999, 1e-12)
+            _series_apply(np.diag([-0.5, 1.0]), "inverse", 0.999, 1e-12)
         with pytest.raises(NotContractiveError):
             # measured deviation 0.9 exceeds the caller's budget 0.5
-            holomorphic_apply(np.diag([0.1, 1.0]), "inverse", 0.5, 1e-12)
+            _series_apply(np.diag([0.1, 1.0]), "inverse", 0.5, 1e-12)
 
 
 class TestDualFrame:
@@ -889,5 +899,5 @@ class TestBlockBoundaries:
 class TestWindowVariants:
     def test_boxcar_admissible(self):
         model, rep, _ = setup_gabor(8)
-        info = check_admissible(rep, boxcar_window(model))
+        info = KernelSystem.form(rep, boxcar_window(model)).admissibility()
         assert info["is_admissible"]

@@ -33,6 +33,17 @@ class TestCyclicModel:
         with pytest.raises(InvalidParameterError):
             build_cyclic_phase_space(0)
 
+    # 2.5 once built Z_2 x Z_2, True built N = 1 and NaN ended in a bare ValueError
+    @pytest.mark.parametrize("n", [2.5, 8.0, np.float64(4.0), np.nan, True, np.True_, "4", None])
+    def test_non_integer_n_named(self, n):
+        with pytest.raises(InvalidParameterError, match="n_side must be an integer >= 1, got "):
+            build_cyclic_phase_space(n)
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_n_accepted(self, n):
+        m = build_cyclic_phase_space(n)
+        assert m.n_side == 3 and type(m.n_side) is int and m.size == 9
+
     def test_cocycle_identity_all_triples_n4(self):
         m = build_cyclic_phase_space(4)
         idx = np.arange(m.size)
@@ -67,7 +78,7 @@ class TestCyclicModel:
     def test_haar_weights(self):
         m = build_cyclic_phase_space(2)
         assert np.allclose(m.haar, 0.5)
-        assert m.total_mass() == pytest.approx(2.0)
+        assert m.haar.sum() == pytest.approx(2.0)
 
 
 @st.composite

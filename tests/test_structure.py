@@ -197,11 +197,11 @@ def test_one_relaxed_series_for_every_frame():
 
 
 def test_phi_is_the_series_only():
-    """_phi has no eigendecomposition mode: no eig parameter, no _eigh or eigh reached."""
+    """_phi is the relaxed series only: no eig or eps_bound parameter, no _eigh or eigh reached."""
     (phi,) = [fn for fn in TREES["frames"].body
               if isinstance(fn, ast.FunctionDef) and fn.name == "_phi"]
     params = [arg.arg for arg in phi.args.args + phi.args.kwonlyargs]
-    assert params == ["m", "phi", "tail_tol", "eps_bound", "relax"]
+    assert params == ["m", "phi", "tail_tol", "relax"]
     called = {ast.unparse(node.func) for node in ast.walk(phi) if isinstance(node, ast.Call)}
     assert "_series_apply" in called
     assert not called & {"_eigh", "np.linalg.eigh", "hermitian_extremes"}
@@ -243,3 +243,76 @@ def test_per_sample_norm_check_catches_a_loop():
     tree = ast.parse("def f(ctx, fs):\n    return max(coorbit_norm(ctx, f) for f in fs)\n"
                      "def g(s):\n    return _ratios(lambda c: 1.0, s)\n")
     assert _norms_per_sample(tree) == ["coorbit_norm(ctx, f) (line 2)", "lambda (line 4)"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = [ast.parse(path.read_text()) for folder in ("perfbench", "demos")
+           for path in sorted((ROOT / folder).glob("*.py"))]
+# paper checks that only the tests reach; each should gain a consumer or move to the tests
+TEST_ONLY = {"embedding_constant_check", "translate_left", "translate_right", "add_with_envelope",
+             "coefficient_operator", "reconstruction_operator", "reproducing_check",
+             "model_from_config", "is_U_dense", "is_U_separated", "max_separated_subset",
+             "shifted_series_check"}
+
+
+def _exports() -> list:
+    """The names ``coorbitkit/__init__.py`` re-exports from its modules."""
+    return [alias.asname or alias.name for node in TREES["__init__"].body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _read_in_module(tree, name) -> bool:
+    """A module that defines or imports ``name`` loads it outside its own definition."""
+    own = [node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
+    imported = any(isinstance(node, ast.ImportFrom) and name in {a.asname or a.name
+                                                                 for a in node.names}
+                   for node in tree.body)
+    inside = {id(node) for definition in own for node in ast.walk(definition)}
+    return bool(own or imported) and any(
+        isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        and id(node) not in inside for node in ast.walk(tree))
+
+
+def _script_reads(tree) -> set:
+    """Names a script imports from the package, reads off a package module (``ck.<name>``)
+    or passes by name next to one, as ``wrap(tracer, frames, "voice_transform")`` does."""
+    modules = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name.split(".")[0] == "coorbitkit"}
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "coorbitkit" for a in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules}
+    by_name = {arg.value for call in ast.walk(tree) if isinstance(call, ast.Call)
+               for module, arg in zip(call.args, call.args[1:])
+               if isinstance(module, ast.Name) and module.id in modules
+               and isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+    return imported | attributes | by_name
+
+
+def _unread(names, modules, scripts) -> list:
+    """The names no module reads (outside their own definition) and no script reaches."""
+    outside = set().union(*map(_script_reads, scripts))
+    return [name for name in names if name not in outside
+            and not any(_read_in_module(tree, name) for tree in modules)]
+
+
+def test_every_export_has_a_reader():
+    """Each export is read in src, by perfbench or a demo, or is a listed test-only check."""
+    modules = [tree for module, tree in TREES.items() if module != "__init__"]
+    unread = _unread(_exports(), modules, SCRIPTS)
+    assert sorted(set(unread) - TEST_ONLY) == [], "exports nothing reads"
+    assert sorted(TEST_ONLY - set(unread)) == [], "listed as test-only but read or not exported"
+
+
+def test_export_reader_check_catches_a_leftover():
+    module = ast.parse("from .a import helper\ndef used():\n    return helper()\n"
+                       "def recursive(n):\n    return recursive(n - 1)\n"
+                       "def caller():\n    return used()\ndef shadowed():\n    shadowed = 1\n")
+    script = ast.parse("import coorbitkit as ck\nimport coorbitkit.frames as frames\n"
+                       "from coorbitkit.frames import imported\nck.via_alias(imported)\n"
+                       "wrap(frames, 'by_name')\nwrap('quoted', frames)\n")
+    names = ["helper", "used", "recursive", "caller", "shadowed", "via_alias", "imported",
+             "by_name", "quoted"]
+    assert _unread(names, [module], [script]) == ["recursive", "caller", "shadowed", "quoted"]
