@@ -41,8 +41,8 @@ class Representation:
         self.phase = np.exp(2j * np.pi * t[:, None] * t / n)  # [l, t]
 
     def action(self, i: int) -> np.ndarray:
-        """pi(x_i) as a dim x dim matrix, built on every call."""
-        k, l = divmod(int(i), self.dim)
+        """pi(x_i) as a dim x dim matrix, built on every call, integer 0 <= i < n."""
+        k, l = self._point(i)
         return self.phase[l][:, None] * np.eye(self.dim)[self.shift[k]]
 
     @property
@@ -52,16 +52,20 @@ class Representation:
 
     def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
         """pi(x_i) vec for one vector or for each row of a (k, dim) stack, integer 0 <= i < n."""
-        if not (_is_int_at_least(i, 0) and i < self.model.size):
-            raise InvalidParameterError(f"point index {i!r} is not an integer, or is outside "
-                                        f"[0, {self.model.size})")
-        k, l = divmod(int(i), self.dim)
+        k, l = self._point(i)
         return self.phase[l] * self._shifted(vecs, k, (1, 2))
 
     def orbit(self, vec: np.ndarray) -> np.ndarray:
         """All pi(x) vec stacked as rows, shape (n, dim), in O(n dim) from the two tables."""
         shifted = self._shifted(vec, slice(None), (1,))  # [k, t] = vec((t - k) mod N)
         return (self.phase[None, :, :] * shifted[:, None, :]).reshape(-1, self.dim)
+
+    def _point(self, i) -> tuple:
+        """(k, l) of point index ``i``; InvalidParameterError unless it is an integer in [0, n)."""
+        if not (_is_int_at_least(i, 0) and i < self.model.size):
+            raise InvalidParameterError(f"point index {i!r} is not an integer, or is outside "
+                                        f"[0, {self.model.size})")
+        return divmod(int(i), self.dim)
 
     def _shifted(self, vecs, k, ndims) -> np.ndarray:
         vecs = np.asarray(vecs)
@@ -384,22 +388,28 @@ def _riesz_phi(rs: RieszSystem, power: float) -> np.ndarray:
     return ((vecs / vals ** power) @ vecs.conj().T).conj() @ rs.atoms
 
 
-def biorthogonal_system(rs: RieszSystem) -> np.ndarray:
-    """h_i = sum_{i'} conj(G^{-1})_{i,i'} pi(lambda_{i'}) g; exact biorthogonality."""
+def biorthogonal_system(rs: RieszSystem) -> tuple:
+    """h_i = sum_{i'} conj(G^{-1})_{i,i'} pi(lambda_{i'}) g and its biorthogonality deviation.
+
+    The deviation is max |<h_i', pi(lambda_i) g> - delta_ii'|; NotRieszError above 1e-9.
+    """
     duals = _riesz_phi(rs, 1.0)
     dev = _identity_gap(rs.atoms.conj() @ duals.T)
     if dev > 1e-9:
         raise NotRieszError(f"biorthogonality deviation {dev:.2e} exceeds 1e-9")
-    return duals
+    return duals, dev
 
 
-def orthonormalize(rs: RieszSystem) -> np.ndarray:
-    """Atoms conj(G^{-1/2}) (pi(lambda_i) g): an orthonormal family to 1e-9."""
+def orthonormalize(rs: RieszSystem) -> tuple:
+    """Atoms conj(G^{-1/2}) (pi(lambda_i) g) and the deviation of their Gramian from I.
+
+    NotRieszError if the deviation exceeds 1e-9.
+    """
     ortho = _riesz_phi(rs, 0.5)
     dev = _identity_gap(ortho @ ortho.conj().T)
     if dev > 1e-9:
         raise NotRieszError(f"orthonormalization deviation {dev:.2e} exceeds 1e-9")
-    return ortho
+    return ortho, dev
 
 
 # ---------------------------------------------------------------------------

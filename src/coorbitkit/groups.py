@@ -28,22 +28,29 @@ function per row, bit-identical to the row's own call.  The base class takes
 the max over ``translates`` and is the test oracle.  Three models override it
 with the same products, so the maxima are bit-identical: the line's Q is a
 contiguous index window around the identity (x·q = q·x = x + q), read as one
-sliding-window max; on Z_N x Z_N the index of x·q equals that of q·x, so one
+window max; on Z_N x Z_N the index of x·q equals that of q·x, so one
 |Q| x n product table built at construction serves both sides (a stack takes
 |Q| in-place maxima over its rows, so the temporary stays one stack, not |Q|
 of them); on the affine grid x·q = (x + a q_x, a q_a)
-and Q = Q_x x Q_a, so M^L is a sliding-window max over the scale shifts q_a
+and Q = Q_x x Q_a, so M^L is a window max over the scale shifts q_a
 followed by one gather per q_x, whose x-index is snapped from the same float
-expression as ``mul_indices``.  Affine M^R keeps the base loop.
+expression as ``mul_indices``.  Affine M^R keeps the base loop.  Every window
+max is ``_window_max``, a doubling (sparse-table) running max: floor(log2 w)
+passes of pairwise maxima at shifts 1, 2, 4, ... and one last maximum of two
+overlapping runs, O(n log w) for a window of w entries instead of the n·w
+reads of a sliding window; a max is exact, so the result is the same.
 
 Push sets.  ``GroupModel.q_neighbourhood(points)`` is the third primitive: the
 sorted, duplicate-free on-grid indices of P·Q = {p·q : p in P, q in Q}, from
 which the IN diagnostic measures mu(QxQ).  The base class marks the
-``translates`` of P and is the test oracle.  The affine grid overrides it with
-the split of ``local_max``: the x-index of p·q is snapped from (p, q_x) alone, by
-the float expression of ``mul_indices``, and its scale index is ma_p + ma_q, so
-one pass per q_x marks the x-index of p·q_x at the scale of p and the marks are
-dilated along the scale axis by the shifts of Q_a; the index set is the same.
+``translates`` of P and is the test oracle.  Two models override it with the
+split of ``local_max``.  On the line p·q = p + q, so P is marked in a bool
+vector and the marks are pushed by one window max over the window of Q,
+reflected against the pull of ``local_max``.  On the affine grid the x-index of
+p·q is snapped from (p, q_x) alone, by the float expression of ``mul_indices``,
+and its scale index is ma_p + ma_q, so one pass per q_x marks the x-index of
+p·q_x at the scale of p and the marks are dilated along the scale axis by the
+shifts of Q_a.  Either way the index set is the same.
 
 Push sums.  ``GroupModel.q_spread(mags, points, u)``, the adjoint of ``local_max``,
 is the fourth primitive: sum_i mags_i 1_{p_i U} (U = Q by default), whose amalgam
@@ -86,7 +93,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 
@@ -118,11 +124,18 @@ def _window_max(values, lo: int, hi: int) -> np.ndarray:
     """out[..., i] = max of ``values[..., i+lo .. i+hi]``, 0 off the ends of the last axis.
 
     ``lo <= 0 <= hi``; ``values`` is nonnegative, so the zero padding reads as an
-    absent product does.
+    absent product does.  The max is taken by doubling in O(n log w) for a window
+    of w = hi - lo + 1: after the passes m[i] is the max over [i, i + s) for the
+    largest power of two s <= w, and two such runs cover the window.
     """
     values = np.asarray(values)
-    pad = [(0, 0)] * (values.ndim - 1) + [(-lo, hi)]
-    return sliding_window_view(np.pad(values, pad), hi - lo + 1, axis=-1).max(axis=-1)
+    n, w = values.shape[-1], hi - lo + 1
+    m = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(-lo, hi)])
+    s = 1
+    while 2 * s <= w:
+        m = np.maximum(m[..., :-s], m[..., s:])
+        s *= 2
+    return np.maximum(m[..., :n], m[..., w - s:w - s + n])
 
 
 def padded(values, fill=0.0) -> np.ndarray:
@@ -434,6 +447,14 @@ class RealLineModel(GroupModel):
         _check_side(side)
         return _window_max(mag, self.q_indices[0] - self.identity,
                            self.q_indices[-1] - self.identity)
+
+    def q_neighbourhood(self, points) -> np.ndarray:
+        # p·q = p + q: the marked points pushed by the window of Q (a push, so the
+        # window is reflected against local_max's pull)
+        marks = np.zeros(self.size, dtype=bool)
+        marks[np.asarray(points, dtype=int)] = True
+        return np.flatnonzero(_window_max(marks, self.identity - self.q_indices[-1],
+                                          self.identity - self.q_indices[0]))
 
     def point_label(self, i: int) -> str:
         return f"{self.coords[i]:g}"

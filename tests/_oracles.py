@@ -11,15 +11,16 @@ series), and the affine group law is a scalar product per pair of points of
 the per-point affine carrier.  One section keeps the GridFunction compositions
 that the amalgam-norm kernel, the molecule bound, the pair check and the direct
 holomorphic envelopes replaced, the power series with its coefficients built
-eagerly, the convolution read through a y^{-1} x index table and the envelope
-bins filled one scalar product at a time, so the tests can pin those to them
-bit for bit.
+eagerly, the convolution read through a y^{-1} x index table, the envelope
+bins filled one scalar product at a time and the window max that reads every
+window entry, so the tests can pin those to them bit for bit.
 The last section holds helpers that only the tests call.
 """
 
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from coorbitkit import CDMatrix, GridFunction, QuasiNormSpec, convolve, fit_envelope, \
     identity_cd, maximal_left, maximal_right, minimal_envelope, product_with_envelope, \
@@ -332,8 +333,8 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
 
 # ---------------------------------------------------------------------------
 # the compositions the norm kernel, the molecule bound, the pair check, the
-# direct holomorphic envelopes, the lazy series coefficients and the left
-# translates replaced
+# direct holomorphic envelopes, the lazy series coefficients, the left
+# translates and the doubling window max replaced
 
 
 def composed_amalgam_norm(f, spec):
@@ -478,6 +479,13 @@ def brute_relative_max(model, mags, rows, cols):
 def brute_absent_pairs(is_absent, xs, ys):
     """#{(x, y) : y^{-1} x is off the grid}, one scalar ``is_absent(y, x)`` call per pair."""
     return sum(bool(is_absent(int(y), int(x))) for x, y in zip(xs, ys))
+
+
+def sliding_window_max(values, lo, hi):
+    """out[..., i] = max of values[..., i+lo .. i+hi], zero-padded, reading all w entries each."""
+    values = np.asarray(values)
+    pad = [(0, 0)] * (values.ndim - 1) + [(-lo, hi)]
+    return sliding_window_view(np.pad(values, pad), hi - lo + 1, axis=-1).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,10 @@ def test_criterion_6_riesz_machinery():
 
     lam = lattice(model, 4)
     rs = build_riesz_system(ks, lam)
-    duals = biorthogonal_system(rs)
+    duals, _ = biorthogonal_system(rs)
     atoms = rep.orbit(g)[lam.points]
     bio_dev = float(np.abs(atoms.conj() @ duals.T - np.eye(len(lam))).max())
-    ortho = orthonormalize(rs)
+    ortho, _ = orthonormalize(rs)
     ortho_dev = float(np.abs(ortho @ ortho.conj().T - np.eye(len(lam))).max())
 
     lo, hi = rs.bounds

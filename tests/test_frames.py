@@ -163,6 +163,21 @@ class TestOrbitMap:
         for i in (np.int64(5), np.int32(15), np.uint8(0)):
             assert np.array_equal(rep.apply(i, g), rep.apply(int(i), g))
 
+    @pytest.mark.parametrize("i", [-1, 16, -16, 2.7, 2.0, True, "1", np.nan])
+    def test_action_rejects_what_apply_rejects(self, i):
+        # action(2.7) once built pi(x_2) and action(-1) pi(x_15); action(16) hit an IndexError
+        model, rep, g = setup_gabor(4)
+        with pytest.raises(InvalidParameterError):
+            rep.action(i)
+        with pytest.raises(InvalidParameterError):
+            rep.apply(i, g)
+
+    def test_action_takes_numpy_integers(self):
+        model, rep, g = setup_gabor(4)
+        for i in (np.int64(5), np.int32(15), np.uint8(0)):
+            assert np.array_equal(rep.action(i), rep.action(int(i)))
+            assert np.abs(rep.action(i) @ g - rep.apply(i, g)).max() <= 1e-15
+
     def test_non_cyclic_model_rejected(self):
         with pytest.raises(InvalidParameterError):
             gabor_representation(build_real_line(4.0, 0.5))
@@ -587,17 +602,18 @@ class TestGramianRiesz:
         cdm = gramian(ks, lam)
         assert cdm.entries.shape == (1, 1)
         assert cdm.entries[0, 0] == pytest.approx(1.0)
-        duals = biorthogonal_system(build_riesz_system(ks, lam))
+        duals, _ = biorthogonal_system(build_riesz_system(ks, lam))
         assert np.abs(duals[0] - g).max() < 1e-12  # g / ||g||^2 with unit norm
 
     def test_biorthogonality(self):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 4)
-        duals = biorthogonal_system(build_riesz_system(ks, lam))
+        duals, gap = biorthogonal_system(build_riesz_system(ks, lam))
         atoms = rep.orbit(g)[lam.points]
         dev = np.abs(atoms.conj() @ duals.T - np.eye(len(lam))).max()
         assert dev <= 1e-9
+        assert gap == dev
 
     def test_matches_direct_inverse_oracle(self):
         model, rep, g = setup_gabor(8)
@@ -606,15 +622,16 @@ class TestGramianRiesz:
         atoms = rep.orbit(g)[lam.points]
         gram = atoms.conj() @ atoms.T
         oracle = np.conj(np.linalg.inv(gram)) @ atoms
-        assert np.abs(biorthogonal_system(build_riesz_system(ks, lam)) - oracle).max() < 1e-10
+        assert np.abs(biorthogonal_system(build_riesz_system(ks, lam))[0] - oracle).max() < 1e-10
 
     def test_orthonormalize(self):
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 4)
-        ortho = orthonormalize(build_riesz_system(ks, lam))
+        ortho, gap = orthonormalize(build_riesz_system(ks, lam))
         dev = np.abs(ortho @ ortho.conj().T - np.eye(len(lam))).max()
         assert dev <= 1e-9
+        assert gap == dev
 
     def test_gramian_envelope_bound(self):
         model, rep, g = setup_gabor(8)
@@ -642,7 +659,7 @@ class TestGramianRiesz:
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         lam = lattice(model, 4)
-        duals = biorthogonal_system(build_riesz_system(ks, lam))
+        duals, _ = biorthogonal_system(build_riesz_system(ks, lam))
         atoms = rep.orbit(g)[lam.points]
         rng = np.random.default_rng(6)
         c = rng.normal(size=len(lam)) + 1j * rng.normal(size=len(lam))

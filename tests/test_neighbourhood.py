@@ -21,6 +21,7 @@ from _oracles import (
     brute_relative_max,
     brute_sequence_accumulator,
     brute_translate_sets,
+    sliding_window_max,
 )
 from coorbitkit import (
     GridFunction,
@@ -43,7 +44,7 @@ from coorbitkit import (
     sequence_norm,
 )
 from coorbitkit.errors import CoverageWarning, InvalidParameterError, NotDenseError
-from coorbitkit.groups import AffineGridModel, GroupModel, padded
+from coorbitkit.groups import AffineGridModel, GroupModel, RealLineModel, _window_max, padded
 
 MODELS = {
     "line": lambda: build_real_line(4.0, 0.25),
@@ -98,12 +99,13 @@ def test_maximal_functions(model):
 
 # local_max overrides against the base translates loop: at cyclic N <= 2 the
 # offsets -1, 0, 1 fold onto each other, the small line's Q window is clipped at both carrier ends,
-# the step-0.05 affine grid is the in-group diagnostic grid (rint near-ties) and
-# the last two are the counterexample's partial-norm grids
+# the step-0.01 line and the step-0.05 affine grid are the in-group diagnostic's
+# (the grid has rint near-ties) and the last two are the counterexample's partial-norm grids
 LOCAL_MAX_MODELS = {
     **MODELS,
     **{f"cyclic{n}": (lambda n=n: build_cyclic_phase_space(n)) for n in (1, 2, 3)},
     "line_clipped": lambda: build_real_line(0.5, 0.25),
+    "line_diagnostic": lambda: build_real_line(8.0, 0.01),
     "affine_in_group": lambda: build_affine_grid(8.0, 0.05, 1 / 128, 16.0, 1.04),
     "affine_partial": lambda: build_affine_grid(72.4, 0.25, 1 / 2.6, 166.4, 1.075),
     "affine_partial_fine": lambda: build_affine_grid(72.4, 0.125, 1 / 2.6, 166.4, 1.0375),
@@ -119,6 +121,25 @@ def test_local_max_matches_base_loop(name):
     for side in ("left", "right"):
         assert np.array_equal(model.local_max(mag, side),
                               GroupModel.local_max(model, mag, side))
+
+
+# widths 1 and 2, the powers of two up to 64 and their neighbours; from 41 on the
+# window is wider than the 40-entry axis
+WINDOW_WIDTHS = sorted({1, 2, *(2 ** k + d for k in range(1, 7) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("width", WINDOW_WIDTHS)
+def test_window_max_matches_the_full_window_read(width):
+    rng = np.random.default_rng(width)
+    for lo in sorted({0, -(width // 2), 1 - width}):  # hi = 0 and lo = 0 among them
+        hi = lo + width - 1
+        for shape in [(40,), (5,), (3, 40), (2, 3, 40)]:
+            values = rng.random(shape)
+            values[rng.random(shape) < 0.3] = 0.0
+            for v in (values, values > 0.5):
+                got, want = _window_max(v, lo, hi), sliding_window_max(v, lo, hi)
+                assert got.dtype == want.dtype and got.shape == shape
+                assert np.array_equal(got, want)
 
 
 def test_local_max_stack_matches_base_loop_by_row(model):
@@ -269,6 +290,7 @@ def carrier_edges(model):
 # as the last grid's a_min = 0.75 does, so only it tells a push from a pull
 Q_NEIGHBOURHOOD_MODELS = {
     **MODELS,
+    "line_diagnostic": LOCAL_MAX_MODELS["line_diagnostic"],
     "affine_clipped": lambda: build_affine_grid(2.0, 0.25, 0.75, 3.0, 1.2),
 }
 
@@ -320,6 +342,45 @@ def test_measure_qxq_takes_the_affine_fast_path(monkeypatch):
         calls.clear()
         measure_QxQ(model, x)
         assert len(calls) <= 2
+
+
+DIAGNOSTIC_LINE = LOCAL_MAX_MODELS["line_diagnostic"]
+DIAGNOSTIC_LINE_COORDS = (-3.0, -1.0, 0.0, 1.0, 3.0)
+
+
+def test_line_q_neighbourhood_on_the_diagnostic_line(monkeypatch):
+    model = DIAGNOSTIC_LINE()
+    assert len(model.q_indices) == 199
+    points = [model.index_of(v) for v in DIAGNOSTIC_LINE_COORDS]
+    # Q·x at the five points and at points whose Q·x or (Q·x)·Q leaves the carrier;
+    # the carrier edges and random samples are in test_q_neighbourhood_matches_base_loop
+    ends = [0, 1, 150, model.size - 151, model.size - 2, model.size - 1]
+    sets = [np.array(points)]
+    for x in points + ends:
+        qx = model.mul_indices(model.q_indices, x)
+        sets.append(qx[qx >= 0])
+    for pts in sets:
+        assert np.array_equal(model.q_neighbourhood(pts), GroupModel.q_neighbourhood(model, pts))
+    fast = [measure_QxQ(model, x) for x in points + ends]
+    monkeypatch.setattr(RealLineModel, "q_neighbourhood", GroupModel.q_neighbourhood)
+    assert fast == [measure_QxQ(model, x) for x in points + ends]
+
+
+def test_measure_qxq_takes_the_line_fast_path(monkeypatch):
+    # the base loop makes 1 + |Q| = 200 mul_indices calls per point on this line
+    model = DIAGNOSTIC_LINE()
+    calls = []
+    mul_indices = RealLineModel.mul_indices
+
+    def counted(self, i, j):
+        calls.append(1)
+        return mul_indices(self, i, j)
+
+    monkeypatch.setattr(RealLineModel, "mul_indices", counted)
+    for v in DIAGNOSTIC_LINE_COORDS:
+        calls.clear()
+        measure_QxQ(model, model.index_of(v))
+        assert len(calls) == 1
 
 
 def test_measure_qxq(model):

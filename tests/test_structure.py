@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import coorbitkit
+from test_neighbourhood import LOCAL_MAX_MODELS, Q_NEIGHBOURHOOD_MODELS
 
 PACKAGE = Path(coorbitkit.__file__).parent
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -144,6 +145,64 @@ def test_scatter_max_check_catches_a_leftover():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert [ast.unparse(node) for node in calls if _is_scatter_max(node)] \
         == ["np.maximum.at(phi, z, m)"]
+
+
+def _window_views(tree) -> list:
+    """Every import or attribute read of numpy's ``sliding_window_view``."""
+    name = "sliding_window_view"
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name.split(".")[-1] == name for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def _overrides(tree, methods) -> set:
+    """(class, method) for each of ``methods`` a GroupModel subclass defines in its own body."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def is_model(name) -> bool:
+        return name == "GroupModel" or name in classes and any(
+            is_model(ast.unparse(base)) for base in classes[name].bases)
+
+    return {(name, fn.name) for name, node in classes.items()
+            if name != "GroupModel" and is_model(name)
+            for fn in node.body if isinstance(fn, ast.FunctionDef) and fn.name in methods}
+
+
+def _untested(overrides, tested) -> list:
+    """``class.method`` for each override whose class has no model in its method's base-loop set."""
+    return sorted(f"{cls}.{method}" for cls, method in overrides if cls not in tested[method])
+
+
+def test_one_window_max():
+    """Every window max goes through groups._window_max: no module reads sliding_window_view."""
+    assert {module: _window_views(tree) for module, tree in TREES.items()
+            if _window_views(tree)} == {}
+
+
+def test_every_neighbourhood_override_meets_the_base_loop():
+    """A model overriding local_max or q_neighbourhood is in that method's base-loop test."""
+    tested = {method: {type(build()).__name__ for build in models.values()}
+              for method, models in (("local_max", LOCAL_MAX_MODELS),
+                                     ("q_neighbourhood", Q_NEIGHBOURHOOD_MODELS))}
+    overrides = set().union(*(_overrides(tree, set(tested)) for tree in TREES.values()))
+    assert ("RealLineModel", "q_neighbourhood") in overrides
+    assert _untested(overrides, tested) == []
+
+
+def test_window_and_override_checks_catch_a_leftover():
+    tree = ast.parse("from numpy.lib.stride_tricks import sliding_window_view\n"
+                     "import numpy.lib.stride_tricks.sliding_window_view\n"
+                     "w = np.lib.stride_tricks.sliding_window_view(v, 3)\n"
+                     "class GroupModel:\n    def local_max(self): pass\n"
+                     "class A(GroupModel):\n    def local_max(self): pass\n"
+                     "class B(A):\n    def q_neighbourhood(self): pass\n    def other(self): pass\n"
+                     "class C:\n    def local_max(self): pass\n")
+    assert _window_views(tree) == ["line 1", "line 2", "line 3"]
+    overrides = _overrides(tree, {"local_max", "q_neighbourhood"})
+    assert overrides == {("A", "local_max"), ("B", "q_neighbourhood")}
+    assert _untested(overrides, {"local_max": {"A"}, "q_neighbourhood": {"A"}}) \
+        == ["B.q_neighbourhood"]
 
 
 def test_one_molecule_bound():
