@@ -15,19 +15,15 @@ from .amalgam import (
     amalgam_norm,
     convolve,
     convolution_relation_check,
-    embedding_constant_check,
     indicator,
     involution,
     lpw_norm,
     maximal_left,
     maximal_right,
-    translate_left,
-    translate_right,
     twisted_convolve,
 )
 from .cdmatrix import (
     CDMatrix,
-    add_with_envelope,
     identity_cd,
     matrix_holomorphic,
     minimal_envelope,
@@ -40,11 +36,9 @@ from .coorbit import (
     CoorbitContext,
     SequenceSpaceSpec,
     calibrate_constants,
-    coefficient_operator,
     coorbit_norm,
     embedding_check,
     extend_operator_check,
-    reconstruction_operator,
     sequence_norm,
     wiener_vs_plain_ratio,
     window_independence_ratio,
@@ -69,7 +63,6 @@ from .frames import (
     orthonormalize,
     parseval_frame,
     rayleigh_extremes,
-    reproducing_check,
     voice_transform,
 )
 from .groups import (
@@ -82,7 +75,6 @@ from .groups import (
     build_cyclic_phase_space,
     build_real_line,
     measure_QxQ,
-    model_from_config,
     symmetrize_weight,
     unit_weight,
     validate_p_weight,
@@ -91,9 +83,5 @@ from .sampling import (
     DisjointCover,
     SampleSet,
     build_cover,
-    is_U_dense,
-    is_U_separated,
-    max_separated_subset,
     rel_separation,
-    shifted_series_check,
 )

@@ -15,7 +15,7 @@ front ends for a GridFunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -104,27 +104,6 @@ def involution(f: GridFunction) -> GridFunction:
     model = f.model
     inv = model.inv_indices(np.arange(model.size))
     return GridFunction(model, padded(f.values)[inv])
-
-
-def translate_left(f: GridFunction, x_index: int, twisted: bool = False) -> GridFunction:
-    """L_x F(y) = F(x^{-1} y); the twisted variant multiplies by sigma(x, x^{-1}y)."""
-    model = f.model
-    z = model.div_indices(x_index, np.arange(model.size))
-    out = padded(f.values)[z]
-    if twisted and not model.has_trivial_cocycle:
-        out *= model.cocycle_values(x_index, z)  # absent entries stay zero
-    return GridFunction(model, out)
-
-
-def translate_right(f: GridFunction, x_index: int, twisted: bool = False) -> GridFunction:
-    """R_x F(y) = F(y x); the twisted variant multiplies by conj(sigma(y, x))."""
-    model = f.model
-    y = np.arange(model.size)
-    z = next(model.translates(y, [x_index]))
-    out = padded(f.values)[z]
-    if twisted and not model.has_trivial_cocycle:
-        out *= np.conj(model.cocycle_values(y, x_index))  # absent entries stay zero
-    return GridFunction(model, out)
 
 
 def maximal_left(f: GridFunction) -> GridFunction:
@@ -228,7 +207,7 @@ def convolve(f1: GridFunction, f2: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# empirical convolution-relation and embedding checks
+# empirical convolution-relation check
 
 
 @dataclass
@@ -270,35 +249,3 @@ def convolution_relation_check(f1: GridFunction, f2: GridFunction,
         maximal_left_violation=float((ml_conv - ml_bound).max()) / scale,
         maximal_right_violation=float((mr_conv - mr_bound).max()) / scale,
     )
-
-
-@dataclass
-class EmbeddingConstantReport:
-    max_ratio: float
-    ratios: list = field(default_factory=list)
-
-    @property
-    def finite(self) -> bool:
-        return np.isfinite(self.max_ratio)
-
-
-def embedding_constant_check(samples, p_from: float, p_to: float,
-                             w: PWeight) -> EmbeddingConstantReport:
-    """Max over samples of ||F||_{L^{p_to}_w} / ||F||_{W^L(L^{p_from}_w)}.
-
-    The samples share one model; both norms are taken over their stacked magnitudes.
-    """
-    if p_from > p_to:
-        raise InvalidParameterError("embedding requires p_from <= p_to")
-    samples = list(samples)
-    if not samples:
-        return EmbeddingConstantReport(max_ratio=0.0, ratios=[])
-    model = samples[0].model
-    for f in samples[1:]:
-        _same_model(samples[0], f)
-    mags = np.abs([f.values for f in samples])
-    num = magnitude_norm(model, mags, QuasiNormSpec(p=p_to, weight=w, flavor="plain"))
-    den = magnitude_norm(model, mags, QuasiNormSpec(p=p_from, weight=w, flavor="left"))
-    # 0/0 reads 0 and x/0 reads inf
-    ratios = np.divide(num, den, out=np.where(num == 0, 0.0, np.inf), where=den > 0)
-    return EmbeddingConstantReport(max_ratio=float(ratios.max()), ratios=ratios.tolist())

@@ -2,8 +2,8 @@
 
 A matrix indexed by two sample sets is localized when its entries are dominated
 by a symmetric envelope evaluated at the relative positions of its index points.
-The envelope travels through sums, products and the inverse power series, which
-is what makes the class an algebra at desk scale.  The power series itself,
+The envelope travels through products and the power series, which is what
+makes the class an algebra at desk scale.  The power series itself,
 phi(S) = sum a_n (I - S)^n, lives here; frames sums it relaxed,
 w^{1 or 1/2} sum a_n (I - wS)^n with w = 2/(A + B), for S^{-1} and S^{-1/2} of a
 frame operator A <= S <= B, its count fixed by the rate q = (B - A)/(B + A).
@@ -124,19 +124,6 @@ def product_with_envelope(a: CDMatrix, b: CDMatrix) -> CDMatrix:
     h_vals = molecule_bound(rel_separation(a.cols), [(theta, phi), (phi, theta)])
     return CDMatrix(rows=a.rows, cols=b.cols, entries=a.entries @ b.entries,
                     envelope=GridFunction(a.model, h_vals))
-
-
-def add_with_envelope(a: CDMatrix, b: CDMatrix, p: float) -> CDMatrix:
-    """Sum with the p-triangle envelope (Phi_A^p + Phi_B^p)^{1/p}."""
-    if a.rows is not b.rows and not np.array_equal(a.rows.points, b.rows.points):
-        raise IncompatibleOperandsError("row samples do not match")
-    if not np.array_equal(a.cols.points, b.cols.points):
-        raise IncompatibleOperandsError("column samples do not match")
-    if a.envelope is None or b.envelope is None:
-        raise NoCertificateError("both summands need envelope certificates")
-    vals = (a.envelope.values.real ** p + b.envelope.values.real ** p) ** (1.0 / p)
-    return CDMatrix(rows=a.rows, cols=b.cols, entries=a.entries + b.entries,
-                    envelope=GridFunction(a.model, vals))
 
 
 def identity_cd(sample: SampleSet) -> CDMatrix:

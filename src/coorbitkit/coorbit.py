@@ -1,4 +1,4 @@
-"""Discrete sequence spaces, coorbit quasi-norms and molecule-certified operators.
+"""Discrete sequence spaces, coorbit quasi-norms and the measured operator norms.
 
 At desk scale the reservoir pairing coincides with the Hilbert inner product, so
 every operator acts on the representation space directly; the quasi-norms are the
@@ -10,6 +10,11 @@ Both quasi-norms take a stack: ``coorbit_norm`` a (k, dim) array of vectors and
 ``sequence_norm`` a (k, |Lambda|) array of sequences give k norms, each
 bit-identical to the row's own call.  Every sup over sampled vectors measures
 its whole sample in one call per norm.
+
+A family of atoms h_i (the rows of ``atoms``) acts by the coefficient map
+C f = (<f, h_i>)_i, ``atoms.conj() @ f``, and the reconstruction map
+D c = sum_i c_i h_i, ``c @ atoms``; the calibration and the checks measure their
+norms between Co(Y) and Y_d, and the molecule envelope of the family bounds them.
 """
 
 from __future__ import annotations
@@ -23,14 +28,12 @@ from .amalgam import QuasiNormSpec, amalgam_norm, magnitude_norm
 from .errors import (
     IncompatibleOperandsError,
     InvalidParameterError,
-    NoCertificateError,
     NotAFrameError,
     NotContractiveError,
     NotDenseError,
 )
 from .frames import (
     KernelSystem,
-    MoleculeCertificate,
     Representation,
     _matvecs,
     build_almost_tight_frame,
@@ -126,43 +129,16 @@ def window_independence_ratio(ctx: CoorbitContext, other_window: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# molecule-certified operators
-
-
-def _require_certificate(cert: Optional[MoleculeCertificate], atoms, sample):
-    if cert is None:
-        raise NoCertificateError("operation requires a molecule certificate")
-    atoms = np.asarray(atoms)
-    if atoms.ndim != 2 or atoms.shape[0] != len(sample):
-        raise NoCertificateError("certificate does not match the atom family")
-    if not np.isfinite(cert.amalgam_value) or cert.max_violation > 1e-8:
-        raise NoCertificateError("certificate is invalid")
-
-
-def coefficient_operator(ctx: CoorbitContext, atoms, cert: MoleculeCertificate,
-                         sample: SampleSet, f: np.ndarray) -> np.ndarray:
-    """C f = (<f, h_i>)_i for a certified molecule family."""
-    _require_certificate(cert, atoms, sample)
-    return np.asarray(atoms).conj() @ np.asarray(f, dtype=complex)
-
-
-def reconstruction_operator(ctx: CoorbitContext, atoms, cert: MoleculeCertificate,
-                            sample: SampleSet, c) -> np.ndarray:
-    """D c = sum_i c_i h_i for a certified molecule family."""
-    _require_certificate(cert, atoms, sample)
-    return np.asarray(c, dtype=complex) @ np.asarray(atoms)
-
-
-def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
-                              f_samples: Sequence[np.ndarray]) -> float:
-    """sup over samples of ||C f||_{Y_d} / ||f||_{Co(Y)}."""
-    f_samples = _stack(f_samples, ctx.kernel_system.rep.dim)
-    return _coefficient_norm(ctx, atoms, sample, f_samples, coorbit_norm(ctx, f_samples))
+# measured norms of the coefficient and reconstruction maps
 
 
 def _coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet, f_samples: np.ndarray,
                       f_norms: np.ndarray) -> float:
-    """``measured_coefficient_norm`` of a (k, dim) stack whose coorbit norms are ``f_norms``."""
+    """sup over the rows f of ``f_samples`` of ||C f||_{Y_d} / ||f||_{Co(Y)}, C f = (<f, h_i>)_i.
+
+    ``f_norms`` holds the coorbit norms of the rows, so a caller with several
+    families on one stack takes them once.
+    """
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
     coefficients = _matvecs(np.asarray(atoms).conj(), f_samples)
     return float(_ratios(sequence_norm(coefficients, sspec), f_norms).max())

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm, twisted_convolve
+from .amalgam import GridFunction, QuasiNormSpec, amalgam_norm
 from .cdmatrix import CDMatrix, _series_apply, _symmetrized, minimal_envelope
 from .errors import (
     IncompatibleOperandsError,
@@ -111,15 +111,6 @@ def normalize_admissible(rep: Representation, g: np.ndarray) -> np.ndarray:
     """Rescale g by constant^{-1/2} so the coefficient transform is an isometry."""
     info = KernelSystem.form(rep, g).admissibility()
     return np.asarray(g, dtype=complex) / np.sqrt(info["constant"])
-
-
-def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
-                      f: np.ndarray) -> float:
-    """sup-norm error of the reproducing formula V_h f = V_g f *_sigma V_h g."""
-    ks_g, ks_h = KernelSystem.form(rep, g), KernelSystem.form(rep, h)
-    lhs = ks_h.voice(f)
-    rhs = twisted_convolve(ks_g.voice(f), ks_h.voice(g))
-    return float(np.abs(lhs.values - rhs.values).max())
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +326,17 @@ def reconstruction_error(fs: FrameSystem, duals: np.ndarray) -> float:
     return _identity_gap(fs.atoms.conj().T @ duals)  # row j: sum_i conj(atom_i[j]) h_i
 
 
-def parseval_frame(fs: FrameSystem) -> np.ndarray:
-    """Atoms S^{-1/2}(tau_i^{1/2} pi(lambda_i) g); their frame operator is I to 1e-8."""
+def parseval_frame(fs: FrameSystem) -> tuple:
+    """Atoms S^{-1/2}(tau_i^{1/2} pi(lambda_i) g) and their frame operator's deviation from I.
+
+    NotAFrameError if the deviation exceeds 1e-8.
+    """
     s_isqrt = _frame_phi(fs, "inverse_sqrt", 1e-12)[0]
     pars = (np.sqrt(fs.tau)[:, None] * fs.atoms) @ s_isqrt.T
-    if _identity_gap(pars.T @ pars.conj()) > 1e-8:
+    dev = _identity_gap(pars.T @ pars.conj())
+    if dev > 1e-8:
         raise NotAFrameError("Parseval construction failed the identity check")
-    return pars
+    return pars, dev
 
 
 # ---------------------------------------------------------------------------

@@ -84,13 +84,10 @@ adds two N x N tables of coordinate differences.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -413,7 +410,10 @@ class CyclicPhaseSpace(GroupModel):
         return f"({self._k[i]},{self._l[i]})"
 
     def index_of(self, coord) -> int:
+        """Index of (k, l) for integers k, l (numpy integers too), each taken mod N; no bool."""
         k, l = coord
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (k, l)):
+            raise InvalidParameterError(f"coordinate {coord} needs two integers")
         return (int(k) % self.n_side) * self.n_side + (int(l) % self.n_side)
 
 
@@ -460,8 +460,11 @@ class RealLineModel(GroupModel):
         return f"{self.coords[i]:g}"
 
     def index_of(self, coord) -> int:
-        k = int(round(float(coord) / self.step)) + self.identity
-        if not (0 <= k < self.size) or abs(self.coords[k] - coord) > 1e-9 * max(1.0, abs(coord)):
+        x = float(coord)
+        if not math.isfinite(x):
+            raise InvalidParameterError(f"coordinate {coord} is not finite")
+        k = int(round(x / self.step)) + self.identity
+        if not (0 <= k < self.size) or abs(self.coords[k] - x) > 1e-9 * max(1.0, abs(x)):
             raise InvalidParameterError(f"coordinate {coord} is not on the grid")
         return k
 
@@ -619,34 +622,6 @@ def build_affine_grid(x_half_width: float, x_step: float, a_min: float,
                       a_max: float, a_ratio: float) -> AffineGridModel:
     """Truncated affine group with Q = (-1,1) x (1/2, 2)."""
     return AffineGridModel(x_half_width, x_step, a_min, a_max, a_ratio)
-
-
-_MODEL_FIELDS = {
-    "cyclic": (build_cyclic_phase_space, int, ("N",)),
-    "line": (build_real_line, float, ("half_width", "step")),
-    "affine": (build_affine_grid, float,
-               ("x_half_width", "x_step", "a_min", "a_max", "a_ratio")),
-}
-
-
-def model_from_config(config: Union[str, Path, dict]) -> GroupModel:
-    """Build a model from a JSON document {"model": "cyclic"|"line"|"affine", ...}."""
-    if not isinstance(config, dict):
-        config = json.loads(Path(config).read_text())
-    kind = config.get("model")
-    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
-        raise InvalidParameterError(f"unknown model kind {kind!r}")
-    build, cast, fields = _MODEL_FIELDS[kind]
-    missing = [key for key in fields if key not in config]
-    if missing:
-        raise InvalidParameterError(
-            f"{kind} model config is missing {', '.join(repr(k) for k in missing)}"
-        )
-    need, noun = (numbers.Integral, "an integer") if cast is int else (numbers.Real, "a number")
-    for key in fields:  # the CLI's rule: an integer for an int field, a number for a float, no bool
-        if isinstance(config[key], bool) or not isinstance(config[key], need):
-            raise InvalidParameterError(f"{kind} field {key!r} needs {noun}, got {config[key]!r}")
-    return build(*(cast(config[key]) for key in fields))
 
 
 # ---------------------------------------------------------------------------

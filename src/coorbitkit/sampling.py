@@ -1,4 +1,4 @@
-"""Relatively separated families, density/separation predicates and disjoint covers.
+"""Relatively separated families, disjoint covers, the molecule bound and its pair check.
 
 The molecule estimates rest on one bound and one check.  ``molecule_bound(rel,
 pairs)`` is rel(Lambda)/mu(Q) times the sum over the given pairs (Theta, Phi) of
@@ -7,6 +7,11 @@ Lambda.  ``pair_check(model, bound, lhs_at, seed)`` compares lhs_at(x, y) with
 bound(y^{-1} x) over every carrier pair, or over 200,000 seeded pairs on larger
 carriers; it reports the pairs checked, whether that was all of them, and how
 many had y^{-1} x off the grid (``absent``; the bound reads inf there).
+
+Density and separation are read off the multiplicity of the translates,
+``model.q_spread(np.ones(m), points, u)``: the family is U-dense where it is
+positive everywhere (``.all()``) and U-separated where it is at most one
+(``.max() <= 1``).
 
 The verification kernels (the frame-kernel check and envelope fitting on
 Z_N x Z_N, and ``pair_check`` on every model) form their temporaries in blocks
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import GridFunction, convolve, maximal_left, maximal_right
-from .errors import IncompatibleOperandsError, InvalidParameterError, NotDenseError
+from .amalgam import convolve, maximal_left, maximal_right
+from .errors import InvalidParameterError, NotDenseError
 from .groups import ABSENT, GroupModel, index_pairs, padded
 
 # entries of the largest temporary one block forms: a frame-kernel row block, an
@@ -100,18 +105,6 @@ def rel_separation(sample: SampleSet) -> int:
     return int(in_sample[rows].sum(axis=1).max(initial=0))
 
 
-def is_U_dense(sample: SampleSet, u_indices) -> bool:
-    """True iff the translates lambda_i U cover the whole carrier."""
-    u = _check_u(sample.model, u_indices)
-    return bool(sample.model.q_spread(np.ones(len(sample)), sample.points, u).all())
-
-
-def is_U_separated(sample: SampleSet, u_indices) -> bool:
-    """True iff the translates lambda_i U are pairwise disjoint."""
-    u = _check_u(sample.model, u_indices)
-    return bool(sample.model.q_spread(np.ones(len(sample)), sample.points, u).max() <= 1)
-
-
 def _check_u(model: GroupModel, u_indices) -> np.ndarray:
     """U as a sorted duplicate-free index array; it must contain the identity."""
     u = _sorted_unique(np.asarray(u_indices, dtype=int))
@@ -139,20 +132,6 @@ def build_cover(sample: SampleSet, u_indices) -> DisjointCover:
         raise NotDenseError(i, model.point_label(i))
     cells = tuple(np.nonzero(owner == rank)[0] for rank in range(m))
     return DisjointCover(sample=sample, cells=cells)
-
-
-def max_separated_subset(model: GroupModel, u_indices) -> SampleSet:
-    """Greedy scan in carrier order; the result is U-separated and UU^{-1}-dense."""
-    u = _check_u(model, u_indices)
-    blocked = np.zeros(model.size + 1, dtype=bool)
-    chosen = []
-    for x, row in enumerate(model.translates(u, np.arange(model.size), side="right")):
-        if blocked[row].any():
-            continue
-        chosen.append(x)
-        blocked[row] = True
-        blocked[-1] = False  # the pad slot must keep reading "not blocked"
-    return SampleSet(model=model, points=np.array(chosen, dtype=int))
 
 
 def molecule_bound(rel: int, pairs) -> np.ndarray:
@@ -200,25 +179,3 @@ def pair_check(model: GroupModel, bound: np.ndarray, lhs_at, seed: int) -> dict:
         "max_ratio": float(np.max(ratio)),
         "holds": max_excess <= 1e-10,
     }
-
-
-def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) -> dict:
-    """Verify sum_i F1(lam_i^{-1} x) F2(y^{-1} lam_i) <= ``molecule_bound`` at y^{-1}x.
-
-    Runs ``pair_check`` with seed 11.  Requires nonnegative inputs.
-    """
-    model = sample.model
-    if f1.model is not model or f2.model is not model:
-        raise IncompatibleOperandsError("grid functions must live on the sample's model")
-    v1, v2 = padded(f1.values.real), padded(f2.values.real)
-    if np.any(v1 < 0) or np.any(v2 < 0) or np.any(f1.values.imag) or np.any(f2.values.imag):
-        raise InvalidParameterError("shifted series check needs nonnegative inputs")
-
-    def series(xs, ys):
-        out = np.zeros(xs.shape)
-        for lam in sample.points:
-            out += v1[model.div_indices(lam, xs)] * v2[model.div_indices(ys, lam)]
-        return out
-
-    rel = rel_separation(sample)
-    return {"rel": rel, **pair_check(model, molecule_bound(rel, [(f2, f1)]), series, seed=11)}

@@ -14,20 +14,27 @@ holomorphic envelopes replaced, the power series with its coefficients built
 eagerly, the convolution read through a y^{-1} x index table, the envelope
 bins filled one scalar product at a time and the window max that reads every
 window entry, so the tests can pin those to them bit for bit.
-The last section holds helpers that only the tests call.
+The next section states paper identities on library primitives (the
+translates, the reproducing formula, the shifted-series bound and the
+measured coefficient norm), and the last one holds helpers that only the
+tests call.
 """
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from coorbitkit import CDMatrix, GridFunction, QuasiNormSpec, convolve, fit_envelope, \
-    identity_cd, maximal_left, maximal_right, minimal_envelope, product_with_envelope, \
-    rel_separation, unit_weight
+from coorbitkit import CDMatrix, CoorbitContext, GridFunction, KernelSystem, QuasiNormSpec, \
+    Representation, SampleSet, convolve, coorbit_norm, fit_envelope, identity_cd, \
+    maximal_left, maximal_right, minimal_envelope, product_with_envelope, rel_separation, \
+    twisted_convolve, unit_weight
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
-from coorbitkit.coorbit import measured_coefficient_norm
+from coorbitkit.coorbit import _coefficient_norm, _stack
+from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError
 from coorbitkit.groups import GroupModel, index_pairs, padded
+from coorbitkit.sampling import molecule_bound, pair_check
 
 ABSENT = -1
 
@@ -170,14 +177,6 @@ def brute_max_separated_subset(model, u):
             chosen.append(x)
             blocked |= cell
     return chosen
-
-
-def uu_inverse_indices(model, u):
-    """The product set U U^{-1} as sorted carrier indices (absent factors skipped)."""
-    inverses = (model.inv(int(b)) for b in u)
-    on_grid = [b for b in inverses if b >= 0]
-    products = {model.mul(int(a), b) for a in u for b in on_grid}
-    return np.array(sorted(t for t in products if t >= 0), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +485,71 @@ def sliding_window_max(values, lo, hi):
     values = np.asarray(values)
     pad = [(0, 0)] * (values.ndim - 1) + [(-lo, hi)]
     return sliding_window_view(np.pad(values, pad), hi - lo + 1, axis=-1).max(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# paper identities stated on library primitives: the translates L_x and R_x, the
+# reproducing formula, the shifted-series bound through ``pair_check`` and the
+# measured coefficient norm
+
+
+def translate_left(f: GridFunction, x_index: int, twisted: bool = False) -> GridFunction:
+    """L_x F(y) = F(x^{-1} y); the twisted variant multiplies by sigma(x, x^{-1}y)."""
+    model = f.model
+    z = model.div_indices(x_index, np.arange(model.size))
+    out = padded(f.values)[z]
+    if twisted and not model.has_trivial_cocycle:
+        out *= model.cocycle_values(x_index, z)  # absent entries stay zero
+    return GridFunction(model, out)
+
+
+def translate_right(f: GridFunction, x_index: int, twisted: bool = False) -> GridFunction:
+    """R_x F(y) = F(y x); the twisted variant multiplies by conj(sigma(y, x))."""
+    model = f.model
+    y = np.arange(model.size)
+    z = next(model.translates(y, [x_index]))
+    out = padded(f.values)[z]
+    if twisted and not model.has_trivial_cocycle:
+        out *= np.conj(model.cocycle_values(y, x_index))  # absent entries stay zero
+    return GridFunction(model, out)
+
+
+def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
+                      f: np.ndarray) -> float:
+    """sup-norm error of the reproducing formula V_h f = V_g f *_sigma V_h g."""
+    ks_g, ks_h = KernelSystem.form(rep, g), KernelSystem.form(rep, h)
+    lhs = ks_h.voice(f)
+    rhs = twisted_convolve(ks_g.voice(f), ks_h.voice(g))
+    return float(np.abs(lhs.values - rhs.values).max())
+
+
+def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) -> dict:
+    """Verify sum_i F1(lam_i^{-1} x) F2(y^{-1} lam_i) <= ``molecule_bound`` at y^{-1}x.
+
+    Runs ``pair_check`` with seed 11.  Requires nonnegative inputs.
+    """
+    model = sample.model
+    if f1.model is not model or f2.model is not model:
+        raise IncompatibleOperandsError("grid functions must live on the sample's model")
+    v1, v2 = padded(f1.values.real), padded(f2.values.real)
+    if np.any(v1 < 0) or np.any(v2 < 0) or np.any(f1.values.imag) or np.any(f2.values.imag):
+        raise InvalidParameterError("shifted series check needs nonnegative inputs")
+
+    def series(xs, ys):
+        out = np.zeros(xs.shape)
+        for lam in sample.points:
+            out += v1[model.div_indices(lam, xs)] * v2[model.div_indices(ys, lam)]
+        return out
+
+    rel = rel_separation(sample)
+    return {"rel": rel, **pair_check(model, molecule_bound(rel, [(f2, f1)]), series, seed=11)}
+
+
+def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
+                              f_samples: Sequence[np.ndarray]) -> float:
+    """sup over samples of ||C f||_{Y_d} / ||f||_{Co(Y)}."""
+    f_samples = _stack(f_samples, ctx.kernel_system.rep.dim)
+    return _coefficient_norm(ctx, atoms, sample, f_samples, coorbit_norm(ctx, f_samples))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import reproducing_check, translate_left
 from coorbitkit import (
     CDMatrix,
     CoorbitContext,
@@ -39,11 +40,9 @@ from coorbitkit import (
     orthonormalize,
     product_with_envelope,
     rayleigh_extremes,
-    reproducing_check,
     schur_bounds,
     sequence_norm,
     symmetrize_weight,
-    translate_left,
     unit_weight,
     verify_envelope,
     voice_transform,

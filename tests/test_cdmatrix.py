@@ -9,7 +9,6 @@ from coorbitkit import (
     GridFunction,
     KernelSystem,
     SampleSet,
-    add_with_envelope,
     build_cyclic_phase_space,
     convolve,
     gabor_representation,
@@ -176,16 +175,6 @@ class TestProductEnvelope:
         b = random_localized(model, sub, 11)
         with pytest.raises(IncompatibleOperandsError):
             product_with_envelope(a, b)
-
-
-class TestAddEnvelope:
-    def test_p_triangle_envelope_valid(self, model, full_sample):
-        for p in (1.0 / 3.0, 0.5, 1.0):
-            a = random_localized(model, full_sample, 12)
-            b = random_localized(model, full_sample, 13)
-            total = add_with_envelope(a, b, p)
-            result = verify_envelope(total, total.envelope)
-            assert result["holds"]
 
 
 class TestMatrixHolomorphic:

@@ -10,7 +10,6 @@ from coorbitkit import (
     build_cyclic_phase_space,
     build_real_line,
     measure_QxQ,
-    model_from_config,
     symmetrize_weight,
     unit_weight,
     validate_p_weight,
@@ -80,6 +79,17 @@ class TestCyclicModel:
         assert np.allclose(m.haar, 0.5)
         assert m.haar.sum() == pytest.approx(2.0)
 
+    def test_index_of_wraps_integers(self):
+        m = build_cyclic_phase_space(4)
+        assert m.index_of((2, 0)) == 8
+        assert m.index_of((np.int64(2), -1)) == m.index_of((2, 3)) == 11
+
+    @pytest.mark.parametrize("coord", [(2.7, 0), (2.0, 0), (0, np.float64(1.0)), (True, 0),
+                                       (0, np.True_)])
+    def test_index_of_rejects_non_integers(self, coord):
+        with pytest.raises(InvalidParameterError, match="needs two integers"):
+            build_cyclic_phase_space(8).index_of(coord)
+
 
 @st.composite
 def cyclic_triples(draw):
@@ -138,6 +148,11 @@ class TestRealLineModel:
     def test_q_mass_quadrature(self):
         m = build_real_line(12.0, 0.01)
         assert abs(m.q_mass() - 2.0) <= m.step + 1e-12
+
+    @pytest.mark.parametrize("coord", [float("nan"), float("inf"), -np.inf])
+    def test_index_of_rejects_non_finite(self, coord):
+        with pytest.raises(InvalidParameterError, match="is not finite"):
+            build_real_line(2.0, 1.0).index_of(coord)
 
     def test_invalid_step(self):
         with pytest.raises(InvalidParameterError):
@@ -207,16 +222,13 @@ class TestAffineModel:
 
     @pytest.mark.parametrize("x_half_width, x_step", [(-1.0, 0.5), (0.0, 0.5), (0.2, 0.5)])
     def test_x_step_must_fit_half_width(self, x_half_width, x_step):
-        config = {"model": "affine", "x_half_width": x_half_width, "x_step": x_step,
-                  "a_min": 0.5, "a_max": 2.0, "a_ratio": 1.1}
         with pytest.raises(InvalidParameterError, match="x_step <= x_half_width < inf"):
             build_affine_grid(x_half_width, x_step, 0.5, 2.0, 1.1)
         with pytest.raises(InvalidParameterError, match="x_step <= x_half_width < inf"):
             affine_axes(x_half_width, x_step, 0.5, 2.0, 1.1)
-        with pytest.raises(InvalidParameterError, match="x_step <= x_half_width < inf"):
-            model_from_config(config)
 
 
+_BUILDERS = {"line": build_real_line, "affine": build_affine_grid}
 _GOOD = {"line": {"half_width": 2.0, "step": 0.5},
          "affine": {"x_half_width": 2.0, "x_step": 0.5, "a_min": 0.25, "a_max": 4.0,
                     "a_ratio": 2.0}}
@@ -226,57 +238,8 @@ _GOOD = {"line": {"half_width": 2.0, "step": 0.5},
 @pytest.mark.parametrize("kind, field", [(kind, field) for kind, fields in _GOOD.items()
                                          for field in fields])
 def test_non_finite_parameter_named(kind, field, value):
-    config = {"model": kind, **_GOOD[kind], field: value}
     with pytest.raises(InvalidParameterError, match=rf"< inf, got .*\b{field}={value}\b"):
-        model_from_config(config)
-
-
-class TestModelFromConfig:
-    def test_cyclic(self):
-        m = model_from_config({"model": "cyclic", "N": 4})
-        assert m.kind == "cyclic" and m.size == 16
-
-    def test_line(self):
-        m = model_from_config({"model": "line", "half_width": 2.0, "step": 1.0})
-        assert m.kind == "line" and m.size == 5
-
-    def test_affine(self):
-        m = model_from_config({"model": "affine", "x_half_width": 2.0, "x_step": 0.5,
-                               "a_min": 0.25, "a_max": 4.0, "a_ratio": 2.0})
-        assert m.kind == "affine"
-
-    def test_unknown(self):
-        with pytest.raises(InvalidParameterError):
-            model_from_config({"model": "nope"})
-
-    def test_missing_field_named(self):
-        with pytest.raises(InvalidParameterError, match="'a_ratio'"):
-            model_from_config({"model": "affine", "x_half_width": 2.0, "x_step": 0.5,
-                               "a_min": 0.25, "a_max": 4.0})
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"model": "cyclic", "N": 2}')
-        assert model_from_config(path).size == 4
-
-    # int() and float() once cast these silently (N 8.7 -> 8, true -> 1, 8.0 -> 8) or
-    # ended in a bare ValueError or TypeError
-    @pytest.mark.parametrize("kind, field, value", [
-        ("cyclic", "N", 8.7), ("cyclic", "N", True), ("cyclic", "N", 8.0), ("cyclic", "N", "8"),
-        ("cyclic", "N", None), ("line", "step", True), ("line", "half_width", "2.0"),
-        ("affine", "a_ratio", [2.0]), ("affine", "x_step", False)])
-    def test_mistyped_field_named(self, kind, field, value):
-        config = {"model": kind, **_GOOD.get(kind, {}), field: value}
-        with pytest.raises(InvalidParameterError,
-                           match=rf"^{kind} field '{field}' needs (an integer|a number), got "):
-            model_from_config(config)
-
-    @pytest.mark.parametrize("config, size", [
-        ({"model": "line", "half_width": 2, "step": 1}, 5),
-        ({"model": "cyclic", "N": np.int64(3)}, 9),
-        ({"model": "line", "half_width": np.float64(2.0), "step": 0.5}, 9)])
-    def test_integers_and_numpy_scalars_accepted(self, config, size):
-        assert model_from_config(config).size == size
+        _BUILDERS[kind](**{**_GOOD[kind], field: value})
 
 
 class TestPWeight:

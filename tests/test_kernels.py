@@ -17,6 +17,7 @@ from _oracles import (
     composed_product_envelope,
     composed_sequence_norm,
     inline_shifted_series_check,
+    shifted_series_check,
 )
 from coorbitkit import (
     CDMatrix,
@@ -35,7 +36,6 @@ from coorbitkit import (
     product_with_envelope,
     rel_separation,
     sequence_norm,
-    shifted_series_check,
 )
 from coorbitkit import sampling
 from coorbitkit.groups import index_pairs

@@ -34,10 +34,7 @@ from coorbitkit import (
     build_cyclic_phase_space,
     build_real_line,
     convolve,
-    is_U_dense,
-    is_U_separated,
     maximal_left,
-    max_separated_subset,
     maximal_right,
     measure_QxQ,
     rel_separation,
@@ -231,15 +228,17 @@ def test_q_spread_samples_have_absent_products(model):
 
 
 def test_density_separation_and_rel(model):
-    # a Q-separated sample, on which a U listed twice must still read separated
-    separated = max_separated_subset(model, model.q_indices).points
+    # a Q-separated sample, on which a U listed twice must still read separated;
+    # U-dense is a multiplicity >= 1 everywhere, U-separated one <= 1
+    separated = np.array(brute_max_separated_subset(model, model.q_indices))
     for points in [*samples(model), separated]:
-        sample = SampleSet(model=model, points=points)
         for u in neighbourhoods(model):
             if model.identity in u:
-                assert is_U_dense(sample, u) == brute_is_dense(model, points, u)
-                assert is_U_separated(sample, u) == brute_is_separated(model, points, u)
-        assert rel_separation(sample) == brute_rel_separation(model, points)
+                mult = model.q_spread(np.ones(len(points)), points, u)
+                assert bool(mult.all()) == brute_is_dense(model, points, u)
+                assert bool(mult.max() <= 1) == brute_is_separated(model, points, u)
+        assert rel_separation(SampleSet(model=model, points=points)) \
+            == brute_rel_separation(model, points)
 
 
 def test_cover_owners(model):
@@ -257,12 +256,6 @@ def test_cover_owners(model):
             for rank, cell in enumerate(cells):
                 got[cell] = rank
             assert np.array_equal(got, owner)
-
-
-def test_max_separated_subset(model):
-    for u in neighbourhoods(model)[:2]:
-        assert np.array_equal(max_separated_subset(model, u).points,
-                              brute_max_separated_subset(model, u))
 
 
 def edge_points(model):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_rel_separation, uu_inverse_indices
+from _oracles import brute_rel_separation, shifted_series_check
 from coorbitkit import (
     GridFunction,
     SampleSet,
@@ -9,11 +9,7 @@ from coorbitkit import (
     build_cover,
     build_cyclic_phase_space,
     build_real_line,
-    is_U_dense,
-    is_U_separated,
-    max_separated_subset,
     rel_separation,
-    shifted_series_check,
 )
 from coorbitkit.errors import InvalidParameterError, NotDenseError
 from coorbitkit.sampling import _sorted_unique
@@ -87,27 +83,34 @@ class TestRelSeparation:
             SampleSet(model=m, points=np.array([1, 1]))
 
 
+def multiplicity(sample, u):
+    """How many translates lambda_i U hold each carrier point."""
+    return sample.model.q_spread(np.ones(len(sample)), sample.points, u)
+
+
 class TestDensitySeparation:
+    """U-dense: every point in some lambda_i U; U-separated: in at most one."""
+
     def test_full_carrier_dense(self):
         m = build_cyclic_phase_space(8)
         lam = SampleSet(model=m, points=np.arange(64))
-        assert is_U_dense(lam, np.array([m.identity]))
+        assert multiplicity(lam, np.array([m.identity])).all()
 
     def test_lattice_separated(self):
         m = build_cyclic_phase_space(8)
         lam = cyclic_lattice(m, 4)
-        assert is_U_separated(lam, block(m, 2))
+        assert multiplicity(lam, block(m, 2)).max() <= 1
 
     def test_shared_cell_not_separated(self):
         m = build_cyclic_phase_space(8)
         lam = SampleSet(model=m, points=np.array([0, 1]))
-        assert not is_U_separated(lam, block(m, 2))
+        assert not multiplicity(lam, block(m, 2)).max() <= 1
 
     def test_u_must_contain_identity(self):
         m = build_cyclic_phase_space(8)
         lam = cyclic_lattice(m, 4)
-        with pytest.raises(InvalidParameterError):
-            is_U_dense(lam, np.array([3]))
+        with pytest.raises(InvalidParameterError, match="identity"):
+            build_cover(lam, np.array([3]))
 
 
 class TestBuildCover:
@@ -149,36 +152,6 @@ class TestBuildCover:
         with pytest.raises(NotDenseError) as err:
             build_cover(lam, block(m, 2))
         assert 0 <= err.value.uncovered_index < 64
-
-
-class TestMaxSeparatedSubset:
-    def test_singleton_u_gives_full_carrier(self):
-        m = build_cyclic_phase_space(4)
-        lam = max_separated_subset(m, np.array([m.identity]))
-        assert len(lam) == m.size
-
-    def test_cyclic_blocks(self):
-        m = build_cyclic_phase_space(8)
-        u = block(m, 2)
-        lam = max_separated_subset(m, u)
-        assert len(lam) == 16
-        assert is_U_separated(lam, u)
-        assert is_U_dense(lam, uu_inverse_indices(m, u))
-
-    def test_line_spacing(self):
-        # on-grid open U = (-1,1) has radius 1-h, so separated spacing is 2-h
-        for h in (0.5, 0.1):
-            m = build_real_line(6.0, h)
-            lam = max_separated_subset(m, m.q_indices)
-            xs = np.sort(m.coords[lam.points])
-            assert np.all(np.diff(xs) >= 2.0 - h - 1e-12)
-
-    def test_separated_in_q_means_rel_one(self):
-        m = build_cyclic_phase_space(8)
-        u = block(m, 3)  # contains Q up to translation; use Q itself
-        lam = max_separated_subset(m, m.q_indices)
-        assert is_U_separated(lam, m.q_indices)
-        assert rel_separation(lam) == 1
 
 
 class TestShiftedSeries:

@@ -307,11 +307,6 @@ def test_per_sample_norm_check_catches_a_loop():
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = [ast.parse(path.read_text()) for folder in ("perfbench", "demos")
            for path in sorted((ROOT / folder).glob("*.py"))]
-# paper checks that only the tests reach; each should gain a consumer or move to the tests
-TEST_ONLY = {"embedding_constant_check", "translate_left", "translate_right", "add_with_envelope",
-             "coefficient_operator", "reconstruction_operator", "reproducing_check",
-             "model_from_config", "is_U_dense", "is_U_separated", "max_separated_subset",
-             "shifted_series_check"}
 
 
 def _exports() -> list:
@@ -358,11 +353,9 @@ def _unread(names, modules, scripts) -> list:
 
 
 def test_every_export_has_a_reader():
-    """Each export is read in src, by perfbench or a demo, or is a listed test-only check."""
+    """Each export is read in src, by perfbench or by a demo; none is there for the tests alone."""
     modules = [tree for module, tree in TREES.items() if module != "__init__"]
-    unread = _unread(_exports(), modules, SCRIPTS)
-    assert sorted(set(unread) - TEST_ONLY) == [], "exports nothing reads"
-    assert sorted(TEST_ONLY - set(unread)) == [], "listed as test-only but read or not exported"
+    assert _unread(_exports(), modules, SCRIPTS) == [], "exports nothing reads"
 
 
 def test_export_reader_check_catches_a_leftover():
