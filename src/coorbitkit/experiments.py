@@ -270,11 +270,25 @@ def affine_selfconvolution_at(x_coords, a_coords, scale_haar, alpha: float, beta
     m(s) = min{s^alpha, s^-beta} = f(0, s), and the weight mu_a depend on x only
     through S(a) = sum_x e^{-2|x|/a}.  So sum_a m(1/a) m(a0/a) mu_a S(a) adds the
     carrier sum's terms in another order: exact up to rounding.  S is formed one
-    scale row at a time, so no n_a x n_x array is built.
+    scale row at a time, so no n_a x n_x array is built.  e^{-2|x|/a} is even and
+    the x-grid is mirror-symmetric (x_i = -x_{n-1-i}, as ``affine_axes`` builds
+    it), so the exponentials are taken on x >= 0 only and mirrored: the summed
+    vector is the full grid's, term for term.
     """
+    x = np.asarray(x_coords, dtype=float)
+    if not np.array_equal(x, -x[::-1]):
+        raise InvalidParameterError("the x-grid must be mirror-symmetric about 0, as "
+                                    "affine_axes builds it")
     f = affine_test_function(alpha, beta)
-    neg_2x = -2.0 * np.abs(x_coords)
-    s = np.array([np.exp(neg_2x / a).sum() for a in a_coords])
+    n, half = len(x), len(x) // 2
+    neg_2x = -2.0 * np.abs(x[half:])
+    terms = np.empty(n)
+    upper = terms[half:]
+    s = np.empty(len(a_coords))
+    for i, a in enumerate(a_coords):
+        np.exp(np.divide(neg_2x, a, out=upper), out=upper)
+        terms[:half] = terms[n - half:][::-1]
+        s[i] = terms.sum()
     row = f(0.0, 1.0 / a_coords) * scale_haar * s
     return np.array([float((row * f(0.0, a0 / a_coords)).sum()) for a0 in targets])
 

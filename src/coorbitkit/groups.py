@@ -32,9 +32,12 @@ window max; on Z_N x Z_N the index of x·q equals that of q·x, so one
 |Q| x n product table built at construction serves both sides (a stack takes
 |Q| in-place maxima over its rows, so the temporary stays one stack, not |Q|
 of them); on the affine grid x·q = (x + a q_x, a q_a)
-and Q = Q_x x Q_a, so M^L is a window max over the scale shifts q_a
-followed by one gather per q_x, whose x-index is snapped from the same float
-expression as ``mul_indices``.  Affine M^R keeps the base loop.  Every window
+and Q = Q_x x Q_a, so M^L is a window max over the scale shifts q_a followed,
+per scale row a, by one shifted in-place max per distinct x-shift of the row:
+the x-index that ``mul_indices`` snaps for x_j + a q_x is j + rint(a q_x / h)
+along the whole row (h the x-step) unless a q_x / h lies within ``_TIE_MARGIN``
+of a half-integer, and such a (row, q_x) keeps the snapped gather of
+``mul_indices`` for that row alone.  Affine M^R keeps the base loop.  Every window
 max is ``_window_max``, a doubling (sparse-table) running max: floor(log2 w)
 passes of pairwise maxima at shifts 1, 2, 4, ... and one last maximum of two
 overlapping runs, O(n log w) for a window of w entries instead of the n·w
@@ -94,12 +97,21 @@ import numpy as np
 from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 
 ABSENT = -1
+# a shift a·q_x/h this near a half-integer may snap differently along its row
+_TIE_MARGIN = 1e-6
 
 
 def _is_int_at_least(value, minimum: int) -> bool:
     """True iff ``value`` is an integer (not a bool, not a float such as 2.0) >= ``minimum``."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= minimum)
+
+
+def _real_coordinate(value) -> float:
+    """``value`` as a float; a bool is refused, as ``CyclicPhaseSpace.index_of`` refuses it."""
+    if np.asarray(value).dtype.kind == "b":
+        raise InvalidParameterError(f"coordinate {value!r} is a bool, not a number")
+    return float(value)
 
 
 def _check_side(side: str) -> None:
@@ -233,9 +245,10 @@ class GroupModel:
         u = self.q_indices if u is None else np.asarray(u, dtype=int)
         t = np.array(list(self.translates(points, u)), dtype=int).reshape(len(u), np.size(points))
         order = np.argsort(t, axis=0, kind="stable")  # equal products stay in u order
-        s = np.take_along_axis(t, order, axis=0)
+        cols = np.arange(t.shape[1])
+        s = t[order, cols]
         s[1:][s[1:] == s[:-1]] = ABSENT  # a product an earlier u_j gave
-        np.put_along_axis(t, order, s, axis=0)
+        t[order, cols] = s
         mags = np.asarray(mags)
         acc = np.zeros(mags.shape[:-1] + (self.size + 1,))  # pad slot absorbs absent products
         for row in t:
@@ -258,7 +271,7 @@ class GroupModel:
         values = padded(values)
         if values.ndim == 1:
             return values[z]
-        return np.take_along_axis(values, z, axis=-1)
+        return values[np.arange(len(z))[:, None], z]
 
     def relative_max(self, mags, rows, cols) -> np.ndarray:
         """phi(z) = max of ``mags``[i, j] over the pairs with cols_j^{-1} rows_i = z; 0 if none.
@@ -460,7 +473,7 @@ class RealLineModel(GroupModel):
         return f"{self.coords[i]:g}"
 
     def index_of(self, coord) -> int:
-        x = float(coord)
+        x = _real_coordinate(coord)
         if not math.isfinite(x):
             raise InvalidParameterError(f"coordinate {coord} is not finite")
         k = int(round(x / self.step)) + self.identity
@@ -500,7 +513,9 @@ class AffineGridModel(GroupModel):
     (exponents add); the x component snaps to the nearest cell, absent when it
     leaves the grid.  Point (x_j, a_m) has index j*n_a + m.  The model stores only
     the two axes, so ``coords``, ``haar`` and ``modular`` are built on each access
-    and the group law recovers (j, m) from an index by ``divmod``.
+    and the group law recovers (j, m) from an index by ``divmod``.  Snapping x + a y
+    moves a whole scale row by one integer shift, rint(a y / h), away from rounding
+    ties, which is how ``local_max`` reads M^L row by row.
     """
 
     kind = "affine"
@@ -560,25 +575,46 @@ class AffineGridModel(GroupModel):
         return self._pack(x, -(ma_i + self._m_lo) - self._m_lo)
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
-        # x·q = (x + a q_x, a q_a) over Q = Q_x x Q_a: the scale index of x·q depends
-        # only on (a, q_a) and its x-index only on (x, a, q_x)
+        """max over q in Q of ``mag`` at x·q (left) or q·x (right); an absent product reads 0.
+
+        x·q = (x + a q_x, a q_a) over Q = Q_x x Q_a, so the scale index of x·q
+        depends only on (a, q_a) and its x-index only on (x, a, q_x).  M^L takes the
+        window max over the scale shifts of Q_a, then, per scale row a_m, one shifted
+        max per distinct x-shift of the row.  On x_j = (j - k) h the snapped x-index
+        of x_j + a_m x_q is j + d with d = rint(c), c = a_m x_q / h (as a float),
+        for every j.  Error bound: the float expression of ``mul_indices``,
+        (x_j + a_m x_q) / h, lies within 3.01 u (|j - k| + |c|) index units of
+        j - k + c (u = 2^-53: four roundings in it and one in c, each relative to
+        one of the two terms).  That is below 1e-8 while |j - k| and |c| are under
+        2^22, and below ``_TIE_MARGIN`` = 1e-6 until |j - k| + |c| reaches 2.9e9.
+        So every c farther than the margin from a half-integer snaps as j + d, and a
+        (row, q_x) nearer a tie keeps the snapped gather of ``mul_indices`` for that
+        row alone; a shift with |d| >= n_x leaves the grid for every j either way.
+        The index set is that of ``mul_indices`` and a max is exact, so the result
+        is bit-identical to the base loop.  M^R keeps the base loop.
+        """
         if side != "left":
             return super().local_max(mag, side)
         q_x, q_a = self._q_windows()
         s_a = q_a + self._m_lo
-        lead = np.shape(mag)[:-1]
-        # scale shifts first, then a zero pad row that absent x-indices read
-        scaled = _window_max(np.reshape(mag, lead + (self.n_x, self.n_a)), s_a[0], s_a[-1])
-        scaled = np.concatenate([scaled, np.zeros(lead + (1, self.n_a))], axis=-2)
-        out = np.zeros(lead + (self.n_x, self.n_a))
-        for jq in q_x:
-            # the float expression of mul_indices, broadcast over the grid
-            x = self.x_coords[:, None] + self.a_coords[None, :] * self.x_coords[jq]
-            jx, ok = self._snap_x(x)
-            jx[~ok] = self.n_x
-            np.maximum(out, np.take_along_axis(scaled, jx.reshape((1,) * len(lead) + jx.shape),
-                                               axis=-2), out=out)
-        return out.reshape(lead + (self.size,))
+        lead, n_x = np.shape(mag)[:-1], self.n_x
+        scaled = _window_max(np.reshape(mag, lead + (n_x, self.n_a)), s_a[0], s_a[-1])
+        rows = np.ascontiguousarray(np.swapaxes(scaled, -1, -2))  # (..., n_a, n_x)
+        del scaled  # the peak stays at rows, out and the result
+        out = np.zeros_like(rows)
+        c = self.a_coords[:, None] * self.x_coords[q_x] / self.x_step
+        d = np.rint(c)
+        tie = np.abs(np.abs(c - d) - 0.5) <= _TIE_MARGIN
+        for m, (d_m, tie_m) in enumerate(zip(d.astype(int).tolist(), tie.tolist())):
+            row, acc = rows[..., m, :], out[..., m, :]
+            # out[j] reads row[j + s]; off the grid it reads 0, so the slice stops there
+            for s in {s for s, t in zip(d_m, tie_m) if not t and abs(s) < n_x}:
+                lo, hi = max(0, -s), min(n_x, n_x - s)
+                np.maximum(acc[..., lo:hi], row[..., lo + s:hi + s], out=acc[..., lo:hi])
+            for jq in q_x[tie_m]:
+                jx, ok = self._snap_x(self.x_coords + self.a_coords[m] * self.x_coords[jq])
+                np.maximum(acc, padded(row)[..., np.where(ok, jx, ABSENT)], out=acc)
+        return np.swapaxes(out, -1, -2).reshape(lead + (self.size,))
 
     def q_neighbourhood(self, points) -> np.ndarray:
         # p·q = (x_p + a_p q_x, a_p q_a): per q_x, mark (x-index of p·q_x, scale of p),
@@ -599,7 +635,7 @@ class AffineGridModel(GroupModel):
         return f"({self.x_coords[jx]:g},{self.a_coords[ma]:g})"
 
     def index_of(self, coord) -> int:
-        x, a = (float(c) for c in coord)
+        x, a = (_real_coordinate(c) for c in coord)
         jx = int(np.abs(self.x_coords - x).argmin())
         ma = int(np.abs(self.a_coords - a).argmin())
         if not (abs(self.x_coords[jx] - x) <= 1e-9 * max(1.0, abs(x))

@@ -21,7 +21,8 @@ from coorbitkit.errors import InvalidParameterError, ResolutionError, Truncation
 from coorbitkit.frames import Representation
 from coorbitkit.groups import AffineGridModel, RealLineModel, affine_axes, build_affine_grid
 
-from _oracles import brute_affine_selfconvolution, brute_scale_selfconvolution
+from _oracles import brute_affine_selfconvolution, brute_scale_selfconvolution, \
+    full_grid_selfconvolution
 
 
 FAST_REALLINE = {"t_list": (1.0, 2.0), "half_width": 8.0, "step": 0.02}
@@ -77,6 +78,22 @@ class TestAffineRunner:
         got = ex.affine_selfconvolution_at(*affine_axes(*params), 2.0, 0.5, targets)
         want = brute_affine_selfconvolution(build_affine_grid(*params), 2.0, 0.5, targets)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    # the runner's default quadrature grid and its half-step re-check grid
+    @pytest.mark.parametrize("params", [(40.0, 0.02, 0.02, 32.0, 1.03),
+                                        (40.0, 0.01, 0.02, 32.0, 1.015)])
+    def test_mirrored_x_sum_matches_the_full_grid_sum(self, params):
+        targets = (1.0, 2.0, 4.0, 8.0)
+        axes = affine_axes(*params)
+        assert np.array_equal(ex.affine_selfconvolution_at(*axes, 2.0, 0.5, targets),
+                              full_grid_selfconvolution(*axes, 2.0, 0.5, targets))
+
+    @pytest.mark.parametrize("asymmetric", [lambda x: x + 0.01, lambda x: x[1:],
+                                       lambda x: np.where(x == x[0], x[0] - 0.5, x)])
+    def test_selfconvolution_rejects_a_grid_that_is_not_mirror_symmetric(self, asymmetric):
+        x, a, mu = affine_axes(4.0, 0.5, 0.25, 4.0, 2.0)
+        with pytest.raises(InvalidParameterError, match="mirror-symmetric"):
+            ex.affine_selfconvolution_at(asymmetric(x), a, mu, 2.0, 0.5, (1.0,))
 
     def test_builds_only_the_partial_norm_carriers(self, monkeypatch):
         built = []

@@ -154,6 +154,15 @@ class TestRealLineModel:
         with pytest.raises(InvalidParameterError, match="is not finite"):
             build_real_line(2.0, 1.0).index_of(coord)
 
+    @pytest.mark.parametrize("coord", [True, False, np.True_])
+    def test_index_of_rejects_a_bool(self, coord):
+        with pytest.raises(InvalidParameterError, match="is a bool"):
+            build_real_line(2.0, 1.0).index_of(coord)
+
+    def test_index_of_keeps_numbers(self):
+        m = build_real_line(2.0, 1.0)
+        assert m.index_of(1) == m.index_of(np.int64(1)) == m.index_of(1.0) == 3
+
     def test_invalid_step(self):
         with pytest.raises(InvalidParameterError):
             build_real_line(2.0, 0.0)
@@ -165,6 +174,15 @@ class TestAffineModel:
     def test_modular_function(self):
         m = build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)
         assert m.modular[m.index_of((0.0, 2.0))] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("coord", [(True, True), (0.0, True), (np.False_, 1.0)])
+    def test_index_of_rejects_a_bool(self, coord):
+        with pytest.raises(InvalidParameterError, match="is a bool"):
+            build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0).index_of(coord)
+
+    def test_index_of_keeps_numbers(self):
+        m = build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)
+        assert m.index_of((1, 1)) == m.index_of((np.int64(1), 1.0)) == m.index_of((1.0, 1.0))
 
     def test_identity_and_inverse(self):
         m = build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)

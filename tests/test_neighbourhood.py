@@ -5,6 +5,7 @@ translate lambda U (its scales a < 1 shrink x-steps below the grid step),
 which is where deduplication and the absent-product convention matter.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,6 +151,54 @@ def test_local_max_stack_matches_base_loop_by_row(model):
             assert np.array_equal(row, GroupModel.local_max(model, mag, side))
         assert np.array_equal(GroupModel.local_max(model, stack, side), got)
         assert np.array_equal(model.local_max(stack.reshape(3, 1, -1), side), got[:, None])
+
+
+# a q_x / h = 0.75 / 0.5 = 1.5 exactly on the a = 1.5 row, and -1.5 at q_x = -0.5: rint
+# ties, which the shift table leaves to the snapped gather of mul_indices
+def tie_grid():
+    return build_affine_grid(4.0, 0.5, 1 / 2.25, 2.25, 1.5)
+
+
+def test_affine_left_local_max_at_rint_ties():
+    model = tie_grid()
+    # ties go to even, so the snapped x-index is not one shift of j along the row
+    jx, ok = model._snap_x(model.x_coords + 1.5 * 0.5)
+    assert len(set(jx[ok] - np.arange(model.n_x)[ok])) == 2
+    rng = np.random.default_rng(11)
+    stack = rng.random((3, model.size))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    assert np.array_equal(model.local_max(stack[0]), GroupModel.local_max(model, stack[0]))
+    for row, mag in zip(model.local_max(stack), stack):
+        assert np.array_equal(row, GroupModel.local_max(model, mag))
+
+
+@pytest.mark.parametrize("name, snaps", [("affine_partial", 0), ("affine_partial_fine", 0),
+                                         ("tie", 2)])
+def test_affine_left_local_max_snaps_only_at_ties(monkeypatch, name, snaps):
+    model = {**LOCAL_MAX_MODELS, "tie": tie_grid}[name]()
+    calls = []
+    snap_x = AffineGridModel._snap_x
+
+    def counted(self, x):
+        calls.append(1)
+        return snap_x(self, x)
+
+    monkeypatch.setattr(AffineGridModel, "_snap_x", counted)
+    model.local_max(np.ones(model.size))
+    assert len(calls) == snaps  # one per (scale row, q_x) within _TIE_MARGIN of a tie
+
+
+def test_affine_left_local_max_peak_memory():
+    model = LOCAL_MAX_MODELS["affine_partial_fine"]()
+    mag = np.random.default_rng(5).random(model.size)
+    tracemalloc.start()
+    try:
+        model.local_max(mag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 3.0 carrier-sized float vectors; one snapped gather per q_x took 6.1
+    assert peak < 5 * 8 * model.size, f"traced peak {peak / (8 * model.size):.2f} vectors"
 
 
 def test_q_spread_stack_matches_base_loop_by_row(model):

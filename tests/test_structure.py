@@ -205,6 +205,32 @@ def test_window_and_override_checks_catch_a_leftover():
         == ["B.q_neighbourhood"]
 
 
+def _along_axis_gathers(tree) -> list:
+    """Every import, attribute read or name read of numpy's ``take_along_axis``."""
+    name = "take_along_axis"
+    return sorted(f"line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any(alias.name.split(".")[-1] == name for alias in node.names)
+                  or isinstance(node, ast.Attribute) and node.attr == name
+                  or isinstance(node, ast.Name) and node.id == name)
+
+
+def test_no_gather_along_an_axis():
+    """No module gathers by take_along_axis: affine M^L reads shifted scale rows, not a
+    carrier-sized gather per q_x."""
+    assert {module: _along_axis_gathers(tree) for module, tree in TREES.items()
+            if _along_axis_gathers(tree)} == {}
+
+
+def test_along_axis_check_catches_a_leftover():
+    tree = ast.parse("from numpy import take_along_axis as gather\n"
+                     "a = np.take_along_axis(v, i, axis=0)\n"
+                     "b = take_along_axis(v, i, -1)\n"
+                     "c = np.take(v, i, axis=0)\n"
+                     "np.put_along_axis(v, i, c, axis=0)\n")
+    assert _along_axis_gathers(tree) == ["line 1", "line 2", "line 3"]
+
+
 def test_one_molecule_bound():
     """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
     def conv_of_left_max(node):
