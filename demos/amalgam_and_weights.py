@@ -52,7 +52,7 @@ aff = build_affine_grid(4.0, 0.05, 1.0 / 16.0, 16.0, 1.05)
 w1 = symmetrize_weight(aff, np.ones(aff.size), 1.0)
 print("symmetrizing the unit weight against the modular function gives "
       f"max(1, a); range [{w1.values.min():.3f}, {w1.values.max():.3f}]")
-paper_weight = 1.0 + aff.coords[:, 1]
+paper_weight = 1.0 + np.tile(aff.a_coords, aff.n_x)  # point j*n_a + m has scale a_m
 rep = validate_p_weight(aff, paper_weight, 1.0)
 print(f"w(x,a) = 1 + a is a genuine 1-weight: (w3) deviation {rep.w3_max_rel_dev:.1e}")
 print(f"mu(Q) by quadrature: {aff.q_mass():.3f} (closed form: 3)")

@@ -24,7 +24,6 @@ from .amalgam import (
 )
 from .cdmatrix import (
     CDMatrix,
-    identity_cd,
     matrix_holomorphic,
     minimal_envelope,
     product_with_envelope,

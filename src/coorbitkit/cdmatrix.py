@@ -126,13 +126,6 @@ def product_with_envelope(a: CDMatrix, b: CDMatrix) -> CDMatrix:
                     envelope=GridFunction(a.model, h_vals))
 
 
-def identity_cd(sample: SampleSet) -> CDMatrix:
-    """Identity matrix on a sample set with its minimal envelope."""
-    out = CDMatrix(rows=sample, cols=sample, entries=np.eye(len(sample), dtype=complex))
-    out.envelope = minimal_envelope(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # holomorphic functional calculus by power series
 
@@ -198,9 +191,10 @@ def _series_apply(s: np.ndarray, phi: str, eps_bound: Optional[float], tail_tol:
 def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatrix:
     """phi(A) by power series with an envelope propagated through the terms.
 
-    Envelope: |a_0| E_I + sum_{n<=n0} |a_n| Theta^{(n)} + tail bump, where Theta
-    is the minimal envelope of A - I, Theta^{(n)} the n-fold product envelope,
-    and the bump is the geometric operator-norm tail folded into a constant.
+    Envelope: |a_0| E_I + sum_{n<=n0} |a_n| Theta^{(n)} + tail bump, where E_I and
+    Theta are the minimal envelopes of I and A - I, Theta^{(n)} the n-fold product
+    envelope, and the bump is the geometric operator-norm tail folded into a
+    constant.
     Theta^{(n+1)} is the envelope ``product_with_envelope`` gives the product of
     Theta^{(n)} and Theta, formed without the product's entries.  A long series
     can overflow the envelope: the first term whose sum is not finite raises
@@ -214,7 +208,8 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m))
     theta = minimal_envelope(diff)
     rel = rel_separation(a.cols)
-    eye_env = identity_cd(a.rows).envelope
+    # E_I bins each lambda^{-1} lambda, which a snapped grid may place beside the identity
+    eye_env = minimal_envelope(CDMatrix(rows=a.rows, cols=a.rows, entries=np.eye(m)))
     coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
     env_vals = np.abs(coeffs[0]) * eye_env.values.real
     power = theta.values.real

@@ -52,8 +52,8 @@ class SequenceSpaceSpec:
     sample: SampleSet
 
 
-def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None):
-    """||c||_{Y_d} = || sum_i |c_i| 1_{lambda_i Q} ||_Y (optionally with another Q).
+def sequence_norm(c, sspec: SequenceSpaceSpec):
+    """||c||_{Y_d} = || sum_i |c_i| 1_{lambda_i Q} ||_Y.
 
     ``c`` of shape (|Lambda|,) gives a float; a (k, |Lambda|) stack gives k norms.
     """
@@ -64,7 +64,7 @@ def sequence_norm(c, sspec: SequenceSpaceSpec, q_indices=None):
             f"coefficient vector must have length {len(sample)}, got {c.shape}"
         )
     model = sample.model
-    return magnitude_norm(model, model.q_spread(np.abs(c), sample.points, q_indices), sspec.base)
+    return magnitude_norm(model, model.q_spread(np.abs(c), sample.points), sspec.base)
 
 
 def _stack(vectors, dim: int) -> np.ndarray:
@@ -215,12 +215,12 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     sample_sets = _calibration_samples(model, seed)
     if sample is not None:
         sample_sets.append(sample)
+    atom_sets = [ks.atoms(lam) for lam in sample_sets]  # a sample of another model raises
 
     f_samples = _random_vectors(rng, rep.dim, n_random)
     f_norms = coorbit_norm(ctx, f_samples)  # the denominator of every coefficient ratio
     coeff_best, recon_best, rows = 0.0, 0.0, []
-    for lam in sample_sets:
-        atoms0 = ks.orbit[lam.points]
+    for lam, atoms0 in zip(sample_sets, atom_sets):
         families = {"atoms": atoms0}
         shift = int(rng.integers(0, model.size))
         families["shifted"] = rep.apply(shift, atoms0)
@@ -319,7 +319,7 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     rng = np.random.default_rng(seed)
     t_matrix = np.asarray(t_matrix, dtype=complex)
     dual_atoms = np.asarray(dual_atoms)
-    images = ks.orbit[sample.points] @ t_matrix.T
+    images = ks.atoms(sample) @ t_matrix.T
     cert = fit_envelope(ks, images, sample, ctx.p, ctx.weight)
 
     f_samples = _random_vectors(rng, ks.rep.dim, 20)

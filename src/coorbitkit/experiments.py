@@ -2,7 +2,7 @@
 
 Every quadrature pass flag is re-verified at half the step by ``_rechecked``; a
 flag that flips raises ResolutionError.  Random samples come from a counter-based
-generator keyed by (seed, experiment, index) so sweeps are reproducible.
+generator keyed by (seed, experiment) so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ E = float(np.e)
 MAX_CARRIER_POINTS = 2 ** 22
 
 
-def rng_for(seed: int, experiment: str, index: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, experiment, index); splittable and stable."""
+def rng_for(seed: int, experiment: str) -> np.random.Generator:
+    """Philox generator keyed by (seed, experiment); stable, one stream per experiment."""
     digest = hashlib.sha256(experiment.encode()).digest()
     key = int.from_bytes(digest[:8], "big")
     bits = np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, key],
-                            counter=[index, 0, 0, 0])
+                            counter=[0, 0, 0, 0])
     return np.random.Generator(bits)
 
 

@@ -181,6 +181,11 @@ class KernelSystem:
             raise InvalidParameterError("grid function entries must be finite")
         return values
 
+    def atoms(self, sample: SampleSet) -> np.ndarray:
+        """The orbit rows pi(lambda_i) g at the points of ``sample``, which must share the model."""
+        _check_sample(self, sample)
+        return self.orbit[sample.points]
+
     def kernels(self, points) -> np.ndarray:
         """Kernel columns [x, i] = K_{points[i]}(x) = <pi(points[i]) g, pi(x) g>."""
         return self.orbit.conj() @ self.orbit[points].T
@@ -189,6 +194,11 @@ class KernelSystem:
     def kernel_matrix(self) -> np.ndarray:
         """Every kernel as a column, shape (n, n), built on every access."""
         return self.kernels(np.arange(self.rep.model.size))
+
+
+def _check_sample(ks: KernelSystem, sample: SampleSet) -> None:
+    if sample.model is not ks.rep.model:
+        raise IncompatibleOperandsError("sample set lives on a different model")
 
 
 @dataclass
@@ -236,7 +246,7 @@ class FrameSystem:
     @property
     def atoms(self) -> np.ndarray:
         """pi(lambda_i) g stacked as rows."""
-        return self.kernel_system.orbit[self.sample.points]
+        return self.kernel_system.atoms(self.sample)
 
 
 def _eigh(m: np.ndarray) -> tuple:
@@ -256,21 +266,6 @@ def hermitian_extremes(s: np.ndarray) -> tuple:
     return float(vals[0]), float(vals[-1])
 
 
-def _phi(m: np.ndarray, phi: str, tail_tol: float, relax: tuple) -> tuple:
-    """(phi(M), series terms, tail bound) for Hermitian M > 0: M^{-1} or M^{-1/2}.
-
-    The power series ``_series_apply`` relaxed by ``relax`` = (w, q), its count and
-    tail bound fixed in advance, with ||R M - I||_2, or ||R M R - I||_2, held to
-    10 tail_tol: the check that catches a wrong q.
-    """
-    result, n_terms, tail_bound = _series_apply(m, phi, None, tail_tol, relax)
-    product = result @ m if phi == "inverse" else result @ m @ result
-    resid = _identity_gap(product, spectral=True)
-    if resid > 10 * tail_tol:
-        raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
-    return result, n_terms, tail_bound
-
-
 def _identity_gap(x: np.ndarray, spectral: bool = False) -> float:
     """||X - I|| of a square X: the largest entry modulus, or the 2-norm if ``spectral``."""
     gap = x - np.eye(len(x))
@@ -279,15 +274,12 @@ def _identity_gap(x: np.ndarray, spectral: bool = False) -> float:
 
 def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> FrameSystem:
     """Weighted kernel frame with tau_i = mu(U_i) from a greedy disjoint cover."""
-    model = ks.rep.model
-    if sample.model is not model:
-        raise IncompatibleOperandsError("sample set lives on a different model")
+    atoms = ks.atoms(sample)
     if len(sample) == 0:
         d = ks.rep.dim
         return FrameSystem(ks, sample, np.zeros(0), np.zeros((d, d), complex), (0.0, 0.0))
     cover = build_cover(sample, u_indices)
     tau = cover.cell_masses()
-    atoms = ks.orbit[sample.points]
     s = (atoms.T * tau) @ atoms.conj()
     s = 0.5 * (s + s.conj().T)
     return FrameSystem(ks, sample, tau, s, hermitian_extremes(s))
@@ -297,21 +289,30 @@ def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> 
 # dual / Parseval frames
 
 
-def _frame_phi(fs: FrameSystem, phi: str, tail_tol: float) -> tuple:
-    """phi(S) = w^{1 or 1/2} sum a_n (I - wS)^n with w = 2/(A + B), for every frame.
+def _frame_phi(fs: FrameSystem, phi: str) -> tuple:
+    """(phi(S), series terms, tail bound) for every frame: S^{-1} or S^{-1/2}.
 
-    The rate q = (B - A)/(B + A) < 1 (``fs.relaxation``) fixes the count and the tail
+    phi(S) = w^{1 or 1/2} sum a_n (I - wS)^n with w = 2/(A + B), the power series
+    ``_series_apply``.  The rate q = (B - A)/(B + A) < 1 (``fs.relaxation``) fixes
+    the count, the smallest n with q^n/(1 - q) <= tail_tol = 1e-12, and the tail
     bound w^{1 or 1/2} q^{n+1}/(1 - q) before summing; past the term cap it raises.
+    ||R S - I||_2, or ||R S R - I||_2, is held to 10 tail_tol: the check that
+    catches a wrong q.
     """
     if fs.bounds[0] <= 0:
         raise NotAFrameError("lower frame bound is zero")
-    return _phi(fs.frame_operator, phi, tail_tol, relax=fs.relaxation)
+    tail_tol, s = 1e-12, fs.frame_operator
+    result, n_terms, tail_bound = _series_apply(s, phi, None, tail_tol, fs.relaxation)
+    product = result @ s if phi == "inverse" else result @ s @ result
+    resid = _identity_gap(product, spectral=True)
+    if resid > 10 * tail_tol:
+        raise ArithmeticError(f"series residual {resid:.2e} exceeds 10*tail_tol")
+    return result, n_terms, tail_bound
 
 
-def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None,
-               tail_tol: float = 1e-12) -> np.ndarray:
+def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None) -> np.ndarray:
     """Canonical dual atoms h_i = S^{-1}(tau_i pi(lambda_i) g); reconstruction verified to 1e-9."""
-    s_inv, fs.neumann_terms, fs.series_tail_bound = _frame_phi(fs, "inverse", tail_tol)
+    s_inv, fs.neumann_terms, fs.series_tail_bound = _frame_phi(fs, "inverse")
     duals = (fs.tau[:, None] * fs.atoms) @ s_inv.T
     recon_err = reconstruction_error(fs, duals)
     if recon_err > 1e-9:
@@ -331,7 +332,7 @@ def parseval_frame(fs: FrameSystem) -> tuple:
 
     NotAFrameError if the deviation exceeds 1e-8.
     """
-    s_isqrt = _frame_phi(fs, "inverse_sqrt", 1e-12)[0]
+    s_isqrt = _frame_phi(fs, "inverse_sqrt")[0]
     pars = (np.sqrt(fs.tau)[:, None] * fs.atoms) @ s_isqrt.T
     dev = _identity_gap(pars.T @ pars.conj())
     if dev > 1e-8:
@@ -345,7 +346,7 @@ def parseval_frame(fs: FrameSystem) -> tuple:
 
 def gramian(ks: KernelSystem, sample: SampleSet):
     """Gramian of (pi(lambda_i) g) as a CDMatrix with its minimal envelope attached."""
-    atoms = ks.orbit[sample.points]
+    atoms = ks.atoms(sample)
     g = atoms.conj() @ atoms.T  # [i, i'] = <pi(lam_i') g, pi(lam_i) g>
     cdm = CDMatrix(rows=sample, cols=sample, entries=g)
     cdm.envelope = minimal_envelope(cdm)
@@ -372,7 +373,7 @@ def build_riesz_system(ks: KernelSystem, sample: SampleSet) -> RieszSystem:
     if len(sample) == 0:
         raise InvalidParameterError("a Riesz system needs at least one sample point")
     gram = gramian(ks, sample)
-    return RieszSystem(sample, ks.orbit[sample.points], gram, _eigh(gram.entries))
+    return RieszSystem(sample, ks.atoms(sample), gram, _eigh(gram.entries))
 
 
 def _riesz_phi(rs: RieszSystem, power: float) -> np.ndarray:
@@ -422,6 +423,7 @@ def fit_envelope(ks: KernelSystem, atoms: np.ndarray, sample: SampleSet, p: floa
     time, at most ``_BLOCK_ENTRIES`` entries, and the per-bin maxima are carried
     over the blocks; a single block at N <= 32 with the default lattices.
     """
+    _check_sample(ks, sample)
     atoms = np.asarray(atoms, dtype=complex)
     if atoms.ndim != 2 or atoms.shape[0] != len(sample) or atoms.shape[1] != ks.rep.dim:
         raise IncompatibleOperandsError("atoms must be one length-dim vector per sample point")

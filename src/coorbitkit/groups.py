@@ -55,17 +55,17 @@ and its scale index is ma_p + ma_q, so one pass per q_x marks the x-index of
 p·q_x at the scale of p and the marks are dilated along the scale axis by the
 shifts of Q_a.  Either way the index set is the same.
 
-Push sums.  ``GroupModel.q_spread(mags, points, u)``, the adjoint of ``local_max``,
-is the fourth primitive: sum_i mags_i 1_{p_i U} (U = Q by default), whose amalgam
-norm is the Y_d sequence norm and whose value at ``mags`` = 1 is the multiplicity
-of the translates p_i U.  ``mags`` is (..., |P|): a stack of rows gets one push
-sum per row, shape (..., n).  The base class, the test oracle, adds ``mags`` along
-each ``translates`` vector into a padded accumulator.  On a snapped grid two u_j can
-give p_i one product, which the indicator 1_{p_i U} counts once: the base class
-keeps the first such u_j.  Z_N x Z_N makes one ``np.bincount`` over the U-major
-product table (its products p_i u_j are distinct), with row r of a stack offset
+Push sums.  ``GroupModel.q_spread(mags, points)``, the adjoint of ``local_max``,
+is the fourth primitive: sum_i mags_i 1_{p_i Q}, whose amalgam norm is the Y_d
+sequence norm and whose value at ``mags`` = 1 is the multiplicity of the
+translates p_i Q.  ``mags`` is (..., |P|): a stack of rows gets one push sum per
+row, shape (..., n).  The base class, the test oracle, adds ``mags`` along each
+``translates`` vector into a padded accumulator.  On a snapped grid two q_j can
+give p_i one product, which the indicator 1_{p_i Q} counts once: the base class
+keeps the first such q_j.  Z_N x Z_N makes one ``np.bincount`` over the Q-major
+product table (its products p_i q_j are distinct), with row r of a stack offset
 by r·n; bincount adds in input order from 0.0, so each entry sums its terms in the
-base loop's order (u outer, i inner) and the result is bit-identical.
+base loop's order (q outer, i inner) and the result is bit-identical.
 
 Left translates.  ``GroupModel.left_translates(values, points)`` is the fifth
 primitive: row i is L_{p_i} v, x -> v(p_i^{-1} x) over the carrier, an absent
@@ -107,11 +107,22 @@ def _is_int_at_least(value, minimum: int) -> bool:
             and value >= minimum)
 
 
-def _real_coordinate(value) -> float:
-    """``value`` as a float; a bool is refused, as ``CyclicPhaseSpace.index_of`` refuses it."""
-    if np.asarray(value).dtype.kind == "b":
-        raise InvalidParameterError(f"coordinate {value!r} is a bool, not a number")
+def _real_coordinate(value, coord) -> float:
+    """``value``, one entry of ``coord``, as a float; only a real number, never a bool or a str."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"coordinate {coord!r}: {value!r} is a bool, not a number")
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"coordinate {coord!r}: {value!r} is not a real number")
     return float(value)
+
+
+def _pair(coord) -> tuple:
+    """The two entries of a point coordinate; InvalidParameterError naming it otherwise."""
+    try:
+        first, second = coord
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"coordinate {coord!r} needs two entries") from None
+    return first, second
 
 
 def _check_side(side: str) -> None:
@@ -198,14 +209,6 @@ class GroupModel:
     def has_trivial_cocycle(self) -> bool:
         return True
 
-    # -- conveniences ----------------------------------------------------
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_indices(np.asarray(i), np.asarray(j)))
-
-    def inv(self, i: int) -> int:
-        return int(self.inv_indices(np.asarray(i)))
-
     def translates(self, points, u, side: str = "left"):
         """Iterate, for each u_j in ``u``, over the indices points·u_j (left) or u_j·points (right).
 
@@ -236,18 +239,18 @@ class GroupModel:
             hit[t] = True
         return np.nonzero(hit[:-1])[0]
 
-    def q_spread(self, mags, points, u=None) -> np.ndarray:
-        """sum_i ``mags``_i 1_{p_i U} over the carrier, U = Q by default; absent products drop.
+    def q_spread(self, mags, points) -> np.ndarray:
+        """sum_i ``mags``_i 1_{p_i Q} over the carrier; absent products drop.
 
-        1_{p_i U} is an indicator: a product p_i u_j that an earlier u_j gave is not added again.
+        1_{p_i Q} is an indicator: a product p_i q_j that an earlier q_j gave is not added again.
         ``mags`` may be a (..., len(points)) stack; each row gets its own sum.
         """
-        u = self.q_indices if u is None else np.asarray(u, dtype=int)
-        t = np.array(list(self.translates(points, u)), dtype=int).reshape(len(u), np.size(points))
-        order = np.argsort(t, axis=0, kind="stable")  # equal products stay in u order
+        q = self.q_indices
+        t = np.array(list(self.translates(points, q)), dtype=int).reshape(len(q), np.size(points))
+        order = np.argsort(t, axis=0, kind="stable")  # equal products stay in q order
         cols = np.arange(t.shape[1])
         s = t[order, cols]
-        s[1:][s[1:] == s[:-1]] = ABSENT  # a product an earlier u_j gave
+        s[1:][s[1:] == s[:-1]] = ABSENT  # a product an earlier q_j gave
         t[order, cols] = s
         mags = np.asarray(mags)
         acc = np.zeros(mags.shape[:-1] + (self.size + 1,))  # pad slot absorbs absent products
@@ -398,18 +401,12 @@ class CyclicPhaseSpace(GroupModel):
             np.maximum(out, np.take(mag, t, axis=-1), out=out)
         return out
 
-    def q_spread(self, mags, points, u=None) -> np.ndarray:
-        # one row of t per u, so bincount adds in the base loop's order; row r of a
+    def q_spread(self, mags, points) -> np.ndarray:
+        # one row of t per q, so bincount adds in the base loop's order; row r of a
         # stack writes to bins offset by r * size
-        points = np.asarray(points, dtype=int)
-        if u is None:
-            t = self._q_table[:, points]
-        else:  # U is a set: a repeated u_j adds nothing, as in the base loop
-            u = np.asarray(u, dtype=int)
-            u = u[np.sort(np.unique(u, return_index=True)[1])]
-            t = self.mul_indices(points[None, :], u[:, None])
+        t = self._q_table[:, np.asarray(points, dtype=int)]
         mags = np.asarray(mags)
-        rows = mags.reshape(math.prod(mags.shape[:-1]), len(points))
+        rows = mags.reshape(math.prod(mags.shape[:-1]), t.shape[1])
         bins = t.ravel() + self.size * np.arange(len(rows))[:, None]
         sums = np.bincount(bins.ravel(), np.tile(rows, len(t)).ravel(),
                            minlength=len(rows) * self.size)
@@ -424,9 +421,9 @@ class CyclicPhaseSpace(GroupModel):
 
     def index_of(self, coord) -> int:
         """Index of (k, l) for integers k, l (numpy integers too), each taken mod N; no bool."""
-        k, l = coord
+        k, l = _pair(coord)
         if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (k, l)):
-            raise InvalidParameterError(f"coordinate {coord} needs two integers")
+            raise InvalidParameterError(f"coordinate {coord!r} needs two integers")
         return (int(k) % self.n_side) * self.n_side + (int(l) % self.n_side)
 
 
@@ -473,7 +470,7 @@ class RealLineModel(GroupModel):
         return f"{self.coords[i]:g}"
 
     def index_of(self, coord) -> int:
-        x = _real_coordinate(coord)
+        x = _real_coordinate(coord, coord)
         if not math.isfinite(x):
             raise InvalidParameterError(f"coordinate {coord} is not finite")
         k = int(round(x / self.step)) + self.identity
@@ -512,8 +509,8 @@ class AffineGridModel(GroupModel):
     Group law (x,a)(y,b) = (x+ay, ab).  The scale component of products is exact
     (exponents add); the x component snaps to the nearest cell, absent when it
     leaves the grid.  Point (x_j, a_m) has index j*n_a + m.  The model stores only
-    the two axes, so ``coords``, ``haar`` and ``modular`` are built on each access
-    and the group law recovers (j, m) from an index by ``divmod``.  Snapping x + a y
+    the two axes, so ``haar`` and ``modular`` are built on each access and the
+    group law recovers (j, m) from an index by ``divmod``.  Snapping x + a y
     moves a whole scale row by one integer shift, rint(a y / h), away from rounding
     ties, which is how ``local_max`` reads M^L row by row.
     """
@@ -538,12 +535,6 @@ class AffineGridModel(GroupModel):
         """Q = (-1, 1) x (1/2, 2) as its x-index window and its scale-index window."""
         return (np.nonzero(np.abs(self.x_coords) < 1.0)[0],
                 np.nonzero((self.a_coords > 0.5) & (self.a_coords < 2.0))[0])
-
-    @property
-    def coords(self) -> np.ndarray:
-        """(size, 2) array of the (x, a) of every carrier point, built on each access."""
-        return np.column_stack([np.repeat(self.x_coords, self.n_a),
-                                np.tile(self.a_coords, self.n_x)])
 
     @property
     def haar(self) -> np.ndarray:
@@ -635,7 +626,7 @@ class AffineGridModel(GroupModel):
         return f"({self.x_coords[jx]:g},{self.a_coords[ma]:g})"
 
     def index_of(self, coord) -> int:
-        x, a = (_real_coordinate(c) for c in coord)
+        x, a = (_real_coordinate(c, coord) for c in _pair(coord))
         jx = int(np.abs(self.x_coords - x).argmin())
         ma = int(np.abs(self.a_coords - a).argmin())
         if not (abs(self.x_coords[jx] - x) <= 1e-9 * max(1.0, abs(x))
@@ -765,7 +756,8 @@ def measure_QxQ(model: GroupModel, x_index: int) -> float:
 
     Absent products are skipped; on exact models the value is exact.
     """
-    if not (0 <= x_index < model.size):
-        raise InvalidParameterError(f"carrier index {x_index} out of range")
+    if not (_is_int_at_least(x_index, 0) and x_index < model.size):
+        raise InvalidParameterError(f"carrier index {x_index!r} is not an integer, or is "
+                                    f"outside [0, {model.size})")
     qx = model.mul_indices(model.q_indices, x_index)
     return float(model.haar[model.q_neighbourhood(qx[qx >= 0])].sum())

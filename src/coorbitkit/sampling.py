@@ -8,15 +8,10 @@ bound(y^{-1} x) over every carrier pair, or over 200,000 seeded pairs on larger
 carriers; it reports the pairs checked, whether that was all of them, and how
 many had y^{-1} x off the grid (``absent``; the bound reads inf there).
 
-Density and separation are read off the multiplicity of the translates,
-``model.q_spread(np.ones(m), points, u)``: the family is U-dense where it is
-positive everywhere (``.all()``) and U-separated where it is at most one
-(``.max() <= 1``).
-
-The verification kernels (the frame-kernel check and envelope fitting on
-Z_N x Z_N, and ``pair_check`` on every model) form their temporaries in blocks
-of at most ``_BLOCK_ENTRIES`` entries, so none of them holds an n x n or n x m
-array.
+The verification kernels on Z_N x Z_N (the frame-kernel check and envelope
+fitting) form their temporaries in blocks of at most ``_BLOCK_ENTRIES`` entries,
+so neither holds an n x n or n x m array.  ``pair_check`` reads at most 200,000
+pairs, fewer than one block holds, in one pass.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ from .amalgam import convolve, maximal_left, maximal_right
 from .errors import InvalidParameterError, NotDenseError
 from .groups import ABSENT, GroupModel, index_pairs, padded
 
-# entries of the largest temporary one block forms: a frame-kernel row block, an
-# envelope's voices block, a pair-check chunk
+# entries of the largest temporary one block forms: a frame-kernel row block or an
+# envelope's voices block
 _BLOCK_ENTRIES = 2 ** 18
 
 
@@ -149,33 +144,23 @@ def pair_check(model: GroupModel, bound: np.ndarray, lhs_at, seed: int) -> dict:
 
     An absent y^{-1} x reads an infinite bound and counts in ``absent``; the
     excess is relative to max(1, the largest finite bound read).  ``lhs_at`` is
-    called once with every pair; y^{-1} x, the bound it reads, the excess and the
-    ratio are formed one chunk of ``_BLOCK_ENTRIES`` pairs at a time, and the
-    chunk maxima combine by numpy's max, so a NaN left side still propagates.
+    called once with every pair, and the maxima are numpy's, so a NaN left side
+    propagates.
     """
     xs, ys, exhaustive = index_pairs(model.size, exhaustive_limit=200_000,
                                      sample_size=200_000, seed=seed)
     lhs = lhs_at(xs, ys)
-    bound = padded(bound, np.inf)
-    step = _block_items(1)
-    top_bound, excess, ratio, absent = [], [], [], 0
-    for start in range(0, xs.size, step):
-        chunk = slice(start, start + step)
-        z = model.div_indices(ys[chunk], xs[chunk])
-        rhs = bound[z]
-        top_bound.append(rhs[np.isfinite(rhs)].max(initial=0.0))
-        excess.append((lhs[chunk] - rhs).max())
-        with np.errstate(invalid="ignore"):
-            ratios = np.where(rhs > 0, lhs[chunk] / np.maximum(rhs, 1e-300), 0.0)
-        ratio.append(ratios[np.isfinite(ratios)].max(initial=0.0))
-        absent += int(np.count_nonzero(z == ABSENT))
-    scale = max(1.0, float(np.max(top_bound)))
-    max_excess = float(np.max(excess)) / scale
+    z = model.div_indices(ys, xs)
+    rhs = padded(bound, np.inf)[z]
+    with np.errstate(invalid="ignore"):
+        ratios = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), 0.0)
+    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
+    max_excess = float((lhs - rhs).max()) / scale
     return {
         "pairs": int(xs.size),
         "exhaustive": exhaustive,
-        "absent": absent,
+        "absent": int(np.count_nonzero(z == ABSENT)),
         "max_excess": max_excess,
-        "max_ratio": float(np.max(ratio)),
+        "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
         "holds": max_excess <= 1e-10,
     }

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's vectorized code paths: the cyclic-group
 oracle works on explicit (k, l) tuples with dict lookups, the generic
-neighbourhood oracles call the scalar ``model.mul`` once per pair, the Gabor
+neighbourhood oracles call the scalar ``mul`` once per pair, the Gabor
 representation is an explicit matrix stack built in nested loops, the frame
 kernel is summed atom by atom from the dense kernel table, matrix functions
 come from a plain eigendecomposition (and frame operators also from the series
@@ -18,7 +18,7 @@ tests can pin those to them bit for bit.
 The next section states paper identities on library primitives (the
 translates, the reproducing formula, the shifted-series bound and the
 measured coefficient norm), and the last one holds helpers that only the
-tests call.
+tests call: the identity CD-matrix and the per-point affine coordinates.
 """
 
 import itertools
@@ -28,8 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from coorbitkit import CDMatrix, CoorbitContext, GridFunction, KernelSystem, QuasiNormSpec, \
-    Representation, SampleSet, convolve, coorbit_norm, fit_envelope, identity_cd, \
-    maximal_left, maximal_right, minimal_envelope, product_with_envelope, rel_separation, \
+    Representation, SampleSet, convolve, coorbit_norm, fit_envelope, maximal_left, maximal_right, minimal_envelope, product_with_envelope, rel_separation, \
     twisted_convolve, unit_weight
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import _coefficient_norm, _stack
@@ -38,6 +37,16 @@ from coorbitkit.groups import GroupModel, index_pairs, padded
 from coorbitkit.sampling import molecule_bound, pair_check
 
 ABSENT = -1
+
+
+def mul(model, i, j) -> int:
+    """The index of x_i x_j for two scalar indices, ABSENT off the grid."""
+    return int(model.mul_indices(np.asarray(i), np.asarray(j)))
+
+
+def inv(model, i) -> int:
+    """The index of x_i^{-1} for a scalar index, ABSENT off the grid."""
+    return int(model.inv_indices(np.asarray(i)))
 
 
 def cyclic_points(n):
@@ -99,7 +108,7 @@ def brute_rel_separation(model, points):
     for x in range(model.size):
         found = set()
         for q in model.q_indices:
-            t = model.mul(x, int(q))
+            t = mul(model, x, int(q))
             if t in pts:
                 found.add(t)
         best = max(best, len(found))
@@ -117,7 +126,7 @@ def brute_maximal(model, values, side="left"):
     out = np.zeros(model.size)
     for x in range(model.size):
         for q in model.q_indices:
-            t = model.mul(x, int(q)) if side == "left" else model.mul(int(q), x)
+            t = mul(model, x, int(q)) if side == "left" else mul(model, int(q), x)
             if t >= 0:
                 out[x] = max(out[x], mag[t])
     return out
@@ -133,7 +142,7 @@ def brute_sequence_accumulator(model, points, coeffs, q_indices):
     seen = set()
     for q in q_indices:
         for lam, c in zip(points, np.abs(coeffs)):
-            t = model.mul(int(lam), int(q))
+            t = mul(model, int(lam), int(q))
             if t >= 0 and (int(lam), t) not in seen:
                 seen.add((int(lam), t))
                 acc[t] += c
@@ -144,7 +153,7 @@ def brute_translate_sets(model, points, u):
     """The on-grid part of lambda_i U as a set, for every sample point lambda_i."""
     sets = []
     for lam in points:
-        products = (model.mul(int(lam), int(uj)) for uj in u)
+        products = (mul(model, int(lam), int(uj)) for uj in u)
         sets.append({t for t in products if t >= 0})
     return sets
 
@@ -210,7 +219,7 @@ def brute_frame_kernel_excess(model, kernel_matrix, points, tau, bound):
     lhs, rhs = [], []
     for x in range(model.size):
         for y in range(model.size):
-            z = model.mul(model.inv(y), x)
+            z = mul(model, inv(model, y), x)
             lhs.append(abs(h[x, y]))
             rhs.append(bound[z] if z >= 0 else np.inf)
     lhs, rhs = np.array(lhs), np.array(rhs)
@@ -303,14 +312,13 @@ def brute_affine_selfconvolution(model, alpha, beta, targets):
     """(f^vee * f)(0, a0) as the Haar sum of f^vee(x, a) f(-x/a, a0/a) over every carrier point.
 
     f(x, a) = e^{-|x|} min{a^alpha, a^{-beta}}, evaluated at each point of
-    ``model.coords``.
+    ``affine_coords(model)``.
     """
 
     def f(x, a):
         return np.exp(-np.abs(x)) * np.minimum(a ** alpha, a ** (-beta))
 
-    x = model.coords[:, 0]
-    a = model.coords[:, 1]
+    x, a = affine_coords(model).T
     fvee = f(-x / a, 1.0 / a)
     return np.array([float((fvee * f(-x / a, a0 / a) * model.haar).sum()) for a0 in targets])
 
@@ -352,10 +360,10 @@ def composed_amalgam_norm(f, spec):
     return float((weighted ** plain.p * f.model.haar).sum() ** (1.0 / plain.p))
 
 
-def composed_sequence_norm(c, sspec, q_indices=None):
+def composed_sequence_norm(c, sspec):
     """The amalgam norm of the push sum sum_i |c_i| 1_{lambda_i Q}, wrapped in a GridFunction."""
     model = sspec.sample.model
-    spread = model.q_spread(np.abs(np.asarray(c)), sspec.sample.points, q_indices)
+    spread = model.q_spread(np.abs(np.asarray(c)), sspec.sample.points)
     return composed_amalgam_norm(GridFunction(model, spread), sspec.base)
 
 
@@ -469,8 +477,8 @@ def brute_relative_max(model, mags, rows, cols):
     phi = np.zeros(model.size)
     for i, row in enumerate(rows):
         for j, col in enumerate(cols):
-            col_inv = model.inv(int(col))
-            z = model.mul(col_inv, int(row)) if col_inv >= 0 else ABSENT
+            col_inv = inv(model, int(col))
+            z = mul(model, col_inv, int(row)) if col_inv >= 0 else ABSENT
             if z >= 0:
                 phi[z] = max(phi[z], mags[i, j])
     return phi
@@ -579,3 +587,16 @@ def coefficient_bound_report(ctx, atoms, cert, sample, f_samples, cal):
         "certificate_bound": bound,
         "pass": bool(measured <= bound * (1 + 1e-9)),
     }
+
+
+def identity_cd(sample: SampleSet) -> CDMatrix:
+    """Identity matrix on a sample set with its minimal envelope."""
+    out = CDMatrix(rows=sample, cols=sample, entries=np.eye(len(sample), dtype=complex))
+    out.envelope = minimal_envelope(out)
+    return out
+
+
+def affine_coords(model) -> np.ndarray:
+    """(size, 2) array of the (x, a) of every affine carrier point; index j*n_a + m is (x_j, a_m)."""
+    jx, ma = np.divmod(np.arange(model.size), model.n_a)
+    return np.column_stack([model.x_coords[jx], model.a_coords[ma]])

@@ -204,7 +204,7 @@ def test_criterion_5_dual_frames_of_molecules():
     ks = KernelSystem.build(rep, g)
     lam = lattice(model, 2)
     fs = build_almost_tight_frame(ks, lam, block(model, 2))
-    duals = dual_frame(fs, tail_tol=1e-13)
+    duals = dual_frame(fs)
 
     direct = np.linalg.solve(fs.frame_operator, (fs.tau[:, None] * fs.atoms).T).T
     neumann_gap = float(np.abs(duals - direct).max())

@@ -9,12 +9,12 @@ from coorbitkit import (
     GridFunction,
     KernelSystem,
     SampleSet,
+    build_affine_grid,
     build_cyclic_phase_space,
     convolve,
     gabor_representation,
     gaussian_window,
     gramian,
-    identity_cd,
     matrix_holomorphic,
     minimal_envelope,
     product_with_envelope,
@@ -24,13 +24,14 @@ from coorbitkit import (
 )
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.errors import (
+    CoverageWarning,
     IncompatibleOperandsError,
     InvalidParameterError,
     NoCertificateError,
     NotContractiveError,
 )
 
-from _oracles import composed_holomorphic_envelope, eager_series_apply
+from _oracles import composed_holomorphic_envelope, eager_series_apply, identity_cd
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,20 @@ class TestMatrixHolomorphic:
         eye = identity_cd(full_sample)
         out = matrix_holomorphic(eye, "inverse")
         assert np.abs(out.entries - np.eye(64)).max() < 1e-12
+        assert verify_envelope(out, out.envelope)["holds"]
+
+    def test_identity_envelope_on_a_snapped_diagonal(self):
+        # on this grid lambda^{-1} lambda snaps beside the identity for two points, where
+        # the envelope of I must be 1 too: the identity's indicator failed the check by 0.35
+        model = build_affine_grid(1.0, 0.1, 1 / 1.05 ** 2, 1.05 ** 2, 1.05)
+        points = np.arange(model.size)
+        z = model.div_indices(points, points)
+        assert np.count_nonzero((z >= 0) & (z != model.identity)) == 2
+        lam = SampleSet(model=model, points=points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)  # some inverses leave the grid
+            out = matrix_holomorphic(CDMatrix(rows=lam, cols=lam, entries=1.01 * np.eye(len(lam))),
+                                     "inverse")
         assert verify_envelope(out, out.envelope)["holds"]
 
     def test_inverse_matches_direct_solve(self, model):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from _oracles import coefficient_bound_report, measured_coefficient_norm
+from _oracles import brute_sequence_accumulator, coefficient_bound_report, \
+    measured_coefficient_norm
 from coorbitkit import (
+    Calibration,
     CoorbitContext,
+    GridFunction,
     KernelSystem,
     QuasiNormSpec,
     Representation,
@@ -28,6 +31,7 @@ from coorbitkit import (
     wiener_vs_plain_ratio,
     window_independence_ratio,
 )
+from coorbitkit import coorbit
 from coorbitkit.coorbit import measured_reconstruction_norm
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
     NotContractiveError
@@ -129,7 +133,8 @@ class TestSequenceNorm:
             lam = SampleSet(model=model, points=pts)
             sspec = SequenceSpaceSpec(base=QuasiNormSpec(p=1.0), sample=lam)
             c = rng.random(10)
-            ratios.append(sequence_norm(c, sspec, q_indices=qq)
+            spread_qq = brute_sequence_accumulator(model, pts, c, qq)
+            ratios.append(amalgam_norm(GridFunction(model, spread_qq), QuasiNormSpec(p=1.0))
                           / sequence_norm(c, sspec))
         assert max(ratios) <= measured_factor + 1e-9
         assert min(ratios) >= 1.0 - 1e-9  # Q subset of QQ
@@ -342,6 +347,27 @@ class TestExtendOperator:
         assert result["pass"], result
 
 
+class TestForeignSample:
+    """A sample of another model is refused, not read as indices into this orbit."""
+
+    def test_extend_operator_check(self, setup):
+        model, rep, g, ks = setup
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+        lam = lattice(build_cyclic_phase_space(4), 2)  # its indices lie inside Z_8 x Z_8
+        cal = Calibration(coefficient_c=1.0, reconstruction_c=1.0, battery=[])
+        with pytest.raises(IncompatibleOperandsError, match="different model"):
+            extend_operator_check(ctx, np.eye(8), lam, np.zeros((len(lam), 8)), cal)
+
+    def test_calibration_user_sample(self, setup, monkeypatch):
+        model, rep, g, ks = setup
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+        measured = []
+        monkeypatch.setattr(coorbit, "fit_envelope", lambda *args: measured.append(1))
+        with pytest.raises(IncompatibleOperandsError, match="different model"):
+            calibrate_constants(ctx, lattice(build_cyclic_phase_space(4), 2))
+        assert measured == []  # refused before the battery is measured
+
+
 class TestWienerVsPlain:
     def test_no_positive_denominator_rejected(self, setup):
         model, rep, g, ks = setup
@@ -420,11 +446,9 @@ class TestStacks:
         for lam in (lattice(model, 2), SampleSet(model=model, points=np.arange(0, 64, 3))):
             sspec = SequenceSpaceSpec(base=QuasiNormSpec(p=p), sample=lam)
             stack = np.array(rand_vectors(len(lam), 9, 22))
-            for q in (None, block(model, 3)):
-                got = sequence_norm(stack, sspec, q)
-                assert np.array_equal(got, [sequence_norm(c, sspec, q) for c in stack])
-                assert np.array_equal(sequence_norm(stack.reshape(3, 3, -1), sspec, q),
-                                      got.reshape(3, 3))
+            got = sequence_norm(stack, sspec)
+            assert np.array_equal(got, [sequence_norm(c, sspec) for c in stack])
+            assert np.array_equal(sequence_norm(stack.reshape(3, 3, -1), sspec), got.reshape(3, 3))
 
     def test_stack_errors(self, setup):
         model, rep, g, ks = setup

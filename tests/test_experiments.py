@@ -21,7 +21,7 @@ from coorbitkit.errors import InvalidParameterError, ResolutionError, Truncation
 from coorbitkit.frames import Representation
 from coorbitkit.groups import AffineGridModel, RealLineModel, affine_axes, build_affine_grid
 
-from _oracles import brute_affine_selfconvolution, brute_scale_selfconvolution, \
+from _oracles import affine_coords, brute_affine_selfconvolution, brute_scale_selfconvolution, \
     full_grid_selfconvolution
 
 
@@ -32,16 +32,15 @@ FAST_AFFINE = {"targets": (1.0, 2.0), "b_list": (16.0, 64.0), "x_half": 20.0,
 
 class TestRng:
     def test_deterministic(self):
-        a = ex.rng_for(7, "exp", 3).random(5)
-        b = ex.rng_for(7, "exp", 3).random(5)
+        a = ex.rng_for(7, "exp").random(5)
+        b = ex.rng_for(7, "exp").random(5)
         assert np.array_equal(a, b)
 
     def test_splittable(self):
-        a = ex.rng_for(7, "exp", 0).random(5)
-        b = ex.rng_for(7, "exp", 1).random(5)
-        c = ex.rng_for(7, "other", 0).random(5)
-        assert not np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        """One stream per (seed, experiment)."""
+        a = ex.rng_for(7, "exp").random(5)
+        assert not np.array_equal(a, ex.rng_for(7, "other").random(5))
+        assert not np.array_equal(a, ex.rng_for(8, "exp").random(5))
 
 
 class TestReallineRunner:
@@ -112,8 +111,7 @@ class TestAffineRunner:
         assert max(n for _, n in built) <= 192_394
         # the max over the 1-D grids' product equals the max over every carrier point
         carrier = build_affine_grid(20.0, 0.05, 0.05, 16.0, 1.06)
-        per_point = ex.affine_test_function(2.0, 0.5)(carrier.coords[:, 0],
-                                                       carrier.coords[:, 1]).max()
+        per_point = ex.affine_test_function(2.0, 0.5)(*affine_coords(carrier).T).max()
         assert next(m.value for m in report.metrics if m.name == "sup_norm") == per_point
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_envelope, brute_frame_kernel_excess, brute_gabor_matrices, eig_apply, \
-    inline_frame_kernel_check, reproducing_check, translate_left, unrelaxed_frame_phi
+    inline_frame_kernel_check, mul, reproducing_check, translate_left, unrelaxed_frame_phi
 from coorbitkit import (
     GridFunction,
     KernelSystem,
@@ -84,7 +84,7 @@ class TestRepresentation:
         for i in range(16):
             for j in range(16):
                 lhs = rep.action(i) @ rep.action(j)
-                rhs = model.cocycle_values(i, j) * rep.action(model.mul(i, j))
+                rhs = model.cocycle_values(i, j) * rep.action(mul(model, i, j))
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_identity_matrix(self):
@@ -377,7 +377,7 @@ class TestDualFrame:
         model, rep, g = setup_gabor(8)
         ks = KernelSystem.build(rep, g)
         fs = build_almost_tight_frame(ks, lattice(model, 2), block(model, 2))
-        duals = dual_frame(fs, tail_tol=1e-13)
+        duals = dual_frame(fs)
         direct = np.linalg.solve(fs.frame_operator, (fs.tau[:, None] * fs.atoms).T).T
         assert np.abs(duals - direct).max() < 1e-9
         assert fs.neumann_terms and fs.neumann_terms > 1
@@ -856,7 +856,7 @@ class TestBlockBoundaries:
         fs = irregular_complex_frame()
         one = frame_kernel_envelope_check(fs)
         # 5 rows a block: 13 row blocks, the last of 4 rows; the envelope takes 8
-        # blocks of 5 atoms and pair_check 13 chunks of its 4,096 pairs
+        # blocks of 5 atoms
         monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 5)
         blocked = frame_kernel_envelope_check(fs)
         exact = ("pairs", "exhaustive", "absent", "holds")
@@ -910,6 +910,39 @@ class TestBlockBoundaries:
         assert np.abs(env - one.envelope.values.real).max() <= 1e-12
         assert np.abs(env - expected).max() <= 1e-12
         assert blocked.amalgam_value == pytest.approx(one.amalgam_value, abs=1e-12)
+
+
+class TestForeignSample:
+    """A sample of another model is refused, not read as indices into this orbit: an
+    N = 8 lattice of step 4 read on Z_16 x Z_16 gave Riesz bounds (0.153, 1.847)."""
+
+    @staticmethod
+    def foreign():
+        model, rep, g = setup_gabor(16)
+        return KernelSystem.build(rep, g), lattice(build_cyclic_phase_space(8), 4)
+
+    def test_atoms(self):
+        ks, lam = self.foreign()
+        with pytest.raises(IncompatibleOperandsError, match="different model"):
+            ks.atoms(lam)
+        own = lattice(ks.rep.model, 4)
+        assert np.array_equal(ks.atoms(own), ks.orbit[own.points])
+
+    def test_riesz_system(self):
+        ks, lam = self.foreign()
+        with pytest.raises(IncompatibleOperandsError, match="different model"):
+            build_riesz_system(ks, lam)
+
+    def test_almost_tight_frame(self):
+        ks, lam = self.foreign()
+        for sample in (lam, SampleSet(model=lam.model, points=np.array([], dtype=int))):
+            with pytest.raises(IncompatibleOperandsError, match="different model"):
+                build_almost_tight_frame(ks, sample, block(ks.rep.model, 4))
+
+    def test_fit_envelope(self):
+        ks, lam = self.foreign()
+        with pytest.raises(IncompatibleOperandsError, match="different model"):
+            fit_envelope(ks, ks.orbit[:len(lam)], lam, 1.0, unit_weight(ks.rep.model))
 
 
 class TestWindowVariants:

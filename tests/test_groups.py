@@ -17,7 +17,8 @@ from coorbitkit import (
 from coorbitkit.errors import InvalidParameterError, InvalidWeightError
 from coorbitkit.groups import PWeight, affine_axes
 
-from _oracles import brute_affine_inv, brute_affine_mul, per_point_affine_arrays
+from _oracles import affine_coords, brute_affine_inv, brute_affine_mul, inv, mul, \
+    per_point_affine_arrays
 
 
 class TestCyclicModel:
@@ -72,7 +73,7 @@ class TestCyclicModel:
         m = build_cyclic_phase_space(8)
         q = set(m.q_indices.tolist())
         assert m.identity in q
-        assert {int(m.inv(i)) for i in q} == q
+        assert {inv(m, i) for i in q} == q
 
     def test_haar_weights(self):
         m = build_cyclic_phase_space(2)
@@ -89,6 +90,16 @@ class TestCyclicModel:
     def test_index_of_rejects_non_integers(self, coord):
         with pytest.raises(InvalidParameterError, match="needs two integers"):
             build_cyclic_phase_space(8).index_of(coord)
+
+    @pytest.mark.parametrize("coord, message", [(5, "needs two entries"),
+                                                ((1, 2, 3), "needs two entries"),
+                                                (None, "needs two entries"),
+                                                ("ab", "needs two integers")])
+    def test_index_of_names_a_malformed_coordinate(self, coord, message):
+        # the first three raised a raw TypeError or ValueError
+        with pytest.raises(InvalidParameterError, match=message) as err:
+            build_cyclic_phase_space(8).index_of(coord)
+        assert repr(coord) in str(err.value)
 
 
 @st.composite
@@ -138,8 +149,8 @@ class TestRealLineModel:
         assert np.allclose(m.coords, [-2, -1, 0, 1, 2])
         one = m.index_of(1.0)
         two = m.index_of(2.0)
-        assert m.mul(one, one) == two
-        assert m.mul(two, one) == -1
+        assert mul(m, one, one) == two
+        assert mul(m, two, one) == -1
 
     def test_unimodular(self):
         m = build_real_line(3.0, 0.5)
@@ -163,6 +174,12 @@ class TestRealLineModel:
         m = build_real_line(2.0, 1.0)
         assert m.index_of(1) == m.index_of(np.int64(1)) == m.index_of(1.0) == 3
 
+    @pytest.mark.parametrize("coord", ["1.0", None, 1j, [1.0], np.array(1.0)])
+    def test_index_of_names_a_non_number(self, coord):
+        # "1.0" was read as 1.0; the others raised a raw TypeError
+        with pytest.raises(InvalidParameterError, match="is not a real number"):
+            build_real_line(2.0, 1.0).index_of(coord)
+
     def test_invalid_step(self):
         with pytest.raises(InvalidParameterError):
             build_real_line(2.0, 0.0)
@@ -184,10 +201,20 @@ class TestAffineModel:
         m = build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)
         assert m.index_of((1, 1)) == m.index_of((np.int64(1), 1.0)) == m.index_of((1.0, 1.0))
 
+    @pytest.mark.parametrize("coord, message", [
+        (("0.5", "1.0"), "is not a real number"), ((0.5, None), "is not a real number"),
+        ("ab", "is not a real number"), (0.5, "needs two entries"), (None, "needs two entries"),
+        ((0.5, 1.0, 2.0), "needs two entries")])
+    def test_index_of_names_a_malformed_coordinate(self, coord, message):
+        # ("0.5", "1.5") was read as numbers; the others raised a raw TypeError or ValueError
+        with pytest.raises(InvalidParameterError, match=message) as err:
+            build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0).index_of(coord)
+        assert repr(coord) in str(err.value)
+
     def test_identity_and_inverse(self):
         m = build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)
         assert m.point_label(m.identity) == "(0,1)"
-        assert m.inv(m.identity) == m.identity
+        assert inv(m, m.identity) == m.identity
 
     def test_q_mass_quadrature(self):
         m = build_affine_grid(3.0, 0.02, 0.25, 4.0, 1.02)
@@ -204,7 +231,7 @@ class TestAffineModel:
         i = m.index_of((1.0, 2.0))
         j = m.index_of((0.5, 0.5))
         # (1,2)(0.5,0.5) = (1 + 2*0.5, 1) = (2, 1)
-        assert m.point_label(m.mul(i, j)) == "(2,1)"
+        assert m.point_label(mul(m, i, j)) == "(2,1)"
 
     # the in-group diagnostic grid and both partial-norm grids of the counterexample
     @pytest.mark.parametrize("params", [(8.0, 0.05, 1 / 128, 16.0, 1.04),
@@ -213,9 +240,10 @@ class TestAffineModel:
     def test_arrays_match_per_point_rule(self, params):
         m = build_affine_grid(*params)
         expected = per_point_affine_arrays(*params)
+        assert np.array_equal(affine_coords(m), expected.pop("coords"))
         for name, value in expected.items():
             assert np.array_equal(getattr(m, name), value), name
-        assert tuple(m.coords[m.identity]) == (0.0, 1.0)
+        assert tuple(affine_coords(m)[m.identity]) == (0.0, 1.0)
 
     # on both grids snapped products collide (scales a < 1 shrink x-steps below the
     # grid step) and about half the products leave the grid
@@ -270,7 +298,7 @@ class TestPWeight:
 
     def test_affine_one_plus_a_passes_w3(self):
         m = build_affine_grid(2.0, 0.5, 0.125, 8.0, 2.0)
-        w = 1.0 + m.coords[:, 1]
+        w = 1.0 + affine_coords(m)[:, 1]
         report = validate_p_weight(m, w, 1.0)
         assert report.w3_pass  # (1 + 1/a) * a = a + 1
 
@@ -292,7 +320,7 @@ class TestPWeight:
     def test_symmetrize_affine(self):
         m = build_affine_grid(2.0, 0.5, 0.125, 8.0, 2.0)
         w = symmetrize_weight(m, np.ones(m.size), 1.0)
-        assert np.allclose(w.values, np.maximum(1.0, m.coords[:, 1]))
+        assert np.allclose(w.values, np.maximum(1.0, affine_coords(m)[:, 1]))
 
     def test_symmetrize_exponential_line(self):
         m = build_real_line(3.0, 0.5)
@@ -341,7 +369,7 @@ class TestMeasureQxQ:
         for x in (0, 9, 27):
             explicit = set()
             for q1, q2 in itertools.product(m.q_indices, m.q_indices):
-                explicit.add(m.mul(m.mul(int(q1), x), int(q2)))
+                explicit.add(mul(m, mul(m, int(q1), x), int(q2)))
             expected = m.haar[list(explicit)].sum()
             assert measure_QxQ(m, x) == pytest.approx(float(expected))
 
@@ -364,3 +392,13 @@ class TestMeasureQxQ:
         m = build_cyclic_phase_space(2)
         with pytest.raises(InvalidParameterError):
             measure_QxQ(m, 99)
+
+    @pytest.mark.parametrize("build", [lambda: build_real_line(8.0, 0.01),
+                                       lambda: build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)])
+    def test_index_must_be_an_integer(self, build):
+        # 10.5 read the value at 10 on the line; True read the value at 1
+        m = build()
+        for index in (10.5, 10.0, True, np.True_, -1, m.size, "3", None):
+            with pytest.raises(InvalidParameterError, match="carrier index"):
+                measure_QxQ(m, index)
+        assert measure_QxQ(m, np.int64(10)) == measure_QxQ(m, 10)

@@ -37,7 +37,6 @@ from coorbitkit import (
     rel_separation,
     sequence_norm,
 )
-from coorbitkit import sampling
 from coorbitkit.groups import index_pairs
 from coorbitkit.sampling import molecule_bound, pair_check
 
@@ -89,12 +88,10 @@ class TestNormKernel:
     def test_sequence_norm_matches_composition(self, model):
         rng = np.random.default_rng(5)
         sample = sample_of(model)
-        q_alt = np.unique(np.append(model.q_indices, model.identity))
         for spec in specs(model):
             c = rng.normal(size=len(sample)) + 1j * rng.normal(size=len(sample))
             sspec = SequenceSpaceSpec(base=spec, sample=sample)
             assert sequence_norm(c, sspec) == composed_sequence_norm(c, sspec)
-            assert sequence_norm(c, sspec, q_alt) == composed_sequence_norm(c, sspec, q_alt)
 
     def test_no_wrapper_is_built(self, model, monkeypatch):
         f = random_function(model, 6)
@@ -162,30 +159,11 @@ class TestShiftedSeries:
 
 
 class TestPairCheckChunks:
-    """pair_check over chunks of a cut block budget against its one-chunk result."""
-
-    def test_chunks_match_one_chunk(self, model, monkeypatch):
-        rng = np.random.default_rng(21)
-        bound = rng.random(model.size)
-        table = 2 * rng.random((model.size, model.size))
-        f1, f2, sample = random_function(model, 22, True), random_function(model, 23, True), \
-            sample_of(model)
-        one = pair_check(model, bound, lambda xs, ys: table[xs, ys], seed=2)
-        series_expected = inline_shifted_series_check(f1, f2, sample)
-        div = model.div_indices
-        calls = []
-        monkeypatch.setattr(model, "div_indices", lambda i, j: calls.append(np.size(i)) or div(i, j))
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 700)
-        chunked = pair_check(model, bound, lambda xs, ys: table[xs, ys], seed=2)
-        assert len(calls) == -(-one["pairs"] // 700) > 1 and calls[-1] == one["pairs"] % 700
-        assert chunked == one and one["max_excess"] > 0 and one["max_ratio"] > 1
-        assert (one["absent"] > 0) == (model.kind != "cyclic")
-        series = shifted_series_check(f1, f2, sample)
-        assert {k: series[k] for k in series_expected} == series_expected
+    """pair_check reads every pair in one pass."""
 
     @pytest.mark.parametrize("where", [0, -1])
-    def test_nan_left_side_propagates(self, where, monkeypatch):
-        # Python's max(-1.0, nan) is -1.0: the chunk maxima must combine by numpy's max
+    def test_nan_left_side_propagates(self, where):
+        # Python's max(-1.0, nan) is -1.0: the maxima must be numpy's
         model = build_real_line(4.0, 0.25)
 
         def lhs_at(xs, ys):
@@ -193,13 +171,9 @@ class TestPairCheckChunks:
             out[where] = np.nan
             return out
 
-        one = pair_check(model, np.ones(model.size), lhs_at, seed=0)
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 100)
-        chunked = pair_check(model, np.ones(model.size), lhs_at, seed=0)
-        for result in (one, chunked):
-            assert np.isnan(result["max_excess"]) and not result["holds"]
-        assert {k: v for k, v in chunked.items() if k != "max_excess"} \
-            == {k: v for k, v in one.items() if k != "max_excess"}
+        result = pair_check(model, np.ones(model.size), lhs_at, seed=0)
+        assert np.isnan(result["max_excess"]) and not result["holds"]
+        assert result["pairs"] == model.size ** 2 and result["exhaustive"]
 
 
 class TestAbsentPairs:

@@ -22,6 +22,8 @@ from _oracles import (
     brute_relative_max,
     brute_sequence_accumulator,
     brute_translate_sets,
+    inv,
+    mul,
     sliding_window_max,
 )
 from coorbitkit import (
@@ -64,10 +66,8 @@ def samples(model):
 
 
 def neighbourhoods(model):
-    """Q, the identity alone, Q^{-1}, and Q listed twice (U is a set)."""
-    q_inv = model.inv_indices(model.q_indices)
-    return [model.q_indices, np.array([model.identity]), q_inv[q_inv >= 0],
-            np.tile(model.q_indices, 2)]
+    """Q and the identity alone, the sets U a cover is built from."""
+    return [model.q_indices, np.array([model.identity])]
 
 
 def test_affine_model_has_colliding_products():
@@ -83,8 +83,8 @@ def test_translates_match_scalar_products(model):
     right = list(model.translates(points, u, side="right"))
     assert len(left) == len(right) == len(u)
     for j, uj in enumerate(u):
-        assert np.array_equal(left[j], [model.mul(int(x), int(uj)) for x in points])
-        assert np.array_equal(right[j], [model.mul(int(uj), int(x)) for x in points])
+        assert np.array_equal(left[j], [mul(model, int(x), int(uj)) for x in points])
+        assert np.array_equal(right[j], [mul(model, int(uj), int(x)) for x in points])
 
 
 def test_maximal_functions(model):
@@ -205,12 +205,11 @@ def test_q_spread_stack_matches_base_loop_by_row(model):
     rng = np.random.default_rng(8)
     for points in [*samples(model), np.array([], dtype=int)]:
         stack = np.abs(rng.normal(size=(3, len(points))))
-        for u in [None, *q_and_qq(model)]:
-            got = model.q_spread(stack, points, u)
-            assert got.shape == (3, model.size)
-            for row, mags in zip(got, stack):
-                assert np.array_equal(row, GroupModel.q_spread(model, mags, points, u))
-            assert np.array_equal(GroupModel.q_spread(model, stack, points, u), got)
+        got = model.q_spread(stack, points)
+        assert got.shape == (3, model.size)
+        for row, mags in zip(got, stack):
+            assert np.array_equal(row, GroupModel.q_spread(model, mags, points))
+        assert np.array_equal(GroupModel.q_spread(model, stack, points), got)
 
 
 def test_line_clipped_window_covers_carrier():
@@ -240,7 +239,7 @@ def test_sequence_norm_accumulator(model):
 
 
 def q_and_qq(model):
-    """Q and the on-grid part of Q·Q, the base sets of the sequence norms."""
+    """Q and the on-grid part of Q·Q."""
     q = model.q_indices
     qq = np.unique(model.mul_indices(q[:, None], q[None, :]))
     return [q, qq[qq >= 0]]
@@ -250,23 +249,20 @@ def test_q_spread_matches_base_loop(model):
     rng = np.random.default_rng(6)
     for points in [*samples(model), carrier_edges(model), np.array([], dtype=int)]:
         mags = np.abs(rng.normal(size=len(points)) + 1j * rng.normal(size=len(points)))
-        for u in q_and_qq(model):
-            got = model.q_spread(mags, points, u)
-            assert np.array_equal(got, GroupModel.q_spread(model, mags, points, u))
-            assert np.array_equal(got, brute_sequence_accumulator(model, points, mags, u))
-        assert np.array_equal(model.q_spread(mags, points),
-                              GroupModel.q_spread(model, mags, points, model.q_indices))
+        got = model.q_spread(mags, points)
+        assert np.array_equal(got, GroupModel.q_spread(model, mags, points))
+        assert np.array_equal(got, brute_sequence_accumulator(model, points, mags,
+                                                              model.q_indices))
 
 
 def test_q_spread_of_ones_is_the_translate_multiplicity(model):
     # 1_{lambda_i U} is an indicator: on the affine grid with every point sampled,
     # counting each snapped product lambda_i u once per u overcounted 68 of 119 points
     for points in [*samples(model), np.arange(model.size)]:
-        for u in q_and_qq(model):
-            mult = np.zeros(model.size)
-            for cell in brute_translate_sets(model, points, u):
-                mult[list(cell)] += 1
-            assert np.array_equal(model.q_spread(np.ones(len(points)), points, u), mult)
+        mult = np.zeros(model.size)
+        for cell in brute_translate_sets(model, points, model.q_indices):
+            mult[list(cell)] += 1
+        assert np.array_equal(model.q_spread(np.ones(len(points)), points), mult)
 
 
 def test_q_spread_samples_have_absent_products(model):
@@ -277,15 +273,13 @@ def test_q_spread_samples_have_absent_products(model):
 
 
 def test_density_separation_and_rel(model):
-    # a Q-separated sample, on which a U listed twice must still read separated;
-    # U-dense is a multiplicity >= 1 everywhere, U-separated one <= 1
+    # a Q-separated sample among them; Q-dense is a multiplicity >= 1 everywhere,
+    # Q-separated one <= 1
     separated = np.array(brute_max_separated_subset(model, model.q_indices))
     for points in [*samples(model), separated]:
-        for u in neighbourhoods(model):
-            if model.identity in u:
-                mult = model.q_spread(np.ones(len(points)), points, u)
-                assert bool(mult.all()) == brute_is_dense(model, points, u)
-                assert bool(mult.max() <= 1) == brute_is_separated(model, points, u)
+        mult = model.q_spread(np.ones(len(points)), points)
+        assert bool(mult.all()) == brute_is_dense(model, points, model.q_indices)
+        assert bool(mult.max() <= 1) == brute_is_separated(model, points, model.q_indices)
         assert rel_separation(SampleSet(model=model, points=points)) \
             == brute_rel_separation(model, points)
 
@@ -293,7 +287,7 @@ def test_density_separation_and_rel(model):
 def test_cover_owners(model):
     for points in samples(model):
         sample = SampleSet(model=model, points=points)
-        for u in neighbourhoods(model)[:2]:
+        for u in neighbourhoods(model):
             owner = brute_cover_owners(model, points, u)
             if (owner == -1).any():
                 with pytest.raises(NotDenseError) as err:
@@ -429,11 +423,11 @@ def test_measure_qxq(model):
     for x in (0, model.identity, model.size - 1, *edge_points(model)):
         explicit = set()
         for q1 in model.q_indices:
-            left = model.mul(int(q1), x)
+            left = mul(model, int(q1), x)
             if left < 0:
                 continue
             for q2 in model.q_indices:
-                t = model.mul(left, int(q2))
+                t = mul(model, left, int(q2))
                 if t >= 0:
                     explicit.add(t)
         expected = model.haar[sorted(explicit)].sum()
@@ -452,8 +446,8 @@ def test_left_translates_read_scalar_products(model):
     stack = rng.random((len(points), model.size))
     one, rows = model.left_translates(v, points), model.left_translates(stack, points)
     for i, p in enumerate(points):
-        p_inv = model.inv(int(p))
-        z = [model.mul(p_inv, x) if p_inv >= 0 else -1 for x in range(model.size)]
+        p_inv = inv(model, int(p))
+        z = [mul(model, p_inv, x) if p_inv >= 0 else -1 for x in range(model.size)]
         assert np.array_equal(one[i], padded(v)[z])
         assert np.array_equal(rows[i], padded(stack[i])[z])
 
@@ -541,26 +535,27 @@ def test_cyclic_convolution_matches_blocked_table_path(n_side):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_cyclic_q_spread_counts_a_repeated_u_once(n):
-    """U is a set: the Z_N x Z_N override agrees with the base loop when u repeats."""
+    """Q is a set: at N <= 2 the offsets -1, 0, 1 fold onto each other, and the
+    Z_N x Z_N override adds each product p_i q once, as the base loop does."""
     model = build_cyclic_phase_space(n)
+    offsets = [(dk % n) * n + dl % n for dk in (-1, 0, 1) for dl in (-1, 0, 1)]
+    assert sorted(model.q_indices.tolist()) == sorted(set(offsets))
     rng = np.random.default_rng(n)
     points = np.sort(rng.choice(model.size, max(1, model.size // 2), replace=False))
     stack = np.abs(rng.normal(size=(2, len(points))))
-    for u in ([0, 0], np.array([0, 1, 1]) % model.size,
-              rng.integers(0, model.size, 3 * model.size),
-              np.concatenate([model.q_indices[::-1], model.q_indices])):
-        got = model.q_spread(stack, points, u)
-        assert np.array_equal(got, GroupModel.q_spread(model, stack, points, u))
-        # the same sums as over the distinct u, added in another order
-        assert np.allclose(got, model.q_spread(stack, points, np.unique(u)), rtol=1e-14, atol=0)
+    got = model.q_spread(stack, points)
+    assert np.array_equal(got, GroupModel.q_spread(model, stack, points))
+    for row, mags in zip(got, stack):
+        # the nine offsets, repeats and all, each product counted once, in another order
+        assert np.allclose(row, brute_sequence_accumulator(model, points, mags, offsets),
+                           rtol=1e-14, atol=0)
 
 
 def test_repeated_u_leaves_the_sequence_norm_alone():
-    model = build_cyclic_phase_space(4)
-    points, mags = np.array([0, 5]), np.array([1.0, 2.0])
-    spread = model.q_spread(mags, points, [0, 1, 1])
-    assert spread[[0, 1, 5, 6]].tolist() == [1.0, 1.0, 2.0, 2.0] and spread.sum() == 6.0
+    """At N = 2 the offsets -1 and 1 of Q coincide: Q is the whole carrier, counted once."""
+    model = build_cyclic_phase_space(2)
+    points, mags = np.array([0, 3]), np.array([1.0, 2.0])
+    assert model.q_spread(mags, points).tolist() == [3.0] * 4
     sspec = SequenceSpaceSpec(base=QuasiNormSpec(p=1.0),
                               sample=SampleSet(model=model, points=points))
-    assert sequence_norm(mags, sspec, q_indices=[0, 1, 1]) \
-        == sequence_norm(mags, sspec, q_indices=[0, 1]) == 1.5
+    assert sequence_norm(mags, sspec) == 6.0  # (1 + 2) mu(Q), four points of mass 1/2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_rel_separation, shifted_series_check
+from _oracles import brute_is_dense, brute_is_separated, brute_rel_separation, \
+    shifted_series_check
 from coorbitkit import (
     GridFunction,
     SampleSet,
@@ -83,28 +84,23 @@ class TestRelSeparation:
             SampleSet(model=m, points=np.array([1, 1]))
 
 
-def multiplicity(sample, u):
-    """How many translates lambda_i U hold each carrier point."""
-    return sample.model.q_spread(np.ones(len(sample)), sample.points, u)
-
-
 class TestDensitySeparation:
     """U-dense: every point in some lambda_i U; U-separated: in at most one."""
 
     def test_full_carrier_dense(self):
         m = build_cyclic_phase_space(8)
         lam = SampleSet(model=m, points=np.arange(64))
-        assert multiplicity(lam, np.array([m.identity])).all()
+        assert brute_is_dense(m, lam.points, [m.identity])
 
     def test_lattice_separated(self):
         m = build_cyclic_phase_space(8)
         lam = cyclic_lattice(m, 4)
-        assert multiplicity(lam, block(m, 2)).max() <= 1
+        assert brute_is_separated(m, lam.points, block(m, 2))
 
     def test_shared_cell_not_separated(self):
         m = build_cyclic_phase_space(8)
         lam = SampleSet(model=m, points=np.array([0, 1]))
-        assert not multiplicity(lam, block(m, 2)).max() <= 1
+        assert not brute_is_separated(m, lam.points, block(m, 2))
 
     def test_u_must_contain_identity(self):
         m = build_cyclic_phase_space(8)

@@ -1,12 +1,15 @@
-"""Module structure: every import sits at module level and the imports form a DAG."""
+"""Module structure: every import sits at module level and the imports form a DAG; every
+export, public member and defaulted parameter has a reader outside the tests."""
 
 import ast
 import graphlib
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import coorbitkit
+from coorbitkit import cli
 from test_neighbourhood import LOCAL_MAX_MODELS, Q_NEIGHBOURHOOD_MODELS
 
 PACKAGE = Path(coorbitkit.__file__).parent
@@ -269,9 +272,9 @@ def test_one_relaxed_series_for_every_frame():
                      if isinstance(fn, ast.FunctionDef) and fn.name == "_frame_phi")
     calls = [node for node in ast.walk(frame_phi) if isinstance(node, ast.Call)]
     assert not any(_calls("_eigh")(node) for node in calls)
-    (phi_call,) = [node for node in calls if _calls("_phi")(node)]
-    # tail_tol is passed as it is, so _phi always sums the series, relaxed by fs.relaxation
-    assert ast.unparse(phi_call) == "_phi(fs.frame_operator, phi, tail_tol, relax=fs.relaxation)"
+    (series_call,) = [node for node in calls if _calls("_series_apply")(node)]
+    # no eps_bound, so the series is always summed, relaxed by fs.relaxation
+    assert ast.unparse(series_call) == "_series_apply(s, phi, None, tail_tol, fs.relaxation)"
     assert _callers(_calls("_frame_phi")) == {"frames.dual_frame", "frames.parseval_frame"}
     assert _callers(_calls("_eigh")) == {"frames.hermitian_extremes", "frames.build_riesz_system"}
     cutoffs = [ast.unparse(node) for node in ast.walk(TREES["frames"])
@@ -282,11 +285,12 @@ def test_one_relaxed_series_for_every_frame():
 
 
 def test_phi_is_the_series_only():
-    """_phi is the relaxed series only: no eig or eps_bound parameter, no _eigh or eigh reached."""
+    """_frame_phi is the relaxed series only: no tail_tol, eig or eps_bound parameter, no _eigh
+    or eigh reached."""
     (phi,) = [fn for fn in TREES["frames"].body
-              if isinstance(fn, ast.FunctionDef) and fn.name == "_phi"]
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_frame_phi"]
     params = [arg.arg for arg in phi.args.args + phi.args.kwonlyargs]
-    assert params == ["m", "phi", "tail_tol", "relax"]
+    assert params == ["fs", "phi"]
     called = {ast.unparse(node.func) for node in ast.walk(phi) if isinstance(node, ast.Call)}
     assert "_series_apply" in called
     assert not called & {"_eigh", "np.linalg.eigh", "hermitian_extremes"}
@@ -330,9 +334,90 @@ def test_per_sample_norm_check_catches_a_loop():
     assert _norms_per_sample(tree) == ["coorbit_norm(ctx, f) (line 2)", "lambda (line 4)"]
 
 
+def _sample_orbit_reads(tree) -> list:
+    """``orbit[...]`` subscripts by a sample's ``points`` outside class KernelSystem, whose
+    ``atoms(sample)`` is the one read of sample rows that checks the sample's model."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "KernelSystem"
+              for node in ast.walk(cls)}
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and id(node) not in inside
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "orbit"
+            and any(isinstance(n, ast.Attribute) and n.attr == "points"
+                    for n in ast.walk(node.slice))]
+
+
+def test_sample_rows_are_read_through_atoms():
+    assert {module: _sample_orbit_reads(tree) for module, tree in TREES.items()
+            if _sample_orbit_reads(tree)} == {}
+
+
+def test_sample_orbit_check_catches_a_leftover():
+    tree = ast.parse("a = ks.orbit[sample.points]\nb = ks.orbit[cols].T\n"
+                     "class KernelSystem:\n    def atoms(self, s):\n"
+                     "        return self.orbit[s.points]\n"
+                     "c = fs.kernel_system.orbit[fs.sample.points[:3]]\n")
+    assert _sample_orbit_reads(tree) == ["ks.orbit[sample.points] (line 1)",
+                                         "fs.kernel_system.orbit[fs.sample.points[:3]] (line 6)"]
+
+
+# ---------------------------------------------------------------------------
+# readers: every export, public member and defaulted parameter of the package is
+# reached from src/, perfbench/ or demos/, never from the tests alone
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = [ast.parse(path.read_text()) for folder in ("perfbench", "demos")
            for path in sorted((ROOT / folder).glob("*.py"))]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class Scanned(NamedTuple):
+    """One walk of a reader file, shared by the three reader checks."""
+
+    tree: ast.Module
+    nodes: list  # (node, ids of the definitions enclosing it) for every node
+    attributes: dict  # attribute name -> enclosing ids of each load not through a module
+    calls: dict  # called name (``f(...)`` or ``x.f(...)``) -> (call, enclosing ids) pairs
+
+
+def _root(node):
+    """The node an attribute chain, a subscript or a call starts from."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node
+
+
+def _scan(tree) -> Scanned:
+    """The nodes of ``tree``, its attribute loads and its calls, each with its enclosing
+    definitions.  A load rooted at a name the file binds to a module (``np.linalg.inv``)
+    is a read of the module, not of a member."""
+    nodes, stack = [], [(tree, frozenset())]
+    while stack:
+        node, outer = stack.pop()
+        nodes.append((node, outer))
+        inner = outer | {id(node)} if isinstance(node, DEFINITIONS) else outer
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+    modules = set()
+    for node, _ in nodes:
+        if isinstance(node, ast.Import):
+            modules |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= {a.asname or a.name for a in node.names if a.name in TREES}
+    attributes, calls = {}, {}
+    for node, outer in nodes:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root = _root(node.value)
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                attributes.setdefault(node.attr, []).append(outer)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            calls.setdefault(name, []).append((node, outer))
+    return Scanned(tree, nodes, attributes, calls)
+
+
+MODULES = [_scan(tree) for module, tree in TREES.items() if module != "__init__"]
+SCRIPT_READERS = [_scan(tree) for tree in SCRIPTS]
+READERS = [_scan(TREES["__init__"]), *MODULES, *SCRIPT_READERS]
 
 
 def _exports() -> list:
@@ -341,30 +426,30 @@ def _exports() -> list:
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def _read_in_module(tree, name) -> bool:
+def _read_in_module(module: Scanned, name) -> bool:
     """A module that defines or imports ``name`` loads it outside its own definition."""
-    own = [node for node in tree.body
-           if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name]
+    own = {id(node) for node in module.tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name}
     imported = any(isinstance(node, ast.ImportFrom) and name in {a.asname or a.name
                                                                  for a in node.names}
-                   for node in tree.body)
-    inside = {id(node) for definition in own for node in ast.walk(definition)}
+                   for node in module.tree.body)
     return bool(own or imported) and any(
         isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-        and id(node) not in inside for node in ast.walk(tree))
+        and not own & outer for node, outer in module.nodes)
 
 
-def _script_reads(tree) -> set:
+def _script_reads(script: Scanned) -> set:
     """Names a script imports from the package, reads off a package module (``ck.<name>``)
     or passes by name next to one, as ``wrap(tracer, frames, "voice_transform")`` does."""
-    modules = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+    nodes = [node for node, _ in script.nodes]
+    modules = {(a.asname or a.name).split(".")[0] for node in nodes
                if isinstance(node, ast.Import) for a in node.names
                if a.name.split(".")[0] == "coorbitkit"}
-    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    imported = {a.name for node in nodes if isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "coorbitkit" for a in node.names}
-    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name) and node.value.id in modules}
-    by_name = {arg.value for call in ast.walk(tree) if isinstance(call, ast.Call)
+    by_name = {arg.value for call in nodes if isinstance(call, ast.Call)
                for module, arg in zip(call.args, call.args[1:])
                if isinstance(module, ast.Name) and module.id in modules
                and isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
@@ -375,13 +460,12 @@ def _unread(names, modules, scripts) -> list:
     """The names no module reads (outside their own definition) and no script reaches."""
     outside = set().union(*map(_script_reads, scripts))
     return [name for name in names if name not in outside
-            and not any(_read_in_module(tree, name) for tree in modules)]
+            and not any(_read_in_module(module, name) for module in modules)]
 
 
 def test_every_export_has_a_reader():
     """Each export is read in src, by perfbench or by a demo; none is there for the tests alone."""
-    modules = [tree for module, tree in TREES.items() if module != "__init__"]
-    assert _unread(_exports(), modules, SCRIPTS) == [], "exports nothing reads"
+    assert _unread(_exports(), MODULES, SCRIPT_READERS) == [], "exports nothing reads"
 
 
 def test_export_reader_check_catches_a_leftover():
@@ -393,4 +477,102 @@ def test_export_reader_check_catches_a_leftover():
                        "wrap(frames, 'by_name')\nwrap('quoted', frames)\n")
     names = ["helper", "used", "recursive", "caller", "shadowed", "via_alias", "imported",
              "by_name", "quoted"]
-    assert _unread(names, [module], [script]) == ["recursive", "caller", "shadowed", "quoted"]
+    assert _unread(names, [_scan(module)], [_scan(script)]) \
+        == ["recursive", "caller", "shadowed", "quoted"]
+
+
+def _members(trees) -> list:
+    """(``Class.name``, definition) of every public method and property of ``trees``' classes."""
+    return [(f"{cls.name}.{fn.name}", fn) for tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
+def _unread_members(members, files) -> list:
+    """The members whose name no file reads as an attribute outside their own definition.
+
+    Reads are matched by name, so a read of any object's ``name`` counts.
+    """
+    return [label for label, fn in members
+            if not any(id(fn) not in outer for file in files
+                       for outer in file.attributes.get(fn.name, ()))]
+
+
+def test_every_public_member_has_a_reader():
+    """Each public method and property is read in src, by perfbench or by a demo."""
+    assert _unread_members(_members(TREES.values()), READERS) == [], "members nothing reads"
+
+
+def test_member_reader_check_catches_a_leftover():
+    module = ast.parse("import numpy as np\n"
+                       "class A:\n    def used(self):\n        return 0\n"
+                       "    def own(self):\n        return self.own\n"
+                       "    def inv(self):\n        return 1\n"
+                       "    @property\n    def shown(self):\n        return 2\n"
+                       "    @property\n    def hidden(self):\n        return 3\n"
+                       "    def _private(self):\n        return 4\n"
+                       "np.linalg.inv(a.used())\n")
+    script = ast.parse("import coorbitkit as ck\nprint(ck.hidden, make().shown)\n")
+    assert _unread_members(_members([module]), [_scan(module), _scan(script)]) \
+        == ["A.own", "A.inv", "A.hidden"]
+
+
+def _functions(trees: dict) -> list:
+    """(label, definition, called name, is a method) for every function in ``trees``.
+
+    A constructor ``__init__`` is called by its class's name.
+    """
+    out = []
+    for module, tree in trees.items():
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                cls = owner.get(id(fn))
+                called = cls.name if cls and fn.name == "__init__" else fn.name
+                out.append((f"{cls.name if cls else module}.{fn.name}", fn, called,
+                            cls is not None))
+    return out
+
+
+def _defaulted(fn, is_method) -> list:
+    """(positional index, or None if keyword-only, and name) of each defaulted parameter;
+    a method's index skips ``self`` or ``cls``."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return [(i - is_method, arg.arg) for i, arg in enumerate(positional) if i >= first] \
+        + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+           if default is not None]
+
+
+def _passes(call, index, name) -> bool:
+    """``call`` passes the parameter: by keyword, by position, or maybe by ``*`` or ``**``."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+    return index is not None and (len(call.args) > index or bool(starred) and starred[0] <= index)
+
+
+def _unpassed(functions, files, exempt=()) -> list:
+    """``function.parameter`` for each default that no call in ``files`` passes outside the
+    function's own definition.  Calls are matched to functions by name."""
+    return [f"{label}.{name}" for label, fn, called, is_method in functions
+            if fn.name not in exempt for index, name in _defaulted(fn, is_method)
+            if not any(id(fn) not in outer and _passes(call, index, name)
+                       for file in files for call, outer in file.calls.get(called, ()))]
+
+
+def test_every_default_is_passed_somewhere():
+    """Each defaulted parameter is set by a call in src, perfbench or a demo.  The runners'
+    are exempt: the CLI sets them from the user's JSON."""
+    runners = {runner.__name__ for runner in cli._RUNNERS.values()}
+    assert _unpassed(_functions(TREES), READERS, runners) == [], "defaults nothing passes"
+
+
+def test_default_check_catches_a_leftover():
+    module = ast.parse("def f(a, b=1, *, c=2, d=3):\n    return f(a, 1, c=3)\n"
+                       "class K:\n    def __init__(self, x, y=0):\n        pass\n"
+                       "    def m(self, z=1, w=2):\n        return self.m(5)\n"
+                       "def run(p=1):\n    return K(1, 2).m(**{})\n"
+                       "f(0, *rest, d=4)\n")
+    assert _unpassed(_functions({"mod": module}), [_scan(module)], {"run"}) == ["mod.f.c"]
