@@ -269,28 +269,33 @@ def affine_selfconvolution_at(x_coords, a_coords, scale_haar, alpha: float, beta
     The integrand f^vee(x, a) f(-x/a, a0/a) = e^{-2|x|/a} m(1/a) m(a0/a), with
     m(s) = min{s^alpha, s^-beta} = f(0, s), and the weight mu_a depend on x only
     through S(a) = sum_x e^{-2|x|/a}.  So sum_a m(1/a) m(a0/a) mu_a S(a) adds the
-    carrier sum's terms in another order: exact up to rounding.  S is formed one
-    scale row at a time, so no n_a x n_x array is built.  e^{-2|x|/a} is even and
-    the x-grid is mirror-symmetric (x_i = -x_{n-1-i}, as ``affine_axes`` builds
-    it), so the exponentials are taken on x >= 0 only and mirrored: the summed
-    vector is the full grid's, term for term.
+    carrier sum's terms in another order, and S(a) is the closed form of
+    ``_uniform_x_sum``: one exponential per scale, not one per carrier point.
+    """
+    f = affine_test_function(alpha, beta)
+    row = f(0.0, 1.0 / a_coords) * scale_haar * _uniform_x_sum(x_coords, a_coords)
+    return np.array([float((row * f(0.0, a0 / a_coords)).sum()) for a0 in targets])
+
+
+def _uniform_x_sum(x_coords, a_coords) -> np.ndarray:
+    """S(a) = sum_j e^{-2|x_j|/a} for each a on the ``affine_axes`` x-grid x_j = j h, |j| <= k.
+
+    With t = 2h/a the sum is the geometric series 1 + 2 sum_{j=1}^k e^{-jt}
+    = 1 + 2 e^{-t} expm1(-kt) / expm1(-t); expm1 keeps the quotient accurate as
+    t -> 0, where it tends to k.  The grid must be mirror-symmetric and uniform
+    with k >= 1, as ``affine_axes`` builds it; InvalidParameterError otherwise.
     """
     x = np.asarray(x_coords, dtype=float)
     if not np.array_equal(x, -x[::-1]):
         raise InvalidParameterError("the x-grid must be mirror-symmetric about 0, as "
                                     "affine_axes builds it")
-    f = affine_test_function(alpha, beta)
-    n, half = len(x), len(x) // 2
-    neg_2x = -2.0 * np.abs(x[half:])
-    terms = np.empty(n)
-    upper = terms[half:]
-    s = np.empty(len(a_coords))
-    for i, a in enumerate(a_coords):
-        np.exp(np.divide(neg_2x, a, out=upper), out=upper)
-        terms[:half] = terms[n - half:][::-1]
-        s[i] = terms.sum()
-    row = f(0.0, 1.0 / a_coords) * scale_haar * s
-    return np.array([float((row * f(0.0, a0 / a_coords)).sum()) for a0 in targets])
+    n, k = len(x), len(x) // 2
+    if not (k >= 1 and np.array_equal(x, np.arange(-k, k + 1) * x[k + 1])):
+        raise InvalidParameterError(f"the x-grid must be uniform, x_j = j h for |j| <= k "
+                                    f"with k >= 1, as affine_axes builds it; got {n} points "
+                                    f"from {x[0]!r} to {x[-1]!r}")
+    t = 2.0 * x[k + 1] / np.asarray(a_coords, dtype=float)
+    return 1.0 + 2.0 * np.exp(-t) * np.expm1(-k * t) / np.expm1(-t)
 
 
 def _scale_selfconvolution(y, b, alpha: float, beta: float, c_grid: np.ndarray,
@@ -333,10 +338,12 @@ def _affine_partial_norms(alpha: float, beta: float, b_list, x_step: float,
     c_grid = c_ratio ** np.arange(int(np.floor(np.log(1e-3) / lnr_c)),
                                   int(np.ceil(np.log(1e3) / lnr_c)) + 1)
     xg, ag = model.x_coords, model.a_coords
-    h_vals = _scale_selfconvolution(xg, ag, alpha, beta, c_grid, lnr_c)
+    # E[y, c] is even in y and the x-grid is mirror-symmetric: the rows of y >= 0, mirrored
+    upper = _scale_selfconvolution(xg[len(xg) // 2:], ag, alpha, beta, c_grid, lnr_c)
+    h_vals = np.concatenate([upper[:0:-1], upper])
 
     ml = model.local_max(h_vals.reshape(-1), "left").reshape(len(xg), len(ag))
-    h0 = h_vals[np.searchsorted(xg, 0.0)]  # H(0, b') per scale row
+    h0 = upper[0]  # H(0, b') per scale row
     # row b: max of H(0, b') over b' in (b/2, 2b), a window that always holds b' = b
     window = (ag[None, :] > ag[:, None] / 2.0) & (ag[None, :] < 2.0 * ag[:, None])
     minorant_level = np.where(window, h0[None, :], 0.0).max(axis=1)
@@ -498,6 +505,8 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
             "series_tail_bound": fs.series_tail_bound,
             "reconstruction_error": recon,
             "envelope": fs.certificates["dual"].to_json_obj(),
+            "frame_kernel_check": {key: kernel_env[key]
+                                   for key in ("pairs", "exhaustive", "absent")},
         },
         metrics=metrics, seed=seed,
         curves={"bounds": [
@@ -646,6 +655,9 @@ def run_coorbit_embed(n_side: int = 8, p_from: float = 0.5, p_to: float = 1.0,
                None, None),
     ]
     report = Report(command="coorbit embed",
-                    parameters={"N": n_side, "p_from": p_from, "p_to": p_to},
+                    parameters={"N": n_side, "p_from": p_from, "p_to": p_to,
+                                **{key: result[key] for key in ("coefficient_norm",
+                                                                "reconstruction_norm",
+                                                                "certificate_bound")}},
                     metrics=metrics, seed=seed)
     return _stamp(report)

@@ -31,13 +31,17 @@ contiguous index window around the identity (x·q = q·x = x + q), read as one
 window max; on Z_N x Z_N the index of x·q equals that of q·x, so one
 |Q| x n product table built at construction serves both sides (a stack takes
 |Q| in-place maxima over its rows, so the temporary stays one stack, not |Q|
-of them); on the affine grid x·q = (x + a q_x, a q_a)
+of them); on the affine grid x·q = (x + a q_x, a q_a), q·x = (q_x + q_a x, q_a a)
 and Q = Q_x x Q_a, so M^L is a window max over the scale shifts q_a followed,
 per scale row a, by one shifted in-place max per distinct x-shift of the row:
 the x-index that ``mul_indices`` snaps for x_j + a q_x is j + rint(a q_x / h)
 along the whole row (h the x-step) unless a q_x / h lies within ``_TIE_MARGIN``
 of a half-integer, and such a (row, q_x) keeps the snapped gather of
-``mul_indices`` for that row alone.  Affine M^R keeps the base loop.  Every window
+``mul_indices`` for that row alone.  M^R is the mirror: the q_x are i h with
+|i| <= i_max, the x-index snapped for q_x + q_a x_j is k + i + rint(q_a x_j / h)
+in every scale row, so one window max over [-i_max, i_max] along x is followed
+by one gather per scale shift q_a at the centres k + rint(q_a x_j / h), and a
+(q_a, x_j) near a tie keeps the snapped gather for every row at once.  Every window
 max is ``_window_max``, a doubling (sparse-table) running max: floor(log2 w)
 passes of pairwise maxima at shifts 1, 2, 4, ... and one last maximum of two
 overlapping runs, O(n log w) for a window of w entries instead of the n·w
@@ -156,6 +160,12 @@ def _window_max(values, lo: int, hi: int) -> np.ndarray:
         m = np.maximum(m[..., :-s], m[..., s:])
         s *= 2
     return np.maximum(m[..., :n], m[..., w - s:w - s + n])
+
+
+def _certified_rint(c) -> tuple:
+    """rint(c) as integers, and whether each c lies within ``_TIE_MARGIN`` of a half-integer."""
+    d = np.rint(c)
+    return d.astype(int), np.abs(np.abs(c - d) - 0.5) <= _TIE_MARGIN
 
 
 def padded(values, fill=0.0) -> np.ndarray:
@@ -512,7 +522,7 @@ class AffineGridModel(GroupModel):
     the two axes, so ``haar`` and ``modular`` are built on each access and the
     group law recovers (j, m) from an index by ``divmod``.  Snapping x + a y
     moves a whole scale row by one integer shift, rint(a y / h), away from rounding
-    ties, which is how ``local_max`` reads M^L row by row.
+    ties, which is how ``local_max`` reads M^L row by row, and M^R by x-windows.
     """
 
     kind = "affine"
@@ -568,35 +578,47 @@ class AffineGridModel(GroupModel):
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         """max over q in Q of ``mag`` at x·q (left) or q·x (right); an absent product reads 0.
 
-        x·q = (x + a q_x, a q_a) over Q = Q_x x Q_a, so the scale index of x·q
-        depends only on (a, q_a) and its x-index only on (x, a, q_x).  M^L takes the
-        window max over the scale shifts of Q_a, then, per scale row a_m, one shifted
-        max per distinct x-shift of the row.  On x_j = (j - k) h the snapped x-index
-        of x_j + a_m x_q is j + d with d = rint(c), c = a_m x_q / h (as a float),
-        for every j.  Error bound: the float expression of ``mul_indices``,
-        (x_j + a_m x_q) / h, lies within 3.01 u (|j - k| + |c|) index units of
-        j - k + c (u = 2^-53: four roundings in it and one in c, each relative to
-        one of the two terms).  That is below 1e-8 while |j - k| and |c| are under
-        2^22, and below ``_TIE_MARGIN`` = 1e-6 until |j - k| + |c| reaches 2.9e9.
-        So every c farther than the margin from a half-integer snaps as j + d, and a
-        (row, q_x) nearer a tie keeps the snapped gather of ``mul_indices`` for that
-        row alone; a shift with |d| >= n_x leaves the grid for every j either way.
-        The index set is that of ``mul_indices`` and a max is exact, so the result
-        is bit-identical to the base loop.  M^R keeps the base loop.
+        x·q = (x + a q_x, a q_a) and q·x = (q_x + q_a x, q_a a) over Q = Q_x x Q_a,
+        so both scale indices are a shift of the scale index of x by that of q_a.
+        On x_j = (j - k) h and q_x = i h, |i| <= i_max, the x-index that
+        ``mul_indices`` snaps is an integer shift of a row-wide or column-wide index:
+        - M^L: j + rint(c), c = a_m q_x / h, for every j of scale row a_m.  M^L takes
+          the window max over the scale shifts of Q_a, then, per scale row, one
+          shifted max per distinct rint(c) of the row.
+        - M^R: k + i + rint(c), c = q_a x_j / h, for every i and every scale row.
+          M^R takes one window max over [-i_max, i_max] along x, then, per scale
+          offset s of Q_a, one gather of the rows m + s at the window centres
+          k + rint(c), reading 0 where the window misses the grid or the row
+          m + s leaves it.
+        Error bound: the float expression of ``mul_indices``, (x_j + a_m q_x) / h
+        for M^L and (q_x + q_a x_j) / h for M^R, lies within 3.01 u (|n| + |c|)
+        index units of n + c, with n = j - k for M^L and n = i for M^R and c the
+        float above (u = 2^-53: four roundings in it and one in c, each relative
+        to one of the two terms).  That is below 1e-8 while |n| and |c| are under
+        2^22, and below ``_TIE_MARGIN`` = 1e-6 until |n| + |c| reaches 2.9e9.  So
+        every c farther than the margin from a half-integer snaps as n + rint(c),
+        and a c nearer a tie keeps the snapped gather of ``mul_indices``: for that
+        (row, q_x) alone on the left, for that (q_a, x_j) alone on the right, where
+        c does not depend on the row.  A shift that leaves the grid for every j
+        reads 0 either way.  The index set is that of ``mul_indices`` and a max is
+        exact, so the result is bit-identical to the base loop.
         """
-        if side != "left":
-            return super().local_max(mag, side)
+        _check_side(side)
+        lead = np.shape(mag)[:-1]
+        grid = np.reshape(mag, lead + (self.n_x, self.n_a))
+        out = self._left_rows(grid) if side == "left" else self._right_rows(grid)
+        return np.swapaxes(out, -1, -2).reshape(lead + (self.size,))
+
+    def _left_rows(self, grid) -> np.ndarray:
+        """M^L of ``grid``, the (..., n_x, n_a) values, as (..., n_a, n_x) scale rows."""
         q_x, q_a = self._q_windows()
-        s_a = q_a + self._m_lo
-        lead, n_x = np.shape(mag)[:-1], self.n_x
-        scaled = _window_max(np.reshape(mag, lead + (n_x, self.n_a)), s_a[0], s_a[-1])
+        s_a, n_x = q_a + self._m_lo, self.n_x
+        scaled = _window_max(grid, s_a[0], s_a[-1])
         rows = np.ascontiguousarray(np.swapaxes(scaled, -1, -2))  # (..., n_a, n_x)
         del scaled  # the peak stays at rows, out and the result
         out = np.zeros_like(rows)
-        c = self.a_coords[:, None] * self.x_coords[q_x] / self.x_step
-        d = np.rint(c)
-        tie = np.abs(np.abs(c - d) - 0.5) <= _TIE_MARGIN
-        for m, (d_m, tie_m) in enumerate(zip(d.astype(int).tolist(), tie.tolist())):
+        d, tie = _certified_rint(self.a_coords[:, None] * self.x_coords[q_x] / self.x_step)
+        for m, (d_m, tie_m) in enumerate(zip(d.tolist(), tie.tolist())):
             row, acc = rows[..., m, :], out[..., m, :]
             # out[j] reads row[j + s]; off the grid it reads 0, so the slice stops there
             for s in {s for s, t in zip(d_m, tie_m) if not t and abs(s) < n_x}:
@@ -605,7 +627,37 @@ class AffineGridModel(GroupModel):
             for jq in q_x[tie_m]:
                 jx, ok = self._snap_x(self.x_coords + self.a_coords[m] * self.x_coords[jq])
                 np.maximum(acc, padded(row)[..., np.where(ok, jx, ABSENT)], out=acc)
-        return np.swapaxes(out, -1, -2).reshape(lead + (self.size,))
+        return out
+
+    def _right_rows(self, grid) -> np.ndarray:
+        """M^R of ``grid``, the (..., n_x, n_a) values, as (..., n_a, n_x) scale rows."""
+        q_x, q_a = self._q_windows()
+        s_a, n_x, n_a, k = q_a + self._m_lo, self.n_x, self.n_a, self._k_max
+        i_max = k - q_x[0]  # Q_x is the index window k + [-i_max, i_max]
+        q_scales = self.a_coords[q_a]
+        d, tie = _certified_rint(q_scales[:, None] * self.x_coords / self.x_step)
+        # the rows padded by i_max + 1 zeros at both ends: window[..., k + d + pad] is the
+        # max of row[k + d - i_max .. k + d + i_max] for every centre whose window reaches
+        # the grid, and window[..., 0] and window[..., -1] read only zeros, which is
+        # where the clip mode sends a tie and every centre beyond them
+        pad = i_max + 1
+        centres = np.where(tie, 0, d + k + pad)
+        del d  # an |Q_a| x n_x table; the peak below holds only the centres
+        rows = np.zeros(grid.shape[:-2] + (n_a, n_x + 2 * pad))
+        rows[..., pad:pad + n_x] = np.swapaxes(grid, -1, -2)
+        window = _window_max(rows, -i_max, i_max)
+        del rows  # a tie reads ``grid``
+        out = np.zeros(grid.shape[:-2] + (n_a, n_x))
+        for s, q, centre, tie_s in zip(s_a.tolist(), q_scales, centres, tie):
+            lo, hi = max(0, -s), min(n_a, n_a - s)  # rows m with m + s on the grid
+            acc = out[..., lo:hi, :]
+            np.maximum(acc, np.take(window[..., lo + s:hi + s, :], centre, axis=-1,
+                                    mode="clip"), out=acc)
+            for j in np.flatnonzero(tie_s):
+                jx, ok = self._snap_x(self.x_coords[q_x] + q * self.x_coords[j])
+                near = grid[..., jx[ok], lo + s:hi + s].max(axis=-2, initial=0.0)
+                np.maximum(acc[..., j], near, out=acc[..., j])
+        return out
 
     def q_neighbourhood(self, points) -> np.ndarray:
         # p·q = (x_p + a_p q_x, a_p q_a): per q_x, mark (x-index of p·q_x, scale of p),

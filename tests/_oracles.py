@@ -342,7 +342,7 @@ def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
 # ---------------------------------------------------------------------------
 # the compositions the norm kernel, the molecule bound, the pair check, the
 # direct holomorphic envelopes, the lazy series coefficients, the left
-# translates, the doubling window max and the mirrored x-sum replaced
+# translates and the doubling window max replaced
 
 
 def composed_amalgam_norm(f, spec):
@@ -494,19 +494,6 @@ def sliding_window_max(values, lo, hi):
     values = np.asarray(values)
     pad = [(0, 0)] * (values.ndim - 1) + [(-lo, hi)]
     return sliding_window_view(np.pad(values, pad), hi - lo + 1, axis=-1).max(axis=-1)
-
-
-def full_grid_selfconvolution(x_coords, a_coords, scale_haar, alpha, beta, targets):
-    """(f^vee * f)(0, a0) as ``affine_selfconvolution_at`` sums it, with S(a) = sum_x
-    e^{-2|x|/a} exponentiated at every x of the grid rather than on x >= 0 mirrored."""
-
-    def m(s):  # f(0, s), whose factor e^{-|0|} is 1.0
-        return np.minimum(s ** alpha, s ** (-beta))
-
-    neg_2x = -2.0 * np.abs(x_coords)
-    s = np.array([np.exp(neg_2x / a).sum() for a in a_coords])
-    row = m(1.0 / a_coords) * scale_haar * s
-    return np.array([float((row * m(a0 / a_coords)).sum()) for a0 in targets])
 
 
 # ---------------------------------------------------------------------------

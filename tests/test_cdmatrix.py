@@ -90,6 +90,28 @@ class TestVerifyEnvelope:
         assert verify_envelope(cdm, GridFunction(model, ind))["holds"]
 
 
+    def test_counts_checked_and_absent_entries(self, model, full_sample):
+        cdm = random_localized(model, full_sample, 0)
+        result = verify_envelope(cdm, cdm.envelope)
+        assert result["checked"] == 64 * 64 and result["absent"] == 0
+
+    def test_nothing_checked_does_not_hold(self):
+        # every relative position of the identity on these points is off the grid,
+        # so its minimal envelope is all zero and bounds no entry
+        model = build_affine_grid(2.0, 0.5, 0.25, 4.0, 2.0)
+        with pytest.warns(CoverageWarning):
+            cdm = identity_cd(SampleSet(model=model, points=np.array([0, 1, 5])))
+        assert not np.any(cdm.envelope.values)
+        assert verify_envelope(cdm, cdm.envelope) == {"holds": False, "max_excess": 0.0,
+                                                      "checked": 0, "absent": 9}
+
+    def test_empty_matrix_holds(self, model):
+        empty = SampleSet(model=model, points=np.array([], dtype=int))
+        cdm = CDMatrix(rows=empty, cols=empty, entries=np.zeros((0, 0)))
+        assert verify_envelope(cdm, GridFunction(model, np.zeros(64))) == {
+            "holds": True, "max_excess": 0.0, "checked": 0, "absent": 0}
+
+
 class TestMinimalEnvelope:
     def test_diagonal(self, model):
         lam = SampleSet(model=model, points=np.array([1, 18, 35]))

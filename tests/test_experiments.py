@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,8 +22,7 @@ from coorbitkit.errors import InvalidParameterError, ResolutionError, Truncation
 from coorbitkit.frames import Representation
 from coorbitkit.groups import AffineGridModel, RealLineModel, affine_axes, build_affine_grid
 
-from _oracles import affine_coords, brute_affine_selfconvolution, brute_scale_selfconvolution, \
-    full_grid_selfconvolution
+from _oracles import affine_coords, brute_affine_selfconvolution, brute_scale_selfconvolution
 
 
 FAST_REALLINE = {"t_list": (1.0, 2.0), "half_width": 8.0, "step": 0.02}
@@ -78,14 +78,31 @@ class TestAffineRunner:
         want = brute_affine_selfconvolution(build_affine_grid(*params), 2.0, 0.5, targets)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
-    # the runner's default quadrature grid and its half-step re-check grid
-    @pytest.mark.parametrize("params", [(40.0, 0.02, 0.02, 32.0, 1.03),
-                                        (40.0, 0.01, 0.02, 32.0, 1.015)])
-    def test_mirrored_x_sum_matches_the_full_grid_sum(self, params):
-        targets = (1.0, 2.0, 4.0, 8.0)
-        axes = affine_axes(*params)
-        assert np.array_equal(ex.affine_selfconvolution_at(*axes, 2.0, 0.5, targets),
-                              full_grid_selfconvolution(*axes, 2.0, 0.5, targets))
+    # S(a) in closed form against the exactly rounded sum of the grid's own terms
+    # e^{-2|x_j|/a}, x_j as affine_axes builds it, over t = 2h/a in [1e-6, 1e3]
+    @pytest.mark.parametrize("h", [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5])
+    def test_x_sum_matches_fsum_of_the_grid_terms(self, h):
+        a = 2.0 * h / np.geomspace(1e-6, 1e3, 46)
+        for k in (1, 2, 3, 10, 250, 1000, 4000):
+            x = affine_axes(k * h, h, 0.25, 4.0, 2.0)[0]
+            assert len(x) == 2 * k + 1
+            got = ex._uniform_x_sum(x, a)
+            want = np.array([math.fsum(np.exp(-2.0 * np.abs(x) / ai)) for ai in a])
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), (h, k)
+
+    @pytest.mark.parametrize("grid", [[-3.0, -1.0, 0.0, 1.0, 3.0], [-1.5, -0.5, 0.5, 1.5],
+                                      [0.0], [-1.0, -0.25, 0.0, 0.25, 1.0]])
+    def test_selfconvolution_rejects_a_mirrored_grid_that_is_not_uniform(self, grid):
+        _, a, mu = affine_axes(4.0, 0.5, 0.25, 4.0, 2.0)
+        with pytest.raises(InvalidParameterError, match=r"x-grid must be uniform.* got "
+                                                        rf"{len(grid)} points"):
+            ex.affine_selfconvolution_at(np.array(grid), a, mu, 2.0, 0.5, (1.0,))
+
+    def test_selfconvolution_rejects_one_nudged_pair(self):
+        x, a, mu = affine_axes(4.0, 0.5, 0.25, 4.0, 2.0)
+        x[[1, -2]] += [-0.01, 0.01]  # still mirror-symmetric
+        with pytest.raises(InvalidParameterError, match="x-grid must be uniform"):
+            ex.affine_selfconvolution_at(x, a, mu, 2.0, 0.5, (1.0,))
 
     @pytest.mark.parametrize("asymmetric", [lambda x: x + 0.01, lambda x: x[1:],
                                        lambda x: np.where(x == x[0], x[0] - 0.5, x)])
@@ -544,6 +561,8 @@ class TestSuites:
             omega * q ** 17 / (1.0 - q), rel=1e-12)
         assert report.parameters["series_tail_bound"] <= 1e-12
         assert "amalgam_value" in report.parameters["envelope"]
+        assert report.parameters["frame_kernel_check"] == {"pairs": 4096, "exhaustive": True,
+                                                           "absent": 0}
 
     def test_riesz_suite(self):
         report = ex.run_riesz_suite(n_side=8, separation=4)
@@ -555,7 +574,15 @@ class TestSuites:
 
     def test_coorbit_runners(self):
         assert ex.run_coorbit_norm().all_pass
-        assert ex.run_coorbit_embed().all_pass
+        report = ex.run_coorbit_embed()
+        assert report.all_pass
+        # the factors of the certificate bound sit in the parameters, not the metrics
+        pars = report.parameters
+        bound = next(m.bound for m in report.metrics if m.name == "embedding_measured")
+        assert bound == pars["certificate_bound"] * (1 + 1e-6)
+        assert pars["certificate_bound"] == pars["reconstruction_norm"] * next(
+            m.value for m in report.metrics if m.name == "sequence_embedding_constant") \
+            * pars["coefficient_norm"]
 
 
 class TestScale:

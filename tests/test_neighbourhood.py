@@ -201,6 +201,57 @@ def test_affine_left_local_max_peak_memory():
     assert peak < 5 * 8 * model.size, f"traced peak {peak / (8 * model.size):.2f} vectors"
 
 
+# on the tie grid q_a x_j / h = 1.5 (j - k) is a half-integer for every odd j - k at
+# q_a = 1.5: (q_a, x_j) ties, which the x-window leaves to the snapped gather
+def test_affine_right_local_max_at_rint_ties():
+    model = tie_grid()
+    k = model.n_x // 2
+    odd = (np.arange(model.n_x) - k) % 2 == 1
+    # ties go to even, so q_x = 0 and q_x = h = 0.5 snap 0 or 2 cells apart at odd j - k
+    at_0, _ = model._snap_x(1.5 * model.x_coords)
+    at_h, _ = model._snap_x(0.5 + 1.5 * model.x_coords)
+    assert set((at_h - at_0)[odd]) == {0, 2} and set((at_h - at_0)[~odd]) == {1}
+    rng = np.random.default_rng(11)
+    stack = rng.random((3, model.size))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    assert np.array_equal(model.local_max(stack[0], "right"),
+                          GroupModel.local_max(model, stack[0], "right"))
+    for row, mag in zip(model.local_max(stack, "right"), stack):
+        assert np.array_equal(row, GroupModel.local_max(model, mag, "right"))
+
+
+# a right-side tie depends on (q_a, x_j) alone, not on the scale row, and true ties occur
+# on the runner's grids too: q_a = 1.075 = 43/40 gives q_a (j - k) = 21.5 at j - k = 20,
+# and q_a = 1/1.04 = 25/26 gives 12.5 at j - k = 13
+@pytest.mark.parametrize("name, snaps", [("affine_partial", 14), ("affine_partial_fine", 14),
+                                         ("affine_in_group", 12), ("tie", 8)])
+def test_affine_right_local_max_snaps_only_at_ties(monkeypatch, name, snaps):
+    model = {**LOCAL_MAX_MODELS, "tie": tie_grid}[name]()
+    calls = []
+    snap_x = AffineGridModel._snap_x
+
+    def counted(self, x):
+        calls.append(1)
+        return snap_x(self, x)
+
+    monkeypatch.setattr(AffineGridModel, "_snap_x", counted)
+    model.local_max(np.ones(model.size), "right")
+    assert len(calls) == snaps  # one per (q_a, x_j) within _TIE_MARGIN of a tie
+
+
+def test_affine_right_local_max_peak_memory():
+    model = LOCAL_MAX_MODELS["affine_partial_fine"]()
+    mag = np.random.default_rng(5).random(model.size)
+    tracemalloc.start()
+    try:
+        model.local_max(mag, "right")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 3.4 carrier-sized float vectors: the x-window, the result rows and one gather
+    assert peak < 4 * 8 * model.size, f"traced peak {peak / (8 * model.size):.2f} vectors"
+
+
 def test_q_spread_stack_matches_base_loop_by_row(model):
     rng = np.random.default_rng(8)
     for points in [*samples(model), np.array([], dtype=int)]:
