@@ -15,6 +15,8 @@ front ends for a GridFunction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,7 +41,7 @@ class GridFunction:
             raise IncompatibleOperandsError(
                 f"values must have shape ({self.model.size},), got {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidParameterError("grid function entries must be finite")
         object.__setattr__(self, "values", v)
 
@@ -63,10 +65,11 @@ class QuasiNormSpec:
     """Exponent, weight and flavor of a (possibly amalgam) quasi-norm.
 
     flavor: "plain" (L^p_w), "left" (W^L), "right" (W^R) or "two_sided" (W).
-    p is a number > 0 or +inf (the weighted maximum), never a bool.  weight may be
-    a PWeight, a raw array of finite positive entries, or None for the unit
-    weight.  p and a raw weight are checked here and a PWeight when it is made,
-    so no norm call checks them again.
+    p is a real scalar > 0 or +inf (the weighted maximum), never a bool, an array
+    or a str, and keeps the type it is given.  weight may be a PWeight, a raw
+    array of finite positive entries, or None for the unit weight.  p and a raw
+    weight are checked here and a PWeight when it is made, so no norm call checks
+    them again.
     """
 
     p: float
@@ -78,17 +81,16 @@ class QuasiNormSpec:
     def __post_init__(self):
         if self.flavor not in self._FLAVORS:
             raise InvalidParameterError(f"unknown flavor {self.flavor!r}")
-        # p > 0 is False on NaN and on -inf; a bool passes it (True > 0), so its type is checked
-        if isinstance(self.p, (bool, np.bool_)) or not self.p > 0:
-            raise InvalidParameterError(f"p must be positive or inf, got {self.p}")
+        # a bool is Integral (True > 0), so it is named; p > 0 is False on NaN and on -inf
+        if not isinstance(self.p, numbers.Real) or isinstance(self.p, bool) or not self.p > 0:
+            raise InvalidParameterError(f"p must be positive or inf, got {self.p!r}")
         if self.weight is not None and not isinstance(self.weight, PWeight):
             values = np.asarray(self.weight, dtype=float)
             if not np.all(np.isfinite(values) & (values > 0)):
                 raise InvalidWeightError("weight entries must be positive and finite")
 
     def weight_values(self, model: GroupModel) -> np.ndarray:
-        if self.weight is None:
-            return np.ones(model.size)
+        """The weight on ``model``'s carrier; the spec's weight is not None."""
         values = self.weight.values if isinstance(self.weight, PWeight) else np.asarray(self.weight, dtype=float)
         if values.shape != (model.size,):
             raise IncompatibleOperandsError("weight does not match the model carrier")
@@ -124,17 +126,20 @@ def magnitude_norm(model: GroupModel, mags, spec: QuasiNormSpec):
     """The spec's quasi-norm of a function whose magnitudes on ``model`` are ``mags`` (>= 0).
 
     ``mags`` of shape (n,) gives a float; a (..., n) stack gives an array of one
-    norm per row.
+    norm per row.  The unit weight (``spec.weight`` None) reads ``mags`` as they
+    are: x·1.0 = x exactly, so skipping the multiply moves no value.
     """
+    mags = np.asarray(mags, dtype=float)
     if spec.flavor in ("right", "two_sided"):
         mags = model.local_max(mags, "right")
     if spec.flavor in ("left", "two_sided"):
         mags = model.local_max(mags, "left")
-    weighted = mags * spec.weight_values(model)
-    if np.isinf(spec.p):
-        norms = weighted.max(axis=-1, initial=0.0)
+    if spec.weight is not None:
+        mags = mags * spec.weight_values(model)
+    if math.isinf(spec.p):
+        norms = mags.max(axis=-1, initial=0.0)
     else:
-        total = (weighted ** spec.p * model.haar).sum(axis=-1)
+        total = (mags ** spec.p * model.haar).sum(axis=-1)
         # float_power takes numpy's scalar power entry by entry, where an array **
         # rounds some roots (1/p = 3, 1/2) differently
         norms = np.float_power(total, 1.0 / spec.p)

@@ -14,21 +14,22 @@ slot, a gather ``padded(v)[t]`` needs no mask.  An array written through
 product indices is allocated with ``size + 1`` entries; the pad slot absorbs
 the absent writes and is dropped afterwards.
 
-Neighbourhood translates.  ``GroupModel.translates(points, u, side)`` is the one
-place that forms the translates x·U (or U·x) of the sets the paper builds
-everything on: Wiener amalgams, local maximal functions, rel(Lambda), U-dense
-and U-separated families and the sequence spaces Y_d.  It yields one index
-vector per element of ``u``, so peak memory stays at one ``len(points)`` vector.
+Neighbourhood translates.  ``GroupModel.translates(points, u)`` is the one
+place that forms the translates x·U of the sets the paper builds everything
+on: rel(Lambda), covers, U-dense and U-separated families and the generic push
+sets and sums of the sequence spaces Y_d.  It yields one index vector per
+element of ``u``, so peak memory stays at one ``len(points)`` vector.
 
 Local maxima.  ``GroupModel.local_max(mag, side)`` is the second primitive: the
 max over q in Q of ``mag`` at x·q (left) or q·x (right), an absent product
 reading 0; the local maximal functions M^L, M^R and the amalgams W^L(Y), W^R(Y)
 are built on it.  ``mag`` is (..., n): a stack of rows gets one maximal
-function per row, bit-identical to the row's own call.  The base class takes
-the max over ``translates`` and is the test oracle.  Three models override it
-with the same products, so the maxima are bit-identical: the line's Q is a
-contiguous index window around the identity (x·q = q·x = x + q), read as one
-window max; on Z_N x Z_N the index of x·q equals that of q·x, so one
+function per row, bit-identical to the row's own call.  Each model implements
+it; the generic loop, one gather through ``mul_indices`` per q, is kept only as
+a test oracle.  The three models take the same products, so their maxima are
+bit-identical to that loop: the line's Q is a contiguous index window around
+the identity (x·q = q·x = x + q), read as one window max; on Z_N x Z_N the
+index of x·q equals that of q·x, so one
 |Q| x n product table built at construction serves both sides (a stack takes
 |Q| in-place maxima over its rows, so the temporary stays one stack, not |Q|
 of them); on the affine grid x·q = (x + a q_x, a q_a), q·x = (q_x + q_a x, q_a a)
@@ -66,10 +67,13 @@ translates p_i Q.  ``mags`` is (..., |P|): a stack of rows gets one push sum per
 row, shape (..., n).  The base class, the test oracle, adds ``mags`` along each
 ``translates`` vector into a padded accumulator.  On a snapped grid two q_j can
 give p_i one product, which the indicator 1_{p_i Q} counts once: the base class
-keeps the first such q_j.  Z_N x Z_N makes one ``np.bincount`` over the Q-major
-product table (its products p_i q_j are distinct), with row r of a stack offset
-by r·n; bincount adds in input order from 0.0, so each entry sums its terms in the
-base loop's order (q outer, i inner) and the result is bit-identical.
+keeps the first such q_j.  Z_N x Z_N scatters ``mags`` onto a zero carrier (each
+occurrence of a repeated point added) and takes one gather through a |Q| x n
+table of x·q_j^{-1} built at construction, summed over the Q axis.  Its products
+p_i q_j are distinct for each p_i, and for duplicate-free points x = p_i q_j holds
+for at most one i per q_j, so each entry adds the base loop's terms in its order
+(q outer, from 0.0) and the result is bit-identical; a repeated point has its
+occurrences added first, which moves only the last bits.
 
 Left translates.  ``GroupModel.left_translates(values, points)`` is the fifth
 primitive: row i is L_{p_i} v, x -> v(p_i^{-1} x) over the carrier, an absent
@@ -219,28 +223,21 @@ class GroupModel:
     def has_trivial_cocycle(self) -> bool:
         return True
 
-    def translates(self, points, u, side: str = "left"):
-        """Iterate, for each u_j in ``u``, over the indices points·u_j (left) or u_j·points (right).
+    def translates(self, points, u):
+        """Iterate, for each u_j in ``u``, over the indices points·u_j.
 
         Products off the grid are ABSENT.  Each element of ``u`` costs one
         ``mul_indices`` call on ``points``, so no len(points) x len(u) array exists.
         """
-        _check_side(side)
         points = np.asarray(points)
-        if side == "left":
-            return (self.mul_indices(points, uj) for uj in np.asarray(u))
-        return (self.mul_indices(uj, points) for uj in np.asarray(u))
+        return (self.mul_indices(points, uj) for uj in np.asarray(u))
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         """max over q in Q of ``mag`` (nonnegative, (..., n)) at x·q (left) or q·x (right).
 
         An absent product reads 0.
         """
-        mag = padded(mag)
-        out = np.zeros(mag.shape[:-1] + (self.size,))
-        for t in self.translates(np.arange(self.size), self.q_indices, side):
-            np.maximum(out, mag[..., t], out=out)
-        return out
+        raise NotImplementedError
 
     def q_neighbourhood(self, points) -> np.ndarray:
         """Sorted, duplicate-free on-grid indices of {p·q : p in ``points``, q in Q}."""
@@ -345,6 +342,9 @@ class CyclicPhaseSpace(GroupModel):
         self._l = idx % self.n_side
         # x·q and q·x have the same index on Z_N x Z_N; one row per q
         self._q_table = self.mul_indices(idx[None, :], self.q_indices[:, None])
+        # row j holds the index of x·q_j^{-1}, the point whose push by q_j lands on x
+        q_inv = self.inv_indices(self.q_indices)
+        self._q_inv_table = self.mul_indices(idx[None, :], q_inv[:, None])
         # _sub[a, b] = (b - a) mod N, the coordinate of x_i^{-1} x_j, and its row offset
         axis = np.arange(self.n_side)
         self._sub = (axis[None, :] - axis[:, None]) % self.n_side
@@ -412,15 +412,16 @@ class CyclicPhaseSpace(GroupModel):
         return out
 
     def q_spread(self, mags, points) -> np.ndarray:
-        # one row of t per q, so bincount adds in the base loop's order; row r of a
-        # stack writes to bins offset by r * size
-        t = self._q_table[:, np.asarray(points, dtype=int)]
+        # x = p_i q_j for one i at most per q_j, so x sums carrier[x q_j^{-1}] over the q_j
+        # in order: the base loop's terms, added in its order from 0.0
         mags = np.asarray(mags)
-        rows = mags.reshape(math.prod(mags.shape[:-1]), t.shape[1])
-        bins = t.ravel() + self.size * np.arange(len(rows))[:, None]
-        sums = np.bincount(bins.ravel(), np.tile(rows, len(t)).ravel(),
-                           minlength=len(rows) * self.size)
-        return sums.reshape(mags.shape[:-1] + (self.size,))
+        carrier = np.zeros(mags.shape[:-1] + (self.size,))
+        np.add.at(carrier, (..., np.asarray(points, dtype=int)), mags)
+        if carrier.ndim == 1:  # one |Q| x n gather, the faster form for a single vector
+            return carrier[self._q_inv_table].sum(axis=0)
+        # np.take keeps a stack's gather and its sum C-contiguous, so the norm's row sums
+        # add in the 1-D order
+        return np.take(carrier, self._q_inv_table, axis=-1).sum(axis=-2)
 
     @property
     def has_trivial_cocycle(self) -> bool:

@@ -13,7 +13,7 @@ that the amalgam-norm kernel, the molecule bound, the pair check and the direct
 holomorphic envelopes replaced, the power series with its coefficients built
 eagerly, the convolution read through a y^{-1} x index table, the envelope
 bins filled one scalar product at a time, the window max that reads every
-window entry and the affine x-sum exponentiated over the full grid, so the
+window entry and the generic local-max loop over the Q-translates, so the
 tests can pin those to them bit for bit.
 The next section states paper identities on library primitives (the
 translates, the reproducing formula, the shifted-series bound and the
@@ -33,7 +33,7 @@ from coorbitkit import CDMatrix, CoorbitContext, GridFunction, KernelSystem, Qua
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import _coefficient_norm, _stack
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError
-from coorbitkit.groups import GroupModel, index_pairs, padded
+from coorbitkit.groups import GroupModel, _check_side, index_pairs, padded
 from coorbitkit.sampling import molecule_bound, pair_check
 
 ABSENT = -1
@@ -354,7 +354,8 @@ def composed_amalgam_norm(f, spec):
     elif spec.flavor == "two_sided":
         f = maximal_left(maximal_right(f))
     plain = QuasiNormSpec(p=spec.p, weight=spec.weight, flavor="plain")
-    weighted = np.abs(f.values) * plain.weight_values(f.model)
+    weight = np.ones(f.model.size) if plain.weight is None else plain.weight_values(f.model)
+    weighted = np.abs(f.values) * weight
     if np.isinf(plain.p):
         return float(weighted.max()) if weighted.size else 0.0
     return float((weighted ** plain.p * f.model.haar).sum() ** (1.0 / plain.p))
@@ -494,6 +495,22 @@ def sliding_window_max(values, lo, hi):
     values = np.asarray(values)
     pad = [(0, 0)] * (values.ndim - 1) + [(-lo, hi)]
     return sliding_window_view(np.pad(values, pad), hi - lo + 1, axis=-1).max(axis=-1)
+
+
+def local_max_loop(model, mag, side="left"):
+    """max over q in Q of ``mag`` ((..., n), nonnegative) at x·q (left) or q·x (right).
+
+    The generic loop every model's ``local_max`` replaced, one gather per q; an
+    absent product reads 0.
+    """
+    _check_side(side)
+    x = np.arange(model.size)
+    mag = padded(mag)
+    out = np.zeros(mag.shape[:-1] + (model.size,))
+    for q in model.q_indices:
+        t = model.mul_indices(x, q) if side == "left" else model.mul_indices(q, x)
+        np.maximum(out, mag[..., t], out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,20 @@ class TestLpwNorm:
 class TestSpecInput:
     """p = -inf once read as the sup norm, a bool as p = 1; a weight <= 0 gave a negative norm."""
 
-    @pytest.mark.parametrize("p", [-np.inf, np.nan, 0.0, -1.0, True, False, np.True_])
+    # from np.array([1.0]) on, p is no real scalar: an array p once passed and made lpw_norm
+    # return an array, and the others raised ValueError or TypeError from p > 0
+    @pytest.mark.parametrize("p", [-np.inf, np.nan, 0.0, -1.0, True, False, np.True_,
+                                   np.array([1.0]), np.array([1.0, 2.0]), np.array(1.0), "1",
+                                   None, 1j, 1 + 0j])
     def test_rejects_p(self, p):
         with pytest.raises(InvalidParameterError, match="p must be positive or inf, got "):
             QuasiNormSpec(p=p)
 
-    @pytest.mark.parametrize("p", [0.25, 1, 2.0, np.float64(0.5), np.inf])
+    @pytest.mark.parametrize("p", [0.25, 1, 2.0, np.float64(0.5), np.inf, np.float32(0.5),
+                                   np.int64(2)])
     def test_accepts_p(self, p):
         assert QuasiNormSpec(p=p).p == p
+        assert type(QuasiNormSpec(p=p).p) is type(p)
 
     def test_inf_is_the_sup_norm(self):
         m = build_cyclic_phase_space(4)
@@ -351,6 +357,25 @@ def test_magnitude_norm_stack_rows_match_single_calls(name):
             assert all(isinstance(x, float) for x in singles)
             assert np.array_equal(got, singles), (p, flavor)
     assert isinstance(magnitude_norm(model, np.zeros(model.size), QuasiNormSpec(p=np.inf)), float)
+
+
+@pytest.mark.parametrize("name", list(STACK_MODELS))
+def test_magnitude_norm_unit_weight_reads_mags_as_they_are(name):
+    # x * 1.0 == x, so the unit weight's skipped multiply moves no norm
+    model = STACK_MODELS[name]()
+    rng = np.random.default_rng(10)
+    stack = np.abs(rng.normal(size=(3, model.size)))
+    stack[1, ::3] = 0.0
+    for p in (1.0 / 3.0, 0.5, 1.0, 2.0, np.inf):
+        for flavor in ("plain", "left", "right", "two_sided"):
+            unit = QuasiNormSpec(p=p, flavor=flavor)
+            ones = QuasiNormSpec(p=p, weight=unit_weight(model, p), flavor=flavor)
+            for mags in (stack[0], stack):
+                before = mags.copy()
+                got = magnitude_norm(model, mags, unit)
+                assert np.array_equal(got, magnitude_norm(model, mags, ones)), (p, flavor)
+                assert type(got) is type(magnitude_norm(model, mags, ones))
+                assert np.array_equal(mags, before)
 
 
 class TestEmbeddingConstant:
