@@ -11,6 +11,9 @@ p = inf) follows.  ``mags`` is (..., n) and the norm reduces over its last axis:
 a single function gives a float, a stack of rows one norm per row, each
 bit-identical to the row's own call.  ``lpw_norm`` and ``amalgam_norm`` are its
 front ends for a GridFunction.
+
+Convolution is the model kernel ``model.convolve(v1, v2, twisted)``; ``convolve``
+and ``twisted_convolve`` are its front ends for two GridFunctions on one model.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import numpy as np
 
 from .errors import IncompatibleOperandsError, InvalidParameterError, InvalidWeightError
 from .groups import GroupModel, PWeight, padded
-
-_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -166,49 +167,16 @@ norm = amalgam_norm
 # convolution
 
 
-def _convolve_values(model: GroupModel, v1: np.ndarray, v2: np.ndarray,
-                     use_cocycle: bool) -> np.ndarray:
-    n = model.size
-    if model.kind == "line" and not use_cocycle:
-        # same quadrature sum; addition on a uniform grid is a plain sequence
-        # convolution, which numpy evaluates directly (no FFT involved) on the
-        # non-zero span of each input: the zeros outside it add exact zeros
-        i0 = model.identity
-        full = np.zeros(2 * n - 1, dtype=np.result_type(v1, v2))
-        nz1, nz2 = np.flatnonzero(v1), np.flatnonzero(v2)
-        if nz1.size and nz2.size:
-            part = np.convolve(v1[nz1[0]:nz1[-1] + 1], v2[nz2[0]:nz2[-1] + 1])
-            full[nz1[0] + nz2[0]:][:part.size] = part
-        return model.step * full[i0:i0 + n]
-    out = np.zeros(n, dtype=complex)
-    x = np.arange(n)
-    weighted = v1 * model.haar
-    v2_pad = padded(v2)
-    for start in range(0, n, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, n))
-        rows = weighted[block]
-        if not np.any(rows):
-            continue
-        if use_cocycle:
-            z = model.div_indices(block[:, None], x[None, :])
-            vals = v2_pad[z] * model.cocycle_values(block[:, None], z)  # absent entries stay zero
-        else:
-            vals = model.left_translates(v2, block)
-        out += rows @ vals
-    return out
-
-
 def twisted_convolve(f1: GridFunction, f2: GridFunction) -> GridFunction:
     """(F1 *_sigma F2)(x) = sum_y F1(y) sigma(y, y^{-1}x) F2(y^{-1}x) mu(y)."""
     _same_model(f1, f2)
-    use_sigma = not f1.model.has_trivial_cocycle
-    return GridFunction(f1.model, _convolve_values(f1.model, f1.values, f2.values, use_sigma))
+    return GridFunction(f1.model, f1.model.convolve(f1.values, f2.values, twisted=True))
 
 
 def convolve(f1: GridFunction, f2: GridFunction) -> GridFunction:
     """Plain (untwisted) group convolution by Haar quadrature."""
     _same_model(f1, f2)
-    return GridFunction(f1.model, _convolve_values(f1.model, f1.values, f2.values, False))
+    return GridFunction(f1.model, f1.model.convolve(f1.values, f2.values))
 
 
 # ---------------------------------------------------------------------------

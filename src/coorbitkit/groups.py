@@ -28,11 +28,11 @@ function per row, bit-identical to the row's own call.  Each model implements
 it; the generic loop, one gather through ``mul_indices`` per q, is kept only as
 a test oracle.  The three models take the same products, so their maxima are
 bit-identical to that loop: the line's Q is a contiguous index window around
-the identity (x·q = q·x = x + q), read as one window max; on Z_N x Z_N the
-index of x·q equals that of q·x, so one
-|Q| x n product table built at construction serves both sides (a stack takes
-|Q| in-place maxima over its rows, so the temporary stays one stack, not |Q|
-of them); on the affine grid x·q = (x + a q_x, a q_a), q·x = (q_x + q_a x, q_a a)
+the identity (x·q = q·x = x + q), read as one window max; on Z_N x Z_N, where
+x·q and q·x share an index and Q = Q^{-1} as a set, the |Q| x n table of
+x·q_j^{-1} that ``q_spread`` reads serves both sides (a stack takes |Q|
+in-place maxima over its rows, so the temporary stays one stack, not |Q| of
+them); on the affine grid x·q = (x + a q_x, a q_a), q·x = (q_x + q_a x, q_a a)
 and Q = Q_x x Q_a, so M^L is a window max over the scale shifts q_a followed,
 per scale row a, by one shifted in-place max per distinct x-shift of the row:
 the x-index that ``mul_indices`` snaps for x_j + a q_x is j + rint(a q_x / h)
@@ -78,19 +78,31 @@ occurrences added first, which moves only the last bits.
 Left translates.  ``GroupModel.left_translates(values, points)`` is the fifth
 primitive: row i is L_{p_i} v, x -> v(p_i^{-1} x) over the carrier, an absent
 product reading 0; ``values`` is one (n,) vector for every point or a stack with
-one row per point.  The untwisted convolution reads its rows from it, and
+one row per point.  ``convolve`` reads its rows from it, and
 ``relative_max(mags, rows, cols)``, the envelope bins phi(z) = max |A_ij| over
 cols_j^{-1} rows_i = z, is built on it.  The base class gathers ``padded(values)``
 at ``div_indices`` and fills the bins by a scatter-max; both are the test
 oracles, and the scatter-max is the path of the snapped grids.  On Z_N x Z_N,
 p^{-1} x = (a - k_p, b - l_p) for x = (a, b): one vector or a stack is read as
-an N x N grid through two |P| x N tables of shifted coordinates.  x -> lambda^{-1}
-x is a bijection there, so phi(z) = max_j |A|[lambda_j z, j]: the columns are
-spread onto the carrier (0 off the rows), translated by lambda_j^{-1} and maxed
-over j; with fewer rows than half the carrier the scatter-max, whose cost goes
-with rows x cols, is the faster and is kept.  A gather moves values without
-arithmetic and a max is exact, so both are bit-identical.  Its ``div_indices``
-adds two N x N tables of coordinate differences.
+an N x N grid through two |P| x N tables, the rows k_p and l_p of the N x N
+table of coordinate differences, two reads of which are its ``div_indices``.
+x -> lambda^{-1} x is a bijection there, so phi(z) = max_j |A|[lambda_j z, j]:
+the columns are spread onto the carrier (0 off the rows), translated by
+lambda_j^{-1} and maxed over j; with fewer rows than half the carrier the
+scatter-max, whose cost goes with rows x cols, is the faster and is kept.  A
+gather moves values without arithmetic and a max is exact, so both are
+bit-identical.
+
+Convolution.  ``GroupModel.convolve(v1, v2, twisted)`` is the sixth primitive,
+behind the convolution relations Y * W^R(L^r_w) in Y: sum_y v1(y) v2(y^{-1} x)
+mu(y) at each x, an absent y^{-1} x reading 0, each term times sigma(y, y^{-1} x)
+when ``twisted``.  The base class adds up blocks of ``_CONVOLVE_BLOCK`` rows y,
+skipping those where v1 vanishes: v1 mu times the ``left_translates`` rows, or,
+twisted, the padded read of the ``div_indices`` table times ``cocycle_values``.
+The line overrides it with ``np.convolve``, a plain sequence convolution under
+addition, on the nonzero span of each input.  A trivial cocycle reads as all
+ones (line, affine grid, Z_1 x Z_1), so a twist there leaves every value equal
+and the line ignores it.
 """
 
 from __future__ import annotations
@@ -107,6 +119,9 @@ from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 ABSENT = -1
 # a shift a·q_x/h this near a half-integer may snap differently along its row
 _TIE_MARGIN = 1e-6
+# rows y per block of the convolution sum; another size regroups the partial sums of
+# the block products and moves the last bits of the values (at N = 32, two blocks)
+_CONVOLVE_BLOCK = 512
 
 
 def _is_int_at_least(value, minimum: int) -> bool:
@@ -199,7 +214,6 @@ class GroupModel:
     absent products/inverses are returned as -1.
     """
 
-    kind: str
     size: int
     haar: np.ndarray          # (n,) strictly positive quadrature weights
     modular: np.ndarray       # (n,) values of the modular function
@@ -218,10 +232,6 @@ class GroupModel:
     def cocycle_values(self, i, j) -> np.ndarray:
         """sigma(x_i, x_j) for valid index arrays (broadcasting allowed)."""
         return np.ones(np.broadcast(np.asarray(i), np.asarray(j)).shape, dtype=complex)
-
-    @property
-    def has_trivial_cocycle(self) -> bool:
-        return True
 
     def translates(self, points, u):
         """Iterate, for each u_j in ``u``, over the indices points·u_j.
@@ -283,6 +293,25 @@ class GroupModel:
             return values[z]
         return values[np.arange(len(z))[:, None], z]
 
+    def convolve(self, v1, v2, twisted: bool = False) -> np.ndarray:
+        """sum_y v1(y) v2(y^{-1}x) mu(y), times sigma(y, y^{-1}x) if ``twisted``; absent reads 0."""
+        n = self.size
+        out = np.zeros(n, dtype=complex)
+        weighted = v1 * self.haar
+        for start in range(0, n, _CONVOLVE_BLOCK):
+            block = np.arange(start, min(start + _CONVOLVE_BLOCK, n))
+            rows = weighted[block]
+            if not np.any(rows):
+                continue
+            if twisted:
+                z = self.div_indices(block[:, None], np.arange(n)[None, :])
+                # absent entries read the pad slot's zero and stay zero
+                vals = padded(v2)[z] * self.cocycle_values(block[:, None], z)
+            else:
+                vals = self.left_translates(v2, block)
+            out += rows @ vals
+        return out
+
     def relative_max(self, mags, rows, cols) -> np.ndarray:
         """phi(z) = max of ``mags``[i, j] over the pairs with cols_j^{-1} rows_i = z; 0 if none.
 
@@ -321,7 +350,6 @@ class CyclicPhaseSpace(GroupModel):
     against the pinned representation pi(k,l)f(t) = exp(2*pi*i*l*t/N) f(t-k).
     """
 
-    kind = "cyclic"
     exact = True
 
     def __init__(self, n_side: int):
@@ -340,9 +368,8 @@ class CyclicPhaseSpace(GroupModel):
         idx = np.arange(n)
         self._k = idx // self.n_side
         self._l = idx % self.n_side
-        # x·q and q·x have the same index on Z_N x Z_N; one row per q
-        self._q_table = self.mul_indices(idx[None, :], self.q_indices[:, None])
-        # row j holds the index of x·q_j^{-1}, the point whose push by q_j lands on x
+        # row j holds the index of x·q_j^{-1}, the point whose push by q_j lands on x; as
+        # Q = Q^{-1} and x·q, q·x share an index, its rows, in another order, are x·q and q·x
         q_inv = self.inv_indices(self.q_indices)
         self._q_inv_table = self.mul_indices(idx[None, :], q_inv[:, None])
         # _sub[a, b] = (b - a) mod N, the coordinate of x_i^{-1} x_j, and its row offset
@@ -370,14 +397,12 @@ class CyclicPhaseSpace(GroupModel):
 
     def left_translates(self, values, points) -> np.ndarray:
         # p^{-1} x = (a - k_p, b - l_p) for x = (a, b): row i reads v as an N x N grid
-        # through two |P| x N tables of shifted coordinates
+        # through two |P| x N tables of shifted coordinates, rows of _sub
         points = np.asarray(points, dtype=int)
         values = np.asarray(values)
-        n_side = self.n_side
-        axis = np.arange(n_side)
-        rows = (axis - self._k[points][:, None]) % n_side
-        cols = (axis - self._l[points][:, None]) % n_side
-        grids = values.reshape(values.shape[:-1] + (n_side, n_side))
+        rows = self._sub[self._k[points]]
+        cols = self._sub[self._l[points]]
+        grids = values.reshape(values.shape[:-1] + (self.n_side, self.n_side))
         lead = (np.arange(len(points))[:, None, None],) if values.ndim > 1 else ()
         out = grids[lead + (rows[:, :, None], cols[:, None, :])]
         return out.reshape(len(points), self.size)
@@ -403,11 +428,11 @@ class CyclicPhaseSpace(GroupModel):
         _check_side(side)
         mag = np.asarray(mag)
         if mag.ndim == 1:  # one |Q| x n gather, the faster form for a single vector
-            return mag[self._q_table].max(axis=0)
+            return mag[self._q_inv_table].max(axis=0)
         # a stack: one in-place max per q keeps the result C-contiguous, so its
         # row sums add in the 1-D order, and the temporary at one stack
-        out = np.take(mag, self._q_table[0], axis=-1)
-        for t in self._q_table[1:]:
+        out = np.take(mag, self._q_inv_table[0], axis=-1)
+        for t in self._q_inv_table[1:]:
             np.maximum(out, np.take(mag, t, axis=-1), out=out)
         return out
 
@@ -423,10 +448,6 @@ class CyclicPhaseSpace(GroupModel):
         # add in the 1-D order
         return np.take(carrier, self._q_inv_table, axis=-1).sum(axis=-2)
 
-    @property
-    def has_trivial_cocycle(self) -> bool:
-        return self.n_side == 1
-
     def point_label(self, i: int) -> str:
         return f"({self._k[i]},{self._l[i]})"
 
@@ -441,7 +462,6 @@ class CyclicPhaseSpace(GroupModel):
 class RealLineModel(GroupModel):
     """Uniform symmetric grid on [-L, L] under addition; products off-grid are absent."""
 
-    kind = "line"
     exact = False
 
     def __init__(self, half_width: float, step: float):
@@ -476,6 +496,18 @@ class RealLineModel(GroupModel):
         marks[np.asarray(points, dtype=int)] = True
         return np.flatnonzero(_window_max(marks, self.identity - self.q_indices[-1],
                                           self.identity - self.q_indices[0]))
+
+    def convolve(self, v1, v2, twisted: bool = False) -> np.ndarray:
+        # the same sum: under addition on a uniform grid a plain sequence convolution, taken
+        # directly (no FFT) on the nonzero span of each input, as the zeros outside it add
+        # exact zeros.  The cocycle is trivial, so ``twisted`` changes nothing
+        n, i0 = self.size, self.identity
+        full = np.zeros(2 * n - 1, dtype=np.result_type(v1, v2))
+        nz1, nz2 = np.flatnonzero(v1), np.flatnonzero(v2)
+        if nz1.size and nz2.size:
+            part = np.convolve(v1[nz1[0]:nz1[-1] + 1], v2[nz2[0]:nz2[-1] + 1])
+            full[nz1[0] + nz2[0]:][:part.size] = part
+        return self.step * full[i0:i0 + n]
 
     def point_label(self, i: int) -> str:
         return f"{self.coords[i]:g}"
@@ -526,7 +558,6 @@ class AffineGridModel(GroupModel):
     ties, which is how ``local_max`` reads M^L row by row, and M^R by x-windows.
     """
 
-    kind = "affine"
     exact = False
 
     def __init__(self, x_half_width: float, x_step: float, a_min: float,

@@ -524,7 +524,7 @@ def translate_left(f: GridFunction, x_index: int, twisted: bool = False) -> Grid
     model = f.model
     z = model.div_indices(x_index, np.arange(model.size))
     out = padded(f.values)[z]
-    if twisted and not model.has_trivial_cocycle:
+    if twisted:
         out *= model.cocycle_values(x_index, z)  # absent entries stay zero
     return GridFunction(model, out)
 
@@ -535,7 +535,7 @@ def translate_right(f: GridFunction, x_index: int, twisted: bool = False) -> Gri
     y = np.arange(model.size)
     z = next(model.translates(y, [x_index]))
     out = padded(f.values)[z]
-    if twisted and not model.has_trivial_cocycle:
+    if twisted:
         out *= np.conj(model.cocycle_values(y, x_index))  # absent entries stay zero
     return GridFunction(model, out)
 

@@ -23,7 +23,7 @@ from coorbitkit import (
     twisted_convolve,
     unit_weight,
 )
-from coorbitkit.amalgam import _convolve_values, magnitude_norm
+from coorbitkit.amalgam import magnitude_norm
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
     InvalidWeightError
 
@@ -208,6 +208,16 @@ class TestConvolution:
         rhs = convolve(abs(f), abs(h)).values.real
         assert np.all(lhs <= rhs + 1e-12)
 
+    @pytest.mark.parametrize("build", [lambda: build_real_line(3.0, 0.25),
+                                       lambda: build_affine_grid(2.0, 0.25, 0.3, 3.0, 1.5),
+                                       lambda: build_cyclic_phase_space(1)],
+                             ids=["line", "affine", "cyclic1"])
+    def test_trivial_cocycle_twist_changes_nothing(self, build):
+        # the cocycle reads as all ones there, so the twist leaves every value equal
+        m = build()
+        f, h = random_grid(m, 19), random_grid(m, 20)
+        assert np.array_equal(twisted_convolve(f, h).values, convolve(f, h).values)
+
     def test_line_interval_convolution(self):
         m = build_real_line(8.0, 0.01)
         t = 2.0
@@ -286,10 +296,10 @@ class TestLineConvolutionTrim:
         full = random_grid(m, 18).values
         full = full.real if dtype is float else full
         for v1, v2 in [(zero, full), (full, zero), (zero, zero)]:
-            got = _convolve_values(m, v1, v2, False)
+            got = m.convolve(v1, v2)
             assert got.dtype == dtype and np.array_equal(got, np.zeros(m.size))
         for v1, v2 in [(single, full), (full, single), (single, single), (full, full)]:
-            got = _convolve_values(m, v1, v2, False)
+            got = m.convolve(v1, v2)
             expected = untrimmed_line_convolution(m, v1, v2)
             assert got.shape == expected.shape and got.dtype == expected.dtype
             assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))

@@ -37,7 +37,6 @@ from coorbitkit import (
     build_cover,
     build_cyclic_phase_space,
     build_real_line,
-    convolve,
     maximal_left,
     maximal_right,
     measure_QxQ,
@@ -45,7 +44,8 @@ from coorbitkit import (
     sequence_norm,
 )
 from coorbitkit.errors import CoverageWarning, InvalidParameterError, NotDenseError
-from coorbitkit.groups import AffineGridModel, GroupModel, RealLineModel, _window_max, padded
+from coorbitkit.groups import AffineGridModel, CyclicPhaseSpace, GroupModel, RealLineModel, \
+    _window_max, padded
 
 MODELS = {
     "line": lambda: build_real_line(4.0, 0.25),
@@ -341,7 +341,7 @@ def test_q_spread_samples_have_absent_products(model):
     # the line and affine samples push mass off the grid, which q_spread must drop
     absent = [np.any(t < 0) for u in q_and_qq(model)
               for t in model.translates(samples(model)[0], u)]
-    assert any(absent) == (model.kind != "cyclic")
+    assert any(absent) == (not isinstance(model, CyclicPhaseSpace))
 
 
 def test_density_separation_and_rel(model):
@@ -379,7 +379,7 @@ def edge_points(model):
     The affine points next to an x-edge sit at a large scale, where the x-steps
     of p·q exceed the grid step, so some products skip the edge cell and leave.
     """
-    if model.kind != "affine":
+    if not isinstance(model, AffineGridModel):
         return [1, model.size - 2]
     mid_x, top = model.n_x // 2, model.n_a - 2
     return [jx * model.n_a + ma for jx, ma in
@@ -388,7 +388,7 @@ def edge_points(model):
 
 def carrier_edges(model):
     """Every point on the edge of the carrier, where products leave the grid."""
-    if model.kind != "affine":
+    if not isinstance(model, AffineGridModel):
         return np.array([0, model.size - 1])
     jx, ma = np.divmod(np.arange(model.size), model.n_a)
     return np.nonzero((jx == 0) | (jx == model.n_x - 1) | (ma == 0) | (ma == model.n_a - 1))[0]
@@ -593,16 +593,26 @@ def test_relative_max_warns_of_an_uncovered_entry():
         model.relative_max(np.zeros((1, 1)), rows, cols)  # a zero entry needs no bin
 
 
-@pytest.mark.parametrize("n_side", (*CYCLIC_SIDES, 32))
-def test_cyclic_convolution_matches_blocked_table_path(n_side):
-    # N = 32 has two row blocks of 512; zeroing the first half of F1 skips the first
-    model = build_cyclic_phase_space(n_side)
-    rng = np.random.default_rng(14)
+def assert_convolve_matches_blocked(model, rng):
+    """``model.convolve`` bit for bit against the blocked table sum; zeroing the first half
+    of F1 skips the first row block of 512 on a carrier of 1,024 points or more."""
     z = rng.normal(size=(4, model.size))
     v1, v2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
     for factor in (v1, np.where(np.arange(model.size) < model.size // 2, 0, v1)):
-        got = convolve(GridFunction(model, factor), GridFunction(model, v2)).values
-        assert np.array_equal(got, blocked_convolve(model, factor, v2))
+        assert np.array_equal(model.convolve(factor, v2), blocked_convolve(model, factor, v2))
+
+
+@pytest.mark.parametrize("n_side", (*CYCLIC_SIDES, 32))
+def test_cyclic_convolution_matches_blocked_table_path(n_side):
+    # N = 32 has two row blocks of 512; zeroing the first half of F1 skips the first
+    assert_convolve_matches_blocked(build_cyclic_phase_space(n_side), np.random.default_rng(14))
+
+
+def test_affine_convolution_matches_blocked_table_path():
+    # 81 x 14 = 1,134 points: three row blocks, the last one partial
+    model = build_affine_grid(4.0, 0.1, 0.3, 3.0, 1.2)
+    assert model.size == 1134
+    assert_convolve_matches_blocked(model, np.random.default_rng(15))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -150,6 +150,45 @@ def test_scatter_max_check_catches_a_leftover():
         == ["np.maximum.at(phi, z, m)"]
 
 
+def _is_np_convolve(node) -> bool:
+    """A call of numpy's ``convolve``, through ``np`` or ``numpy``."""
+    func = node.func
+    return isinstance(func, ast.Attribute) and func.attr == "convolve" \
+        and ast.unparse(func.value) in ("np", "numpy")
+
+
+def _is_left_translates(node) -> bool:
+    return isinstance(node.func, ast.Attribute) and node.func.attr == "left_translates"
+
+
+def _kind_reads(tree) -> list:
+    """Every read of an attribute named ``kind``, the tag a switch on the model would test."""
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "kind"]
+
+
+def test_one_convolution():
+    """Convolution is the model kernel: numpy convolves only in groups' ``convolve``, the
+    left translates are read inside groups only, and no module switches on a model kind."""
+    assert _callers(_is_np_convolve) == {"groups.convolve"}
+    assert {label.split(".")[0] for label in _callers(_is_left_translates)} == {"groups"}
+    assert {module: _kind_reads(tree) for module, tree in TREES.items()
+            if _kind_reads(tree)} == {}
+
+
+def test_convolution_checks_catch_a_leftover():
+    tree = ast.parse("def f(v, w, m):\n    if m.kind == 'line':\n        return np.convolve(v, w)\n"
+                     "    return m.left_translates(w, v) @ v\n"
+                     "def g(m, v):\n    return m.convolve(v, v) + numpy.convolve(v, v)\n"
+                     "kind = 'cyclic'\n")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert sorted(ast.unparse(node) for node in calls if _is_np_convolve(node)) \
+        == ["np.convolve(v, w)", "numpy.convolve(v, v)"]
+    assert [ast.unparse(node) for node in calls if _is_left_translates(node)] \
+        == ["m.left_translates(w, v)"]
+    assert _kind_reads(tree) == ["m.kind (line 2)"]
+
+
 def _window_views(tree) -> list:
     """Every import or attribute read of numpy's ``sliding_window_view``."""
     name = "sliding_window_view"
