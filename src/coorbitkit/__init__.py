@@ -59,6 +59,7 @@ from .frames import (
     gaussian_window,
     gramian,
     normalize_admissible,
+    orbit_envelope,
     orthonormalize,
     parseval_frame,
     rayleigh_extremes,

@@ -39,6 +39,7 @@ from .frames import (
     build_almost_tight_frame,
     dual_frame,
     fit_envelope,
+    orbit_envelope,
 )
 from .groups import PWeight, unit_weight
 from .sampling import SampleSet, rel_separation
@@ -206,7 +207,10 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     family where the frame exists, and images under seeded convolution-type
     operators).  Each family's coefficient/reconstruction norm is measured over
     basis + 12 seeded random vectors and divided by the certificate factors; the
-    calibration keeps the worst ratio.
+    calibration keeps the worst ratio.  The atoms and their shift are the orbit
+    families of g and pi(s) g, so their envelopes are one column each
+    (``orbit_envelope``); the duals keep the certificate of ``dual_frame``, and
+    the convolution images are fitted.
     """
     n_random = 12
     rng = np.random.default_rng(seed)
@@ -223,11 +227,16 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     for lam, atoms0 in zip(sample_sets, atom_sets):
         families = {"atoms": atoms0}
         shift = int(rng.integers(0, model.size))
+        # pi(s) pi(lambda_i) g is a unimodular multiple of pi(lambda_i) pi(s) g
         families["shifted"] = rep.apply(shift, atoms0)
+        certs = {name: orbit_envelope(ks, window, 1.0, ctx.p, ctx.weight)
+                 for name, window in (("atoms", ks.window),
+                                      ("shifted", rep.apply(shift, ks.window)))}
         try:
             fs = build_almost_tight_frame(ks, lam, model.q_indices)
             if fs.bounds[0] > 1e-9:
                 families["dual"] = dual_frame(fs, p=ctx.p, weight=ctx.weight)
+                certs["dual"] = fs.certificates["dual"]
         except (NotAFrameError, NotDenseError, NotContractiveError):
             pass
         for t in range(2):
@@ -237,6 +246,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             # T e_j, so atoms0 @ t_rows has row i equal to T atoms0[i]
             t_rows = np.array([coeff @ rep.orbit(e) for e in np.eye(rep.dim)])
             families[f"conv{t}"] = atoms0 @ t_rows
+            certs[f"conv{t}"] = fit_envelope(ks, families[f"conv{t}"], lam, ctx.p, ctx.weight)
 
         # random sequences, delta sequences (often extremal), then the coefficients
         # of the sampled vectors against the dual family and the atoms
@@ -246,8 +256,10 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
         c_samples.append(_matvecs(atoms0.conj(), f_samples))
         c_samples = np.concatenate(c_samples)
         rel = rel_separation(lam)
+        if len(lam) == 0:  # every family is empty: its fitted envelope is zero
+            continue
         for name, atoms in families.items():
-            cert = fit_envelope(ks, atoms, lam, ctx.p, ctx.weight)
+            cert = certs[name]
             if cert.amalgam_value == 0:
                 continue
             mc = _coefficient_norm(ctx, atoms, lam, f_samples, f_norms)

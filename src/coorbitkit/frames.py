@@ -3,6 +3,17 @@
 Frame operators are represented on the representation space (dimension d) rather
 than on the kernel space inside L^2(G); the coefficient transform of an admissible
 window is a surjective isometry between the two, so all spectra coincide.
+
+Molecule envelopes come in two forms.  On Z_N x Z_N, pi(lambda)^* pi(x) is a
+unimodular multiple of pi(lambda^{-1} x), so an orbit family h_i = c_i pi(lambda_i) w
+has |V_g h_i(x)| = |c_i| |V_g w(lambda_i^{-1} x)|: its envelope is one column,
+max |c_i| |V_g w| symmetrized (``orbit_envelope``), exact in exact arithmetic and
+equal to the fitted one to rounding.  The weighted atoms of the frame-kernel check
+are such a family for any sample.  So are the canonical duals when the sample is
+a subgroup and tau is constant: S then commutes with every pi(lambda), and the
+duals are the orbit of the identity's dual gamma = S^{-1}(tau_0 g).  Every other
+family, and the duals of any other sample, is fitted column by column
+(``fit_envelope``), the generic path and the test oracle.
 """
 
 from __future__ import annotations
@@ -203,13 +214,18 @@ def _check_sample(ks: KernelSystem, sample: SampleSet) -> None:
 
 @dataclass
 class MoleculeCertificate:
-    """Symmetric envelope Phi with |V_g h_i(x)| <= Phi(lam_i^{-1} x) + max_violation."""
+    """Symmetric envelope Phi with |V_g h_i(x)| <= Phi(lam_i^{-1} x) + max_violation.
+
+    ``columns`` counts the atom columns the envelope was fitted over: 1 for an
+    orbit family, the number of atoms on the generic path.
+    """
 
     envelope: GridFunction
     p: float
     weight: PWeight
     amalgam_value: float
     max_violation: float
+    columns: int
 
     def to_json_obj(self) -> dict:
         return {
@@ -217,6 +233,7 @@ class MoleculeCertificate:
             "w_id": f"pweight(p={self.weight.p})",
             "amalgam_value": self.amalgam_value,
             "max_violation": self.max_violation,
+            "columns": self.columns,
         }
 
 
@@ -310,15 +327,40 @@ def _frame_phi(fs: FrameSystem, phi: str) -> tuple:
     return result, n_terms, tail_bound
 
 
+def _is_covariant(fs: FrameSystem) -> bool:
+    """Whether S commutes with every pi(lambda_i): a subgroup sample with constant tau.
+
+    The sample is a subgroup when it holds the identity and every product
+    lambda_i lambda_j, formed exactly in blocks of at most ``_BLOCK_ENTRIES``.
+    """
+    model, points = fs.sample.model, fs.sample.points
+    if model.identity not in points or not np.all(fs.tau == fs.tau[0]):
+        return False
+    in_sample = np.zeros(model.size + 1, dtype=bool)  # pad slot: an absent product is outside
+    in_sample[points] = True
+    step = _block_items(len(points))
+    return all(in_sample[model.mul_indices(points[start:start + step, None], points)].all()
+               for start in range(0, len(points), step))
+
+
 def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None) -> np.ndarray:
-    """Canonical dual atoms h_i = S^{-1}(tau_i pi(lambda_i) g); reconstruction verified to 1e-9."""
+    """Canonical dual atoms h_i = S^{-1}(tau_i pi(lambda_i) g); reconstruction verified to 1e-9.
+
+    On a subgroup sample with constant tau the duals are the orbit rows pi(lambda_i) gamma
+    of the identity's dual gamma = S^{-1}(tau_0 g), certified by ``orbit_envelope``;
+    on any other sample they are certified by ``fit_envelope``.
+    """
     s_inv, fs.neumann_terms, fs.series_tail_bound = _frame_phi(fs, "inverse")
     duals = (fs.tau[:, None] * fs.atoms) @ s_inv.T
     recon_err = reconstruction_error(fs, duals)
     if recon_err > 1e-9:
         raise NotAFrameError(f"dual reconstruction error {recon_err:.2e} exceeds 1e-9")
-    fs.certificates["dual"] = fit_envelope(fs.kernel_system, duals, fs.sample, p,
-                                           weight or unit_weight(fs.sample.model, p))
+    ks, weight = fs.kernel_system, weight or unit_weight(fs.sample.model, p)
+    if _is_covariant(fs):
+        gamma = duals[np.flatnonzero(fs.sample.points == fs.sample.model.identity)[0]]
+        fs.certificates["dual"] = orbit_envelope(ks, gamma, 1.0, p, weight)
+    else:
+        fs.certificates["dual"] = fit_envelope(ks, duals, fs.sample, p, weight)
     return duals
 
 
@@ -437,17 +479,37 @@ def fit_envelope(ks: KernelSystem, atoms: np.ndarray, sample: SampleSet, p: floa
         voices = orbit_conj @ atoms[block].T
         np.maximum(per_bin, model.relative_max(np.abs(voices), carrier, sample.points[block]),
                    out=per_bin)
+    return _certificate(model, per_bin, p, weight, len(sample))
+
+
+def orbit_envelope(ks: KernelSystem, window: np.ndarray, scale: float, p: float,
+                   weight: PWeight) -> MoleculeCertificate:
+    """The envelope of an orbit family h_i = c_i pi(lambda_i) w with max |c_i| = scale.
+
+    It is scale |V_g w| symmetrized, from one ``ks.voices`` product.  On Z_N x Z_N
+    pi(lambda_i)^* pi(x) is a unimodular multiple of pi(lambda_i^{-1} x), so
+    |V_g h_i(x)| = |c_i| |V_g w(lambda_i^{-1} x)| and each of ``fit_envelope``'s
+    columns bins |c_i| |V_g w| onto the whole carrier: the two envelopes agree in
+    exact arithmetic and to rounding in floating point, for any nonempty sample.
+    """
+    return _certificate(ks.rep.model, scale * np.abs(ks.voices(window)), p, weight, 1)
+
+
+def _certificate(model, per_bin: np.ndarray, p: float, weight: PWeight,
+                 columns: int) -> MoleculeCertificate:
+    """The symmetrized per-bin maxima with their two-sided W(L^p_w) amalgam value."""
     env = _symmetrized(model, per_bin)
     amalgam_value = amalgam_norm(env, QuasiNormSpec(p=p, weight=weight, flavor="two_sided"))
-    return MoleculeCertificate(envelope=env, p=p, weight=weight,
-                               amalgam_value=amalgam_value, max_violation=0.0)
+    return MoleculeCertificate(envelope=env, p=p, weight=weight, amalgam_value=amalgam_value,
+                               max_violation=0.0, columns=columns)
 
 
 def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     """Check |H(x,y)| <= rel/mu(Q) (M^L Phi * M^R Phi)(y^{-1} x) for the frame kernel.
 
     H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) = <S pi(y)g, pi(x)g>, and
-    Phi is the fitted envelope of the weighted kernel family (sqrt(tau_i) K_{lam_i}).
+    Phi is the envelope of the weighted kernel family (sqrt(tau_i) K_{lam_i}), an
+    orbit family: sqrt(max tau) |V_g g| symmetrized (``orbit_envelope``).
     H is evaluated only at the pairs ``pair_check`` reads, grouped by row blocks
     of x: each block is one product of the rows of conj(orbit) S with the orbit
     rows its pairs use, at most ``_BLOCK_ENTRIES`` entries.  No n x n table of H
@@ -458,8 +520,7 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     if len(fs.sample) == 0 or not np.any(fs.tau):  # the keys of pair_check, no pair read
         return {"pairs": 0, "exhaustive": True, "absent": 0, "max_excess": 0.0,
                 "max_ratio": 0.0, "holds": True}
-    weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
-    phi = fit_envelope(ks, weighted_atoms, fs.sample, 1.0, unit_weight(model)).envelope
+    phi = orbit_envelope(ks, ks.window, np.sqrt(fs.tau.max()), 1.0, unit_weight(model)).envelope
     bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
     left = ks.orbit.conj() @ fs.frame_operator  # H(x, y) = left[x] . orbit[y]
     n = model.size

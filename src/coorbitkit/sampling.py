@@ -125,7 +125,9 @@ def build_cover(sample: SampleSet, u_indices) -> DisjointCover:
     if uncovered.size:
         i = int(uncovered[0])
         raise NotDenseError(i, model.point_label(i))
-    cells = tuple(np.nonzero(owner == rank)[0] for rank in range(m))
+    # one stable sort by owner keeps each cell's points ascending; split at the rank ends
+    order = np.argsort(owner, kind="stable")
+    cells = tuple(np.split(order, np.cumsum(np.bincount(owner, minlength=m))[:-1]))
     return DisjointCover(sample=sample, cells=cells)
 
 

@@ -519,3 +519,11 @@ def test_calibration_skips_a_dual_the_series_cannot_reach():
     assert [row["family"] for row in cal.battery if row["size"] == 5] == \
         ["atoms", "shifted", "conv0", "conv1"]
     assert np.isfinite(cal.coefficient_c) and np.isfinite(cal.reconstruction_c)
+
+
+def test_calibration_of_an_empty_sample_adds_no_row(setup):
+    # every family of an empty sample is empty: no certificate, no ratio
+    model, rep, g, ks = setup
+    ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=1.0))
+    cal = calibrate_constants(ctx, SampleSet(model=model, points=np.array([], dtype=int)))
+    assert cal == calibrate_constants(ctx)

@@ -23,6 +23,7 @@ from coorbitkit import (
     maximal_left,
     maximal_right,
     normalize_admissible,
+    orbit_envelope,
     orthonormalize,
     parseval_frame,
     rayleigh_extremes,
@@ -774,6 +775,128 @@ class TestFitEnvelope:
         assert np.all(cert.envelope.values.real <= majorant + 1e-8)
 
 
+def orbit_family(n, family):
+    """(kernel system, sample, window w, coefficients c) of the family c_i pi(lambda_i) w."""
+    model, rep, g = setup_gabor(n)
+    ks = KernelSystem.build(rep, g)
+    rng = np.random.default_rng(n)
+    if family == "lattice":
+        return ks, lattice(model, 2), g, np.ones(model.size // 4)
+    points = np.sort(rng.choice(model.size, model.size // 2, replace=False))
+    window = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if family == "irregular":  # unimodular coefficients: scale 1
+        coeffs = np.exp(2j * np.pi * rng.random(len(points)))
+    else:  # weighted: sqrt(tau_i) with tau varying over the sample
+        coeffs = np.sqrt(rng.uniform(0.1, 1.5, len(points)))
+    return ks, SampleSet(model=model, points=points), window, coeffs
+
+
+class TestOrbitEnvelope:
+    """The envelope of an orbit family is one column: the fitted envelope to rounding."""
+
+    @pytest.mark.parametrize("family", ["lattice", "irregular", "weighted"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_matches_fit_envelope(self, n, family):
+        ks, lam, window, coeffs = orbit_family(n, family)
+        model = ks.rep.model
+        atoms = coeffs[:, None] * KernelSystem.form(ks.rep, window).atoms(lam)
+        weight = unit_weight(model, 0.5)
+        fitted = fit_envelope(ks, atoms, lam, 0.5, weight)
+        orbit = orbit_envelope(ks, window, np.abs(coeffs).max(), 0.5, weight)
+        assert np.abs(orbit.envelope.values - fitted.envelope.values).max() <= 1e-12
+        # p = 1/2 sums squares: values of a few hundred, so the amalgam agrees relatively
+        assert orbit.amalgam_value == pytest.approx(fitted.amalgam_value, rel=1e-12)
+        assert (orbit.columns, fitted.columns) == (1, len(lam))
+        assert orbit.to_json_obj()["columns"] == 1
+
+    def test_frame_kernel_check_reads_one_column(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(frames, "fit_envelope", lambda *a: fits.append(1))
+        fs = irregular_complex_frame()
+        assert np.ptp(fs.tau) > 0  # a Q cover: tau varies
+        assert frame_kernel_envelope_check(fs)["holds"]
+        assert fits == []
+
+
+def frame_of(n, kind):
+    """The frame of a lattice, stride-3, random-half or Q-cover sample at N = n."""
+    model, rep, g = setup_gabor(n)
+    ks = KernelSystem.build(rep, g)
+    if kind == "lattice":
+        return build_almost_tight_frame(ks, lattice(model, 2), block(model, 2))
+    if kind == "q-cover":
+        return build_almost_tight_frame(ks, lattice(model, 2), model.q_indices)
+    samples = _calibration_samples(model, 2024)
+    lam = samples[2] if kind == "stride-3" else samples[-1]
+    assert len(lam) == (-(-model.size // 3) if kind == "stride-3" else model.size // 2)
+    return build_almost_tight_frame(ks, lam, model.q_indices)
+
+
+class TestCovariantDuals:
+    """On a subgroup with constant tau the duals are the orbit of gamma = S^{-1}(tau_0 g),
+    so their certificate is one column."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])  # at N = 4 the (2, 2) lattice is no frame
+    def test_certified_as_the_orbit_of_gamma(self, n, monkeypatch):
+        fs = frame_of(n, "lattice")
+        s_inv = frames._frame_phi(fs, "inverse")[0]
+        fits = []
+        monkeypatch.setattr(frames, "fit_envelope", lambda *a: fits.append(1))
+        duals = dual_frame(fs)
+        assert fits == []
+        assert np.array_equal(duals, (fs.tau[:, None] * fs.atoms) @ s_inv.T)
+        # the duals are the orbit rows pi(lambda_i) gamma of gamma = S^{-1}(tau_0 g)
+        gamma = s_inv @ (fs.tau[0] * fs.kernel_system.window)
+        orbit = KernelSystem.form(fs.kernel_system.rep, gamma).atoms(fs.sample)
+        assert np.abs(orbit - duals).max() <= 1e-12
+        cert = fs.certificates["dual"]
+        monkeypatch.undo()
+        fitted = fit_envelope(fs.kernel_system, duals, fs.sample, 1.0,
+                              unit_weight(fs.sample.model))
+        assert cert.columns == 1 and fitted.columns == len(fs.sample)
+        assert np.abs(cert.envelope.values - fitted.envelope.values).max() <= 1e-12
+        assert cert.amalgam_value == pytest.approx(fitted.amalgam_value, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["stride-3", "random-half", "q-cover"])
+    def test_other_samples_take_the_generic_path(self, kind, monkeypatch):
+        fs = frame_of(8, kind)
+        fits = []
+        fit = frames.fit_envelope
+        monkeypatch.setattr(frames, "fit_envelope", lambda *a: fits.append(1) or fit(*a))
+        duals = dual_frame(fs)
+        assert fits == [1]
+        assert fs.certificates["dual"].columns == len(fs.sample)
+        s_inv = frames._frame_phi(fs, "inverse")[0]
+        assert np.array_equal(duals, (fs.tau[:, None] * fs.atoms) @ s_inv.T)
+
+    def test_a_coset_or_varying_tau_is_not_covariant(self):
+        fs = frame_of(8, "lattice")
+        assert frames._is_covariant(fs)
+        model = fs.sample.model
+        coset = SampleSet(model=model, points=model.mul_indices(fs.sample.points, 9))
+        assert not frames._is_covariant(FrameSystem(fs.kernel_system, coset, fs.tau,
+                                                    fs.frame_operator, fs.bounds))
+        tau = fs.tau.copy()
+        tau[3] = np.nextafter(tau[3], 1.0)  # one ulp
+        assert not frames._is_covariant(FrameSystem(fs.kernel_system, fs.sample, tau,
+                                                    fs.frame_operator, fs.bounds))
+
+    def test_closure_is_checked_in_blocks(self, monkeypatch):
+        fs = frame_of(8, "lattice")
+        model = fs.sample.model
+        products = []
+        mul = model.mul_indices
+        monkeypatch.setattr(model, "mul_indices", lambda i, j: products.append(np.size(
+            mul(i, j))) or mul(i, j))
+        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 16 * 5)  # 5 rows of 16 products
+        assert frames._is_covariant(fs)
+        assert products == [80, 80, 80, 16]
+        # the lattice less one point holds the identity but is not closed
+        less = SampleSet(model=model, points=fs.sample.points[:-1])
+        assert not frames._is_covariant(FrameSystem(fs.kernel_system, less, fs.tau[:-1],
+                                                    fs.frame_operator, fs.bounds))
+
+
 class TestFrameKernelEnvelope:
     def test_full_lattice(self):
         model, rep, g = setup_gabor(8)
@@ -835,14 +958,17 @@ class TestFrameKernelEnvelope:
                                       block(model, 2))
         result = frame_kernel_envelope_check(fs)
         expected = inline_frame_kernel_check(fs)
-        assert {k: result[k] for k in expected} == expected
+        # the check's envelope is one orbit column, the oracle's is fitted over the atoms
+        assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
+        assert (result["holds"], result["pairs"]) == (expected["holds"], expected["pairs"])
         assert result["absent"] == 0 and result["exhaustive"] == (n < 24)
 
     def test_irregular_frame_matches_inline_check(self):
         fs = irregular_complex_frame()
         result = frame_kernel_envelope_check(fs)
-        assert {k: result[k] for k in ("max_excess", "holds", "pairs")} \
-            == inline_frame_kernel_check(fs)
+        expected = inline_frame_kernel_check(fs)
+        assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
+        assert (result["holds"], result["pairs"]) == (expected["holds"], expected["pairs"])
 
 
 class TestBlockBoundaries:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_is_dense, brute_is_separated, brute_rel_separation, \
-    shifted_series_check
+from _oracles import brute_cover_owners, brute_is_dense, brute_is_separated, \
+    brute_rel_separation, shifted_series_check
 from coorbitkit import (
     GridFunction,
     SampleSet,
@@ -141,6 +141,33 @@ class TestBuildCover:
         cover2 = build_cover(lam2, block(m, 2))
         all_points = np.sort(np.concatenate(cover2.cells))
         assert np.array_equal(all_points, np.arange(16))
+
+    @pytest.mark.parametrize("model_id", ["cyclic", "affine"])
+    @pytest.mark.parametrize("kind", ["lattice", "q", "random"])
+    def test_cells_equal_owner_comprehension(self, model_id, kind):
+        """The cells from one sort of the owners are the arrays one owner == rank scan
+        per sample point gives: same points, order and dtype."""
+        if model_id == "cyclic":
+            m = build_cyclic_phase_space(8)
+            jx, ma = divmod(np.arange(m.size), 8)
+        else:
+            m = build_affine_grid(2.0, 0.25, 0.3, 3.0, 1.5)
+            jx, ma = divmod(np.arange(m.size), m.n_a)
+        u = block(m, 2) if kind == "lattice" and model_id == "cyclic" else m.q_indices
+        if kind == "lattice":
+            points = np.flatnonzero((jx % 2 == 0) & (ma % 2 == 0))
+        elif kind == "q":
+            points = np.arange(0, m.size, 3)
+        else:
+            rng = np.random.default_rng(0)
+            points = np.sort(rng.choice(m.size, m.size // 2, replace=False))
+        owner = brute_cover_owners(m, points, u)
+        assert np.all(owner >= 0)  # dense
+        expected = [np.nonzero(owner == rank)[0] for rank in range(len(points))]
+        cells = build_cover(SampleSet(model=m, points=points), u).cells
+        assert len(cells) == len(expected)
+        for cell, want in zip(cells, expected):
+            assert cell.dtype == want.dtype and np.array_equal(cell, want)
 
     def test_not_dense_error_names_point(self):
         m = build_cyclic_phase_space(8)

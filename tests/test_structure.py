@@ -130,6 +130,15 @@ def test_one_orbit_per_window():
     assert _callers(orbit_call) == {"frames.form", "coorbit.calibrate_constants"}
 
 
+def test_orbit_families_fit_no_envelope():
+    """The frame-kernel check's weighted atoms are an orbit family: its envelope is one
+    column, so it calls no ``fit_envelope``; the fitted path serves the other families."""
+    assert _callers(_calls("fit_envelope")) == {"frames.dual_frame",
+                                                "coorbit.calibrate_constants",
+                                                "coorbit.extend_operator_check"}
+    assert "frames.frame_kernel_envelope_check" in _callers(_calls("orbit_envelope"))
+
+
 def _is_scatter_max(node) -> bool:
     """A call of ``<module>.maximum.at``: numpy's unbuffered scatter-max."""
     func = node.func
