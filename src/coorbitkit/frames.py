@@ -14,6 +14,12 @@ a subgroup and tau is constant: S then commutes with every pi(lambda), and the
 duals are the orbit of the identity's dual gamma = S^{-1}(tau_0 g).  Every other
 family, and the duals of any other sample, is fitted column by column
 (``fit_envelope``), the generic path and the test oracle.
+
+The same covariance shrinks the frame-kernel check to a few rows of H: on a
+subgroup sample with constant tau, |H(lambda x, lambda y)| = |H(x, y)| and the
+bound's argument y^{-1} x is unchanged, so one row of H per coset of the sample
+covers every carrier pair (``_covariant_rows`` finds the cosets).  Every other
+sample reads every carrier point as a row.
 """
 
 from __future__ import annotations
@@ -327,20 +333,47 @@ def _frame_phi(fs: FrameSystem, phi: str) -> tuple:
     return result, n_terms, tail_bound
 
 
-def _is_covariant(fs: FrameSystem) -> bool:
-    """Whether S commutes with every pi(lambda_i): a subgroup sample with constant tau.
+def _covariant_rows(fs: FrameSystem) -> Optional[np.ndarray]:
+    """One carrier point of each coset Lambda x if S commutes with every pi(lambda_i), else None.
 
-    The sample is a subgroup when it holds the identity and every product
-    lambda_i lambda_j, formed exactly in blocks of at most ``_BLOCK_ENTRIES``.
+    S commutes with every pi(lambda_i) when the sample is a subgroup and tau is
+    constant.  One pass over the index group of Z_N x Z_N, which is abelian,
+    decides the first and yields the cosets.  It draws a greedy generating set:
+    each generator t is the first point outside the span H of those before it,
+    first from the sample, then from the carrier, and H grows to <H, t>, the
+    disjoint union of the cosets H t^k up to the first power of t in H.
+    - The sample is a subgroup iff it holds the identity and every coset formed
+      while it is spanned stays inside it: the span then holds the sample and
+      lies inside it.
+    - While the carrier is spanned, the coset points of Lambda in H, times t^k,
+      are those of Lambda in H t^k.
+    A generator t with t^k the first power in H costs one product per new point,
+    |H| (k - 1), at most 2k for its powers by doubling and, in the carrier stage,
+    one per new coset point: under 2n products in all, where closing every pair
+    of sample points takes m^2.
     """
     model, points = fs.sample.model, fs.sample.points
-    if model.identity not in points or not np.all(fs.tau == fs.tau[0]):
-        return False
-    in_sample = np.zeros(model.size + 1, dtype=bool)  # pad slot: an absent product is outside
+    in_sample = np.zeros(model.size, dtype=bool)
     in_sample[points] = True
-    step = _block_items(len(points))
-    return all(in_sample[model.mul_indices(points[start:start + step, None], points)].all()
-               for start in range(0, len(points), step))
+    if not in_sample[model.identity] or not np.all(fs.tau == fs.tau[0]):
+        return None
+    span = np.zeros(model.size, dtype=bool)
+    span[model.identity] = True
+    elements = reps = np.array([model.identity])
+    for pool, in_pool in ((points, in_sample), (np.arange(model.size), None)):
+        while not span[pool].all():
+            powers = pool[np.argmin(span[pool])][None]  # t, the first point outside the span
+            while not span[powers].any():  # t .. t^L, doubled to t .. t^2L
+                powers = np.concatenate([powers, model.mul_indices(powers, powers[-1])])
+            powers = powers[:np.argmax(span[powers]), None]  # t^k, 0 < k < the first power in H
+            cosets = model.mul_indices(elements, powers).ravel()  # H t^k for those k
+            if in_pool is not None and not in_pool[cosets].all():
+                return None
+            span[cosets] = True
+            elements = np.concatenate([elements, cosets])
+            if in_pool is None:
+                reps = np.concatenate([reps, model.mul_indices(reps, powers).ravel()])
+    return reps
 
 
 def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None) -> np.ndarray:
@@ -356,7 +389,7 @@ def dual_frame(fs: FrameSystem, p: float = 1.0, weight: Optional[PWeight] = None
     if recon_err > 1e-9:
         raise NotAFrameError(f"dual reconstruction error {recon_err:.2e} exceeds 1e-9")
     ks, weight = fs.kernel_system, weight or unit_weight(fs.sample.model, p)
-    if _is_covariant(fs):
+    if _covariant_rows(fs) is not None:
         gamma = duals[np.flatnonzero(fs.sample.points == fs.sample.model.identity)[0]]
         fs.certificates["dual"] = orbit_envelope(ks, gamma, 1.0, p, weight)
     else:
@@ -510,10 +543,22 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     H(x,y) = sum_i tau_i K_{lam_i}(x) conj(K_{lam_i}(y)) = <S pi(y)g, pi(x)g>, and
     Phi is the envelope of the weighted kernel family (sqrt(tau_i) K_{lam_i}), an
     orbit family: sqrt(max tau) |V_g g| symmetrized (``orbit_envelope``).
-    H is evaluated only at the pairs ``pair_check`` reads, grouped by row blocks
-    of x: each block is one product of the rows of conj(orbit) S with the orbit
-    rows its pairs use, at most ``_BLOCK_ENTRIES`` entries.  No n x n table of H
-    is formed.
+
+    When S commutes with every pi(lambda), lambda in Lambda (a subgroup sample
+    with constant tau, ``_covariant_rows``), both sides are invariant under
+    (x, y) -> (lambda x, lambda y):
+    - pi(lambda x) = c pi(lambda) pi(x) with |c| = 1, so H(lambda x, lambda y) =
+      c' <pi(lambda)^* S pi(lambda) pi(y)g, pi(x)g> = c' H(x, y) with |c'| = 1;
+    - (lambda y)^{-1} (lambda x) = y^{-1} x, so the bound reads the same point.
+    One row x per coset Lambda x then covers every carrier pair: 4 rows at steps
+    (2, 2).  Any other sample is invariant under the trivial subgroup only, and
+    its rows are every carrier point.  ``pair_check`` reads rows x carrier, whole
+    or sampled.
+
+    H is evaluated only at the pairs ``pair_check`` reads, grouped by blocks of
+    their rows: each block is one product of the block's rows of conj(orbit) S
+    with the orbit rows its pairs use, at most ``_BLOCK_ENTRIES`` entries.  No
+    n x n table of H is formed.
     """
     ks = fs.kernel_system
     model = ks.rep.model
@@ -522,34 +567,41 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
                 "max_ratio": 0.0, "holds": True}
     phi = orbit_envelope(ks, ks.window, np.sqrt(fs.tau.max()), 1.0, unit_weight(model)).envelope
     bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
-    left = ks.orbit.conj() @ fs.frame_operator  # H(x, y) = left[x] . orbit[y]
     n = model.size
-    rows = min(_block_items(n), n)
-    n_blocks = -(-n // rows)
+    rows = _covariant_rows(fs)
+    if rows is None:  # invariant under the trivial subgroup only
+        rows = np.arange(n)
+    left = ks.orbit[rows].conj() @ fs.frame_operator  # H(rows[r], y) = left[r] . orbit[y]
+    rank = np.empty(n, dtype=int)  # rank[rows[r]] = r
+    rank[rows] = np.arange(len(rows))
+    per_block = min(_block_items(n), len(rows))
+    n_blocks = -(-len(rows) // per_block)
 
     def lhs_at(xs, ys):
         out = np.empty(xs.shape)
-        table = np.empty(rows * n, dtype=complex)  # room for one row block of H
-        key = (xs // rows).astype(np.min_scalar_type(n_blocks))
+        table = np.empty(per_block * n, dtype=complex)  # room for one row block of H
+        at = rank[xs]
+        key = (at // per_block).astype(np.min_scalar_type(n_blocks))
         order = np.argsort(key, kind="stable")  # a radix sort on a narrow key
         counts = np.bincount(key, minlength=n_blocks)
         ends = np.cumsum(counts)
         for b in np.flatnonzero(counts):
             sel = order[ends[b] - counts[b]:ends[b]]
-            lo = b * rows
+            lo = b * per_block
             used = np.zeros(n, dtype=bool)
             used[ys[sel]] = True
             cols = np.flatnonzero(used)
-            block = table[:(min(lo + rows, n) - lo) * cols.size]
-            np.matmul(left[lo:lo + rows], ks.orbit[cols].T, out=block.reshape(-1, cols.size))
-            # H(x, y) sits at (x - lo) * len(cols) + (the rank of y in cols) in the block
-            at = xs[sel] - lo
-            at *= cols.size
-            at += (np.cumsum(used) - 1)[ys[sel]]
-            out[sel] = np.abs(block[at])
+            block = table[:(min(lo + per_block, len(rows)) - lo) * cols.size]
+            np.matmul(left[lo:lo + per_block], ks.orbit[cols].T,
+                      out=block.reshape(-1, cols.size))
+            # H(x, y) sits at (rank[x] - lo) * len(cols) + (the rank of y in cols) in the block
+            pos = at[sel] - lo
+            pos *= cols.size
+            pos += (np.cumsum(used) - 1)[ys[sel]]
+            out[sel] = np.abs(block[pos])
         return out
 
-    return pair_check(model, bound, lhs_at, seed=5)
+    return pair_check(model, bound, lhs_at, seed=5, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -193,17 +193,18 @@ def padded(values, fill=0.0) -> np.ndarray:
     return np.concatenate([values, np.full(values.shape[:-1] + (1,), fill)], axis=-1)
 
 
-def index_pairs(n: int, exhaustive_limit: int, sample_size: int, seed: int):
-    """Index pairs (i, j) over range(n) and whether they are exhaustive.
+def index_pairs(n_rows: int, n_cols: int, exhaustive_limit: int, sample_size: int, seed: int):
+    """Index pairs (i, j) over range(n_rows) x range(n_cols) and whether they are exhaustive.
 
-    All n*n pairs in row-major order when n*n <= exhaustive_limit, else
-    ``sample_size`` pairs drawn uniformly from a generator seeded with ``seed``.
+    All n_rows*n_cols pairs in row-major order when that is at most
+    ``exhaustive_limit``, else ``sample_size`` pairs drawn uniformly from a
+    generator seeded with ``seed``, the rows first.
     """
-    if n * n <= exhaustive_limit:
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    if n_rows * n_cols <= exhaustive_limit:
+        i, j = np.meshgrid(np.arange(n_rows), np.arange(n_cols), indexing="ij")
         return i.ravel(), j.ravel(), True
     rng = np.random.default_rng(seed)
-    return rng.integers(0, n, sample_size), rng.integers(0, n, sample_size), False
+    return rng.integers(0, n_rows, sample_size), rng.integers(0, n_cols, sample_size), False
 
 
 class GroupModel:
@@ -788,7 +789,7 @@ def validate_p_weight(model: GroupModel, w, p: float) -> WeightValidationReport:
     w1_min = float(w.min())
     w1_pass = w1_min >= 1.0 - tol
 
-    i, j, exhaustive = index_pairs(model.size, exhaustive_limit=4_000_000,
+    i, j, exhaustive = index_pairs(model.size, model.size, exhaustive_limit=4_000_000,
                                    sample_size=2_000_000, seed=7)
     prod = model.mul_indices(i, j)
     ok = prod >= 0

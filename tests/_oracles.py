@@ -227,6 +227,15 @@ def brute_frame_kernel_excess(model, kernel_matrix, points, tau, bound):
     return float((lhs - rhs).max()) / scale
 
 
+def brute_is_covariant(fs) -> bool:
+    """Whether the sample holds the identity and every product lambda_i lambda_j, and tau is
+    constant: all m^2 products, formed in one broadcast."""
+    model, points = fs.sample.model, fs.sample.points
+    if model.identity not in points or not np.all(fs.tau == fs.tau[0]):
+        return False
+    return bool(np.isin(model.mul_indices(points[:, None], points[None, :]), points).all())
+
+
 def brute_envelope(model, orbit_g, atoms, points):
     """Unsymmetrized sampled envelope: one matvec per atom, one scalar max per (i, x)."""
     phi = np.zeros(model.size)
@@ -422,7 +431,7 @@ def inline_shifted_series_check(f1, f2, sample):
     rel = rel_separation(sample)
     bound_fn = convolve(maximal_left(f2), maximal_right(f1)).values.real
     factor = rel / model.q_mass()
-    xs, ys, exhaustive = index_pairs(model.size, exhaustive_limit=200_000,
+    xs, ys, exhaustive = index_pairs(model.size, model.size, exhaustive_limit=200_000,
                                      sample_size=200_000, seed=11)
     v1_pad, v2_pad = padded(v1), padded(v2)
     lhs = np.zeros(xs.shape)
@@ -443,8 +452,12 @@ def inline_shifted_series_check(f1, f2, sample):
     }
 
 
-def inline_frame_kernel_check(fs):
-    """The frame-kernel envelope check with its bound, pairs and excess written out in place."""
+def inline_frame_kernel_check(fs, every_pair=False):
+    """The frame-kernel envelope check with its bound, pairs and excess written out in place.
+
+    The pairs are those an n x n ``pair_check`` draws with seed 5, or, with
+    ``every_pair``, all n^2 entries of the dense table of H.
+    """
     ks = fs.kernel_system
     model = ks.rep.model
     weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
@@ -452,7 +465,9 @@ def inline_frame_kernel_check(fs):
     h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
     bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
     factor = rel_separation(fs.sample) / model.q_mass()
-    xs, ys, _ = index_pairs(model.size, exhaustive_limit=200_000, sample_size=200_000, seed=5)
+    limit = model.size ** 2 if every_pair else 200_000
+    xs, ys, _ = index_pairs(model.size, model.size, exhaustive_limit=limit, sample_size=200_000,
+                            seed=5)
     rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
     lhs = np.abs(h[xs, ys])
     scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
@@ -568,7 +583,8 @@ def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) 
         return out
 
     rel = rel_separation(sample)
-    return {"rel": rel, **pair_check(model, molecule_bound(rel, [(f2, f1)]), series, seed=11)}
+    return {"rel": rel, **pair_check(model, molecule_bound(rel, [(f2, f1)]), series, seed=11,
+                                    rows=np.arange(model.size))}
 
 
 def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,

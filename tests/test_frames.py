@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from _oracles import brute_envelope, brute_frame_kernel_excess, brute_gabor_matrices, eig_apply, \
-    inline_frame_kernel_check, mul, reproducing_check, translate_left, unrelaxed_frame_phi
+    brute_is_covariant, inline_frame_kernel_check, mul, reproducing_check, translate_left, \
+    unrelaxed_frame_phi
 from coorbitkit import (
     GridFunction,
     KernelSystem,
@@ -871,30 +872,111 @@ class TestCovariantDuals:
 
     def test_a_coset_or_varying_tau_is_not_covariant(self):
         fs = frame_of(8, "lattice")
-        assert frames._is_covariant(fs)
+        assert frames._covariant_rows(fs) is not None
         model = fs.sample.model
         coset = SampleSet(model=model, points=model.mul_indices(fs.sample.points, 9))
-        assert not frames._is_covariant(FrameSystem(fs.kernel_system, coset, fs.tau,
-                                                    fs.frame_operator, fs.bounds))
+        assert frames._covariant_rows(FrameSystem(fs.kernel_system, coset, fs.tau,
+                                                  fs.frame_operator, fs.bounds)) is None
         tau = fs.tau.copy()
         tau[3] = np.nextafter(tau[3], 1.0)  # one ulp
-        assert not frames._is_covariant(FrameSystem(fs.kernel_system, fs.sample, tau,
-                                                    fs.frame_operator, fs.bounds))
+        assert frames._covariant_rows(FrameSystem(fs.kernel_system, fs.sample, tau,
+                                                  fs.frame_operator, fs.bounds)) is None
 
-    def test_closure_is_checked_in_blocks(self, monkeypatch):
-        fs = frame_of(8, "lattice")
+    def test_closure_takes_about_2n_products(self, monkeypatch):
+        fs = frame_of(16, "lattice")  # m = 64 points of n = 256
         model = fs.sample.model
         products = []
         mul = model.mul_indices
         monkeypatch.setattr(model, "mul_indices", lambda i, j: products.append(np.size(
             mul(i, j))) or mul(i, j))
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 16 * 5)  # 5 rows of 16 products
-        assert frames._is_covariant(fs)
-        assert products == [80, 80, 80, 16]
+        rows = frames._covariant_rows(fs)
+        # the lattice: (0, 2) and (2, 0) double up to their 8th powers (1 + 2 + 4 products)
+        # and form 7 cosets of 1 and of 8 points; the carrier: (0, 1) and (1, 0) reach their
+        # squares in 1 product, form one coset of 64 and of 128 points, and carry 1 and 2
+        # coset points
+        assert products == [1, 2, 4, 7, 1, 2, 4, 56, 1, 64, 1, 1, 128, 2]
+        assert sum(products) == 274 < len(fs.sample) ** 2  # the pairwise closure: 4,096
+        assert len(rows) == 4
         # the lattice less one point holds the identity but is not closed
         less = SampleSet(model=model, points=fs.sample.points[:-1])
-        assert not frames._is_covariant(FrameSystem(fs.kernel_system, less, fs.tau[:-1],
-                                                    fs.frame_operator, fs.bounds))
+        assert frames._covariant_rows(FrameSystem(fs.kernel_system, less, fs.tau[:-1],
+                                                  fs.frame_operator, fs.bounds)) is None
+
+
+def subgroup(model, gens):
+    """The subgroup generated by ``gens``, closed one scalar product at a time."""
+    span = {model.identity}
+    while True:
+        grown = span | {mul(model, x, t) for x in span for t in gens}
+        if grown == span:
+            return np.array(sorted(span))
+        span = grown
+
+
+def on_points(ks, points, tau=None):
+    """A frame system on ``points`` with weights ``tau`` (default 1); S is not read."""
+    model, d = ks.rep.model, ks.rep.dim
+    tau = np.ones(len(points)) if tau is None else tau
+    return FrameSystem(ks, SampleSet(model=model, points=np.asarray(points, dtype=int)), tau,
+                       np.eye(d, dtype=complex), (1.0, 1.0))
+
+
+def covariance_cases(n):
+    """(name, points, tau) on Z_n x Z_n: subgroups, cosets, near-subgroups and random subsets."""
+    model = build_cyclic_phase_space(n)
+    rng = np.random.default_rng(n)
+    cases = []
+    for sk, sl in [(1, 1), (2, 2), (4, 2), (2, 4)]:
+        points = experiments.lattice_points(model, sk, sl).points
+        cases += [(f"lattice{sk}{sl}", points, None),
+                  (f"shuffled{sk}{sl}", rng.permutation(points), None)]
+        if len(points) > 1:
+            tau = np.ones(len(points))
+            tau[-1] = np.nextafter(1.0, 2.0)  # one ulp
+            cases += [(f"ulp{sk}{sl}", points, tau),
+                      (f"less-one{sk}{sl}", points[:-1], None),
+                      (f"less-identity{sk}{sl}", points[1:], None)]
+        outside = np.setdiff1d(np.arange(model.size), points)
+        if outside.size:
+            cases.append((f"coset{sk}{sl}", np.sort(model.mul_indices(points, outside[0])), None))
+    cases.append(("identity", np.array([model.identity]), None))
+    for j in range(4):
+        gens = rng.choice(model.size, 1 + j % 2, replace=False)
+        cases.append((f"generated{j}", subgroup(model, gens), None))
+        size = int(rng.integers(1, model.size + 1))
+        points = rng.choice(model.size, size, replace=False)
+        if j % 2:
+            points = np.union1d(points, [model.identity])
+        cases.append((f"random{j}", points, None))
+    return cases
+
+
+class TestCovariantRows:
+    """``_covariant_rows`` decides covariance as the m^2 closure does and returns one point
+    of each coset."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_agrees_with_the_pairwise_closure(self, n):
+        model, rep, g = setup_gabor(n)
+        ks = KernelSystem.build(rep, g)
+        verdicts = set()
+        for name, points, tau in covariance_cases(n):
+            fs = on_points(ks, points, tau)
+            rows = frames._covariant_rows(fs)
+            covariant = brute_is_covariant(fs)
+            assert (rows is not None) == covariant, name
+            verdicts.add(covariant)
+            if covariant:  # the cosets rows[r] Lambda partition the carrier
+                cosets = model.mul_indices(rows[:, None], fs.sample.points[None, :])
+                assert np.array_equal(np.sort(cosets.ravel()), np.arange(model.size)), name
+        assert verdicts == {True, False}
+
+    def test_lattice_rows(self):
+        model, rep, g = setup_gabor(32)
+        fs = on_points(KernelSystem.build(rep, g), experiments.lattice_points(model, 2, 2).points)
+        assert frames._covariant_rows(fs).tolist() == [0, 1, 32, 33]  # (0|1, 0|1)
+        fs = on_points(fs.kernel_system, np.array([model.identity]))
+        assert np.array_equal(np.sort(frames._covariant_rows(fs)), np.arange(model.size))
 
 
 class TestFrameKernelEnvelope:
@@ -951,17 +1033,101 @@ class TestFrameKernelEnvelope:
         expected = brute_frame_kernel_excess(model, ks.kernel_matrix, lam.points, fs.tau, bound)
         assert frame_kernel_envelope_check(fs)["max_excess"] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [4, 8, 24])  # N = 24: 331,776 pairs, so 200,000 are drawn
+    @pytest.mark.parametrize("n", [4, 8, 24])  # N = 24: 4 rows cover all 331,776 pairs
     def test_matches_inline_check(self, n):
         model, rep, g = setup_gabor(n)
         fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
                                       block(model, 2))
         result = frame_kernel_envelope_check(fs)
-        expected = inline_frame_kernel_check(fs)
+        expected = inline_frame_kernel_check(fs, every_pair=True)
         # the check's envelope is one orbit column, the oracle's is fitted over the atoms
         assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
         assert (result["holds"], result["pairs"]) == (expected["holds"], expected["pairs"])
-        assert result["absent"] == 0 and result["exhaustive"] == (n < 24)
+        assert result["absent"] == 0 and result["exhaustive"]
+
+    @pytest.mark.parametrize("steps", [(1, 1), (2, 2), (4, 2), (2, 4)])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_coset_rows_match_brute_excess(self, n, steps):
+        model, rep, g = setup_gabor(n)
+        ks = KernelSystem.build(rep, g)
+        fs = build_almost_tight_frame(ks, experiments.lattice_points(model, *steps),
+                                      experiments.block_indices(model, *steps))
+        rows = frames._covariant_rows(fs)
+        assert len(rows) == steps[0] * steps[1]
+        lam = fs.sample
+        phi = fit_envelope(ks, np.sqrt(fs.tau)[:, None] * fs.atoms, lam, 1.0,
+                           unit_weight(model)).envelope
+        bound = rel_separation(lam) / model.q_mass() * \
+            convolve(maximal_left(phi), maximal_right(phi)).values.real
+        expected = brute_frame_kernel_excess(model, ks.kernel_matrix, lam.points, fs.tau, bound)
+        result = frame_kernel_envelope_check(fs)
+        assert result["max_excess"] == pytest.approx(expected, abs=1e-12)
+        assert (result["pairs"], result["exhaustive"], result["absent"]) == (model.size ** 2,
+                                                                             True, 0)
+
+    @pytest.mark.parametrize("steps", [(1, 1), (2, 2), (4, 2), (2, 4)])
+    def test_coset_rows_match_dense_table(self, steps):
+        model, rep, g = setup_gabor(24)
+        fs = build_almost_tight_frame(KernelSystem.build(rep, g),
+                                      experiments.lattice_points(model, *steps),
+                                      experiments.block_indices(model, *steps))
+        result = frame_kernel_envelope_check(fs)
+        expected = inline_frame_kernel_check(fs, every_pair=True)
+        assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
+        assert (result["holds"], result["pairs"]) == (expected["holds"], model.size ** 2)
+        assert result["exhaustive"] and result["absent"] == 0
+
+    @pytest.mark.parametrize("kind", ["irregular", "coset", "ulp"])
+    def test_other_samples_read_every_row(self, kind, monkeypatch):
+        """A sample that is no subgroup with constant tau reads every carrier point as a
+        row: the n x n pairs of before."""
+        fs = irregular_complex_frame() if kind == "irregular" else frame_of(8, "lattice")
+        model = fs.sample.model
+        if kind == "coset":
+            coset = SampleSet(model=model, points=model.mul_indices(fs.sample.points, 9))
+            fs = build_almost_tight_frame(fs.kernel_system, coset, block(model, 2))
+        elif kind == "ulp":
+            fs.tau[3] = np.nextafter(fs.tau[3], 1.0)  # one ulp, set after the build
+        calls = []
+        check = frames.pair_check
+
+        def spy(model, bound, lhs_at, seed, rows):
+            calls.append(rows)
+            return check(model, bound, lhs_at, seed, rows=rows)
+
+        monkeypatch.setattr(frames, "pair_check", spy)
+        result = frame_kernel_envelope_check(fs)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(model.size))
+        assert (result["pairs"], result["exhaustive"]) == (model.size ** 2, True)
+        expected = inline_frame_kernel_check(fs)  # the n x n draws, here every pair
+        assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
+
+    def test_gabor_frame_at_n32_forms_four_rows_of_h(self, monkeypatch):
+        """Steps (2, 2) at N = 32: ``pair_check`` gets the 4 coset rows, H is formed at
+        those rows only, and they cover all 1,048,576 pairs; a fallback to 200,000
+        sampled pairs would pass every value test."""
+        rows_seen, blocks = [], []
+        check = frames.pair_check
+
+        def spy(model, bound, lhs_at, seed, rows):
+            rows_seen.append(rows)
+            return check(model, bound, lhs_at, seed, rows=rows)
+
+        matmul = np.matmul
+
+        def matmul_spy(*args, **kwargs):  # H's row blocks are written into a buffer
+            if "out" in kwargs:
+                blocks.append(kwargs["out"].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "pair_check", spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        report = experiments.run_gabor_suite(n_side=32, lattice_steps=(2, 2))
+        monkeypatch.undo()
+        assert [len(rows) for rows in rows_seen] == [4]
+        assert blocks == [(4, 1024)]
+        assert report.parameters["frame_kernel_check"] == {"pairs": 1024 ** 2,
+                                                           "exhaustive": True, "absent": 0}
 
     def test_irregular_frame_matches_inline_check(self):
         fs = irregular_complex_frame()
@@ -999,9 +1165,9 @@ class TestBlockBoundaries:
         read = []
         check = frames.pair_check
 
-        def spy(model, bound, lhs_at, seed):
+        def spy(model, bound, lhs_at, seed, rows):
             read.append(lhs_at)
-            return check(model, bound, lhs_at, seed)
+            return check(model, bound, lhs_at, seed, rows=rows)
 
         monkeypatch.setattr(frames, "pair_check", spy)
         monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 4)  # 4 rows a block

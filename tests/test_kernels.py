@@ -171,9 +171,63 @@ class TestPairCheckChunks:
             out[where] = np.nan
             return out
 
-        result = pair_check(model, np.ones(model.size), lhs_at, seed=0)
+        result = pair_check(model, np.ones(model.size), lhs_at, seed=0,
+                            rows=np.arange(model.size))
         assert np.isnan(result["max_excess"]) and not result["holds"]
         assert result["pairs"] == model.size ** 2 and result["exhaustive"]
+
+
+class TestPairCheckRows:
+    """Rows x carrier: with every point as a row, the n x n draws; with the coset rows of
+    a subgroup, every pair covered by n/|Lambda| times fewer reads."""
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("n", [576, 1024])
+    def test_square_draws_are_unchanged(self, n, seed):
+        i, j, exhaustive = index_pairs(n, n, 200_000, 200_000, seed)
+        rng = np.random.default_rng(seed)
+        assert not exhaustive
+        assert np.array_equal(i, rng.integers(0, n, 200_000))
+        assert np.array_equal(j, rng.integers(0, n, 200_000))
+
+    def test_rectangular_pairs(self):
+        i, j, exhaustive = index_pairs(3, 5, 15, 7, 0)
+        assert exhaustive and i.tolist() == [r for r in range(3) for _ in range(5)]
+        assert j.tolist() == list(range(5)) * 3
+        i, j, exhaustive = index_pairs(3, 5, 14, 7, 0)
+        assert not exhaustive and i.size == j.size == 7 and i.max() < 3 and j.max() < 5
+
+    @staticmethod
+    def difference_check(model, rows):
+        """pair_check of |f(y^{-1} x)| against a bound above it: both sides depend on
+        y^{-1} x only, so they are invariant under every (x, y) -> (lam x, lam y)."""
+        values = random_function(model, 21, True).values.real
+        pairs = []
+
+        def lhs_at(xs, ys):
+            pairs.append((xs, ys))
+            return values[model.div_indices(ys, xs)]
+
+        return pair_check(model, 1.1 * values, lhs_at, seed=3, rows=rows), pairs
+
+    def test_coset_rows_cover_every_pair(self):
+        model = build_cyclic_phase_space(8)
+        full, _ = self.difference_check(model, np.arange(model.size))
+        rows = np.array([0, 1, 8, 9])  # the cosets of the (2, 2) lattice
+        result, pairs = self.difference_check(model, rows)
+        assert result == full
+        assert result["pairs"] == 64 ** 2 and result["exhaustive"]
+        xs, ys = pairs[0]
+        assert xs.size == 4 * 64 and set(xs.tolist()) == set(rows.tolist())
+
+    def test_coset_rows_are_drawn_past_the_budget(self):
+        model = build_cyclic_phase_space(32)
+        rows = np.array([k * 32 + l for k in range(16) for l in range(16)])  # 256 cosets
+        result, pairs = self.difference_check(model, rows)  # 262,144 rows x carrier pairs
+        xs, ys = pairs[0]
+        assert not result["exhaustive"] and xs.size == 200_000
+        assert result["pairs"] == 200_000 * 4 and np.isin(xs, rows).all()
+        assert result["max_excess"] < 0 and result["holds"]
 
 
 class TestAbsentPairs:
@@ -181,7 +235,7 @@ class TestAbsentPairs:
         model = build_real_line(4.0, 0.25)
         f = random_function(model, 15, True)
         result = shifted_series_check(f, f, sample_of(model))
-        xs, ys, _ = index_pairs(model.size, 200_000, 200_000, 11)
+        xs, ys, _ = index_pairs(model.size, model.size, 200_000, 200_000, 11)
         half_width = model.coords[-1]
 
         def is_absent(y, x):  # y^{-1} x = x - y leaves [-L, L]
@@ -192,8 +246,9 @@ class TestAbsentPairs:
 
     def test_sampled_line_matches_coordinate_count(self):
         model = build_real_line(30.0, 0.1)
-        xs, ys, exhaustive = index_pairs(model.size, 200_000, 200_000, 3)
-        result = pair_check(model, np.zeros(model.size), lambda x, y: np.zeros(x.shape), seed=3)
+        xs, ys, exhaustive = index_pairs(model.size, model.size, 200_000, 200_000, 3)
+        result = pair_check(model, np.zeros(model.size), lambda x, y: np.zeros(x.shape), seed=3,
+                            rows=np.arange(model.size))
         assert not exhaustive and result["pairs"] == 200_000
         off = np.abs(model.coords[xs] - model.coords[ys]) > model.coords[-1] + 1e-9
         assert result["absent"] == int(off.sum()) > 0
@@ -207,7 +262,7 @@ class TestAbsentPairs:
 
         f = random_function(model, 16, True)
         result = shifted_series_check(f, f, sample_of(model, 7))
-        xs, ys, _ = index_pairs(model.size, 200_000, 200_000, 11)
+        xs, ys, _ = index_pairs(model.size, model.size, 200_000, 200_000, 11)
         assert result["absent"] == brute_absent_pairs(is_absent, xs, ys) > 0
 
     def test_cyclic_has_none(self):
@@ -224,5 +279,6 @@ class TestAbsentPairs:
             off = np.abs(model.coords[xs] - model.coords[ys]) > model.coords[-1] + 1e-9
             return np.where(off, 1e6, 0.0)
 
-        result = pair_check(model, np.zeros(model.size), lhs_at, seed=0)
+        result = pair_check(model, np.zeros(model.size), lhs_at, seed=0,
+                            rows=np.arange(model.size))
         assert result["absent"] > 0 and result["holds"] and result["max_excess"] == 0.0

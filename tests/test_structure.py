@@ -139,6 +139,13 @@ def test_orbit_families_fit_no_envelope():
     assert "frames.frame_kernel_envelope_check" in _callers(_calls("orbit_envelope"))
 
 
+def test_one_covariance_pass():
+    """The duals and the frame-kernel check decide covariance by the same generating-set
+    pass, formed on each call: a test may set ``fs.tau`` after the frame is built."""
+    assert _callers(_calls("_covariant_rows")) == {"frames.dual_frame",
+                                                   "frames.frame_kernel_envelope_check"}
+
+
 def _is_scatter_max(node) -> bool:
     """A call of ``<module>.maximum.at``: numpy's unbuffered scatter-max."""
     func = node.func
