@@ -19,7 +19,8 @@ The same covariance shrinks the frame-kernel check to a few rows of H: on a
 subgroup sample with constant tau, |H(lambda x, lambda y)| = |H(x, y)| and the
 bound's argument y^{-1} x is unchanged, so one row of H per coset of the sample
 covers every carrier pair (``_covariant_rows`` finds the cosets).  Every other
-sample reads every carrier point as a row.
+sample reads every carrier point as a row.  Either way every pair of rows x
+carrier is read: the check is exhaustive at every size.
 """
 
 from __future__ import annotations
@@ -552,12 +553,11 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     - (lambda y)^{-1} (lambda x) = y^{-1} x, so the bound reads the same point.
     One row x per coset Lambda x then covers every carrier pair: 4 rows at steps
     (2, 2).  Any other sample is invariant under the trivial subgroup only, and
-    its rows are every carrier point.  ``pair_check`` reads rows x carrier, whole
-    or sampled.
+    its rows are every carrier point.  ``pair_check`` reads every pair of rows x
+    carrier.
 
-    H is evaluated only at the pairs ``pair_check`` reads, grouped by blocks of
-    their rows: each block is one product of the block's rows of conj(orbit) S
-    with the orbit rows its pairs use, at most ``_BLOCK_ENTRIES`` entries.  No
+    H is formed one block of ``pair_check``'s rows at a time: the block's rows of
+    conj(orbit) S times the whole orbit, at most ``_BLOCK_ENTRIES`` entries.  No
     n x n table of H is formed.
     """
     ks = fs.kernel_system
@@ -567,41 +567,11 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
                 "max_ratio": 0.0, "holds": True}
     phi = orbit_envelope(ks, ks.window, np.sqrt(fs.tau.max()), 1.0, unit_weight(model)).envelope
     bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
-    n = model.size
     rows = _covariant_rows(fs)
     if rows is None:  # invariant under the trivial subgroup only
-        rows = np.arange(n)
+        rows = np.arange(model.size)
     left = ks.orbit[rows].conj() @ fs.frame_operator  # H(rows[r], y) = left[r] . orbit[y]
-    rank = np.empty(n, dtype=int)  # rank[rows[r]] = r
-    rank[rows] = np.arange(len(rows))
-    per_block = min(_block_items(n), len(rows))
-    n_blocks = -(-len(rows) // per_block)
-
-    def lhs_at(xs, ys):
-        out = np.empty(xs.shape)
-        table = np.empty(per_block * n, dtype=complex)  # room for one row block of H
-        at = rank[xs]
-        key = (at // per_block).astype(np.min_scalar_type(n_blocks))
-        order = np.argsort(key, kind="stable")  # a radix sort on a narrow key
-        counts = np.bincount(key, minlength=n_blocks)
-        ends = np.cumsum(counts)
-        for b in np.flatnonzero(counts):
-            sel = order[ends[b] - counts[b]:ends[b]]
-            lo = b * per_block
-            used = np.zeros(n, dtype=bool)
-            used[ys[sel]] = True
-            cols = np.flatnonzero(used)
-            block = table[:(min(lo + per_block, len(rows)) - lo) * cols.size]
-            np.matmul(left[lo:lo + per_block], ks.orbit[cols].T,
-                      out=block.reshape(-1, cols.size))
-            # H(x, y) sits at (rank[x] - lo) * len(cols) + (the rank of y in cols) in the block
-            pos = at[sel] - lo
-            pos *= cols.size
-            pos += (np.cumsum(used) - 1)[ys[sel]]
-            out[sel] = np.abs(block[pos])
-        return out
-
-    return pair_check(model, bound, lhs_at, seed=5, rows=rows)
+    return pair_check(model, bound, lambda block: np.abs(left[block] @ ks.orbit.T), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,16 @@
 The molecule estimates rest on one bound and one check.  ``molecule_bound(rel,
 pairs)`` is rel(Lambda)/mu(Q) times the sum over the given pairs (Theta, Phi) of
 M^L Theta * M^R Phi, the bound for sums over a relatively separated family
-Lambda.  ``pair_check(model, bound, lhs_at, seed, rows)`` compares lhs_at(x, y)
-with bound(y^{-1} x) over rows x carrier when that has at most 200,000 pairs, or
-over 200,000 seeded pairs of it.  The rows are every carrier point, or one point
-per coset of a subgroup under which both sides are invariant, so that they cover
-every carrier pair.  It reports the carrier pairs covered, whether that was all
-of them, and how many had y^{-1} x off the grid (``absent``; the bound reads inf
-there).
+Lambda.  ``pair_check(model, bound, lhs_rows, rows)`` compares the left side with
+bound(y^{-1} x) at every pair of rows x carrier.  The rows are every carrier
+point, or one point per coset of a subgroup under which both sides are
+invariant, so that they cover every carrier pair.  It reports the carrier pairs
+covered, always all of them, and how many had y^{-1} x off the grid
+(``absent``; the bound reads inf there).
 
-The verification kernels on Z_N x Z_N (the frame-kernel check and envelope
-fitting) form their temporaries in blocks of at most ``_BLOCK_ENTRIES`` entries,
-so neither holds an n x n or n x m array.  ``pair_check`` evaluates at most
-200,000 pairs, fewer than one block holds, in one pass.
+The verification kernels on Z_N x Z_N (the pair check, the frame-kernel rows it
+reads and envelope fitting) form their temporaries in blocks of at most
+``_BLOCK_ENTRIES`` entries, so none holds an n x n or n x m array.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ import numpy as np
 
 from .amalgam import convolve, maximal_left, maximal_right
 from .errors import InvalidParameterError, NotDenseError
-from .groups import ABSENT, GroupModel, index_pairs, padded
+from .groups import ABSENT, GroupModel, padded
 
-# entries of the largest temporary one block forms: a frame-kernel row block or an
-# envelope's voices block
+# entries of the largest temporary one block forms: a pair-check row block (and the
+# frame-kernel rows it reads) or an envelope's voices block
 _BLOCK_ENTRIES = 2 ** 18
 
 
@@ -144,39 +142,44 @@ def molecule_bound(rel: int, pairs) -> np.ndarray:
     return rel / convs[0].model.q_mass() * sum(conv.values.real for conv in convs)
 
 
-def pair_check(model: GroupModel, bound: np.ndarray, lhs_at, seed: int, rows) -> dict:
-    """Check lhs_at(xs, ys) <= bound at y^{-1} x over rows x carrier, or 200,000 seeded pairs.
+def pair_check(model: GroupModel, bound: np.ndarray, lhs_rows, rows) -> dict:
+    """Check lhs(x, y) <= bound at y^{-1} x at every pair of rows x carrier.
 
     ``rows`` holds one point of each coset Lambda x of a subgroup Lambda under
     which both sides are invariant (every carrier point for Lambda = {e}):
     lhs(lam x, lam y) = lhs(x, y), and (lam y)^{-1}(lam x) = y^{-1} x leaves the
     bound's argument as it is.  Each pair read then stands for its n/len(rows)
-    images, and ``pairs`` and ``absent`` count the carrier pairs covered.  All
-    of rows x carrier is read when it has at most 200,000 pairs, else 200,000
-    pairs drawn with ``seed`` (with every point as a row, the draws of an
-    n x n check).
+    images, and ``pairs`` (n^2) and ``absent`` count the carrier pairs covered.
 
-    An absent y^{-1} x reads an infinite bound and counts in ``absent``; the
-    excess is relative to max(1, the largest finite bound read).  ``lhs_at`` is
-    called once with every pair, and the maxima are numpy's, so a NaN left side
-    propagates.
+    The rows are read in blocks of at most ``_BLOCK_ENTRIES`` pairs:
+    ``lhs_rows(block)`` is the left side at (rows[block][r], y) for every carrier
+    y, one row per row of the block.  Only running maxima and counts are kept
+    across the blocks.  An absent y^{-1} x reads an infinite bound and counts in
+    ``absent``; the excess is relative to max(1, the largest finite bound read).
+    The maxima are numpy's, so a NaN left side propagates.
     """
-    at, ys, exhaustive = index_pairs(len(rows), model.size, exhaustive_limit=200_000,
-                                     sample_size=200_000, seed=seed)
-    xs = rows[at]
-    lhs = lhs_at(xs, ys)
-    z = model.div_indices(ys, xs)
-    rhs = padded(bound, np.inf)[z]
-    with np.errstate(invalid="ignore"):
-        ratios = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), 0.0)
-    scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
-    max_excess = float((lhs - rhs).max()) / scale
+    carrier = np.arange(model.size)
+    bound = padded(bound, np.inf)
+    diff, top, ratio, absent = -np.inf, 0.0, 0.0, 0
+    step = _block_items(model.size)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        lhs = lhs_rows(block)
+        z = model.div_indices(carrier[None, :], rows[block, None])
+        rhs = bound[z]
+        with np.errstate(invalid="ignore"):
+            ratios = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), 0.0)
+        diff = np.maximum(diff, (lhs - rhs).max())
+        top = max(top, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
+        ratio = max(ratio, float(ratios[np.isfinite(ratios)].max(initial=0.0)))
+        absent += int(np.count_nonzero(z == ABSENT))
+    max_excess = float(diff) / max(1.0, top)
     images = model.size // len(rows)  # the coset size |Lambda|
     return {
-        "pairs": int(xs.size) * images,
-        "exhaustive": exhaustive,
-        "absent": int(np.count_nonzero(z == ABSENT)) * images,
+        "pairs": model.size ** 2,
+        "exhaustive": True,
+        "absent": absent * images,
         "max_excess": max_excess,
-        "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
+        "max_ratio": ratio,
         "holds": max_excess <= 1e-10,
     }

@@ -33,7 +33,7 @@ from coorbitkit import CDMatrix, CoorbitContext, GridFunction, KernelSystem, Qua
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import _coefficient_norm, _stack
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError
-from coorbitkit.groups import GroupModel, _check_side, index_pairs, padded
+from coorbitkit.groups import GroupModel, _check_side, padded
 from coorbitkit.sampling import molecule_bound, pair_check
 
 ABSENT = -1
@@ -431,8 +431,7 @@ def inline_shifted_series_check(f1, f2, sample):
     rel = rel_separation(sample)
     bound_fn = convolve(maximal_left(f2), maximal_right(f1)).values.real
     factor = rel / model.q_mass()
-    xs, ys, exhaustive = index_pairs(model.size, model.size, exhaustive_limit=200_000,
-                                     sample_size=200_000, seed=11)
+    xs, ys = np.divmod(np.arange(model.size ** 2), model.size)  # every pair, row-major
     v1_pad, v2_pad = padded(v1), padded(v2)
     lhs = np.zeros(xs.shape)
     for lam in sample.points:
@@ -445,19 +444,15 @@ def inline_shifted_series_check(f1, f2, sample):
     return {
         "rel": rel,
         "pairs": int(xs.size),
-        "exhaustive": exhaustive,
+        "exhaustive": True,
         "max_excess": max_excess,
         "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
         "holds": max_excess <= 1e-10,
     }
 
 
-def inline_frame_kernel_check(fs, every_pair=False):
-    """The frame-kernel envelope check with its bound, pairs and excess written out in place.
-
-    The pairs are those an n x n ``pair_check`` draws with seed 5, or, with
-    ``every_pair``, all n^2 entries of the dense table of H.
-    """
+def inline_frame_kernel_check(fs):
+    """The frame-kernel envelope check over all n^2 entries of the dense table of H."""
     ks = fs.kernel_system
     model = ks.rep.model
     weighted_atoms = np.sqrt(fs.tau)[:, None] * fs.atoms
@@ -465,14 +460,12 @@ def inline_frame_kernel_check(fs, every_pair=False):
     h = (ks.orbit.conj() @ fs.frame_operator) @ ks.orbit.T
     bound_fn = convolve(maximal_left(phi), maximal_right(phi)).values.real
     factor = rel_separation(fs.sample) / model.q_mass()
-    limit = model.size ** 2 if every_pair else 200_000
-    xs, ys, _ = index_pairs(model.size, model.size, exhaustive_limit=limit, sample_size=200_000,
-                            seed=5)
-    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(ys, xs)]
-    lhs = np.abs(h[xs, ys])
+    carrier = np.arange(model.size)
+    rhs = factor * padded(bound_fn, np.inf)[model.div_indices(carrier[None, :], carrier[:, None])]
+    lhs = np.abs(h)
     scale = max(1.0, float(rhs[np.isfinite(rhs)].max(initial=0.0)))
     max_excess = float((lhs - rhs).max()) / scale
-    return {"max_excess": max_excess, "holds": max_excess <= 1e-10, "pairs": int(xs.size)}
+    return {"max_excess": max_excess, "holds": max_excess <= 1e-10, "pairs": int(lhs.size)}
 
 
 def blocked_convolve(model, v1, v2, block=512):
@@ -567,7 +560,7 @@ def reproducing_check(rep: Representation, g: np.ndarray, h: np.ndarray,
 def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) -> dict:
     """Verify sum_i F1(lam_i^{-1} x) F2(y^{-1} lam_i) <= ``molecule_bound`` at y^{-1}x.
 
-    Runs ``pair_check`` with seed 11.  Requires nonnegative inputs.
+    Runs ``pair_check`` with every carrier point as a row.  Requires nonnegative inputs.
     """
     model = sample.model
     if f1.model is not model or f2.model is not model:
@@ -576,15 +569,17 @@ def shifted_series_check(f1: GridFunction, f2: GridFunction, sample: SampleSet) 
     if np.any(v1 < 0) or np.any(v2 < 0) or np.any(f1.values.imag) or np.any(f2.values.imag):
         raise InvalidParameterError("shifted series check needs nonnegative inputs")
 
-    def series(xs, ys):
-        out = np.zeros(xs.shape)
+    carrier = np.arange(model.size)
+
+    def series(block):  # rows carrier[block] against every column y
+        xs, ys = carrier[block, None], carrier[None, :]
+        out = np.zeros((xs.size, model.size))
         for lam in sample.points:
             out += v1[model.div_indices(lam, xs)] * v2[model.div_indices(ys, lam)]
         return out
 
     rel = rel_separation(sample)
-    return {"rel": rel, **pair_check(model, molecule_bound(rel, [(f2, f1)]), series, seed=11,
-                                    rows=np.arange(model.size))}
+    return {"rel": rel, **pair_check(model, molecule_bound(rel, [(f2, f1)]), series, carrier)}
 
 
 def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,

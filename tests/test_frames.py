@@ -1039,7 +1039,7 @@ class TestFrameKernelEnvelope:
         fs = build_almost_tight_frame(KernelSystem.build(rep, g), lattice(model, 2),
                                       block(model, 2))
         result = frame_kernel_envelope_check(fs)
-        expected = inline_frame_kernel_check(fs, every_pair=True)
+        expected = inline_frame_kernel_check(fs)
         # the check's envelope is one orbit column, the oracle's is fitted over the atoms
         assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
         assert (result["holds"], result["pairs"]) == (expected["holds"], expected["pairs"])
@@ -1072,7 +1072,7 @@ class TestFrameKernelEnvelope:
                                       experiments.lattice_points(model, *steps),
                                       experiments.block_indices(model, *steps))
         result = frame_kernel_envelope_check(fs)
-        expected = inline_frame_kernel_check(fs, every_pair=True)
+        expected = inline_frame_kernel_check(fs)
         assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
         assert (result["holds"], result["pairs"]) == (expected["holds"], model.size ** 2)
         assert result["exhaustive"] and result["absent"] == 0
@@ -1091,39 +1091,36 @@ class TestFrameKernelEnvelope:
         calls = []
         check = frames.pair_check
 
-        def spy(model, bound, lhs_at, seed, rows):
+        def spy(model, bound, lhs_rows, rows):
             calls.append(rows)
-            return check(model, bound, lhs_at, seed, rows=rows)
+            return check(model, bound, lhs_rows, rows)
 
         monkeypatch.setattr(frames, "pair_check", spy)
         result = frame_kernel_envelope_check(fs)
         assert len(calls) == 1 and np.array_equal(calls[0], np.arange(model.size))
         assert (result["pairs"], result["exhaustive"]) == (model.size ** 2, True)
-        expected = inline_frame_kernel_check(fs)  # the n x n draws, here every pair
+        expected = inline_frame_kernel_check(fs)
         assert result["max_excess"] == pytest.approx(expected["max_excess"], abs=1e-12)
 
     def test_gabor_frame_at_n32_forms_four_rows_of_h(self, monkeypatch):
         """Steps (2, 2) at N = 32: ``pair_check`` gets the 4 coset rows, H is formed at
-        those rows only, and they cover all 1,048,576 pairs; a fallback to 200,000
-        sampled pairs would pass every value test."""
+        those rows only, in one (4, 1024) block, and they cover all 1,048,576 pairs;
+        every carrier point as a row would pass every value test."""
         rows_seen, blocks = [], []
         check = frames.pair_check
 
-        def spy(model, bound, lhs_at, seed, rows):
+        def spy(model, bound, lhs_rows, rows):
             rows_seen.append(rows)
-            return check(model, bound, lhs_at, seed, rows=rows)
 
-        matmul = np.matmul
+            def recorded(block):
+                out = lhs_rows(block)
+                blocks.append(out.shape)
+                return out
 
-        def matmul_spy(*args, **kwargs):  # H's row blocks are written into a buffer
-            if "out" in kwargs:
-                blocks.append(kwargs["out"].shape)
-            return matmul(*args, **kwargs)
+            return check(model, bound, recorded, rows)
 
         monkeypatch.setattr(frames, "pair_check", spy)
-        monkeypatch.setattr(np, "matmul", matmul_spy)
         report = experiments.run_gabor_suite(n_side=32, lattice_steps=(2, 2))
-        monkeypatch.undo()
         assert [len(rows) for rows in rows_seen] == [4]
         assert blocks == [(4, 1024)]
         assert report.parameters["frame_kernel_check"] == {"pairs": 1024 ** 2,
@@ -1159,28 +1156,28 @@ class TestBlockBoundaries:
         assert blocked["max_excess"] == pytest.approx(inline["max_excess"], abs=1e-12)
         assert (blocked["holds"], blocked["pairs"]) == (inline["holds"], inline["pairs"])
 
-    def test_frame_kernel_blocks_on_column_subsets(self, monkeypatch):
+    def test_frame_kernel_row_blocks_match_dense_h(self, monkeypatch):
         fs = irregular_complex_frame()
         ks = fs.kernel_system
-        read = []
+        blocks = []
         check = frames.pair_check
 
-        def spy(model, bound, lhs_at, seed, rows):
-            read.append(lhs_at)
-            return check(model, bound, lhs_at, seed, rows=rows)
+        def spy(model, bound, lhs_rows, rows):
+            def recorded(block):
+                out = lhs_rows(block)
+                blocks.append((rows[block], out))
+                return out
+
+            return check(model, bound, recorded, rows)
 
         monkeypatch.setattr(frames, "pair_check", spy)
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 4)  # 4 rows a block
+        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 5)  # 5 rows a block
         frame_kernel_envelope_check(fs)
-        rng = np.random.default_rng(3)
-        xs, ys = rng.integers(0, 64, 150), rng.integers(0, 64, 150)
-        xs[xs // 4 == 3] = 0  # row block 3 has no pair
-        ys[:2], xs[:2] = 5, 9  # a repeated pair
-        used = [np.unique(ys[xs // 4 == b]).size for b in range(16)]
-        assert used[3] == 0 and 0 < max(used) < 64
+        assert [read.size for read, _ in blocks] == [5] * 12 + [4]
         kern = ks.kernel_matrix[:, fs.sample.points]
         h = (kern * fs.tau) @ kern.conj().T  # H(x, y) = sum_i tau_i K_i(x) conj(K_i(y))
-        assert np.abs(read[0](xs, ys) - np.abs(h[xs, ys])).max() <= 1e-12
+        for read, out in blocks:
+            assert np.abs(out - np.abs(h[read])).max() <= 1e-12
 
     def test_fit_envelope_atom_blocks(self, monkeypatch):
         model, rep, g = setup_gabor(8)

@@ -307,6 +307,29 @@ class TestPWeight:
         report = validate_p_weight(m, np.exp(m.coords), 1.0)
         assert not report.w3_pass
 
+    def test_pairs_are_every_pair_in_row_major_order(self):
+        # 33 points: all 1,089 pairs, whose on-grid products are counted and read
+        m = build_real_line(4.0, 0.25)
+        w = 1.0 + np.random.default_rng(3).random(m.size)
+        report = validate_p_weight(m, w, 1.0)
+        i, j = np.meshgrid(np.arange(m.size), np.arange(m.size), indexing="ij")
+        prod = m.mul_indices(i, j)
+        ok = prod >= 0
+        assert report.exhaustive and report.pairs_checked == int(ok.sum()) < m.size ** 2
+        assert report.w2_max_ratio == float((w[prod[ok]] / (w[i[ok]] * w[j[ok]])).max())
+
+    def test_past_four_million_pairs_the_draw_is_unchanged(self):
+        # 2,401 points: 5,764,801 pairs, so 2,000,000 are drawn with seed 7, rows first
+        m = build_real_line(12.0, 0.01)
+        w = 1.0 + np.random.default_rng(4).random(m.size)
+        report = validate_p_weight(m, w, 1.0)
+        rng = np.random.default_rng(7)
+        i, j = rng.integers(0, m.size, 2_000_000), rng.integers(0, m.size, 2_000_000)
+        prod = m.mul_indices(i, j)
+        ok = prod >= 0
+        assert not report.exhaustive and report.pairs_checked == int(ok.sum()) < 2_000_000
+        assert report.w2_max_ratio == float((w[prod[ok]] / (w[i[ok]] * w[j[ok]])).max())
+
     def test_nonpositive_weight_rejected(self):
         m = build_cyclic_phase_space(2)
         with pytest.raises(InvalidWeightError):

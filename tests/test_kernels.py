@@ -37,7 +37,7 @@ from coorbitkit import (
     rel_separation,
     sequence_norm,
 )
-from coorbitkit.groups import index_pairs
+from coorbitkit import sampling
 from coorbitkit.sampling import molecule_bound, pair_check
 
 AFFINE_PARAMS = (2.0, 0.25, 0.3, 3.0, 1.5)
@@ -70,6 +70,11 @@ def specs(model):
 
 def sample_of(model, step=3):
     return SampleSet(model=model, points=np.arange(0, model.size, step))
+
+
+def all_pairs(model):
+    """(x, y) index arrays over all carrier pairs, row-major."""
+    return np.divmod(np.arange(model.size ** 2), model.size)
 
 
 class TestNormKernel:
@@ -148,86 +153,116 @@ class TestShiftedSeries:
             expected = inline_shifted_series_check(f1, f2, sample)
             assert {k: result[k] for k in expected} == expected
 
-    def test_sampled_pairs_match_inline_check(self):
-        model = build_real_line(30.0, 0.1)  # 601 points: 361,201 pairs, so 200,000 are drawn
+    def test_wide_line_matches_inline_check(self):
+        model = build_real_line(30.0, 0.1)  # 601 points: all 361,201 pairs, in two row blocks
         f1, f2 = random_function(model, 13, True), random_function(model, 14, True)
         sample = sample_of(model, 40)
         result = shifted_series_check(f1, f2, sample)
-        assert not result["exhaustive"] and result["pairs"] == 200_000
+        assert result["exhaustive"] and result["pairs"] == 601 ** 2
         expected = inline_shifted_series_check(f1, f2, sample)
         assert {k: result[k] for k in expected} == expected
 
 
 class TestPairCheckChunks:
-    """pair_check reads every pair in one pass."""
+    """pair_check reads the rows one block at a time and keeps running maxima."""
 
     @pytest.mark.parametrize("where", [0, -1])
-    def test_nan_left_side_propagates(self, where):
-        # Python's max(-1.0, nan) is -1.0: the maxima must be numpy's
-        model = build_real_line(4.0, 0.25)
+    def test_nan_left_side_propagates(self, where, monkeypatch):
+        # Python's max(-1.0, nan) is -1.0: the maxima, within and across blocks, must be numpy's
+        model = build_real_line(4.0, 0.25)  # 33 points
+        rows = np.arange(model.size)
+        nan_row = rows[where]
 
-        def lhs_at(xs, ys):
-            out = np.zeros(xs.shape)
-            out[where] = np.nan
+        def lhs_rows(block):
+            out = np.zeros((rows[block].size, model.size))
+            out[rows[block] == nan_row, where] = np.nan
             return out
 
-        result = pair_check(model, np.ones(model.size), lhs_at, seed=0,
-                            rows=np.arange(model.size))
-        assert np.isnan(result["max_excess"]) and not result["holds"]
-        assert result["pairs"] == model.size ** 2 and result["exhaustive"]
+        # one block; then 9 blocks of 4 rows, the last of 1: the NaN in the first or last
+        for entries in (sampling._BLOCK_ENTRIES, 4 * model.size):
+            monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", entries)
+            result = pair_check(model, np.ones(model.size), lhs_rows, rows)
+            assert np.isnan(result["max_excess"]) and not result["holds"]
+            assert result["pairs"] == model.size ** 2 and result["exhaustive"]
 
 
 class TestPairCheckRows:
-    """Rows x carrier: with every point as a row, the n x n draws; with the coset rows of
-    a subgroup, every pair covered by n/|Lambda| times fewer reads."""
+    """Rows x carrier: every point as a row, or the coset rows of a subgroup, which
+    cover every pair with n/|Lambda| times fewer reads."""
 
     @pytest.mark.parametrize("seed", [5, 11])
     @pytest.mark.parametrize("n", [576, 1024])
     def test_square_draws_are_unchanged(self, n, seed):
-        i, j, exhaustive = index_pairs(n, n, 200_000, 200_000, seed)
+        # every point as a row: all n x n pairs are read, in 2 (n = 576) or 4 row blocks,
+        # and the result is the dense check's over a left side and bound drawn with seed
+        model = build_cyclic_phase_space(int(round(n ** 0.5)))
+        assert model.size == n
         rng = np.random.default_rng(seed)
-        assert not exhaustive
-        assert np.array_equal(i, rng.integers(0, n, 200_000))
-        assert np.array_equal(j, rng.integers(0, n, 200_000))
-
-    def test_rectangular_pairs(self):
-        i, j, exhaustive = index_pairs(3, 5, 15, 7, 0)
-        assert exhaustive and i.tolist() == [r for r in range(3) for _ in range(5)]
-        assert j.tolist() == list(range(5)) * 3
-        i, j, exhaustive = index_pairs(3, 5, 14, 7, 0)
-        assert not exhaustive and i.size == j.size == 7 and i.max() < 3 and j.max() < 5
+        lhs, bound = rng.random((n, n)), 0.5 + rng.random(n)
+        rows = np.arange(n)
+        result = pair_check(model, bound, lambda block: lhs[rows[block]], rows)
+        rhs = bound[model.div_indices(rows[None, :], rows[:, None])]
+        assert result == {
+            "pairs": n * n,
+            "exhaustive": True,
+            "absent": 0,
+            "max_excess": float((lhs - rhs).max()) / max(1.0, float(rhs.max())),
+            "max_ratio": float((lhs / rhs).max()),
+            "holds": float((lhs - rhs).max()) / max(1.0, float(rhs.max())) <= 1e-10,
+        }
+        assert not result["holds"]
 
     @staticmethod
     def difference_check(model, rows):
         """pair_check of |f(y^{-1} x)| against a bound above it: both sides depend on
-        y^{-1} x only, so they are invariant under every (x, y) -> (lam x, lam y)."""
+        y^{-1} x only, so they are invariant under every (x, y) -> (lam x, lam y).
+        Also returns the rows of each block read and the shape of its left side."""
         values = random_function(model, 21, True).values.real
-        pairs = []
+        carrier = np.arange(model.size)
+        blocks = []
 
-        def lhs_at(xs, ys):
-            pairs.append((xs, ys))
-            return values[model.div_indices(ys, xs)]
+        def lhs_rows(block):
+            out = values[model.div_indices(carrier[None, :], rows[block, None])]
+            blocks.append((rows[block], out.shape))
+            return out
 
-        return pair_check(model, 1.1 * values, lhs_at, seed=3, rows=rows), pairs
+        return pair_check(model, 1.1 * values, lhs_rows, rows), blocks
+
+    @staticmethod
+    def assert_read_once(model, rows, blocks):
+        """Each row is read in exactly one block, in order, against every carrier point."""
+        assert np.array_equal(np.concatenate([read for read, _ in blocks]), rows)
+        assert all(shape == (read.size, model.size) for read, shape in blocks)
 
     def test_coset_rows_cover_every_pair(self):
         model = build_cyclic_phase_space(8)
         full, _ = self.difference_check(model, np.arange(model.size))
         rows = np.array([0, 1, 8, 9])  # the cosets of the (2, 2) lattice
-        result, pairs = self.difference_check(model, rows)
+        result, blocks = self.difference_check(model, rows)
         assert result == full
         assert result["pairs"] == 64 ** 2 and result["exhaustive"]
-        xs, ys = pairs[0]
-        assert xs.size == 4 * 64 and set(xs.tolist()) == set(rows.tolist())
+        assert len(blocks) == 1
+        self.assert_read_once(model, rows, blocks)
 
-    def test_coset_rows_are_drawn_past_the_budget(self):
+    def test_coset_rows_are_read_once(self):
         model = build_cyclic_phase_space(32)
         rows = np.array([k * 32 + l for k in range(16) for l in range(16)])  # 256 cosets
-        result, pairs = self.difference_check(model, rows)  # 262,144 rows x carrier pairs
-        xs, ys = pairs[0]
-        assert not result["exhaustive"] and xs.size == 200_000
-        assert result["pairs"] == 200_000 * 4 and np.isin(xs, rows).all()
+        result, blocks = self.difference_check(model, rows)  # 262,144 rows x carrier pairs
+        self.assert_read_once(model, rows, blocks)
+        assert result["pairs"] == 1024 ** 2 and result["exhaustive"]
         assert result["max_excess"] < 0 and result["holds"]
+        full, _ = self.difference_check(model, np.arange(model.size))  # 4 blocks of 256 rows
+        assert result == full
+
+    def test_steps_4_4_at_n128_read_every_pair(self):
+        """The 16 coset rows of steps (4, 4) at N = 128, a check that once sampled
+        200,000 of its 262,144 row x carrier pairs."""
+        model = build_cyclic_phase_space(128)
+        rows = np.array([k * 128 + l for k in range(4) for l in range(4)])
+        result, blocks = self.difference_check(model, rows)
+        self.assert_read_once(model, rows, blocks)
+        assert result["pairs"] == model.size ** 2 == 268_435_456 and result["exhaustive"]
+        assert result["absent"] == 0 and result["max_excess"] < 0 and result["holds"]
 
 
 class TestAbsentPairs:
@@ -235,7 +270,7 @@ class TestAbsentPairs:
         model = build_real_line(4.0, 0.25)
         f = random_function(model, 15, True)
         result = shifted_series_check(f, f, sample_of(model))
-        xs, ys, _ = index_pairs(model.size, model.size, 200_000, 200_000, 11)
+        xs, ys = all_pairs(model)
         half_width = model.coords[-1]
 
         def is_absent(y, x):  # y^{-1} x = x - y leaves [-L, L]
@@ -244,12 +279,25 @@ class TestAbsentPairs:
         assert result["absent"] == brute_absent_pairs(is_absent, xs, ys) > 0
         assert result["exhaustive"] and result["pairs"] == model.size ** 2
 
-    def test_sampled_line_matches_coordinate_count(self):
-        model = build_real_line(30.0, 0.1)
-        xs, ys, exhaustive = index_pairs(model.size, model.size, 200_000, 200_000, 3)
-        result = pair_check(model, np.zeros(model.size), lambda x, y: np.zeros(x.shape), seed=3,
-                            rows=np.arange(model.size))
-        assert not exhaustive and result["pairs"] == 200_000
+    def test_line_row_blocks_match_brute_count(self, monkeypatch):
+        """7 blocks of 5 rows, the last of 3: the absent pairs summed over the blocks."""
+        model = build_real_line(4.0, 0.25)
+        f = random_function(model, 15, True)
+        one = shifted_series_check(f, f, sample_of(model))
+        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 5 * model.size)
+        blocked = shifted_series_check(f, f, sample_of(model))
+        xs, ys = all_pairs(model)
+        off = np.abs(model.coords[xs] - model.coords[ys]) > model.coords[-1] + 1e-9
+        assert blocked["absent"] == one["absent"] == int(off.sum()) > 0
+        assert blocked == one
+
+    def test_wide_line_matches_coordinate_count(self):
+        model = build_real_line(30.0, 0.1)  # 601 points, in two row blocks
+        zeros = np.zeros(model.size)
+        result = pair_check(model, zeros, lambda block: np.zeros((zeros[block].size, model.size)),
+                            np.arange(model.size))
+        assert result["exhaustive"] and result["pairs"] == 601 ** 2
+        xs, ys = all_pairs(model)
         off = np.abs(model.coords[xs] - model.coords[ys]) > model.coords[-1] + 1e-9
         assert result["absent"] == int(off.sum()) > 0
 
@@ -262,7 +310,7 @@ class TestAbsentPairs:
 
         f = random_function(model, 16, True)
         result = shifted_series_check(f, f, sample_of(model, 7))
-        xs, ys, _ = index_pairs(model.size, model.size, 200_000, 200_000, 11)
+        xs, ys = all_pairs(model)
         assert result["absent"] == brute_absent_pairs(is_absent, xs, ys) > 0
 
     def test_cyclic_has_none(self):
@@ -275,10 +323,11 @@ class TestAbsentPairs:
         # a huge left side on exactly the pairs whose x - y is off the grid, zero elsewhere
         model = build_real_line(4.0, 0.25)
 
-        def lhs_at(xs, ys):
-            off = np.abs(model.coords[xs] - model.coords[ys]) > model.coords[-1] + 1e-9
+        coords = model.coords
+
+        def lhs_rows(block):
+            off = np.abs(coords[block, None] - coords[None, :]) > coords[-1] + 1e-9
             return np.where(off, 1e6, 0.0)
 
-        result = pair_check(model, np.zeros(model.size), lhs_at, seed=0,
-                            rows=np.arange(model.size))
+        result = pair_check(model, np.zeros(model.size), lhs_rows, np.arange(model.size))
         assert result["absent"] > 0 and result["holds"] and result["max_excess"] == 0.0

@@ -109,9 +109,39 @@ def _calls(name):
     return lambda node: isinstance(node.func, ast.Name) and node.func.id == name
 
 
-def test_one_pair_enumerator():
-    """Pairs are drawn by the weight check and by the shared molecule pair check only."""
-    assert _callers(_calls("index_pairs")) == {"groups.validate_p_weight", "sampling.pair_check"}
+def _draws_random(node) -> bool:
+    """A call that makes a random generator or draws from a global one: ``default_rng``,
+    or anything under ``np.random``, ``numpy.random`` or the standard ``random``."""
+    name = ast.unparse(node.func)
+    return name.split(".")[-1] == "default_rng" \
+        or name.startswith(("np.random.", "numpy.random.", "random."))
+
+
+def _parameters(tree, name) -> list:
+    """The parameter names of the function ``name`` defined in ``tree``."""
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return [arg.arg for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+
+
+def test_no_seeded_pair_draw():
+    """The molecule pair checks read every pair: ``pair_check`` takes no seed, nothing in
+    sampling draws at random, and in frames only the Rayleigh-quotient oracle does."""
+    assert "seed" not in _parameters(TREES["sampling"], "pair_check")
+    assert [ast.unparse(node) for node in ast.walk(TREES["sampling"])
+            if isinstance(node, ast.Call) and _draws_random(node)] == []
+    assert _holders(lambda node: isinstance(node, ast.Call) and _draws_random(node),
+                    ["frames"]) == {"frames.rayleigh_extremes"}
+
+
+def test_random_draw_check_catches_a_leftover():
+    tree = ast.parse("def f(n, seed):\n    rng = np.random.default_rng(seed)\n"
+                     "    g = default_rng()\n    s = numpy.random.Philox(key=1)\n"
+                     "    return rng.integers(0, n, 5), random.random(), g.random()\n")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert sorted(ast.unparse(node.func) for node in calls if _draws_random(node)) \
+        == ["default_rng", "np.random.default_rng", "numpy.random.Philox", "random.random"]
+    assert "seed" in _parameters(tree, "f")
 
 
 def test_one_half_step_recheck():
