@@ -216,7 +216,7 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m))
     theta = minimal_envelope(diff)
     rel = rel_separation(a.cols)
-    # E_I bins each lambda^{-1} lambda, which a snapped grid may place beside the identity
+    # E_I bins each lambda^{-1} lambda: the identity, or nothing where lambda^{-1} is absent
     eye_env = minimal_envelope(CDMatrix(rows=a.rows, cols=a.rows, entries=np.eye(m)))
     coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
     env_vals = np.abs(coeffs[0]) * eye_env.values.real

@@ -32,17 +32,15 @@ the identity (x·q = q·x = x + q), read as one window max; on Z_N x Z_N, where
 x·q and q·x share an index and Q = Q^{-1} as a set, the |Q| x n table of
 x·q_j^{-1} that ``q_spread`` reads serves both sides (a stack takes |Q|
 in-place maxima over its rows, so the temporary stays one stack, not |Q| of
-them); on the affine grid x·q = (x + a q_x, a q_a), q·x = (q_x + q_a x, q_a a)
-and Q = Q_x x Q_a, so M^L is a window max over the scale shifts q_a followed,
-per scale row a, by one shifted in-place max per distinct x-shift of the row:
-the x-index that ``mul_indices`` snaps for x_j + a q_x is j + rint(a q_x / h)
-along the whole row (h the x-step) unless a q_x / h lies within ``_TIE_MARGIN``
-of a half-integer, and such a (row, q_x) keeps the snapped gather of
-``mul_indices`` for that row alone.  M^R is the mirror: the q_x are i h with
-|i| <= i_max, the x-index snapped for q_x + q_a x_j is k + i + rint(q_a x_j / h)
-in every scale row, so one window max over [-i_max, i_max] along x is followed
-by one gather per scale shift q_a at the centres k + rint(q_a x_j / h), and a
-(q_a, x_j) near a tie keeps the snapped gather for every row at once.  Every window
+them).  The affine grid, with x_j = (j - k) h (h the x-step) and Q = Q_x x Q_a,
+has its group law on cell indices: (j, m)·(j', m') = (j + rint(a_m (j' - k)),
+m + m' + m_lo), the cell nearest x + a y, a tie rounding the increment to even.
+So x·q shifts the whole scale row a by rint(a i) for q_x = i h, and M^L is a
+window max over the scale shifts q_a followed, per scale row, by one shifted
+in-place max per distinct shift of the row.  M^R is the mirror: the q_x are i h
+with |i| <= i_max and q·x has x-index k + i + rint(q_a (j - k)) in every scale
+row, so one window max over [-i_max, i_max] along x is followed by one gather
+per scale shift q_a at the centres k + rint(q_a (j - k)).  Every window
 max is ``_window_max``, a doubling (sparse-table) running max: floor(log2 w)
 passes of pairwise maxima at shifts 1, 2, 4, ... and one last maximum of two
 overlapping runs, O(n log w) for a window of w entries instead of the n·w
@@ -55,10 +53,10 @@ which the IN diagnostic measures mu(QxQ).  The base class marks the
 split of ``local_max``.  On the line p·q = p + q, so P is marked in a bool
 vector and the marks are pushed by one window max over the window of Q,
 reflected against the pull of ``local_max``.  On the affine grid the x-index of
-p·q is snapped from (p, q_x) alone, by the float expression of ``mul_indices``,
-and its scale index is ma_p + ma_q, so one pass per q_x marks the x-index of
-p·q_x at the scale of p and the marks are dilated along the scale axis by the
-shifts of Q_a.  Either way the index set is the same.
+p·q is the x-index of p shifted by rint(a_p i) for q_x = i h, and its scale
+index is ma_p + ma_q, so one pass per q_x marks the x-index of p·q_x at the
+scale of p and the marks are dilated along the scale axis by the shifts of
+Q_a.  Either way the index set is the same.
 
 Push sums.  ``GroupModel.q_spread(mags, points)``, the adjoint of ``local_max``,
 is the fourth primitive: sum_i mags_i 1_{p_i Q}, whose amalgam norm is the Y_d
@@ -117,8 +115,6 @@ import numpy as np
 from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 
 ABSENT = -1
-# a shift a·q_x/h this near a half-integer may snap differently along its row
-_TIE_MARGIN = 1e-6
 # rows y per block of the convolution sum; another size regroups the partial sums of
 # the block products and moves the last bits of the values (at N = 32, two blocks)
 _CONVOLVE_BLOCK = 512
@@ -179,12 +175,6 @@ def _window_max(values, lo: int, hi: int) -> np.ndarray:
         m = np.maximum(m[..., :-s], m[..., s:])
         s *= 2
     return np.maximum(m[..., :n], m[..., w - s:w - s + n])
-
-
-def _certified_rint(c) -> tuple:
-    """rint(c) as integers, and whether each c lies within ``_TIE_MARGIN`` of a half-integer."""
-    d = np.rint(c)
-    return d.astype(int), np.abs(np.abs(c - d) - 0.5) <= _TIE_MARGIN
 
 
 def padded(values, fill=0.0) -> np.ndarray:
@@ -536,13 +526,17 @@ def affine_axes(x_half_width: float, x_step: float, a_min: float, a_max: float,
 class AffineGridModel(GroupModel):
     """ax+b group on the grids of ``affine_axes``, whose weights carry dx da/a^2.
 
-    Group law (x,a)(y,b) = (x+ay, ab).  The scale component of products is exact
-    (exponents add); the x component snaps to the nearest cell, absent when it
-    leaves the grid.  Point (x_j, a_m) has index j*n_a + m.  The model stores only
-    the two axes, so ``haar`` and ``modular`` are built on each access and the
-    group law recovers (j, m) from an index by ``divmod``.  Snapping x + a y
-    moves a whole scale row by one integer shift, rint(a y / h), away from rounding
-    ties, which is how ``local_max`` reads M^L row by row, and M^R by x-windows.
+    Group law (x,a)(y,b) = (x+ay, ab), taken on cell indices.  Point (x_j, a_m),
+    x_j = (j - k) h, has index j*n_a + m, and
+    (j, m)·(j', m') = (j + rint(a_m (j' - k)), m + m' + m_lo) and
+    (j, m)^{-1} = (k - rint(a_m' (j - k)), m'), m' = -m - 2 m_lo the mirrored row.
+    Each is the cell nearest the exact x + a y or -x/a (a tie rounds the increment
+    to even), absent when it leaves the grid; the scale part is exact (exponents
+    add), and x^{-1}·x = e wherever x^{-1} is on the grid.  A product shifts a
+    whole scale row by one integer, which is how ``local_max`` reads M^L row by
+    row, and M^R by x-windows.  The model stores only the two axes, so ``haar``
+    and ``modular`` are built on each access and the group law recovers (j, m)
+    from an index by ``divmod``.
     """
 
     exact = False
@@ -573,54 +567,43 @@ class AffineGridModel(GroupModel):
     def modular(self) -> np.ndarray:
         return np.tile(1.0 / self.a_coords, self.n_x)
 
-    def _snap_x(self, x):
-        """The x-index nearest each x, and whether it lies on the grid."""
-        jx = np.rint(x / self.x_step).astype(int) + self._k_max
-        return jx, (jx >= 0) & (jx < self.n_x) & np.isfinite(x)
+    def _shift(self, a, jx) -> np.ndarray:
+        """rint(a (jx - k)): the x-index shift by which scale a moves the x-index jx."""
+        return np.rint(a * (jx - self._k_max)).astype(int)
 
-    def _pack(self, x, ma):
-        jx, ok = self._snap_x(x)
-        ok &= (ma >= 0) & (ma < self.n_a)
+    def _cell(self, jx, ma) -> np.ndarray:
+        """The index of cell (jx, ma), ABSENT when either leaves the grid."""
+        ok = (jx >= 0) & (jx < self.n_x) & (ma >= 0) & (ma < self.n_a)
         return np.where(ok, jx * self.n_a + ma, ABSENT)
 
     def mul_indices(self, i, j):
         jx_i, ma_i = np.divmod(np.asarray(i), self.n_a)
         jx_j, ma_j = np.divmod(np.asarray(j), self.n_a)
-        x = self.x_coords[jx_i] + self.a_coords[ma_i] * self.x_coords[jx_j]
-        return self._pack(x, ma_i + ma_j + self._m_lo)
+        return self._cell(jx_i + self._shift(self.a_coords[ma_i], jx_j),
+                          ma_i + ma_j + self._m_lo)
 
     def inv_indices(self, i):
         jx_i, ma_i = np.divmod(np.asarray(i), self.n_a)
-        x = -self.x_coords[jx_i] / self.a_coords[ma_i]
-        return self._pack(x, -(ma_i + self._m_lo) - self._m_lo)
+        ma = -ma_i - 2 * self._m_lo  # the mirrored row; off the grid the cell is absent
+        a = self.a_coords[np.clip(ma, 0, self.n_a - 1)]
+        return self._cell(self._k_max - self._shift(a, jx_i), ma)
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         """max over q in Q of ``mag`` at x·q (left) or q·x (right); an absent product reads 0.
 
-        x·q = (x + a q_x, a q_a) and q·x = (q_x + q_a x, q_a a) over Q = Q_x x Q_a,
-        so both scale indices are a shift of the scale index of x by that of q_a.
-        On x_j = (j - k) h and q_x = i h, |i| <= i_max, the x-index that
-        ``mul_indices`` snaps is an integer shift of a row-wide or column-wide index:
-        - M^L: j + rint(c), c = a_m q_x / h, for every j of scale row a_m.  M^L takes
-          the window max over the scale shifts of Q_a, then, per scale row, one
-          shifted max per distinct rint(c) of the row.
-        - M^R: k + i + rint(c), c = q_a x_j / h, for every i and every scale row.
-          M^R takes one window max over [-i_max, i_max] along x, then, per scale
-          offset s of Q_a, one gather of the rows m + s at the window centres
-          k + rint(c), reading 0 where the window misses the grid or the row
-          m + s leaves it.
-        Error bound: the float expression of ``mul_indices``, (x_j + a_m q_x) / h
-        for M^L and (q_x + q_a x_j) / h for M^R, lies within 3.01 u (|n| + |c|)
-        index units of n + c, with n = j - k for M^L and n = i for M^R and c the
-        float above (u = 2^-53: four roundings in it and one in c, each relative
-        to one of the two terms).  That is below 1e-8 while |n| and |c| are under
-        2^22, and below ``_TIE_MARGIN`` = 1e-6 until |n| + |c| reaches 2.9e9.  So
-        every c farther than the margin from a half-integer snaps as n + rint(c),
-        and a c nearer a tie keeps the snapped gather of ``mul_indices``: for that
-        (row, q_x) alone on the left, for that (q_a, x_j) alone on the right, where
-        c does not depend on the row.  A shift that leaves the grid for every j
-        reads 0 either way.  The index set is that of ``mul_indices`` and a max is
-        exact, so the result is bit-identical to the base loop.
+        Over Q = Q_x x Q_a both scale indices are a shift of the scale index of x
+        by that of q_a, and with q_x = i h, |i| <= i_max, the x-index of the
+        product is an integer shift of a row-wide or column-wide index:
+        - M^L: j + rint(a_m i) for every j of scale row a_m.  M^L takes the window
+          max over the scale shifts of Q_a, then, per scale row, one shifted max
+          per distinct rint(a_m i) of the row.
+        - M^R: k + i + rint(q_a (j - k)) for every i and every scale row.  M^R takes
+          one window max over [-i_max, i_max] along x, then, per scale offset s of
+          Q_a, one gather of the rows m + s at the window centres
+          k + rint(q_a (j - k)), reading 0 where the window misses the grid or the
+          row m + s leaves it.
+        These are the products of ``mul_indices`` and a max is exact, so the
+        result is bit-identical to the base loop.
         """
         _check_side(side)
         lead = np.shape(mag)[:-1]
@@ -636,16 +619,13 @@ class AffineGridModel(GroupModel):
         rows = np.ascontiguousarray(np.swapaxes(scaled, -1, -2))  # (..., n_a, n_x)
         del scaled  # the peak stays at rows, out and the result
         out = np.zeros_like(rows)
-        d, tie = _certified_rint(self.a_coords[:, None] * self.x_coords[q_x] / self.x_step)
-        for m, (d_m, tie_m) in enumerate(zip(d.tolist(), tie.tolist())):
+        shifts = self._shift(self.a_coords[:, None], q_x)
+        for m, d_m in enumerate(shifts.tolist()):
             row, acc = rows[..., m, :], out[..., m, :]
             # out[j] reads row[j + s]; off the grid it reads 0, so the slice stops there
-            for s in {s for s, t in zip(d_m, tie_m) if not t and abs(s) < n_x}:
+            for s in {s for s in d_m if abs(s) < n_x}:
                 lo, hi = max(0, -s), min(n_x, n_x - s)
                 np.maximum(acc[..., lo:hi], row[..., lo + s:hi + s], out=acc[..., lo:hi])
-            for jq in q_x[tie_m]:
-                jx, ok = self._snap_x(self.x_coords + self.a_coords[m] * self.x_coords[jq])
-                np.maximum(acc, padded(row)[..., np.where(ok, jx, ABSENT)], out=acc)
         return out
 
     def _right_rows(self, grid) -> np.ndarray:
@@ -653,44 +633,37 @@ class AffineGridModel(GroupModel):
         q_x, q_a = self._q_windows()
         s_a, n_x, n_a, k = q_a + self._m_lo, self.n_x, self.n_a, self._k_max
         i_max = k - q_x[0]  # Q_x is the index window k + [-i_max, i_max]
-        q_scales = self.a_coords[q_a]
-        d, tie = _certified_rint(q_scales[:, None] * self.x_coords / self.x_step)
         # the rows padded by i_max + 1 zeros at both ends: window[..., k + d + pad] is the
         # max of row[k + d - i_max .. k + d + i_max] for every centre whose window reaches
         # the grid, and window[..., 0] and window[..., -1] read only zeros, which is
-        # where the clip mode sends a tie and every centre beyond them
+        # where the clip mode sends every centre beyond them
         pad = i_max + 1
-        centres = np.where(tie, 0, d + k + pad)
-        del d  # an |Q_a| x n_x table; the peak below holds only the centres
+        centres = k + pad + self._shift(self.a_coords[q_a, None], np.arange(n_x))
         rows = np.zeros(grid.shape[:-2] + (n_a, n_x + 2 * pad))
         rows[..., pad:pad + n_x] = np.swapaxes(grid, -1, -2)
         window = _window_max(rows, -i_max, i_max)
-        del rows  # a tie reads ``grid``
+        del rows  # the peak stays at window, out and one gather
         out = np.zeros(grid.shape[:-2] + (n_a, n_x))
-        for s, q, centre, tie_s in zip(s_a.tolist(), q_scales, centres, tie):
+        for s, centre in zip(s_a.tolist(), centres):
             lo, hi = max(0, -s), min(n_a, n_a - s)  # rows m with m + s on the grid
             acc = out[..., lo:hi, :]
             np.maximum(acc, np.take(window[..., lo + s:hi + s, :], centre, axis=-1,
                                     mode="clip"), out=acc)
-            for j in np.flatnonzero(tie_s):
-                jx, ok = self._snap_x(self.x_coords[q_x] + q * self.x_coords[j])
-                near = grid[..., jx[ok], lo + s:hi + s].max(axis=-2, initial=0.0)
-                np.maximum(acc[..., j], near, out=acc[..., j])
         return out
 
     def q_neighbourhood(self, points) -> np.ndarray:
-        # p·q = (x_p + a_p q_x, a_p q_a): per q_x, mark (x-index of p·q_x, scale of p),
-        # then push the marks along the scale axis by the shifts of Q_a (a push, so
-        # the window is reflected against local_max's pull)
+        # p·q = (jx_p + rint(a_p i), ma_p + ma_q) for q_x = i h: per q_x, mark (x-index of
+        # p·q_x, scale of p), then push the marks along the scale axis by the shifts of
+        # Q_a (a push, so the window is reflected against local_max's pull)
         q_x, q_a = self._q_windows()
         jx_p, ma_p = np.divmod(np.asarray(points), self.n_a)
-        x_p, a_p = self.x_coords[jx_p], self.a_coords[ma_p]
-        marks = np.zeros((self.n_x, self.n_a), dtype=bool)
+        a_p = self.a_coords[ma_p]
+        marks = np.zeros(self.size + 1, dtype=bool)  # pad slot absorbs absent products
         for jq in q_x:
-            jx, ok = self._snap_x(x_p + a_p * self.x_coords[jq])
-            marks[jx[ok], ma_p[ok]] = True
+            marks[self._cell(jx_p + self._shift(a_p, jq), ma_p)] = True
         s_a = q_a + self._m_lo
-        return np.flatnonzero(_window_max(marks, -s_a[-1], -s_a[0]))
+        grid = marks[:-1].reshape(self.n_x, self.n_a)
+        return np.flatnonzero(_window_max(grid, -s_a[-1], -s_a[0]))
 
     def point_label(self, i: int) -> str:
         jx, ma = divmod(int(i), self.n_a)

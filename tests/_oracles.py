@@ -7,8 +7,8 @@ representation is an explicit matrix stack built in nested loops, the frame
 kernel is summed atom by atom from the dense kernel table, matrix functions
 come from a plain eigendecomposition (and frame operators also from the series
 around I, with its eigendecomposition fallback, the oracle of the relaxed
-series), and the affine group law is a scalar product per pair of points of
-the per-point affine carrier.  One section keeps the GridFunction compositions
+series), and the affine group law is one exact scalar (a Fraction) per pair
+of cells of the per-point affine carrier.  One section keeps the GridFunction compositions
 that the amalgam-norm kernel, the molecule bound, the pair check and the direct
 holomorphic envelopes replaced, the power series with its coefficients built
 eagerly, the convolution read through a y^{-1} x index table, the envelope
@@ -22,6 +22,7 @@ tests call: the identity CD-matrix and the per-point affine coordinates.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -285,36 +286,40 @@ def per_point_affine_arrays(x_half_width, x_step, a_min, a_max, a_ratio):
 
 
 def _affine_scalar_group(params):
-    """The affine carrier's points as (x, a, m) tuples, and the index of a snapped product.
+    """The carrier's cells as (j, m, a) tuples, the index of a cell, and k_max.
 
-    ``index(x, m)`` snaps x to the cell round(x/x_step) and returns the carrier
-    index of that cell at scale exponent m, or ABSENT when either leaves the grid.
+    Cell (j, m) is the point ((j - k_max) x_step, a), a = a_ratio**m as an exact
+    Fraction; ``index(j, m)`` is its carrier index, or ABSENT when either leaves
+    the grid.
     """
     k_max, m_lo, m_hi = _affine_rule(*params)
     n_a = m_hi - m_lo + 1
     coords = per_point_affine_arrays(*params)["coords"]
-    points = [(float(x), float(a), m_lo + i % n_a) for i, (x, a) in enumerate(coords)]
+    cells = [(i // n_a, m_lo + i % n_a, Fraction(a)) for i, (_, a) in enumerate(coords)]
 
-    def index(x, m):
-        j = round(x / float(params[1])) + k_max
+    def index(j, m):
         return j * n_a + (m - m_lo) if 0 <= j <= 2 * k_max and m_lo <= m <= m_hi else ABSENT
 
-    return points, index
+    return cells, index, k_max
 
 
 def brute_affine_mul(*params):
-    """Index of p_i p_j for every pair of carrier points, one scalar product per pair.
+    """Index of p_i p_j for every pair of carrier points, one exact scalar per pair.
 
-    (x, a)(y, b) = (x + a y, ab): x + a y is snapped, the scale exponents add.
+    (j, m)(j', m') = (j + round(a (j' - k)), m + m'): the increment a (j' - k) is
+    rounded, a half-integer to even, and the scale exponents add.
     """
-    points, index = _affine_scalar_group(params)
-    return np.array([[index(x + a * y, m + mb) for y, _, mb in points] for x, a, m in points])
+    cells, index, k = _affine_scalar_group(params)
+    return np.array([[index(j + round(a * (j2 - k)), m + m2) for j2, m2, _ in cells]
+                     for j, m, a in cells])
 
 
 def brute_affine_inv(*params):
-    """Index of p_i^{-1} = (-x/a, 1/a) for every carrier point, one scalar per point."""
-    points, index = _affine_scalar_group(params)
-    return np.array([index(-x / a, -m) for x, a, m in points])
+    """Index of p_i^{-1} = (k - round(a' (j - k)), -m) for every point, a' = a_ratio**-m."""
+    cells, index, k = _affine_scalar_group(params)
+    scale = {m: a for _, m, a in cells}
+    return np.array([index(k - round(scale[-m] * (j - k)), -m) if -m in scale else ABSENT
+                     for j, m, _ in cells])
 
 
 def brute_affine_selfconvolution(model, alpha, beta, targets):

@@ -208,12 +208,12 @@ class TestMatrixHolomorphic:
         assert verify_envelope(out, out.envelope)["holds"]
 
     def test_identity_envelope_on_a_snapped_diagonal(self):
-        # on this grid lambda^{-1} lambda snaps beside the identity for two points, where
-        # the envelope of I must be 1 too: the identity's indicator failed the check by 0.35
+        # lambda^{-1} lambda is the identity wherever lambda^{-1} is on the grid, and absent
+        # where it leaves it, as some do on this grid: E_I is the identity's indicator
         model = build_affine_grid(1.0, 0.1, 1 / 1.05 ** 2, 1.05 ** 2, 1.05)
         points = np.arange(model.size)
         z = model.div_indices(points, points)
-        assert np.count_nonzero((z >= 0) & (z != model.identity)) == 2
+        assert np.all(z[z >= 0] == model.identity) and np.any(z < 0)
         lam = SampleSet(model=model, points=points)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)  # some inverses leave the grid

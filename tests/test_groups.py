@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,19 @@ from coorbitkit.groups import PWeight, affine_axes
 
 from _oracles import affine_coords, brute_affine_inv, brute_affine_mul, inv, mul, \
     per_point_affine_arrays
+
+# the two grids of the per-pair oracle; a = 1.5 and a = 1/2 make exact rint ties
+ORACLE_GRIDS = [(2.0, 0.25, 0.3, 3.0, 1.5), (2.0, 0.5, 0.25, 4.0, 2.0)]
+# every affine grid the tests and demos build, by their build_affine_grid arguments
+AFFINE_GRIDS = [
+    *ORACLE_GRIDS, (4.0, 0.5, 0.25, 4.0, 2.0), (3.0, 0.02, 0.25, 4.0, 1.02),
+    (2.0, 0.5, 0.125, 8.0, 2.0), (6.0, 0.05, 1 / 64, 8.0, 1.05), (8.0, 0.05, 1 / 128, 16.0, 1.04),
+    (72.4, 0.25, 1 / 2.6, 166.4, 1.075), (72.4, 0.125, 1 / 2.6, 166.4, 1.0375),
+    (4.0, 0.5, 1 / 2.25, 2.25, 1.5), (4.0, 0.05, 1 / 16, 16.0, 1.05), (2.0, 0.25, 0.75, 3.0, 1.2),
+    (4.0, 0.1, 0.3, 3.0, 1.2), (4.0, 0.1, 0.125, 8.0, 1.25), (3.0, 0.25, 0.25, 4.0, 1.3),
+    (1.0, 0.1, 1 / 1.05 ** 2, 1.05 ** 2, 1.05), (20.0, 0.05, 0.05, 16.0, 1.06),
+    (4.0, 0.1, 0.01, 64.0, 1.25),
+]
 
 
 class TestCyclicModel:
@@ -247,7 +261,7 @@ class TestAffineModel:
 
     # on both grids snapped products collide (scales a < 1 shrink x-steps below the
     # grid step) and about half the products leave the grid
-    @pytest.mark.parametrize("params", [(2.0, 0.25, 0.3, 3.0, 1.5), (2.0, 0.5, 0.25, 4.0, 2.0)])
+    @pytest.mark.parametrize("params", ORACLE_GRIDS)
     def test_group_law_matches_per_pair_oracle(self, params):
         m = build_affine_grid(*params)
         i, j = np.divmod(np.arange(m.size * m.size), m.size)
@@ -256,6 +270,38 @@ class TestAffineModel:
         assert np.array_equal(m.inv_indices(np.arange(m.size)), brute_affine_inv(*params))
         assert np.any(prod == -1)
         assert any(len(np.unique(r[r >= 0])) < np.count_nonzero(r >= 0) for r in prod)
+
+    # on x_j = (j - k) h the product is the cell nearest the exact x + a y: within h/2,
+    # exactly h/2 only at a tie, a (j' - k) a half-integer; an absent product whose scale
+    # is on the grid has no cell within h/2
+    @pytest.mark.parametrize("params", ORACLE_GRIDS)
+    def test_product_is_the_nearest_cell(self, params):
+        m = build_affine_grid(*params)
+        k, h, e = m.n_x // 2, Fraction(m.x_step), m.identity % m.n_a
+        ties = 0
+        for i, j in itertools.product(range(m.size), repeat=2):
+            (ji, mi), (jj, mj) = divmod(i, m.n_a), divmod(j, m.n_a)
+            increment = Fraction(m.a_coords[mi]) * (jj - k)
+            exact = (ji - k + increment) * h
+            tie = increment.denominator == 2
+            p = mul(m, i, j)
+            if p >= 0:
+                assert p % m.n_a == mi + mj - e
+                assert abs(exact - (p // m.n_a - k) * h) <= h / 2
+                assert (abs(exact - (p // m.n_a - k) * h) == h / 2) == tie
+                ties += tie
+            elif 0 <= mi + mj - e < m.n_a:
+                assert abs(exact) >= (k + Fraction(1, 2)) * h
+        assert ties > 0
+
+    # x^{-1} reads the mirrored row's scale, so x^{-1} x adds back the shift it took
+    @pytest.mark.parametrize("params", AFFINE_GRIDS)
+    def test_inverse_times_point_is_the_identity(self, params):
+        m = build_affine_grid(*params)
+        points = np.arange(m.size)
+        on = m.inv_indices(points) >= 0
+        z = m.div_indices(points, points)
+        assert np.any(on) and np.all(z[on] == m.identity) and np.all(z[~on] == -1)
 
     @pytest.mark.parametrize("params", [(2.0, 0.5, 0.25, 4.0, 2.0),
                                         (8.0, 0.05, 1 / 128, 16.0, 1.04)])

@@ -97,8 +97,9 @@ def test_maximal_functions(model):
 # local_max overrides against the generic loop, _oracles.local_max_loop: at cyclic N <= 2
 # the offsets -1, 0, 1 fold onto each other, the small line's Q window is clipped at both
 # carrier ends, the step-0.01 line and the step-0.05 affine grid are the in-group
-# diagnostic's (the grid has rint near-ties) and the last two are the counterexample's
-# partial-norm grids
+# diagnostic's, the next two are the counterexample's partial-norm grids, the tie grid
+# has exact rint ties on both sides and the demo grid's a = 1.05 row a left near-tie:
+# 1.05 i rounds to 10.5 at i = 10, which rint takes to 10 along the whole row
 LOCAL_MAX_MODELS = {
     **MODELS,
     **{f"cyclic{n}": (lambda n=n: build_cyclic_phase_space(n)) for n in (1, 2, 3)},
@@ -107,6 +108,8 @@ LOCAL_MAX_MODELS = {
     "affine_in_group": lambda: build_affine_grid(8.0, 0.05, 1 / 128, 16.0, 1.04),
     "affine_partial": lambda: build_affine_grid(72.4, 0.25, 1 / 2.6, 166.4, 1.075),
     "affine_partial_fine": lambda: build_affine_grid(72.4, 0.125, 1 / 2.6, 166.4, 1.0375),
+    "affine_tie": lambda: build_affine_grid(4.0, 0.5, 1 / 2.25, 2.25, 1.5),
+    "affine_demo": lambda: build_affine_grid(4.0, 0.05, 1 / 16, 16.0, 1.05),
 }
 
 
@@ -153,39 +156,22 @@ def test_local_max_stack_matches_base_loop_by_row(model):
         assert np.array_equal(model.local_max(stack.reshape(3, 1, -1), side), got[:, None])
 
 
-# a q_x / h = 0.75 / 0.5 = 1.5 exactly on the a = 1.5 row, and -1.5 at q_x = -0.5: rint
-# ties, which the shift table leaves to the snapped gather of mul_indices
-def tie_grid():
-    return build_affine_grid(4.0, 0.5, 1 / 2.25, 2.25, 1.5)
-
-
+# on the tie grid, h = 0.5, the a = 1.5 row shifts by a i = 1.5 exactly at q_x = i h =
+# 0.5, and by -1.5 at q_x = -0.5: rint ties, which round the increment to even, so the
+# row moves by one shift, ±2, like every other row
 def test_affine_left_local_max_at_rint_ties():
-    model = tie_grid()
-    # ties go to even, so the snapped x-index is not one shift of j along the row
-    jx, ok = model._snap_x(model.x_coords + 1.5 * 0.5)
-    assert len(set(jx[ok] - np.arange(model.n_x)[ok])) == 2
+    model = LOCAL_MAX_MODELS["affine_tie"]()
+    row = np.arange(model.n_x) * model.n_a + model.index_of((0.0, 1.5)) % model.n_a
+    for q_x, shift in ((0.5, 2), (-0.5, -2)):
+        prod = model.mul_indices(row, model.index_of((q_x, 1.0)))
+        on = prod >= 0
+        assert set(prod[on] // model.n_a - np.arange(model.n_x)[on]) == {shift}
     rng = np.random.default_rng(11)
     stack = rng.random((3, model.size))
     stack[rng.random(stack.shape) < 0.3] = 0.0
     assert np.array_equal(model.local_max(stack[0]), local_max_loop(model, stack[0]))
     for row, mag in zip(model.local_max(stack), stack):
         assert np.array_equal(row, local_max_loop(model, mag))
-
-
-@pytest.mark.parametrize("name, snaps", [("affine_partial", 0), ("affine_partial_fine", 0),
-                                         ("tie", 2)])
-def test_affine_left_local_max_snaps_only_at_ties(monkeypatch, name, snaps):
-    model = {**LOCAL_MAX_MODELS, "tie": tie_grid}[name]()
-    calls = []
-    snap_x = AffineGridModel._snap_x
-
-    def counted(self, x):
-        calls.append(1)
-        return snap_x(self, x)
-
-    monkeypatch.setattr(AffineGridModel, "_snap_x", counted)
-    model.local_max(np.ones(model.size))
-    assert len(calls) == snaps  # one per (scale row, q_x) within _TIE_MARGIN of a tie
 
 
 def test_affine_left_local_max_peak_memory():
@@ -201,16 +187,16 @@ def test_affine_left_local_max_peak_memory():
     assert peak < 5 * 8 * model.size, f"traced peak {peak / (8 * model.size):.2f} vectors"
 
 
-# on the tie grid q_a x_j / h = 1.5 (j - k) is a half-integer for every odd j - k at
-# q_a = 1.5: (q_a, x_j) ties, which the x-window leaves to the snapped gather
+# on the tie grid q_a (j - k) = 1.5 (j - k) is a half-integer for every odd j - k at
+# q_a = 1.5: rint ties, whose rounded increment is one centre for every q_x
 def test_affine_right_local_max_at_rint_ties():
-    model = tie_grid()
-    k = model.n_x // 2
-    odd = (np.arange(model.n_x) - k) % 2 == 1
-    # ties go to even, so q_x = 0 and q_x = h = 0.5 snap 0 or 2 cells apart at odd j - k
-    at_0, _ = model._snap_x(1.5 * model.x_coords)
-    at_h, _ = model._snap_x(0.5 + 1.5 * model.x_coords)
-    assert set((at_h - at_0)[odd]) == {0, 2} and set((at_h - at_0)[~odd]) == {1}
+    model = LOCAL_MAX_MODELS["affine_tie"]()
+    x = np.arange(model.n_x) * model.n_a + model.identity % model.n_a
+    at_0 = model.mul_indices(model.index_of((0.0, 1.5)), x)
+    at_h = model.mul_indices(model.index_of((0.5, 1.5)), x)
+    on = (at_0 >= 0) & (at_h >= 0)
+    odd = (np.arange(model.n_x) - model.n_x // 2) % 2 == 1
+    assert np.any(on & odd) and set((at_h - at_0)[on] // model.n_a) == {1}
     rng = np.random.default_rng(11)
     stack = rng.random((3, model.size))
     stack[rng.random(stack.shape) < 0.3] = 0.0
@@ -218,25 +204,6 @@ def test_affine_right_local_max_at_rint_ties():
                           local_max_loop(model, stack[0], "right"))
     for row, mag in zip(model.local_max(stack, "right"), stack):
         assert np.array_equal(row, local_max_loop(model, mag, "right"))
-
-
-# a right-side tie depends on (q_a, x_j) alone, not on the scale row, and true ties occur
-# on the runner's grids too: q_a = 1.075 = 43/40 gives q_a (j - k) = 21.5 at j - k = 20,
-# and q_a = 1/1.04 = 25/26 gives 12.5 at j - k = 13
-@pytest.mark.parametrize("name, snaps", [("affine_partial", 14), ("affine_partial_fine", 14),
-                                         ("affine_in_group", 12), ("tie", 8)])
-def test_affine_right_local_max_snaps_only_at_ties(monkeypatch, name, snaps):
-    model = {**LOCAL_MAX_MODELS, "tie": tie_grid}[name]()
-    calls = []
-    snap_x = AffineGridModel._snap_x
-
-    def counted(self, x):
-        calls.append(1)
-        return snap_x(self, x)
-
-    monkeypatch.setattr(AffineGridModel, "_snap_x", counted)
-    model.local_max(np.ones(model.size), "right")
-    assert len(calls) == snaps  # one per (q_a, x_j) within _TIE_MARGIN of a tie
 
 
 def test_affine_right_local_max_peak_memory():

@@ -319,6 +319,49 @@ def test_along_axis_check_catches_a_leftover():
     assert _along_axis_gathers(tree) == ["line 1", "line 2", "line 3"]
 
 
+# the tie certificates of a law that rounds the float sum x + a y to a cell
+_SNAPPED_LAW = {"_TIE_MARGIN", "_certified_rint", "_snap_x", "_pack"}
+# the affine methods that form products: each shifts cell indices, reading no x-coordinate
+_INDEX_LAW = {"mul_indices", "inv_indices", "_shift", "_cell", "_left_rows", "_right_rows",
+              "q_neighbourhood"}
+
+
+def _defined_names(tree) -> set:
+    """Every function or class ``tree`` defines, and every name its module body assigns."""
+    targets = (target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in getattr(node, "targets", [getattr(node, "target", None)]))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))} \
+        | {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _coordinate_readers(tree, cls, methods) -> list:
+    """Each of ``methods`` of class ``cls`` whose body reads an ``x_coords`` attribute."""
+    body = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == cls).body
+    return sorted(fn.name for fn in body if isinstance(fn, ast.FunctionDef) and fn.name in methods
+                  and any(isinstance(node, ast.Attribute) and node.attr == "x_coords"
+                          for node in ast.walk(fn)))
+
+
+def test_affine_group_law_is_on_indices():
+    """The affine law shifts cell indices: groups keeps no tie certificate of a snapped
+    float sum, and no method that forms a product reads an x-coordinate."""
+    names = _defined_names(TREES["groups"])
+    assert names & _SNAPPED_LAW == set() and _INDEX_LAW <= names
+    assert _coordinate_readers(TREES["groups"], "AffineGridModel", _INDEX_LAW) == []
+
+
+def test_index_law_check_catches_a_leftover():
+    tree = ast.parse("_TIE_MARGIN: float = 1e-6\ndef _certified_rint(c): pass\n"
+                     "class AffineGridModel:\n    def _snap_x(self, x): pass\n"
+                     "    def _pack(self, x, ma): pass\n"
+                     "    def mul_indices(self, i, j):\n        return self.x_coords[i]\n"
+                     "    def index_of(self, c):\n        return self.x_coords\n")
+    assert _defined_names(tree) & _SNAPPED_LAW == _SNAPPED_LAW
+    assert _coordinate_readers(tree, "AffineGridModel", _INDEX_LAW) == ["mul_indices"]
+
+
 def test_one_molecule_bound():
     """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
     def conv_of_left_max(node):
