@@ -39,6 +39,7 @@ from .frames import (
 )
 from .groups import (
     _is_int_at_least,
+    _window_max,
     affine_axes,
     build_affine_grid,
     build_cyclic_phase_space,
@@ -343,12 +344,15 @@ def _affine_partial_norms(alpha: float, beta: float, b_list, x_step: float,
     h_vals = np.concatenate([upper[:0:-1], upper])
 
     ml = model.local_max(h_vals.reshape(-1), "left").reshape(len(xg), len(ag))
-    h0 = upper[0]  # H(0, b') per scale row
-    # row b: max of H(0, b') over b' in (b/2, 2b), a window that always holds b' = b
-    window = (ag[None, :] > ag[:, None] / 2.0) & (ag[None, :] < 2.0 * ag[:, None])
-    minorant_level = np.where(window, h0[None, :], 0.0).max(axis=1)
-    minor = np.where(np.abs(xg)[:, None] < ag[None, :], minorant_level[None, :], 0.0)
-    ml = np.maximum(ml, minor)
+    # row b: max of H(0, b') over b' in (b/2, 2b), on the geometric scale grid the index
+    # window of a = 1 in every row, raised on |y| < b: x-indices k - r < j < k + r of
+    # the mirror-symmetric x-grid
+    level = _window_max(upper[0], -np.count_nonzero((ag > 0.5) & (ag < 1.0)),
+                        np.count_nonzero((ag > 1.0) & (ag < 2.0)))
+    k = len(xg) // 2
+    for m, r in enumerate(np.searchsorted(xg[k:], ag).tolist()):
+        col = ml[k - r + 1:k + r, m]
+        np.maximum(col, level[m], out=col)
 
     weight = 1.0 + ag
     norms = {}

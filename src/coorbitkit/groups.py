@@ -17,8 +17,10 @@ the absent writes and is dropped afterwards.
 Neighbourhood translates.  ``GroupModel.translates(points, u)`` is the one
 place that forms the translates x·U of the sets the paper builds everything
 on: rel(Lambda), covers, U-dense and U-separated families and the generic push
-sets and sums of the sequence spaces Y_d.  It yields one index vector per
-element of ``u``, so peak memory stays at one ``len(points)`` vector.
+sets and sums of the sequence spaces Y_d.  It returns the (len(u), len(points))
+table of points·u_j from one broadcast ``mul_indices`` call.  A translate is a
+set, so ``first_products`` keeps a product that two u_j give a point at the
+first of them in ``u`` order: rel(Lambda) and the generic push sums read it.
 
 Local maxima.  ``GroupModel.local_max(mag, side)`` is the second primitive: the
 max over q in Q of ``mag`` at x·q (left) or q·x (right), an absent product
@@ -30,14 +32,14 @@ a test oracle.  The three models take the same products, so their maxima are
 bit-identical to that loop: the line's Q is a contiguous index window around
 the identity (x·q = q·x = x + q), read as one window max; on Z_N x Z_N, where
 x·q and q·x share an index and Q = Q^{-1} as a set, the |Q| x n table of
-x·q_j^{-1} that ``q_spread`` reads serves both sides (a stack takes |Q|
-in-place maxima over its rows, so the temporary stays one stack, not |Q| of
-them).  The affine grid, with x_j = (j - k) h (h the x-step) and Q = Q_x x Q_a,
-has its group law on cell indices: (j, m)·(j', m') = (j + rint(a_m (j' - k)),
-m + m' + m_lo), the cell nearest x + a y, a tie rounding the increment to even.
-So x·q shifts the whole scale row a by rint(a i) for q_x = i h, and M^L is a
-window max over the scale shifts q_a followed, per scale row, by one shifted
-in-place max per distinct shift of the row.  M^R is the mirror: the q_x are i h
+x·q_j^{-1} that ``q_spread`` reads serves both sides: a vector or a stack is
+gathered through it along its last axis and maxed over the Q axis.  The affine
+grid, with x_j = (j - k) h (h the x-step) and Q = Q_x x Q_a, has its group law
+on cell indices: (j, m)·(j', m') = (j + rint(a_m (j' - k)), m + m' + m_lo), the
+cell nearest x + a y, a tie rounding the increment to even.  So x·q shifts the
+whole scale row a by rint(a i) for q_x = i h, and M^L is a window max over the
+scale shifts q_a followed, per scale row, by one shifted in-place max per
+distinct shift of the row.  M^R is the mirror: the q_x are i h
 with |i| <= i_max and q·x has x-index k + i + rint(q_a (j - k)) in every scale
 row, so one window max over [-i_max, i_max] along x is followed by one gather
 per scale shift q_a at the centres k + rint(q_a (j - k)).  Every window
@@ -49,29 +51,31 @@ reads of a sliding window; a max is exact, so the result is the same.
 Push sets.  ``GroupModel.q_neighbourhood(points)`` is the third primitive: the
 sorted, duplicate-free on-grid indices of P·Q = {p·q : p in P, q in Q}, from
 which the IN diagnostic measures mu(QxQ).  The base class marks the
-``translates`` of P and is the test oracle.  Two models override it with the
-split of ``local_max``.  On the line p·q = p + q, so P is marked in a bool
-vector and the marks are pushed by one window max over the window of Q,
-reflected against the pull of ``local_max``.  On the affine grid the x-index of
-p·q is the x-index of p shifted by rint(a_p i) for q_x = i h, and its scale
-index is ma_p + ma_q, so one pass per q_x marks the x-index of p·q_x at the
-scale of p and the marks are dilated along the scale axis by the shifts of
-Q_a.  Either way the index set is the same.
+``translates`` table of P in one write and is the test oracle.  Two models
+override it with the split of ``local_max``.  On the line p·q = p + q, so P is
+marked in a bool vector and the marks are pushed by one window max over the
+window of Q, reflected against the pull of ``local_max``.  On the affine grid
+the x-index of p·q is the x-index of p shifted by rint(a_p i) for q_x = i h,
+and its scale index is ma_p + ma_q, so one pass per q_x marks the x-index of
+p·q_x at the scale of p and the marks are dilated along the scale axis by the
+shifts of Q_a.  Either way the index set is the same.
 
 Push sums.  ``GroupModel.q_spread(mags, points)``, the adjoint of ``local_max``,
 is the fourth primitive: sum_i mags_i 1_{p_i Q}, whose amalgam norm is the Y_d
 sequence norm and whose value at ``mags`` = 1 is the multiplicity of the
 translates p_i Q.  ``mags`` is (..., |P|): a stack of rows gets one push sum per
-row, shape (..., n).  The base class, the test oracle, adds ``mags`` along each
-``translates`` vector into a padded accumulator.  On a snapped grid two q_j can
-give p_i one product, which the indicator 1_{p_i Q} counts once: the base class
-keeps the first such q_j.  Z_N x Z_N scatters ``mags`` onto a zero carrier (each
-occurrence of a repeated point added) and takes one gather through a |Q| x n
-table of x·q_j^{-1} built at construction, summed over the Q axis.  Its products
-p_i q_j are distinct for each p_i, and for duplicate-free points x = p_i q_j holds
-for at most one i per q_j, so each entry adds the base loop's terms in its order
-(q outer, from 0.0) and the result is bit-identical; a repeated point has its
-occurrences added first, which moves only the last bits.
+row, shape (..., n).  The base class, the test oracle, adds ``mags`` through the
+``translates`` table into a padded accumulator in one ``np.add.at``, q outer and
+p inner.  On a snapped grid two q_j can give p_i one product, which the
+indicator 1_{p_i Q} counts once: the table is read through ``first_products``,
+which keeps the first such q_j.  Z_N x Z_N scatters ``mags`` onto a zero carrier
+(each occurrence of a repeated point added) and takes one gather through the
+|Q| x n ``translates`` table of the carrier by Q^{-1}, x·q_j^{-1}, built at
+construction and summed over the Q axis.  Its products p_i q_j are distinct for
+each p_i, and for duplicate-free points x = p_i q_j holds for at most one i per
+q_j, so each entry adds the base loop's terms in its order (q outer, from 0.0)
+and the result is bit-identical; a repeated point has its occurrences added
+first, which moves only the last bits.
 
 Left translates.  ``GroupModel.left_translates(values, points)`` is the fifth
 primitive: row i is L_{p_i} v, x -> v(p_i^{-1} x) over the carrier, an absent
@@ -177,6 +181,17 @@ def _window_max(values, lo: int, hi: int) -> np.ndarray:
     return np.maximum(m[..., :n], m[..., w - s:w - s + n])
 
 
+def first_products(table) -> np.ndarray:
+    """A copy of a ``translates`` table, each product an earlier row gave its column ABSENT."""
+    table = np.array(table)
+    order = np.argsort(table, axis=0, kind="stable")  # equal products stay in u order
+    cols = np.arange(table.shape[1])
+    s = table[order, cols]
+    s[1:][s[1:] == s[:-1]] = ABSENT
+    table[order, cols] = s
+    return table
+
+
 def padded(values, fill=0.0) -> np.ndarray:
     """``values`` with one pad slot holding ``fill`` after its last axis, read by ABSENT indices."""
     values = np.asarray(values)
@@ -210,14 +225,10 @@ class GroupModel:
         """sigma(x_i, x_j) for valid index arrays (broadcasting allowed)."""
         return np.ones(np.broadcast(np.asarray(i), np.asarray(j)).shape, dtype=complex)
 
-    def translates(self, points, u):
-        """Iterate, for each u_j in ``u``, over the indices points·u_j.
-
-        Products off the grid are ABSENT.  Each element of ``u`` costs one
-        ``mul_indices`` call on ``points``, so no len(points) x len(u) array exists.
-        """
-        points = np.asarray(points)
-        return (self.mul_indices(points, uj) for uj in np.asarray(u))
+    def translates(self, points, u) -> np.ndarray:
+        """The (len(u), len(points)) table of the indices points·u_j, ABSENT off the grid."""
+        return self.mul_indices(np.asarray(points, dtype=int)[None, :],
+                                np.asarray(u, dtype=int)[:, None])
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         """max over q in Q of ``mag`` (nonnegative, (..., n)) at x·q (left) or q·x (right).
@@ -228,9 +239,8 @@ class GroupModel:
 
     def q_neighbourhood(self, points) -> np.ndarray:
         """Sorted, duplicate-free on-grid indices of {p·q : p in ``points``, q in Q}."""
-        hit = np.zeros(self.size + 1, dtype=bool)
-        for t in self.translates(points, self.q_indices):
-            hit[t] = True
+        hit = np.zeros(self.size + 1, dtype=bool)  # pad slot absorbs absent products
+        hit[self.translates(points, self.q_indices)] = True
         return np.nonzero(hit[:-1])[0]
 
     def q_spread(self, mags, points) -> np.ndarray:
@@ -239,17 +249,12 @@ class GroupModel:
         1_{p_i Q} is an indicator: a product p_i q_j that an earlier q_j gave is not added again.
         ``mags`` may be a (..., len(points)) stack; each row gets its own sum.
         """
-        q = self.q_indices
-        t = np.array(list(self.translates(points, q)), dtype=int).reshape(len(q), np.size(points))
-        order = np.argsort(t, axis=0, kind="stable")  # equal products stay in q order
-        cols = np.arange(t.shape[1])
-        s = t[order, cols]
-        s[1:][s[1:] == s[:-1]] = ABSENT  # a product an earlier q_j gave
-        t[order, cols] = s
+        t = first_products(self.translates(points, self.q_indices))
         mags = np.asarray(mags)
         acc = np.zeros(mags.shape[:-1] + (self.size + 1,))  # pad slot absorbs absent products
-        for row in t:
-            np.add.at(acc, (..., row), mags)
+        # q outer, p inner: the terms in q order; the values are broadcast by hand, as
+        # ufunc.at misreads them over a 2-D index (numpy 2.4)
+        np.add.at(acc, (..., t), np.broadcast_to(mags[..., None, :], mags.shape[:-1] + t.shape))
         return acc[..., :-1]
 
     def div_indices(self, i, j) -> np.ndarray:
@@ -347,8 +352,7 @@ class CyclicPhaseSpace(GroupModel):
         self._l = idx % self.n_side
         # row j holds the index of x·q_j^{-1}, the point whose push by q_j lands on x; as
         # Q = Q^{-1} and x·q, q·x share an index, its rows, in another order, are x·q and q·x
-        q_inv = self.inv_indices(self.q_indices)
-        self._q_inv_table = self.mul_indices(idx[None, :], q_inv[:, None])
+        self._q_inv_table = self.translates(idx, self.inv_indices(self.q_indices))
         # _sub[a, b] = (b - a) mod N, the coordinate of x_i^{-1} x_j, and its row offset
         axis = np.arange(self.n_side)
         self._sub = (axis[None, :] - axis[:, None]) % self.n_side
@@ -403,15 +407,8 @@ class CyclicPhaseSpace(GroupModel):
 
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         _check_side(side)
-        mag = np.asarray(mag)
-        if mag.ndim == 1:  # one |Q| x n gather, the faster form for a single vector
-            return mag[self._q_inv_table].max(axis=0)
-        # a stack: one in-place max per q keeps the result C-contiguous, so its
-        # row sums add in the 1-D order, and the temporary at one stack
-        out = np.take(mag, self._q_inv_table[0], axis=-1)
-        for t in self._q_inv_table[1:]:
-            np.maximum(out, np.take(mag, t, axis=-1), out=out)
-        return out
+        # a vector or a stack gathered through the |Q| x n table, maxed over the Q axis
+        return np.asarray(mag).take(self._q_inv_table, axis=-1).max(axis=-2)
 
     def q_spread(self, mags, points) -> np.ndarray:
         # x = p_i q_j for one i at most per q_j, so x sums carrier[x q_j^{-1}] over the q_j
@@ -419,11 +416,9 @@ class CyclicPhaseSpace(GroupModel):
         mags = np.asarray(mags)
         carrier = np.zeros(mags.shape[:-1] + (self.size,))
         np.add.at(carrier, (..., np.asarray(points, dtype=int)), mags)
-        if carrier.ndim == 1:  # one |Q| x n gather, the faster form for a single vector
-            return carrier[self._q_inv_table].sum(axis=0)
-        # np.take keeps a stack's gather and its sum C-contiguous, so the norm's row sums
+        # take keeps a stack's gather and its sum C-contiguous, so the norm's row sums
         # add in the 1-D order
-        return np.take(carrier, self._q_inv_table, axis=-1).sum(axis=-2)
+        return carrier.take(self._q_inv_table, axis=-1).sum(axis=-2)
 
     def point_label(self, i: int) -> str:
         return f"({self._k[i]},{self._l[i]})"

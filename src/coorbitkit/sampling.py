@@ -23,7 +23,7 @@ import numpy as np
 
 from .amalgam import convolve, maximal_left, maximal_right
 from .errors import InvalidParameterError, NotDenseError
-from .groups import ABSENT, GroupModel, padded
+from .groups import ABSENT, GroupModel, first_products, padded
 
 # entries of the largest temporary one block forms: a pair-check row block (and the
 # frame-kernel rows it reads) or an envelope's voices block
@@ -81,13 +81,6 @@ class DisjointCover:
         return np.array([haar[c].sum() for c in self.cells])
 
 
-def _distinct(columns) -> np.ndarray:
-    """Index vectors stacked as columns; each row sorted, with its repeats made ABSENT."""
-    rows = np.sort(np.stack(list(columns), axis=1), axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = ABSENT
-    return rows
-
-
 def rel_separation(sample: SampleSet) -> int:
     """rel(Lambda) = max over carrier x of #{i : lambda_i in xQ}.
 
@@ -97,13 +90,18 @@ def rel_separation(sample: SampleSet) -> int:
     model = sample.model
     in_sample = np.zeros(model.size + 1, dtype=bool)  # pad slot: absent products miss
     in_sample[sample.points] = True
-    rows = _distinct(model.translates(np.arange(model.size), model.q_indices))
-    return int(in_sample[rows].sum(axis=1).max(initial=0))
+    table = first_products(model.translates(np.arange(model.size), model.q_indices))
+    return int(in_sample[table].sum(axis=0).max(initial=0))
 
 
 def _check_u(model: GroupModel, u_indices) -> np.ndarray:
-    """U as a sorted duplicate-free index array; it must contain the identity."""
-    u = _sorted_unique(np.asarray(u_indices, dtype=int))
+    """U as a sorted duplicate-free index array of carrier indices holding the identity."""
+    u = np.asarray(u_indices)
+    if u.size and not (np.issubdtype(u.dtype, np.integer)
+                       and 0 <= u.min() and u.max() < model.size):
+        raise InvalidParameterError(f"U must hold integer carrier indices in "
+                                    f"[0, {model.size}), got U={u_indices!r}")
+    u = _sorted_unique(u.astype(int))
     if model.identity not in u:
         raise InvalidParameterError("U must contain the identity")
     return u
@@ -118,9 +116,9 @@ def build_cover(sample: SampleSet, u_indices) -> DisjointCover:
     # absent products
     m = len(sample.points)
     owner = np.full(model.size + 1, m, dtype=int)
-    ranks = np.arange(m)
-    for t in model.translates(sample.points, u):
-        np.minimum.at(owner, t, ranks)
+    t = model.translates(sample.points, u)
+    # values broadcast by hand: ufunc.at misreads them over a 2-D index (numpy 2.4)
+    np.minimum.at(owner, t, np.broadcast_to(np.arange(m), t.shape))
     owner = owner[:-1]
     uncovered = np.nonzero(owner == m)[0]
     if uncovered.size:

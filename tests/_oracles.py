@@ -34,7 +34,8 @@ from coorbitkit import CDMatrix, CoorbitContext, GridFunction, KernelSystem, Qua
 from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import _coefficient_norm, _stack
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError
-from coorbitkit.groups import GroupModel, _check_side, padded
+from coorbitkit.experiments import _partial_norm_axes, _scale_selfconvolution
+from coorbitkit.groups import GroupModel, _check_side, build_affine_grid, padded
 from coorbitkit.sampling import molecule_bound, pair_check
 
 ABSENT = -1
@@ -337,6 +338,26 @@ def brute_affine_selfconvolution(model, alpha, beta, targets):
     return np.array([float((fvee * f(-x / a, a0 / a) * model.haar).sum()) for a0 in targets])
 
 
+def masked_partial_norms(alpha, beta, b_list, x_step, a_ratio):
+    """``_affine_partial_norms`` with its minorant as a full masked max: H(0, b') over every
+    scale b' in (b/2, 2b), put on every carrier point with |y| < b by ``np.where``."""
+    model = build_affine_grid(*_partial_norm_axes(max(b_list), x_step, a_ratio))
+    c_ratio = 1.0 + 2.0 * (a_ratio - 1.0)
+    lnr_c = np.log(c_ratio)
+    c_grid = c_ratio ** np.arange(int(np.floor(np.log(1e-3) / lnr_c)),
+                                  int(np.ceil(np.log(1e3) / lnr_c)) + 1)
+    xg, ag = model.x_coords, model.a_coords
+    upper = _scale_selfconvolution(xg[len(xg) // 2:], ag, alpha, beta, c_grid, lnr_c)
+    ml = model.local_max(np.concatenate([upper[:0:-1], upper]).reshape(-1), "left")
+    window = (ag[None, :] > ag[:, None] / 2.0) & (ag[None, :] < 2.0 * ag[:, None])
+    level = np.where(window, upper[0][None, :], 0.0).max(axis=1)
+    ml = np.maximum(ml.reshape(len(xg), len(ag)),
+                    np.where(np.abs(xg)[:, None] < ag[None, :], level[None, :], 0.0))
+    weight = (1.0 + ag) * model.scale_haar
+    return {b: float((ml * (weight * ((ag >= 1.0) & (ag <= b)))[None, :]).sum())
+            for b in b_list}
+
+
 def brute_scale_selfconvolution(y, b, alpha, beta, c_grid, lnr):
     """(f^vee * f)(y, b) for broadcastable y and b, accumulated one scale node c at a time.
 
@@ -546,7 +567,7 @@ def translate_right(f: GridFunction, x_index: int, twisted: bool = False) -> Gri
     """R_x F(y) = F(y x); the twisted variant multiplies by conj(sigma(y, x))."""
     model = f.model
     y = np.arange(model.size)
-    z = next(model.translates(y, [x_index]))
+    z = model.translates(y, [x_index])[0]
     out = padded(f.values)[z]
     if twisted:
         out *= np.conj(model.cocycle_values(y, x_index))  # absent entries stay zero

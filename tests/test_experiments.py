@@ -22,7 +22,8 @@ from coorbitkit.errors import InvalidParameterError, ResolutionError, Truncation
 from coorbitkit.frames import Representation
 from coorbitkit.groups import AffineGridModel, RealLineModel, affine_axes, build_affine_grid
 
-from _oracles import affine_coords, brute_affine_selfconvolution, brute_scale_selfconvolution
+from _oracles import affine_coords, brute_affine_selfconvolution, brute_scale_selfconvolution, \
+    masked_partial_norms
 
 
 FAST_REALLINE = {"t_list": (1.0, 2.0), "half_width": 8.0, "step": 0.02}
@@ -61,6 +62,15 @@ class TestReallineRunner:
 
 
 class TestAffineRunner:
+    # the partial norms' M^L carrier steps (x_step, a_ratio) at both resolutions of the
+    # default config: the minorant's scale window is the index window +-9 and +-18
+    @pytest.mark.parametrize("b_list, ml_step", [((16.0, 64.0), (0.25, 1.075)),
+                                                 ((16.0, 64.0), (0.125, 1.0375)),
+                                                 ((16.0, 256.0), (0.25, 1.075))])
+    def test_partial_norms_match_the_masked_minorant(self, b_list, ml_step):
+        assert ex._affine_partial_norms(2.0, 0.5, b_list, *ml_step) \
+            == masked_partial_norms(2.0, 0.5, b_list, *ml_step)
+
     def test_passes_fast_config(self):
         report = ex.run_counterexample_affine(**FAST_AFFINE)
         assert report.all_pass

@@ -44,8 +44,8 @@ from coorbitkit import (
     sequence_norm,
 )
 from coorbitkit.errors import CoverageWarning, InvalidParameterError, NotDenseError
-from coorbitkit.groups import AffineGridModel, CyclicPhaseSpace, GroupModel, RealLineModel, \
-    _window_max, padded
+from coorbitkit.groups import ABSENT, AffineGridModel, CyclicPhaseSpace, GroupModel, \
+    RealLineModel, _window_max, first_products, padded
 
 MODELS = {
     "line": lambda: build_real_line(4.0, 0.25),
@@ -78,12 +78,47 @@ def test_affine_model_has_colliding_products():
 
 
 def test_translates_match_scalar_products(model):
-    points = samples(model)[2]
-    u = model.q_indices
-    left = list(model.translates(points, u))
-    assert len(left) == len(u)
-    for j, uj in enumerate(u):
-        assert np.array_equal(left[j], [mul(model, int(x), int(uj)) for x in points])
+    """translates is one (len(u), len(points)) int table whose row j holds points·u_j, an
+    empty u or empty points included."""
+    empty = np.array([], dtype=int)
+    for points in [samples(model)[2], empty, []]:
+        for u in [model.q_indices, [model.identity], empty, []]:
+            table = model.translates(points, u)
+            assert table.shape == (len(u), len(points))
+            assert np.issubdtype(table.dtype, np.integer)
+            for j, uj in enumerate(u):
+                assert np.array_equal(table[j], [mul(model, int(x), int(uj)) for x in points])
+
+
+# affine grids whose snapped products collide inside one translate lambda U: the
+# colliding model above and the grid with exact rint ties
+COLLIDING_AFFINE = ["affine", "affine_tie"]
+
+
+@pytest.mark.parametrize("name", COLLIDING_AFFINE)
+def test_first_products_keep_the_first_u_of_each_product(name):
+    """Column i keeps each product lambda_i u_j at the first u_j in u order and leaves
+    ABSENT where it was; what it keeps is the oracle's set lambda_i U."""
+    model = LOCAL_MAX_MODELS[name]()
+    rng = np.random.default_rng(5)
+    points = rng.permutation(model.size)[: model.size // 2]
+    u = rng.permutation(model.q_indices)  # not sorted, so u order is not index order
+    table = model.translates(points, u)
+    got = first_products(table)
+    dropped = 0
+    for i, cell in enumerate(brute_translate_sets(model, points, u)):
+        col, seen = table[:, i], set()
+        for j, t in enumerate(col.tolist()):
+            if t == ABSENT or t in seen:
+                assert got[j, i] == ABSENT
+                dropped += t != ABSENT
+            else:
+                assert got[j, i] == t
+            seen.add(t)
+        assert set(got[:, i].tolist()) - {ABSENT} == cell
+    assert dropped  # the grid has collisions, so the rule is exercised
+    # reversed, u keeps the other end of each collision: the rule reads u order
+    assert not np.array_equal(first_products(table[::-1])[::-1], got)
 
 
 def test_maximal_functions(model):

@@ -169,6 +169,27 @@ class TestBuildCover:
         for cell, want in zip(cells, expected):
             assert cell.dtype == want.dtype and np.array_equal(cell, want)
 
+    @pytest.mark.parametrize("build", [lambda: build_cyclic_phase_space(4),
+                                       lambda: build_real_line(4.0, 0.25),
+                                       lambda: build_affine_grid(2.0, 0.25, 0.3, 3.0, 1.5)])
+    def test_u_outside_the_carrier_rejected(self, build):
+        """-1 would read the ABSENT pad slot (on Z_4 x Z_4 it added point 15 to a cell), n
+        raised a raw IndexError, 1.5 was cut to 1 and on the snapped models an index past
+        the carrier read as absent."""
+        m = build()
+        lam = SampleSet(model=m, points=np.arange(0, m.size, 2))
+        e = m.identity
+        for u in ([e, -1], [e, -m.size], [e, m.size], [float(e), 1.5], np.array([e, 1.0]),
+                  [True, False], np.array([[e], [m.size + 3]])):
+            with pytest.raises(InvalidParameterError, match=r"^U must hold integer carrier "
+                                                            r"indices in \[0, \d+\), got U="):
+                build_cover(lam, u)
+        every = SampleSet(model=m, points=np.arange(m.size))
+        for u in ([e], np.array([e, m.size - 1], dtype=np.int32), [0, e]):
+            want = build_cover(every, np.asarray(u, dtype=int)).cells
+            got = build_cover(every, u).cells
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_not_dense_error_names_point(self):
         m = build_cyclic_phase_space(8)
         lam = SampleSet(model=m, points=np.array([0]))

@@ -319,6 +319,59 @@ def test_along_axis_check_catches_a_leftover():
     assert _along_axis_gathers(tree) == ["line 1", "line 2", "line 3"]
 
 
+def _is_translates(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == "translates"
+
+
+def _translates_loops(tree) -> list:
+    """``.translates(...)`` iterated: by a ``for`` or a comprehension, or by ``next``,
+    ``list`` or ``iter``; the table is one array, read whole."""
+    iterated = [node.iter for node in ast.walk(tree)
+                if isinstance(node, (ast.For, ast.comprehension))]
+    iterated += [node.args[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id in ("next", "list", "iter") and node.args]
+    return sorted(f"line {node.lineno}" for node in iterated if _is_translates(node))
+
+
+def _is_repeat_rule(node) -> bool:
+    """An assignment of ABSENT through a comparison mask, as ``s[1:][s[1:] == s[:-1]] =
+    ABSENT`` drops the products an earlier u_j gave."""
+    return isinstance(node, ast.Assign) and ast.unparse(node.value) == "ABSENT" \
+        and any(isinstance(target, ast.Subscript)
+                and any(isinstance(n, ast.Compare) for n in ast.walk(target.slice))
+                for target in node.targets)
+
+
+def _repeat_rules(tree) -> list:
+    return [f"line {node.lineno}" for node in ast.walk(tree) if _is_repeat_rule(node)]
+
+
+def test_translates_are_one_table():
+    """No module loops over a translates table, and the repeat rule (a translate is a set)
+    is written once, in groups.first_products."""
+    assert {module: _translates_loops(tree) for module, tree in TREES.items()
+            if _translates_loops(tree)} == {}
+    assert {module: len(_repeat_rules(tree)) for module, tree in TREES.items()
+            if _repeat_rules(tree)} == {"groups": 1}
+    assert _holders(_is_repeat_rule, ["groups"]) == {"groups.first_products"}
+
+
+def test_translates_check_catches_a_leftover():
+    tree = ast.parse("for t in model.translates(p, q):\n    hit[t] = True\n"
+                     "a = [t for t in self.translates(p, u)]\n"
+                     "b = next(model.translates(y, [x]))\n"
+                     "c = np.array(list(self.translates(p, q)))\n"
+                     "d = model.translates(p, q)[0]\n"
+                     "for row in d:\n    pass\n"
+                     "def _distinct(rows):\n"
+                     "    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = ABSENT\n"
+                     "e[e < 0] = 0\nf[0] = ABSENT\n")
+    assert _translates_loops(tree) == ["line 1", "line 3", "line 4", "line 5"]
+    assert _repeat_rules(tree) == ["line 10"]
+
+
 # the tie certificates of a law that rounds the float sum x + a y to a cell
 _SNAPPED_LAW = {"_TIE_MARGIN", "_certified_rint", "_snap_x", "_pack"}
 # the affine methods that form products: each shifts cell indices, reading no x-coordinate
