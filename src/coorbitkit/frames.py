@@ -40,9 +40,8 @@ from .errors import (
     NotRieszError,
     ReducibilityWarning,
 )
-from .groups import CyclicPhaseSpace, PWeight, _is_int_at_least, unit_weight
-from .sampling import SampleSet, _block_items, build_cover, molecule_bound, pair_check, \
-    rel_separation
+from .groups import CyclicPhaseSpace, PWeight, _block_items, _is_int_at_least, unit_weight
+from .sampling import SampleSet, build_cover, molecule_bound, pair_check, rel_separation
 
 
 class Representation:

@@ -19,8 +19,11 @@ place that forms the translates x·U of the sets the paper builds everything
 on: rel(Lambda), covers, U-dense and U-separated families and the generic push
 sets and sums of the sequence spaces Y_d.  It returns the (len(u), len(points))
 table of points·u_j from one broadcast ``mul_indices`` call.  A translate is a
-set, so ``first_products`` keeps a product that two u_j give a point at the
-first of them in ``u`` order: rel(Lambda) and the generic push sums read it.
+set, and ``drop_repeats`` is the one rule for it: in a table sorted along its u
+axis, an entry equal to the one above it becomes ABSENT.  rel(Lambda) counts
+the distinct sample hits of each column, so it sorts the table by value alone;
+``first_products`` sorts stably, so the product that two u_j give a point stays
+at the first of them in ``u`` order, which the generic push sums read.
 
 Local maxima.  ``GroupModel.local_max(mag, side)`` is the second primitive: the
 max over q in Q of ``mag`` at x·q (left) or q·x (right), an absent product
@@ -32,8 +35,10 @@ a test oracle.  The three models take the same products, so their maxima are
 bit-identical to that loop: the line's Q is a contiguous index window around
 the identity (x·q = q·x = x + q), read as one window max; on Z_N x Z_N, where
 x·q and q·x share an index and Q = Q^{-1} as a set, the |Q| x n table of
-x·q_j^{-1} that ``q_spread`` reads serves both sides: a vector or a stack is
-gathered through it along its last axis and maxed over the Q axis.  The affine
+x·q_j^{-1} that ``q_spread`` reads serves both sides: the rows of a stack (a
+vector is one row) are gathered through it along their last axis one block of
+``_block_items(|Q| n)`` rows at a time and maxed over the Q axis into one
+(..., n) output, so no (..., |Q|, n) gather is held whole.  The affine
 grid, with x_j = (j - k) h (h the x-step) and Q = Q_x x Q_a, has its group law
 on cell indices: (j, m)·(j', m') = (j + rint(a_m (j' - k)), m + m' + m_lo), the
 cell nearest x + a y, a tie rounding the increment to even.  So x·q shifts the
@@ -69,9 +74,10 @@ row, shape (..., n).  The base class, the test oracle, adds ``mags`` through the
 p inner.  On a snapped grid two q_j can give p_i one product, which the
 indicator 1_{p_i Q} counts once: the table is read through ``first_products``,
 which keeps the first such q_j.  Z_N x Z_N scatters ``mags`` onto a zero carrier
-(each occurrence of a repeated point added) and takes one gather through the
-|Q| x n ``translates`` table of the carrier by Q^{-1}, x·q_j^{-1}, built at
-construction and summed over the Q axis.  Its products p_i q_j are distinct for
+(each occurrence of a repeated point added) and gathers it through the |Q| x n
+``translates`` table of the carrier by Q^{-1}, x·q_j^{-1}, built at
+construction, in the row blocks of ``local_max``, each summed over the Q axis.
+Its products p_i q_j are distinct for
 each p_i, and for duplicate-free points x = p_i q_j holds for at most one i per
 q_j, so each entry adds the base loop's terms in its order (q outer, from 0.0)
 and the result is bit-identical; a repeated point has its occurrences added
@@ -98,13 +104,22 @@ bit-identical.
 Convolution.  ``GroupModel.convolve(v1, v2, twisted)`` is the sixth primitive,
 behind the convolution relations Y * W^R(L^r_w) in Y: sum_y v1(y) v2(y^{-1} x)
 mu(y) at each x, an absent y^{-1} x reading 0, each term times sigma(y, y^{-1} x)
-when ``twisted``.  The base class adds up blocks of ``_CONVOLVE_BLOCK`` rows y,
-skipping those where v1 vanishes: v1 mu times the ``left_translates`` rows, or,
-twisted, the padded read of the ``div_indices`` table times ``cocycle_values``.
-The line overrides it with ``np.convolve``, a plain sequence convolution under
-addition, on the nonzero span of each input.  A trivial cocycle reads as all
-ones (line, affine grid, Z_1 x Z_1), so a twist there leaves every value equal
-and the line ignores it.
+when ``twisted``.  The base class adds up blocks of ``_block_items(n)`` rows y
+(one block up to n = 512, 256 rows at N = 32), skipping those where v1
+vanishes: v1 mu times the ``left_translates`` rows, or, twisted, the padded read
+of the ``div_indices`` table times ``cocycle_values``.  Each block's table, and
+in the twisted sum its index table and cocycle values, is released before the
+next block is built.  Another block size regroups the partial sums of the block
+products and moves the last bits of the values.  The line overrides it with
+``np.convolve``, a plain sequence convolution under addition, on the nonzero
+span of each input.  A trivial cocycle reads as all ones (line, affine grid,
+Z_1 x Z_1), so a twist there leaves every value equal and the line ignores it.
+
+Block budget.  ``_BLOCK_ENTRIES`` is the one bound on the largest temporary a
+blocked kernel forms: a convolution block of rows y x carrier, a Z_N x Z_N
+Q-gather block of rows x |Q| x n, and, in ``sampling`` and ``frames``, a
+pair-check row block (and the frame-kernel rows it reads) and an envelope's
+voices block.  ``_block_items`` turns it into items per block.
 """
 
 from __future__ import annotations
@@ -119,9 +134,13 @@ import numpy as np
 from .errors import CoverageWarning, InvalidParameterError, InvalidWeightError
 
 ABSENT = -1
-# rows y per block of the convolution sum; another size regroups the partial sums of
-# the block products and moves the last bits of the values (at N = 32, two blocks)
-_CONVOLVE_BLOCK = 512
+# entries of the largest temporary one block of a blocked kernel forms (see "Block budget")
+_BLOCK_ENTRIES = 2 ** 18
+
+
+def _block_items(entries_per_item: int) -> int:
+    """Items per block, at least one, for blocks of at most ``_BLOCK_ENTRIES`` entries."""
+    return max(1, _BLOCK_ENTRIES // max(1, entries_per_item))
 
 
 def _is_int_at_least(value, minimum: int) -> bool:
@@ -181,13 +200,18 @@ def _window_max(values, lo: int, hi: int) -> np.ndarray:
     return np.maximum(m[..., :n], m[..., w - s:w - s + n])
 
 
+def drop_repeats(sorted_table) -> None:
+    """Set ABSENT, in place, each entry of a table sorted along axis 0 that equals the one above."""
+    sorted_table[1:][sorted_table[1:] == sorted_table[:-1]] = ABSENT
+
+
 def first_products(table) -> np.ndarray:
     """A copy of a ``translates`` table, each product an earlier row gave its column ABSENT."""
     table = np.array(table)
     order = np.argsort(table, axis=0, kind="stable")  # equal products stay in u order
     cols = np.arange(table.shape[1])
     s = table[order, cols]
-    s[1:][s[1:] == s[:-1]] = ABSENT
+    drop_repeats(s)
     table[order, cols] = s
     return table
 
@@ -280,8 +304,9 @@ class GroupModel:
         n = self.size
         out = np.zeros(n, dtype=complex)
         weighted = v1 * self.haar
-        for start in range(0, n, _CONVOLVE_BLOCK):
-            block = np.arange(start, min(start + _CONVOLVE_BLOCK, n))
+        step = _block_items(n)
+        for start in range(0, n, step):
+            block = np.arange(start, min(start + step, n))
             rows = weighted[block]
             if not np.any(rows):
                 continue
@@ -289,9 +314,11 @@ class GroupModel:
                 z = self.div_indices(block[:, None], np.arange(n)[None, :])
                 # absent entries read the pad slot's zero and stay zero
                 vals = padded(v2)[z] * self.cocycle_values(block[:, None], z)
+                del z
             else:
                 vals = self.left_translates(v2, block)
             out += rows @ vals
+            del vals  # released before the next block's table is built
         return out
 
     def relative_max(self, mags, rows, cols) -> np.ndarray:
@@ -405,10 +432,23 @@ class CyclicPhaseSpace(GroupModel):
         j = np.asarray(j)
         return np.exp(-2j * np.pi * self._k[i] * self._l[j] / self.n_side)
 
+    def _q_reduce(self, values, ufunc) -> np.ndarray:
+        """``ufunc`` reduced over q_j of ``values`` ((..., n)) read at x·q_j^{-1}.
+
+        The rows (a vector is one) are gathered through the |Q| x n table one block of
+        ``_block_items(|Q| n)`` rows at a time into one C-contiguous (..., n) output.
+        """
+        rows = values.reshape(-1, self.size)
+        out = np.empty(rows.shape, dtype=rows.dtype)
+        step = _block_items(self._q_inv_table.size)
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            ufunc.reduce(rows[block].take(self._q_inv_table, axis=-1), axis=-2, out=out[block])
+        return out.reshape(values.shape)
+
     def local_max(self, mag, side: str = "left") -> np.ndarray:
         _check_side(side)
-        # a vector or a stack gathered through the |Q| x n table, maxed over the Q axis
-        return np.asarray(mag).take(self._q_inv_table, axis=-1).max(axis=-2)
+        return self._q_reduce(np.asarray(mag), np.maximum)
 
     def q_spread(self, mags, points) -> np.ndarray:
         # x = p_i q_j for one i at most per q_j, so x sums carrier[x q_j^{-1}] over the q_j
@@ -416,9 +456,7 @@ class CyclicPhaseSpace(GroupModel):
         mags = np.asarray(mags)
         carrier = np.zeros(mags.shape[:-1] + (self.size,))
         np.add.at(carrier, (..., np.asarray(points, dtype=int)), mags)
-        # take keeps a stack's gather and its sum C-contiguous, so the norm's row sums
-        # add in the 1-D order
-        return carrier.take(self._q_inv_table, axis=-1).sum(axis=-2)
+        return self._q_reduce(carrier, np.add)
 
     def point_label(self, i: int) -> str:
         return f"({self._k[i]},{self._l[i]})"

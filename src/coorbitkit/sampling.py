@@ -12,7 +12,9 @@ covered, always all of them, and how many had y^{-1} x off the grid
 
 The verification kernels on Z_N x Z_N (the pair check, the frame-kernel rows it
 reads and envelope fitting) form their temporaries in blocks of at most
-``_BLOCK_ENTRIES`` entries, so none holds an n x n or n x m array.
+``groups._BLOCK_ENTRIES`` entries, so none holds an n x n or n x m array.  The
+same budget bounds the blocks of the convolution, the Z_N x Z_N local maxima and
+the push sums in ``groups``.
 """
 
 from __future__ import annotations
@@ -23,16 +25,7 @@ import numpy as np
 
 from .amalgam import convolve, maximal_left, maximal_right
 from .errors import InvalidParameterError, NotDenseError
-from .groups import ABSENT, GroupModel, first_products, padded
-
-# entries of the largest temporary one block forms: a pair-check row block (and the
-# frame-kernel rows it reads) or an envelope's voices block
-_BLOCK_ENTRIES = 2 ** 18
-
-
-def _block_items(entries_per_item: int) -> int:
-    """Items per block, at least one, for blocks of at most ``_BLOCK_ENTRIES`` entries."""
-    return max(1, _BLOCK_ENTRIES // max(1, entries_per_item))
+from .groups import ABSENT, GroupModel, _block_items, drop_repeats, padded
 
 
 def _sorted_unique(values) -> np.ndarray:
@@ -85,12 +78,15 @@ def rel_separation(sample: SampleSet) -> int:
     """rel(Lambda) = max over carrier x of #{i : lambda_i in xQ}.
 
     The products x q are formed directly: on a snapped grid, counting x as
-    lambda_i q^{-1} instead can miss sample points.
+    lambda_i q^{-1} instead can miss sample points.  Only the number of distinct
+    hits counts, so each column of products is sorted by value and its repeats
+    dropped.
     """
     model = sample.model
     in_sample = np.zeros(model.size + 1, dtype=bool)  # pad slot: absent products miss
     in_sample[sample.points] = True
-    table = first_products(model.translates(np.arange(model.size), model.q_indices))
+    table = np.sort(model.translates(np.arange(model.size), model.q_indices), axis=0)
+    drop_repeats(table)
     return int(in_sample[table].sum(axis=0).max(initial=0))
 
 

@@ -35,7 +35,7 @@ from coorbitkit.cdmatrix import _series_apply, _series_coefficients
 from coorbitkit.coorbit import _coefficient_norm, _stack
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError
 from coorbitkit.experiments import _partial_norm_axes, _scale_selfconvolution
-from coorbitkit.groups import GroupModel, _check_side, build_affine_grid, padded
+from coorbitkit.groups import GroupModel, _block_items, _check_side, build_affine_grid, padded
 from coorbitkit.sampling import molecule_bound, pair_check
 
 ABSENT = -1
@@ -494,16 +494,23 @@ def inline_frame_kernel_check(fs):
     return {"max_excess": max_excess, "holds": max_excess <= 1e-10, "pairs": int(lhs.size)}
 
 
-def blocked_convolve(model, v1, v2, block=512):
-    """The untwisted convolution, one row block at a time of the y^{-1} x table read padded."""
+def blocked_convolve(model, v1, v2, block=None, twisted=False):
+    """The convolution, one row block at a time of the y^{-1} x table read padded, each
+    entry times the cocycle if ``twisted``; the blocks are the library's unless given."""
     n = model.size
+    block = _block_items(n) if block is None else block
     out = np.zeros(n, dtype=complex)
     weighted = v1 * model.haar
     for start in range(0, n, block):
         ys = np.arange(start, min(start + block, n))
         if np.any(weighted[ys]):
             z = GroupModel.div_indices(model, ys[:, None], np.arange(n)[None, :])
-            out += weighted[ys] @ padded(v2)[z]
+            # one expression, as the library writes it: with a named left operand numpy
+            # writes the product into the right temporary as b * a, and its complex multiply
+            # (fused multiply-adds) can give b * a and a * b different last bits
+            vals = padded(v2)[z] * model.cocycle_values(ys[:, None], z) if twisted \
+                else padded(v2)[z]
+            out += weighted[ys] @ vals
     return out
 
 

@@ -40,7 +40,7 @@ from coorbitkit.errors import (
     NotDenseError,
     NotRieszError,
 )
-from coorbitkit import experiments, frames, sampling
+from coorbitkit import experiments, frames, groups
 from coorbitkit.cdmatrix import _series_apply
 from coorbitkit.coorbit import _calibration_samples
 from coorbitkit.frames import FrameSystem, hermitian_extremes, reconstruction_error
@@ -1141,24 +1141,9 @@ class TestBlockBoundaries:
     one-block result to 1e-12; counts and flags match exactly.
     """
 
-    def test_frame_kernel_row_blocks(self, monkeypatch):
-        fs = irregular_complex_frame()
-        one = frame_kernel_envelope_check(fs)
-        # 5 rows a block: 13 row blocks, the last of 4 rows; the envelope takes 8
-        # blocks of 5 atoms
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 5)
-        blocked = frame_kernel_envelope_check(fs)
-        exact = ("pairs", "exhaustive", "absent", "holds")
-        assert {k: blocked[k] for k in exact} == {k: one[k] for k in exact}
-        for key in ("max_excess", "max_ratio"):
-            assert blocked[key] == pytest.approx(one[key], abs=1e-12)
-        inline = inline_frame_kernel_check(fs)
-        assert blocked["max_excess"] == pytest.approx(inline["max_excess"], abs=1e-12)
-        assert (blocked["holds"], blocked["pairs"]) == (inline["holds"], inline["pairs"])
-
-    def test_frame_kernel_row_blocks_match_dense_h(self, monkeypatch):
-        fs = irregular_complex_frame()
-        ks = fs.kernel_system
+    @staticmethod
+    def record_row_blocks(monkeypatch) -> list:
+        """Each block the frame-kernel check reads, as (its rows, its left side)."""
         blocks = []
         check = frames.pair_check
 
@@ -1171,7 +1156,30 @@ class TestBlockBoundaries:
             return check(model, bound, recorded, rows)
 
         monkeypatch.setattr(frames, "pair_check", spy)
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 5)  # 5 rows a block
+        return blocks
+
+    def test_frame_kernel_row_blocks(self, monkeypatch):
+        fs = irregular_complex_frame()
+        one = frame_kernel_envelope_check(fs)
+        blocks = self.record_row_blocks(monkeypatch)
+        # 5 rows a block: 13 row blocks, the last of 4 rows; the envelope takes 8
+        # blocks of 5 atoms
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 64 * 5)
+        blocked = frame_kernel_envelope_check(fs)
+        assert [read.size for read, _ in blocks] == [5] * 12 + [4]
+        exact = ("pairs", "exhaustive", "absent", "holds")
+        assert {k: blocked[k] for k in exact} == {k: one[k] for k in exact}
+        for key in ("max_excess", "max_ratio"):
+            assert blocked[key] == pytest.approx(one[key], abs=1e-12)
+        inline = inline_frame_kernel_check(fs)
+        assert blocked["max_excess"] == pytest.approx(inline["max_excess"], abs=1e-12)
+        assert (blocked["holds"], blocked["pairs"]) == (inline["holds"], inline["pairs"])
+
+    def test_frame_kernel_row_blocks_match_dense_h(self, monkeypatch):
+        fs = irregular_complex_frame()
+        ks = fs.kernel_system
+        blocks = self.record_row_blocks(monkeypatch)
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 64 * 5)  # 5 rows a block
         frame_kernel_envelope_check(fs)
         assert [read.size for read, _ in blocks] == [5] * 12 + [4]
         kern = ks.kernel_matrix[:, fs.sample.points]
@@ -1190,7 +1198,7 @@ class TestBlockBoundaries:
         calls = []
         monkeypatch.setattr(model, "relative_max",
                             lambda *args: calls.append(len(args[2])) or bins(*args))
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 64 * 3)  # 3 atoms a block
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 64 * 3)  # 3 atoms a block
         blocked = fit_envelope(ks, atoms, lam, 1.0, unit_weight(model))
         assert calls == [3] * 6 + [2]
         phi = brute_envelope(model, rep.orbit(g + 0j), atoms, lam.points)

@@ -8,6 +8,7 @@ composition it replaced (``tests/_oracles.py``), on the line, the affine grid
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import (
     ABSENT,
     brute_absent_pairs,
@@ -37,7 +38,7 @@ from coorbitkit import (
     rel_separation,
     sequence_norm,
 )
-from coorbitkit import sampling
+from coorbitkit import groups
 from coorbitkit.sampling import molecule_bound, pair_check
 
 AFFINE_PARAMS = (2.0, 0.25, 0.3, 3.0, 1.5)
@@ -172,16 +173,20 @@ class TestPairCheckChunks:
         model = build_real_line(4.0, 0.25)  # 33 points
         rows = np.arange(model.size)
         nan_row = rows[where]
+        reads = []
 
         def lhs_rows(block):
+            reads.append(rows[block].size)
             out = np.zeros((rows[block].size, model.size))
             out[rows[block] == nan_row, where] = np.nan
             return out
 
         # one block; then 9 blocks of 4 rows, the last of 1: the NaN in the first or last
-        for entries in (sampling._BLOCK_ENTRIES, 4 * model.size):
-            monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", entries)
+        for entries, blocks in ((groups._BLOCK_ENTRIES, [33]), (4 * model.size, [4] * 8 + [1])):
+            monkeypatch.setattr(groups, "_BLOCK_ENTRIES", entries)
+            reads.clear()
             result = pair_check(model, np.ones(model.size), lhs_rows, rows)
+            assert reads == blocks
             assert np.isnan(result["max_excess"]) and not result["holds"]
             assert result["pairs"] == model.size ** 2 and result["exhaustive"]
 
@@ -284,8 +289,16 @@ class TestAbsentPairs:
         model = build_real_line(4.0, 0.25)
         f = random_function(model, 15, True)
         one = shifted_series_check(f, f, sample_of(model))
-        monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 5 * model.size)
+        reads = []
+
+        def spy(model, bound, lhs_rows, rows):
+            return pair_check(model, bound,
+                              lambda block: reads.append(rows[block].size) or lhs_rows(block), rows)
+
+        monkeypatch.setattr(_oracles, "pair_check", spy)
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 5 * model.size)
         blocked = shifted_series_check(f, f, sample_of(model))
+        assert reads == [5] * 6 + [3]
         xs, ys = all_pairs(model)
         off = np.abs(model.coords[xs] - model.coords[ys]) > model.coords[-1] + 1e-9
         assert blocked["absent"] == one["absent"] == int(off.sum()) > 0

@@ -43,6 +43,7 @@ from coorbitkit import (
     rel_separation,
     sequence_norm,
 )
+from coorbitkit import groups
 from coorbitkit.errors import CoverageWarning, InvalidParameterError, NotDenseError
 from coorbitkit.groups import ABSENT, AffineGridModel, CyclicPhaseSpace, GroupModel, \
     RealLineModel, _window_max, first_products, padded
@@ -119,6 +120,27 @@ def test_first_products_keep_the_first_u_of_each_product(name):
     assert dropped  # the grid has collisions, so the rule is exercised
     # reversed, u keeps the other end of each collision: the rule reads u order
     assert not np.array_equal(first_products(table[::-1])[::-1], got)
+
+
+@pytest.mark.parametrize("name", COLLIDING_AFFINE)
+def test_rel_separation_counts_each_product_once(name):
+    """rel(Lambda) drops the repeats of each column sorted by value, not in u order: on
+    the grids where two q_j give x one product, a sample point in xQ counts once."""
+    model = LOCAL_MAX_MODELS[name]()
+    rng = np.random.default_rng(6)
+    table = model.translates(np.arange(model.size), model.q_indices)
+    # the points of the translate xQ whose products repeat most
+    repeats = [np.count_nonzero(col >= 0) - len(set(col.tolist()) - {ABSENT}) for col in table.T]
+    col = table[:, int(np.argmax(repeats))]
+    collided = np.unique(col[col >= 0])
+    for points in (collided, np.arange(model.size), np.arange(0, model.size, 2),
+                   np.sort(rng.permutation(model.size)[: model.size // 3])):
+        assert rel_separation(SampleSet(model=model, points=points)) \
+            == brute_rel_separation(model, points)
+    # counted with its repeats, the collided sample would read more
+    in_sample = np.zeros(model.size + 1, dtype=bool)
+    in_sample[collided] = True
+    assert in_sample[table].sum(axis=0).max() > brute_rel_separation(model, collided)
 
 
 def test_maximal_functions(model):
@@ -597,24 +619,102 @@ def test_relative_max_warns_of_an_uncovered_entry():
 
 def assert_convolve_matches_blocked(model, rng):
     """``model.convolve`` bit for bit against the blocked table sum; zeroing the first half
-    of F1 skips the first row block of 512 on a carrier of 1,024 points or more."""
+    of F1 skips the first half of the row blocks on a carrier of 1,024 points or more."""
     z = rng.normal(size=(4, model.size))
     v1, v2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
     for factor in (v1, np.where(np.arange(model.size) < model.size // 2, 0, v1)):
         assert np.array_equal(model.convolve(factor, v2), blocked_convolve(model, factor, v2))
 
 
-@pytest.mark.parametrize("n_side", (*CYCLIC_SIDES, 32))
+@pytest.mark.parametrize("n_side", (*CYCLIC_SIDES, 32, 64))
 def test_cyclic_convolution_matches_blocked_table_path(n_side):
-    # N = 32 has two row blocks of 512; zeroing the first half of F1 skips the first
+    # N = 32 has 4 row blocks of 256 and N = 64 has 64 blocks of 64; zeroing the first
+    # half of F1 skips the first half of them
     assert_convolve_matches_blocked(build_cyclic_phase_space(n_side), np.random.default_rng(14))
 
 
 def test_affine_convolution_matches_blocked_table_path():
-    # 81 x 14 = 1,134 points: three row blocks, the last one partial
+    # 81 x 14 = 1,134 points: 5 row blocks of 231, the last one of 210
     model = build_affine_grid(4.0, 0.1, 0.3, 3.0, 1.2)
     assert model.size == 1134
     assert_convolve_matches_blocked(model, np.random.default_rng(15))
+
+
+class TestBlockBudget:
+    """The Z_N x Z_N kernels under one block budget, ``groups._BLOCK_ENTRIES``: cut to a
+    few rows, the Q-gathers give the one-block values bit for bit and the convolution
+    gives the blocked table sum over the same blocks; at the default budget no kernel
+    holds more than a few blocks."""
+
+    @staticmethod
+    def traced_peak(kernel, *args):
+        """The traced peak of one call, with the call's result."""
+        tracemalloc.start()
+        try:
+            out = kernel(*args)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n_side", [8, 32])
+    def test_q_gathers_under_a_few_rows(self, n_side, monkeypatch):
+        model = build_cyclic_phase_space(n_side)
+        rng = np.random.default_rng(n_side)
+        stack = rng.random((5, model.size))
+        points = np.sort(rng.choice(model.size, model.size // 3, replace=False))
+        mags = rng.random((5, len(points)))
+        kernels = [lambda v: model.local_max(v, "left"), lambda v: model.local_max(v, "right"),
+                   lambda v: model.q_spread(v, points)]
+        inputs = [stack, stack, mags]
+        one = [(kernel(v), kernel(v[0])) for kernel, v in zip(kernels, inputs)]
+        # 2 rows a block: the stack of 5 in 3 blocks, the last of one row
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 2 * model.q_indices.size * model.size)
+        assert groups._block_items(model.q_indices.size * model.size) == 2
+        for kernel, v, (whole, row) in zip(kernels, inputs, one):
+            blocked = kernel(v)
+            assert blocked.shape == v.shape[:-1] + (model.size,) and blocked.flags.c_contiguous
+            assert np.array_equal(blocked, whole) and np.array_equal(kernel(v[0]), row)
+            assert np.array_equal(blocked[0], row)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    @pytest.mark.parametrize("n_side", [8, 32])
+    def test_convolution_under_a_few_rows(self, n_side, twisted, monkeypatch):
+        model = build_cyclic_phase_space(n_side)
+        z = np.random.default_rng(n_side).normal(size=(4, model.size))
+        v1, v2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
+        one = model.convolve(v1, v2, twisted)
+        assert np.array_equal(one, blocked_convolve(model, v1, v2, twisted=twisted))
+        # 3 rows y a block; another grouping of the partial sums moves only the last bits
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 3 * model.size)
+        blocked = model.convolve(v1, v2, twisted)
+        assert np.array_equal(blocked, blocked_convolve(model, v1, v2, 3, twisted))
+        assert np.abs(blocked - one).max() <= 1e-12 * np.abs(one).max()
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_convolution_peak_memory(self, twisted):
+        """At N = 64 (64 rows y a block) the peak stays within 4 blocks of complex
+        entries: 4.3 MB, or 14.1 MB twisted, where 512-row blocks, the next one built
+        while the last one was held, took 64.8 and 144.1 MB."""
+        model = build_cyclic_phase_space(64)
+        z = np.random.default_rng(64).normal(size=(4, model.size))
+        v1, v2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
+        peak, out = self.traced_peak(model.convolve, v1, v2, twisted)
+        assert peak < 4 * groups._BLOCK_ENTRIES * 16 + out.nbytes, f"traced peak {peak:,} B"
+
+    @pytest.mark.parametrize("kernel", ["left", "right", "q_spread"])
+    def test_q_gather_peak_memory(self, kernel):
+        """A (100, 1024) stack at N = 32 is gathered 28 rows at a time: 2.8 MB for a
+        local max, 3.5 MB for a push sum, where the whole (100, 9, 1024) gather took 7.8
+        and 8.6 MB."""
+        model = build_cyclic_phase_space(32)
+        rng = np.random.default_rng(32)
+        points = np.arange(0, model.size, 3)
+        if kernel == "q_spread":
+            peak, out = self.traced_peak(model.q_spread, rng.random((100, len(points))), points)
+        else:
+            peak, out = self.traced_peak(model.local_max, rng.random((100, model.size)), kernel)
+        # one block of float entries and two outputs: the result and the push sum's carrier
+        assert peak < groups._BLOCK_ENTRIES * 16 + 2 * out.nbytes, f"traced peak {peak:,} B"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -350,12 +350,12 @@ def _repeat_rules(tree) -> list:
 
 def test_translates_are_one_table():
     """No module loops over a translates table, and the repeat rule (a translate is a set)
-    is written once, in groups.first_products."""
+    is written once, in groups.drop_repeats."""
     assert {module: _translates_loops(tree) for module, tree in TREES.items()
             if _translates_loops(tree)} == {}
     assert {module: len(_repeat_rules(tree)) for module, tree in TREES.items()
             if _repeat_rules(tree)} == {"groups": 1}
-    assert _holders(_is_repeat_rule, ["groups"]) == {"groups.first_products"}
+    assert _holders(_is_repeat_rule, ["groups"]) == {"groups.drop_repeats"}
 
 
 def test_translates_check_catches_a_leftover():
@@ -370,6 +370,50 @@ def test_translates_check_catches_a_leftover():
                      "e[e < 0] = 0\nf[0] = ABSENT\n")
     assert _translates_loops(tree) == ["line 1", "line 3", "line 4", "line 5"]
     assert _repeat_rules(tree) == ["line 10"]
+
+
+def _bindings(tree, name) -> list:
+    """The lines that bind ``name`` by an assignment or define it as a function."""
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        return [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        or any(isinstance(t, ast.Name) and t.id == name for t in targets(node)))]
+
+
+def _mentions(tree, name) -> list:
+    """The lines that name ``name``: as a name, an attribute or an imported name."""
+    return [f"line {line}" for line in sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)})]
+
+
+def test_one_block_budget():
+    """One entry budget bounds every blocked kernel (the convolution, the Z_N x Z_N
+    Q-gathers, the pair check and envelope fitting): ``_BLOCK_ENTRIES`` and
+    ``_block_items`` are bound once each, in groups, and no ``_CONVOLVE_BLOCK`` is left."""
+    for name in ("_BLOCK_ENTRIES", "_block_items"):
+        assert {module: len(_bindings(tree, name)) for module, tree in TREES.items()
+                if _bindings(tree, name)} == {"groups": 1}, name
+    assert {module: _mentions(tree, "_CONVOLVE_BLOCK") for module, tree in TREES.items()
+            if _mentions(tree, "_CONVOLVE_BLOCK")} == {}
+
+
+def test_block_budget_check_catches_a_leftover():
+    tree = ast.parse("_BLOCK_ENTRIES = 2 ** 18\n_CONVOLVE_BLOCK = 512\n"
+                     "def _block_items(entries):\n    _BLOCK_ENTRIES: int = entries\n"
+                     "    return groups._CONVOLVE_BLOCK\n"
+                     "from .groups import _CONVOLVE_BLOCK as block\n"
+                     "x = _BLOCK_ENTRIES // block\n_BLOCK_ENTRIES += 1\n")
+    assert _bindings(tree, "_BLOCK_ENTRIES") == ["line 1", "line 4", "line 8"]
+    assert _bindings(tree, "_block_items") == ["line 3"]
+    assert _mentions(tree, "_CONVOLVE_BLOCK") == ["line 2", "line 5", "line 6"]
 
 
 # the tie certificates of a law that rounds the float sum x + a y to a cell
