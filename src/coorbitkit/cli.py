@@ -1,17 +1,22 @@
 """Command-line driver for the experiment runners.
 
-One subcommand ``<group> <variant>`` per entry of ``_RUNNERS``, for example
-``counterexample affine``.  Each accepts ``--config`` (JSON overrides for the
-runner's keyword arguments) and ``--out`` (report directory).  A config value
-must have the JSON type of the runner's default: an integer for an int default,
-a number for a float, a string for a str and a list for a tuple, and never a
-bool.  Exit code 0 iff every bounded metric passes, 1 if one fails, 2 on a bad
-config or an exception from the runner or report writer (one ``error:`` line).
+``coorbitkit <group> <variant>`` runs the entry of ``_RUNNERS`` for that pair, for
+example ``counterexample affine``; ``coorbitkit --help`` lists the seven commands.
+The two are positionals of one parser, built on the first ``main`` call and kept
+for the process.  A pair that is not in ``_RUNNERS``, such as ``gabor affine``, is
+an argparse "invalid choice" error that names the group's variants.  Every command
+accepts ``--config`` (JSON overrides for the runner's keyword arguments), ``--out``
+(report directory) and ``--format``.  A config value must have the JSON type of
+the runner's default: an integer for an int default, a number for a float, a
+string for a str and a list for a tuple, and never a bool.  Exit code 0 iff every
+bounded metric passes, 1 if one fails, 2 on a bad command or config or an
+exception from the runner or report writer (one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -36,27 +41,31 @@ _CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                  str: ((str,), "a string"), tuple: ((list,), "a list")}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {group} {variant}" for group, variant in _RUNNERS)
     parser = argparse.ArgumentParser(prog="coorbitkit",
-                                     description="coorbit-space experiment suites")
-    sub = parser.add_subparsers(dest="group", required=True)
-    groups = {}
-    for group, variant in _RUNNERS:
-        if group not in groups:
-            groups[group] = sub.add_parser(group).add_subparsers(dest="variant", required=True)
-        vp = groups[group].add_parser(variant)
-        vp.add_argument("--config", type=str, default=None,
+                                     description="coorbit-space experiment suites",
+                                     epilog=f"commands:{commands}",
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("group", choices=list(dict.fromkeys(group for group, _ in _RUNNERS)))
+    parser.add_argument("variant", choices=list(dict.fromkeys(variant for _, variant in _RUNNERS)))
+    parser.add_argument("--config", type=str, default=None,
                         help="JSON file with runner keyword overrides")
-        vp.add_argument("--out", type=str, default="reports",
+    parser.add_argument("--out", type=str, default="reports",
                         help="output directory for JSON/CSV reports")
-        vp.add_argument("--format", type=str, default="csv", choices=["json", "csv"])
+    parser.add_argument("--format", type=str, default="csv", choices=["json", "csv"])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    runner = _RUNNERS[(args.group, args.variant)]
+    runner = _RUNNERS.get((args.group, args.variant))
+    if runner is None:
+        variants = ", ".join(repr(variant) for group, variant in _RUNNERS if group == args.group)
+        parser.error(f"argument variant: invalid choice: {args.variant!r} for group "
+                     f"{args.group!r} (choose from {variants})")
     try:
         config = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -88,8 +88,7 @@ class Report:
         return all(m.passed for m in self.metrics if m.bound is not None)
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+        return json.dumps(self, sort_keys=True, indent=2, default=_json_default)
 
 
 def _json_default(obj):
@@ -101,6 +100,8 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if is_dataclass(obj):  # the report and its metrics, read in place: no asdict deep copy
+        return vars(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

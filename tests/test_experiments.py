@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import functools
 import importlib.util
 import inspect
@@ -705,6 +707,12 @@ class TestReports:
         assert again.command == report.command
         assert [m.name for m in again.metrics] == [m.name for m in report.metrics]
 
+    @pytest.mark.parametrize("group, variant", list(cli._RUNNERS))
+    def test_to_json_matches_asdict(self, group, variant):
+        report = cli._RUNNERS[(group, variant)]()
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), sort_keys=True,
+                                              indent=2, default=ex._json_default)
+
     def test_determinism_excluding_timestamp(self):
         r1 = ex.run_riesz_suite(n_side=8, separation=4, seed=5)
         r2 = ex.run_riesz_suite(n_side=8, separation=4, seed=5)
@@ -727,6 +735,42 @@ class TestCli:
             cli.build_parser().parse_args([group, "no-such-variant"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group, variant", [
+        (group, variant) for group in dict.fromkeys(g for g, _ in cli._RUNNERS)
+        for variant in dict.fromkeys(v for _, v in cli._RUNNERS)
+        if (group, variant) not in cli._RUNNERS])
+    def test_mismatched_pair_exits_two(self, group, variant, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([group, variant, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        variants = [v for g, v in cli._RUNNERS if g == group]
+        assert "invalid choice" in err and "Traceback" not in err
+        assert all(repr(v) in err for v in variants)
+        assert not (tmp_path / "out").exists()
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"{group} {variant}" in out for group, variant in cli._RUNNERS)
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        argv = ["gabor", "frame", "--config", self._cfg(tmp_path), "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert cli_main(argv) == 0 and cli_main(argv) == 0
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
 
     def test_affine_negative_half_width_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

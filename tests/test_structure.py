@@ -459,6 +459,29 @@ def test_index_law_check_catches_a_leftover():
     assert _coordinate_readers(tree, "AffineGridModel", _INDEX_LAW) == ["mul_indices"]
 
 
+def _constructions(tree, name) -> list:
+    """The lines that call ``name``, bare or as an attribute such as ``argparse.name``."""
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == name]
+
+
+def test_one_flat_cli_parser():
+    """The command line is one flat parser: ``group`` and ``variant`` are its positionals,
+    so cli builds one ``ArgumentParser`` and no subparser tree."""
+    assert len(_constructions(TREES["cli"], "ArgumentParser")) == 1
+    assert _mentions(TREES["cli"], "add_subparsers") == []
+
+
+def test_flat_parser_check_catches_a_leftover():
+    tree = ast.parse("def build_parser() -> argparse.ArgumentParser:\n"
+                     "    parser = argparse.ArgumentParser(prog='p')\n"
+                     "    sub = parser.add_subparsers(dest='group')\n"
+                     "    return ArgumentParser(parents=[parser])\n")
+    assert _constructions(tree, "ArgumentParser") == ["line 2", "line 4"]
+    assert _mentions(tree, "add_subparsers") == ["line 3"]
+
+
 def test_one_molecule_bound():
     """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
     def conv_of_left_max(node):
