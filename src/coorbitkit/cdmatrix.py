@@ -152,16 +152,19 @@ def _series_coefficients(phi: str):
     raise InvalidParameterError(f"unknown series function {phi!r}")
 
 
-def _series_apply(s: np.ndarray, phi: str, eps_bound: Optional[float], tail_tol: float,
-                  relax: Optional[tuple] = None):
+# the unrelaxed series sums around I only while ||I - S||_2 is at most this
+_MAX_DEVIATION = 0.999999
+
+
+def _series_apply(s: np.ndarray, phi: str, tail_tol: float, relax: Optional[tuple] = None):
     """Truncated power series sum a_n D^n; returns (result, n_terms, tail_bound).
 
     As |a_n| <= 1, the tail after term n is at most q^{n+1}/(1 - q) for ||D||_2 <= q.
-    Unrelaxed, D = I - S with q = ||D||_2 <= eps_bound measured (the only read of
-    eps_bound), summed until the last term's 2-norm plus that tail is <= tail_tol.
-    With ``relax = (w, q)``, where ||I - wS||_2 = q is known, D = I - wS, n is the
-    smallest with q^n/(1 - q) <= tail_tol, fixed before summing, and result and tail
-    are scaled by w^{1 or 1/2}.
+    Unrelaxed, D = I - S with q = ||D||_2 <= ``_MAX_DEVIATION`` measured, summed until
+    the last term's 2-norm plus that tail is <= tail_tol.  With ``relax = (w, q)``,
+    where ||I - wS||_2 = q is known, D = I - wS, n is the smallest with
+    q^n/(1 - q) <= tail_tol, fixed before summing, and result and tail are scaled by
+    w^{1 or 1/2}.
     """
     max_terms, omega, n_fixed = 20_000, 1.0, None
     if relax is not None:
@@ -176,10 +179,10 @@ def _series_apply(s: np.ndarray, phi: str, eps_bound: Optional[float], tail_tol:
     d = np.eye(s.shape[0]) - omega * s
     if relax is None:
         dev = float(np.linalg.norm(d, 2))
-        if dev >= 1.0 or dev > eps_bound:
+        if dev > _MAX_DEVIATION:
             raise NotContractiveError(
                 f"||S - I||_2 = {dev:.4f} exceeds the contractivity budget "
-                f"{min(eps_bound, 1.0):.4f}; densify the sample set")
+                f"{_MAX_DEVIATION:.4f}; densify the sample set")
     coeffs = _series_coefficients(phi)
     next(coeffs)  # a_0 = 1, the identity the result starts from
     scale = omega if phi == "inverse" else math.sqrt(omega)
@@ -211,7 +214,7 @@ def matrix_holomorphic(a: CDMatrix, phi: str, tail_tol: float = 1e-10) -> CDMatr
     if not np.array_equal(a.rows.points, a.cols.points):
         raise IncompatibleOperandsError("holomorphic calculus needs a square sample")
     m = len(a.rows)
-    result, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
+    result, n_terms, op_tail = _series_apply(a.entries, phi, tail_tol)
 
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(m))
     theta = minimal_envelope(diff)

@@ -97,7 +97,6 @@ class CoorbitContext:
     y_spec: QuasiNormSpec
     weight: PWeight
     p: float
-    window_amalgam: float
 
     @classmethod
     def build(cls, rep: Representation, window: np.ndarray, y_spec: QuasiNormSpec,
@@ -106,10 +105,9 @@ class CoorbitContext:
         w = weight or unit_weight(rep.model, p)
         # the window class condition: V_g g finite in the two-sided amalgam of L^p_w
         two_sided = QuasiNormSpec(p=p, weight=w, flavor="two_sided")
-        amalgam = amalgam_norm(ks.voice(ks.window), two_sided)
-        if not np.isfinite(amalgam):
+        if not np.isfinite(amalgam_norm(ks.voice(ks.window), two_sided)):
             raise InvalidParameterError("window fails the two-sided amalgam condition")
-        return cls(kernel_system=ks, y_spec=y_spec, weight=w, p=p, window_amalgam=amalgam)
+        return cls(kernel_system=ks, y_spec=y_spec, weight=w, p=p)
 
 
 def coorbit_norm(ctx: CoorbitContext, f: np.ndarray):

@@ -510,8 +510,7 @@ def run_gabor_suite(n_side: int = 8, lattice_steps=(2, 2), window_id: str = "gau
             "series_tail_bound": fs.series_tail_bound,
             "reconstruction_error": recon,
             "envelope": fs.certificates["dual"].to_json_obj(),
-            "frame_kernel_check": {key: kernel_env[key]
-                                   for key in ("pairs", "exhaustive", "absent")},
+            "frame_kernel_check": {key: kernel_env[key] for key in ("pairs", "absent")},
         },
         metrics=metrics, seed=seed,
         curves={"bounds": [

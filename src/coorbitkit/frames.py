@@ -45,22 +45,18 @@ from .sampling import SampleSet, build_cover, molecule_bound, pair_check, rel_se
 
 
 class Representation:
-    """Gabor orbit map pi(k,l)f(t) = exp(2 pi i l t / N) f(t - k) on C^N, x = k N + l."""
+    """Gabor orbit map pi(k,l)f(t) = exp(2 pi i l t / N) f(t - k) on C^N, x = k N + l, read
+    off the model's tables: ``sub[k, t]`` = (t - k) mod N and the phase ``chi[l, t]``."""
 
     def __init__(self, model: CyclicPhaseSpace):
         if not isinstance(model, CyclicPhaseSpace):
             raise InvalidParameterError("the Gabor representation needs a cyclic phase space")
-        n = model.n_side
-        t = np.arange(n)
         self.model = model
-        self.dim = n
-        self.shift = (t[None, :] - t[:, None]) % n  # [k, t] = (t - k) mod N
-        self.phase = np.exp(2j * np.pi * t[:, None] * t / n)  # [l, t]
+        self.dim = model.n_side
 
     def action(self, i: int) -> np.ndarray:
         """pi(x_i) as a dim x dim matrix, built on every call, integer 0 <= i < n."""
-        k, l = self._point(i)
-        return self.phase[l][:, None] * np.eye(self.dim)[self.shift[k]]
+        return self.apply(i, np.eye(self.dim)).T
 
     @property
     def matrices(self) -> np.ndarray:
@@ -70,12 +66,12 @@ class Representation:
     def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
         """pi(x_i) vec for one vector or for each row of a (k, dim) stack, integer 0 <= i < n."""
         k, l = self._point(i)
-        return self.phase[l] * self._shifted(vecs, k, (1, 2))
+        return self.model.chi[l] * self._shifted(vecs, k, (1, 2))
 
     def orbit(self, vec: np.ndarray) -> np.ndarray:
         """All pi(x) vec stacked as rows, shape (n, dim), in O(n dim) from the two tables."""
         shifted = self._shifted(vec, slice(None), (1,))  # [k, t] = vec((t - k) mod N)
-        return (self.phase[None, :, :] * shifted[:, None, :]).reshape(-1, self.dim)
+        return (self.model.chi[None, :, :] * shifted[:, None, :]).reshape(-1, self.dim)
 
     def _point(self, i) -> tuple:
         """(k, l) of point index ``i``; InvalidParameterError unless it is an integer in [0, n)."""
@@ -88,7 +84,7 @@ class Representation:
         vecs = np.asarray(vecs)
         if vecs.ndim not in ndims or vecs.shape[-1] != self.dim:
             raise IncompatibleOperandsError(f"need length-{self.dim} vectors, got {vecs.shape}")
-        return vecs[..., self.shift[k]]
+        return vecs[..., self.model.sub[k]]
 
 
 def gabor_representation(model: CyclicPhaseSpace) -> Representation:
@@ -325,7 +321,7 @@ def _frame_phi(fs: FrameSystem, phi: str) -> tuple:
     if fs.bounds[0] <= 0:
         raise NotAFrameError("lower frame bound is zero")
     tail_tol, s = 1e-12, fs.frame_operator
-    result, n_terms, tail_bound = _series_apply(s, phi, None, tail_tol, fs.relaxation)
+    result, n_terms, tail_bound = _series_apply(s, phi, tail_tol, fs.relaxation)
     product = result @ s if phi == "inverse" else result @ s @ result
     resid = _identity_gap(product, spectral=True)
     if resid > 10 * tail_tol:
@@ -562,8 +558,7 @@ def frame_kernel_envelope_check(fs: FrameSystem) -> dict:
     ks = fs.kernel_system
     model = ks.rep.model
     if len(fs.sample) == 0 or not np.any(fs.tau):  # the keys of pair_check, no pair read
-        return {"pairs": 0, "exhaustive": True, "absent": 0, "max_excess": 0.0,
-                "max_ratio": 0.0, "holds": True}
+        return {"pairs": 0, "absent": 0, "max_excess": 0.0, "max_ratio": 0.0, "holds": True}
     phi = orbit_envelope(ks, ks.window, np.sqrt(fs.tau.max()), 1.0, unit_weight(model)).envelope
     bound = molecule_bound(rel_separation(fs.sample), [(phi, phi)])
     rows = _covariant_rows(fs)

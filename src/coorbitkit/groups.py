@@ -106,14 +106,16 @@ behind the convolution relations Y * W^R(L^r_w) in Y: sum_y v1(y) v2(y^{-1} x)
 mu(y) at each x, an absent y^{-1} x reading 0, each term times sigma(y, y^{-1} x)
 when ``twisted``.  The base class adds up blocks of ``_block_items(n)`` rows y
 (one block up to n = 512, 256 rows at N = 32), skipping those where v1
-vanishes: v1 mu times the ``left_translates`` rows, or, twisted, the padded read
-of the ``div_indices`` table times ``cocycle_values``.  Each block's table, and
-in the twisted sum its index table and cocycle values, is released before the
-next block is built.  Another block size regroups the partial sums of the block
-products and moves the last bits of the values.  The line overrides it with
-``np.convolve``, a plain sequence convolution under addition, on the nonzero
-span of each input.  A trivial cocycle reads as all ones (line, affine grid,
-Z_1 x Z_1), so a twist there leaves every value equal and the line ignores it.
+vanishes: v1 mu times the ``left_translates`` rows of v2.  Twisted, they are the
+rows of the modulated v2: row y reads u -> v2(u) sigma(y, u) at u = y^{-1} x, so
+the plain gather gives each term its cocycle with no index table of its own.
+Each block's table, and in the twisted sum its modulated rows, is released
+before the next block is built.  Another block size regroups the partial sums
+of the block products and moves the last bits of the values.  The line
+overrides it with ``np.convolve``, a plain sequence convolution under addition,
+on the nonzero span of each input.  A trivial cocycle reads as all ones (line,
+affine grid, Z_1 x Z_1), so a twist there leaves every value equal and the line
+ignores it.
 
 Block budget.  ``_BLOCK_ENTRIES`` is the one bound on the largest temporary a
 blocked kernel forms: a convolution block of rows y x carrier, a Z_N x Z_N
@@ -124,6 +126,7 @@ voices block.  ``_block_items`` turns it into items per block.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -310,13 +313,9 @@ class GroupModel:
             rows = weighted[block]
             if not np.any(rows):
                 continue
-            if twisted:
-                z = self.div_indices(block[:, None], np.arange(n)[None, :])
-                # absent entries read the pad slot's zero and stay zero
-                vals = padded(v2)[z] * self.cocycle_values(block[:, None], z)
-                del z
-            else:
-                vals = self.left_translates(v2, block)
+            # twisted, row y reads v2 sigma(y, .) at y^{-1}x: the plain rows of modulated v2
+            vals = self.left_translates(
+                v2 * self.cocycle_values(block[:, None], np.arange(n)) if twisted else v2, block)
             out += rows @ vals
             del vals  # released before the next block's table is built
         return out
@@ -354,9 +353,9 @@ class GroupModel:
 class CyclicPhaseSpace(GroupModel):
     """Z_N x Z_N with the time-frequency cocycle; the exact Gabor phase space.
 
-    Point (k, l) has index k*N + l.  The cocycle convention
-    sigma((k,l),(k',l')) = exp(-2*pi*i * k*l'/N) is the one validated exhaustively
-    against the pinned representation pi(k,l)f(t) = exp(2*pi*i*l*t/N) f(t-k).
+    Point (k, l) has index k*N + l.  The cocycle convention sigma((k,l),(k',l')) =
+    exp(-2*pi*i * k*l'/N) = conj(chi[k, l']) is the one validated exhaustively against
+    the representation pi(k,l)f(t) = exp(2*pi*i*l*t/N) f(t-k), read off ``chi`` and ``sub``.
     """
 
     exact = True
@@ -380,10 +379,16 @@ class CyclicPhaseSpace(GroupModel):
         # row j holds the index of x·q_j^{-1}, the point whose push by q_j lands on x; as
         # Q = Q^{-1} and x·q, q·x share an index, its rows, in another order, are x·q and q·x
         self._q_inv_table = self.translates(idx, self.inv_indices(self.q_indices))
-        # _sub[a, b] = (b - a) mod N, the coordinate of x_i^{-1} x_j, and its row offset
+        # sub[a, b] = (b - a) mod N, the coordinate of x_i^{-1} x_j, and its row offset
         axis = np.arange(self.n_side)
-        self._sub = (axis[None, :] - axis[:, None]) % self.n_side
-        self._sub_rows = self._sub * self.n_side
+        self.sub = (axis[None, :] - axis[:, None]) % self.n_side
+        self._sub_rows = self.sub * self.n_side
+
+    @functools.cached_property
+    def chi(self) -> np.ndarray:
+        """exp(2 pi i k l / N) at [k, l], the one Gabor phase table, formed on first read."""
+        axis = np.arange(self.n_side)
+        return np.exp(2j * np.pi * axis[:, None] * axis / self.n_side)
 
     def mul_indices(self, i, j):
         i = np.asarray(i)
@@ -401,15 +406,15 @@ class CyclicPhaseSpace(GroupModel):
     def div_indices(self, i, j):
         i = np.asarray(i)
         j = np.asarray(j)
-        return self._sub_rows[self._k[i], self._k[j]] + self._sub[self._l[i], self._l[j]]
+        return self._sub_rows[self._k[i], self._k[j]] + self.sub[self._l[i], self._l[j]]
 
     def left_translates(self, values, points) -> np.ndarray:
         # p^{-1} x = (a - k_p, b - l_p) for x = (a, b): row i reads v as an N x N grid
-        # through two |P| x N tables of shifted coordinates, rows of _sub
+        # through two |P| x N tables of shifted coordinates, rows of sub
         points = np.asarray(points, dtype=int)
         values = np.asarray(values)
-        rows = self._sub[self._k[points]]
-        cols = self._sub[self._l[points]]
+        rows = self.sub[self._k[points]]
+        cols = self.sub[self._l[points]]
         grids = values.reshape(values.shape[:-1] + (self.n_side, self.n_side))
         lead = (np.arange(len(points))[:, None, None],) if values.ndim > 1 else ()
         out = grids[lead + (rows[:, :, None], cols[:, None, :])]
@@ -428,9 +433,7 @@ class CyclicPhaseSpace(GroupModel):
         return translated.max(axis=0, initial=0.0)
 
     def cocycle_values(self, i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        return np.exp(-2j * np.pi * self._k[i] * self._l[j] / self.n_side)
+        return np.conj(self.chi[self._k[i], self._l[j]])
 
     def _q_reduce(self, values, ufunc) -> np.ndarray:
         """``ufunc`` reduced over q_j of ``values`` ((..., n)) read at x·q_j^{-1}.

@@ -171,7 +171,6 @@ def pair_check(model: GroupModel, bound: np.ndarray, lhs_rows, rows) -> dict:
     images = model.size // len(rows)  # the coset size |Lambda|
     return {
         "pairs": model.size ** 2,
-        "exhaustive": True,
         "absent": absent * images,
         "max_excess": max_excess,
         "max_ratio": ratio,

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from coorbitkit import CDMatrix, CoorbitContext, GridFunction, KernelSystem, QuasiNormSpec, \
     Representation, SampleSet, convolve, coorbit_norm, fit_envelope, maximal_left, maximal_right, minimal_envelope, product_with_envelope, rel_separation, \
     twisted_convolve, unit_weight
-from coorbitkit.cdmatrix import _series_apply, _series_coefficients
+from coorbitkit.cdmatrix import _MAX_DEVIATION, _series_apply, _series_coefficients
 from coorbitkit.coorbit import _coefficient_norm, _stack
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError
 from coorbitkit.experiments import _partial_norm_axes, _scale_selfconvolution
@@ -98,7 +98,7 @@ def eig_apply(s, fn):
 def unrelaxed_frame_phi(fs, phi, tail_tol=1e-12):
     """(phi(S), terms) by the series around I while ||S - I||_2 < 0.999, else eigh (0 terms)."""
     if fs.deviation < 0.999:
-        return _series_apply(fs.frame_operator, phi, 0.999, tail_tol)[:2]
+        return _series_apply(fs.frame_operator, phi, tail_tol)[:2]
     return eig_apply(fs.frame_operator, {"inverse": lambda v: 1.0 / v,
                                          "inverse_sqrt": lambda v: v ** -0.5}[phi]), 0
 
@@ -413,7 +413,7 @@ def composed_product_envelope(a, b):
     )
 
 
-def eager_series_apply(s, phi, eps_bound, tail_tol):
+def eager_series_apply(s, phi, tail_tol):
     """The unrelaxed power series with all 20,001 coefficients built before summing."""
     max_terms = 20_000
     coeffs = np.ones(max_terms + 1)
@@ -422,7 +422,7 @@ def eager_series_apply(s, phi, eps_bound, tail_tol):
             coeffs[n + 1] = coeffs[n] * (n + 0.5) / (n + 1.0)
     d = np.eye(len(s)) - np.asarray(s, dtype=complex)
     dev = float(np.linalg.norm(d, 2))
-    assert dev < min(eps_bound, 1.0)
+    assert dev <= _MAX_DEVIATION
     result = np.eye(len(s), dtype=complex)
     power = np.eye(len(s), dtype=complex)
     for n in range(1, max_terms + 1):
@@ -437,7 +437,7 @@ def eager_series_apply(s, phi, eps_bound, tail_tol):
 
 def composed_holomorphic_envelope(a, phi, tail_tol=1e-10):
     """The envelope of phi(A), each Theta^{(n+1)} read off the full product of CD-matrices."""
-    _, n_terms, op_tail = _series_apply(a.entries, phi, 0.999999, tail_tol)
+    _, n_terms, op_tail = _series_apply(a.entries, phi, tail_tol)
     diff = CDMatrix(rows=a.rows, cols=a.cols, entries=a.entries - np.eye(len(a.rows)))
     diff.envelope = minimal_envelope(diff)
     coeffs = list(itertools.islice(_series_coefficients(phi), n_terms + 1))
@@ -470,7 +470,6 @@ def inline_shifted_series_check(f1, f2, sample):
     return {
         "rel": rel,
         "pairs": int(xs.size),
-        "exhaustive": True,
         "max_excess": max_excess,
         "max_ratio": float(ratios[np.isfinite(ratios)].max(initial=0.0)),
         "holds": max_excess <= 1e-10,
@@ -505,9 +504,8 @@ def blocked_convolve(model, v1, v2, block=None, twisted=False):
         ys = np.arange(start, min(start + block, n))
         if np.any(weighted[ys]):
             z = GroupModel.div_indices(model, ys[:, None], np.arange(n)[None, :])
-            # one expression, as the library writes it: with a named left operand numpy
-            # writes the product into the right temporary as b * a, and its complex multiply
-            # (fused multiply-adds) can give b * a and a * b different last bits
+            # each entry is v2(z) sigma(y, z), the product the library forms before it
+            # translates the modulated rows
             vals = padded(v2)[z] * model.cocycle_values(ys[:, None], z) if twisted \
                 else padded(v2)[z]
             out += weighted[ys] @ vals

@@ -304,13 +304,13 @@ class TestLazySeriesCoefficients:
         a = CDMatrix(rows=lam, cols=lam, entries=np.eye(32)
                      + scale / np.linalg.norm(perturb.entries, 2) * perturb.entries)
         a.envelope = minimal_envelope(a)
-        expected, n_terms, tail = eager_series_apply(a.entries, "inverse_sqrt", 0.999999, 1e-10)
-        result = _series_apply(a.entries, "inverse_sqrt", 0.999999, 1e-10)
+        expected, n_terms, tail = eager_series_apply(a.entries, "inverse_sqrt", 1e-10)
+        result = _series_apply(a.entries, "inverse_sqrt", 1e-10)
         assert np.array_equal(result[0], expected) and result[1:] == (n_terms, tail)
         assert n_terms == terms
         if terms < 100:  # the propagated envelope overflows long before 2,749 terms
             assert np.array_equal(matrix_holomorphic(a, "inverse_sqrt").entries, expected)
-        expected, n_terms, _ = eager_series_apply(a.entries, "inverse_sqrt", 0.999, 1e-12)
+        expected, n_terms, _ = eager_series_apply(a.entries, "inverse_sqrt", 1e-12)
         assert n_terms == holomorphic_terms
-        assert np.array_equal(_series_apply(a.entries, "inverse_sqrt", 0.999, 1e-12)[0], expected)
+        assert np.array_equal(_series_apply(a.entries, "inverse_sqrt", 1e-12)[0], expected)
 

@@ -573,8 +573,7 @@ class TestSuites:
             omega * q ** 17 / (1.0 - q), rel=1e-12)
         assert report.parameters["series_tail_bound"] <= 1e-12
         assert "amalgam_value" in report.parameters["envelope"]
-        assert report.parameters["frame_kernel_check"] == {"pairs": 4096, "exhaustive": True,
-                                                           "absent": 0}
+        assert report.parameters["frame_kernel_check"] == {"pairs": 4096, "absent": 0}
 
     def test_riesz_suite(self):
         report = ex.run_riesz_suite(n_side=8, separation=4)
@@ -661,7 +660,6 @@ class TestOneKernelSystem:
         built = CoorbitContext.build(ks.rep, ks.window, ctx_z.y_spec, ctx_y.weight, ctx_y.p)
         assert ctx_z.kernel_system is ks and ctx_z.y_spec.p == 1.0
         assert ctx_z.weight is built.weight and ctx_z.p == built.p
-        assert ctx_z.window_amalgam == built.window_amalgam
         assert np.array_equal(ctx_z.kernel_system.orbit, built.kernel_system.orbit)
 
 

@@ -235,6 +235,51 @@ def test_convolution_checks_catch_a_leftover():
     assert _kind_reads(tree) == ["m.kind (line 2)"]
 
 
+def _phase_forms(tree) -> list:
+    """``Class.method`` (or the function) of each ``np.exp`` of a complex multiple of pi."""
+    def is_phase(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.exp", "numpy.exp") \
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                    for c in ast.walk(node)) \
+            and any(isinstance(a, ast.Attribute) and a.attr == "pi" for a in ast.walk(node))
+
+    owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    return [f"{owner[id(fn)]}.{fn.name}" if id(fn) in owner else fn.name
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if is_phase(node)]
+
+
+def _method_calls(tree, cls, method, attr) -> list:
+    """The calls of ``.attr`` inside ``cls.method``."""
+    return [ast.unparse(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            and c.name == cls for fn in c.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == method
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+
+
+def test_one_gabor_phase_table():
+    """exp(2 pi i k l / N) is formed once, as Z_N x Z_N's ``chi`` table, which the
+    representation and the cocycle read; the twisted sum reads no y^{-1}x table of its own."""
+    assert {module: _phase_forms(tree) for module, tree in TREES.items()
+            if _phase_forms(tree)} == {"groups": ["CyclicPhaseSpace.chi"]}
+    assert _method_calls(TREES["groups"], "GroupModel", "convolve", "div_indices") == []
+
+
+def test_phase_checks_catch_a_leftover():
+    tree = ast.parse("class Representation:\n    def __init__(self, n):\n"
+                     "        self.phase = np.exp(2j * np.pi * t[:, None] * t / n)\n"
+                     "class GroupModel:\n    def convolve(self, v, b):\n"
+                     "        return v[self.div_indices(b[:, None], b)]\n"
+                     "    def cocycle_values(self, k, l):\n"
+                     "        return numpy.exp(-2j * np.pi * k * l / self.n)\n"
+                     "def gaussian(d, n):\n    return np.exp(-np.pi * d * d / n)\n")
+    assert _phase_forms(tree) == ["Representation.__init__", "GroupModel.cocycle_values"]
+    assert _method_calls(tree, "GroupModel", "convolve", "div_indices") \
+        == ["self.div_indices(b[:, None], b)"]
+
+
 def _window_views(tree) -> list:
     """Every import or attribute read of numpy's ``sliding_window_view``."""
     name = "sliding_window_view"
@@ -521,8 +566,8 @@ def test_one_relaxed_series_for_every_frame():
     calls = [node for node in ast.walk(frame_phi) if isinstance(node, ast.Call)]
     assert not any(_calls("_eigh")(node) for node in calls)
     (series_call,) = [node for node in calls if _calls("_series_apply")(node)]
-    # no eps_bound, so the series is always summed, relaxed by fs.relaxation
-    assert ast.unparse(series_call) == "_series_apply(s, phi, None, tail_tol, fs.relaxation)"
+    # the series is always summed, relaxed by fs.relaxation
+    assert ast.unparse(series_call) == "_series_apply(s, phi, tail_tol, fs.relaxation)"
     assert _callers(_calls("_frame_phi")) == {"frames.dual_frame", "frames.parseval_frame"}
     assert _callers(_calls("_eigh")) == {"frames.hermitian_extremes", "frames.build_riesz_system"}
     cutoffs = [ast.unparse(node) for node in ast.walk(TREES["frames"])
@@ -533,7 +578,7 @@ def test_one_relaxed_series_for_every_frame():
 
 
 def test_phi_is_the_series_only():
-    """_frame_phi is the relaxed series only: no tail_tol, eig or eps_bound parameter, no _eigh
+    """_frame_phi is the relaxed series only: no tail_tol or eig parameter, no _eigh
     or eigh reached."""
     (phi,) = [fn for fn in TREES["frames"].body
               if isinstance(fn, ast.FunctionDef) and fn.name == "_frame_phi"]
