@@ -80,7 +80,6 @@ from .groups import (
     validate_p_weight,
 )
 from .sampling import (
-    DisjointCover,
     SampleSet,
     build_cover,
     rel_separation,

@@ -1,8 +1,11 @@
 """Experiment runners producing machine-readable reports.
 
 Every quadrature pass flag is re-verified at half the step by ``_rechecked``; a
-flag that flips raises ResolutionError.  Random samples come from a counter-based
-generator keyed by (seed, experiment) so every run is reproducible.
+flag that flips raises ResolutionError.  Every random draw is seeded by the run's
+``seed``, so every run is reproducible: ``coorbit norm`` draws its vectors from the
+counter-based generator ``rng_for`` keyed by (seed, experiment), ``coorbit embed``
+from ``default_rng(seed + 3)`` inside ``embedding_check``, and the Rayleigh oracle of
+``gabor riesz`` from ``default_rng(seed + 1)``.  The other runners draw nothing.
 """
 
 from __future__ import annotations

@@ -292,13 +292,17 @@ def _identity_gap(x: np.ndarray, spectral: bool = False) -> float:
 
 
 def build_almost_tight_frame(ks: KernelSystem, sample: SampleSet, u_indices) -> FrameSystem:
-    """Weighted kernel frame with tau_i = mu(U_i) from a greedy disjoint cover."""
+    """Weighted kernel frame with tau_i = mu(U_i) from the greedy disjoint cover.
+
+    ``build_cover`` gives each carrier point x its owner rank i, the cell U_i being
+    ``owner == i``, so tau is one Haar-weighted bincount of the owner array.
+    """
     atoms = ks.atoms(sample)
     if len(sample) == 0:
         d = ks.rep.dim
         return FrameSystem(ks, sample, np.zeros(0), np.zeros((d, d), complex), (0.0, 0.0))
-    cover = build_cover(sample, u_indices)
-    tau = cover.cell_masses()
+    owner = build_cover(sample, u_indices)
+    tau = np.bincount(owner, weights=sample.model.haar, minlength=len(sample))
     s = (atoms.T * tau) @ atoms.conj()
     s = 0.5 * (s + s.conj().T)
     return FrameSystem(ks, sample, tau, s, hermitian_extremes(s))

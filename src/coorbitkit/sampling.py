@@ -62,18 +62,6 @@ class SampleSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class DisjointCover:
-    """Per-sample cells U_i subseteq lambda_i U partitioning the carrier."""
-
-    sample: SampleSet
-    cells: tuple  # tuple of index arrays
-
-    def cell_masses(self) -> np.ndarray:
-        haar = self.sample.model.haar
-        return np.array([haar[c].sum() for c in self.cells])
-
-
 def rel_separation(sample: SampleSet) -> int:
     """rel(Lambda) = max over carrier x of #{i : lambda_i in xQ}.
 
@@ -103,13 +91,17 @@ def _check_u(model: GroupModel, u_indices) -> np.ndarray:
     return u
 
 
-def build_cover(sample: SampleSet, u_indices) -> DisjointCover:
-    """Greedy disjoint cover in list order: U_i = lambda_i U minus earlier cells."""
+def build_cover(sample: SampleSet, u_indices) -> np.ndarray:
+    """The greedy disjoint cover in list order as its (n,) owner array.
+
+    owner[x] is the first rank i, in list order, with x in lambda_i U, so the cell
+    U_i = lambda_i U minus the earlier cells is ``owner == i``.  A point that no
+    translate holds raises NotDenseError.
+    """
     model = sample.model
     u = _check_u(model, u_indices)
-    # owner = first rank in list order whose translate holds the point; a point
-    # no translate holds keeps the sentinel len(sample); the pad slot absorbs
-    # absent products
+    # a point no translate holds keeps the sentinel len(sample); the pad slot
+    # absorbs absent products
     m = len(sample.points)
     owner = np.full(model.size + 1, m, dtype=int)
     t = model.translates(sample.points, u)
@@ -120,10 +112,7 @@ def build_cover(sample: SampleSet, u_indices) -> DisjointCover:
     if uncovered.size:
         i = int(uncovered[0])
         raise NotDenseError(i, model.point_label(i))
-    # one stable sort by owner keeps each cell's points ascending; split at the rank ends
-    order = np.argsort(owner, kind="stable")
-    cells = tuple(np.split(order, np.cumsum(np.bincount(owner, minlength=m))[:-1]))
-    return DisjointCover(sample=sample, cells=cells)
+    return owner
 
 
 def molecule_bound(rel: int, pairs) -> np.ndarray:

@@ -390,11 +390,7 @@ def test_cover_owners(model):
                     build_cover(sample, u)
                 assert err.value.uncovered_index == int(np.nonzero(owner == -1)[0][0])
                 continue
-            cells = build_cover(sample, u).cells
-            got = np.full(model.size, -1)
-            for rank, cell in enumerate(cells):
-                got[cell] = rank
-            assert np.array_equal(got, owner)
+            assert np.array_equal(build_cover(sample, u), owner)
 
 
 def edge_points(model):

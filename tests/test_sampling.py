@@ -5,13 +5,18 @@ from _oracles import brute_cover_owners, brute_is_dense, brute_is_separated, \
     brute_rel_separation, shifted_series_check
 from coorbitkit import (
     GridFunction,
+    KernelSystem,
     SampleSet,
     build_affine_grid,
+    build_almost_tight_frame,
     build_cover,
     build_cyclic_phase_space,
     build_real_line,
+    gabor_representation,
+    gaussian_window,
     rel_separation,
 )
+from coorbitkit.coorbit import _calibration_samples
 from coorbitkit.errors import InvalidParameterError, NotDenseError
 from coorbitkit.sampling import _sorted_unique
 
@@ -113,24 +118,24 @@ class TestBuildCover:
     def test_singleton_full_u(self):
         m = build_cyclic_phase_space(2)
         lam = SampleSet(model=m, points=np.array([0]))
-        cover = build_cover(lam, np.arange(4))
-        assert sorted(cover.cells[0].tolist()) == [0, 1, 2, 3]
+        owner = build_cover(lam, np.arange(4))
+        assert np.flatnonzero(owner == 0).tolist() == [0, 1, 2, 3]
 
     def test_lattice_partition(self):
         m = build_cyclic_phase_space(4)
         lam = cyclic_lattice(m, 2)
-        cover = build_cover(lam, block(m, 2))
-        sizes = [len(c) for c in cover.cells]
-        assert sizes == [4, 4, 4, 4]
-        all_points = np.sort(np.concatenate(cover.cells))
+        owner = build_cover(lam, block(m, 2))
+        assert np.bincount(owner, minlength=len(lam)).tolist() == [4, 4, 4, 4]
+        all_points = np.sort(np.concatenate([np.flatnonzero(owner == i) for i in range(len(lam))]))
         assert np.array_equal(all_points, np.arange(16))
 
     def test_masses_sum_to_total(self):
         m = build_cyclic_phase_space(8)
         lam = cyclic_lattice(m, 2)
-        cover = build_cover(lam, block(m, 2))
-        assert cover.cell_masses().sum() == pytest.approx(m.haar.sum())
-        assert np.all(cover.cell_masses() <= m.haar[block(m, 2)].sum() + 1e-12)
+        ks = KernelSystem.build(gabor_representation(m), gaussian_window(m))
+        tau = build_almost_tight_frame(ks, lam, block(m, 2)).tau
+        assert tau.sum() == pytest.approx(m.haar.sum())
+        assert np.all(tau <= m.haar[block(m, 2)].sum() + 1e-12)
 
     def test_permutation_preserves_partition(self):
         m = build_cyclic_phase_space(4)
@@ -138,15 +143,16 @@ class TestBuildCover:
         rng = np.random.default_rng(1)
         perm = rng.permutation(len(lam))
         lam2 = SampleSet(model=m, points=lam.points[perm])
-        cover2 = build_cover(lam2, block(m, 2))
-        all_points = np.sort(np.concatenate(cover2.cells))
+        owner2 = build_cover(lam2, block(m, 2))
+        all_points = np.sort(np.concatenate([np.flatnonzero(owner2 == i)
+                                             for i in range(len(lam2))]))
         assert np.array_equal(all_points, np.arange(16))
 
     @pytest.mark.parametrize("model_id", ["cyclic", "affine"])
     @pytest.mark.parametrize("kind", ["lattice", "q", "random"])
     def test_cells_equal_owner_comprehension(self, model_id, kind):
-        """The cells from one sort of the owners are the arrays one owner == rank scan
-        per sample point gives: same points, order and dtype."""
+        """The owner array is the one a scan of the translates in list order gives, with
+        the same dtype, so each cell ``owner == rank`` holds the same points."""
         if model_id == "cyclic":
             m = build_cyclic_phase_space(8)
             jx, ma = divmod(np.arange(m.size), 8)
@@ -163,11 +169,50 @@ class TestBuildCover:
             points = np.sort(rng.choice(m.size, m.size // 2, replace=False))
         owner = brute_cover_owners(m, points, u)
         assert np.all(owner >= 0)  # dense
-        expected = [np.nonzero(owner == rank)[0] for rank in range(len(points))]
-        cells = build_cover(SampleSet(model=m, points=points), u).cells
-        assert len(cells) == len(expected)
-        for cell, want in zip(cells, expected):
-            assert cell.dtype == want.dtype and np.array_equal(cell, want)
+        got = build_cover(SampleSet(model=m, points=points), u)
+        assert got.dtype == owner.dtype and np.array_equal(got, owner)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 6, 12, 24])
+    def test_tau_is_the_cell_sums(self, n):
+        """tau from one weighted bincount against the per-cell sums haar[owner == i].sum().
+
+        Both add the same c = #U_i nonnegative weights of a cell, in two orders:
+        bincount runs through the carrier in order, and numpy's sum of the gathered
+        cell, once c reaches 8, keeps eight partial sums and adds blocks pairwise.
+        Any order of c nonnegative terms with exact sum s returns s_hat with
+        |s_hat - s| <= gamma_(c-1) s, where gamma_k = k u / (1 - k u) and u = 2^-53
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  So the two
+        results differ by at most 2 gamma_(c-1) s, and s <= tau_i / (1 - gamma_(c-1))
+        bounds s by the computed tau_i: |tau_i - sum_i| <= 2 gamma_(c-1) tau_i /
+        (1 - gamma_(c-1)), which is 2 (c - 1) u tau_i to first order in u.  At a
+        power-of-two N every weight is 1/N and every partial sum k/N of them is exact,
+        so the two agree bit for bit.  The cases are every lattice whose steps (a, b)
+        divide N, with U its a x b block, and the calibration samples with U = Q.
+        """
+        m = build_cyclic_phase_space(n)
+        ks = KernelSystem.build(gabor_representation(m), gaussian_window(m))
+        steps = [d for d in range(1, n + 1) if n % d == 0]
+        cases = [(SampleSet(model=m, points=np.array([k * n + l for k in range(0, n, a)
+                                                      for l in range(0, n, b)])),
+                  np.array([k * n + l for k in range(a) for l in range(b)]))
+                 for a in steps for b in steps]
+        cases += [(lam, m.q_indices) for lam in _calibration_samples(m, 2024)]
+        checked = 0
+        for lam, u in cases:
+            try:
+                owner = build_cover(lam, u)
+            except NotDenseError:
+                continue
+            tau = build_almost_tight_frame(ks, lam, u).tau
+            sums = np.array([m.haar[owner == i].sum() for i in range(len(lam))])
+            if n & (n - 1) == 0:
+                assert np.array_equal(tau, sums)
+            else:
+                ku = (np.bincount(owner, minlength=len(lam)) - 1) * 2.0 ** -53
+                gamma = ku / (1 - ku)
+                assert np.all(np.abs(tau - sums) <= 2 * gamma * tau / (1 - gamma))
+            checked += 1
+        assert checked >= len(steps) ** 2
 
     @pytest.mark.parametrize("build", [lambda: build_cyclic_phase_space(4),
                                        lambda: build_real_line(4.0, 0.25),
@@ -186,9 +231,9 @@ class TestBuildCover:
                 build_cover(lam, u)
         every = SampleSet(model=m, points=np.arange(m.size))
         for u in ([e], np.array([e, m.size - 1], dtype=np.int32), [0, e]):
-            want = build_cover(every, np.asarray(u, dtype=int)).cells
-            got = build_cover(every, u).cells
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            want = build_cover(every, np.asarray(u, dtype=int))
+            got = build_cover(every, u)
+            assert np.array_equal(got, want)
 
     def test_not_dense_error_names_point(self):
         m = build_cyclic_phase_space(8)

@@ -527,6 +527,40 @@ def test_flat_parser_check_catches_a_leftover():
     assert _mentions(tree, "add_subparsers") == ["line 3"]
 
 
+_CELL_FORMS = {"DisjointCover", "cell_masses"}
+_SPLITS = {f"{np}.{fn}" for np in ("np", "numpy") for fn in ("split", "array_split")}
+
+
+def _cover_parts(trees) -> tuple:
+    """In ``trees``: the per-cell forms each module defines, its numpy split calls, and
+    ``module.function`` for every function that calls ``build_cover``."""
+    cell_forms = sorted(f"{module}.{name}" for module, tree in trees.items()
+                        for name in _defined_names(tree) & _CELL_FORMS)
+    splits = sorted(f"{module} line {node.lineno}" for module, tree in trees.items()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) in _SPLITS)
+    callers = sorted({f"{module}.{fn.name}" for module, tree in trees.items()
+                      for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and _constructions(fn, "build_cover")})
+    return cell_forms, splits, callers
+
+
+def test_a_cover_is_its_owner_array():
+    """``build_cover`` returns the owner array: no module keeps a per-cell container or
+    splits an array into cells, and the frame build, which reads tau as one weighted
+    bincount of the owners, is the one caller."""
+    assert _cover_parts(TREES) == ([], [], ["frames.build_almost_tight_frame"])
+
+
+def test_cover_check_catches_a_leftover():
+    tree = ast.parse("class DisjointCover:\n    def cell_masses(self): pass\n"
+                     "def build_cover(s, u):\n    return np.split(order, ends)\n"
+                     "def frame(s, u):\n    return sampling.build_cover(s, u)\n"
+                     "def cells(s, u):\n    return numpy.array_split(build_cover(s, u), 3)\n")
+    assert _cover_parts({"m": tree}) == (["m.DisjointCover", "m.cell_masses"],
+                                         ["m line 4", "m line 8"], ["m.cells", "m.frame"])
+
+
 def test_one_molecule_bound():
     """M^L Theta * M^R Phi is formed in the molecule bound and nowhere else."""
     def conv_of_left_max(node):
