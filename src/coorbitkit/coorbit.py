@@ -7,14 +7,14 @@ each report carries a constant calibrated by the documented sampling battery in
 ``calibrate_constants`` and the measured quantity it certifies.
 
 Both quasi-norms take a stack: ``coorbit_norm`` a (k, dim) array of vectors and
-``sequence_norm`` a (k, |Lambda|) array of sequences give k norms, each
-bit-identical to the row's own call.  Every sup over sampled vectors measures
-its whole sample in one call per norm.
+``sequence_norm`` a (k, |Lambda|) array of sequences give k norms, reduced row
+by row, so every sup over sampled vectors takes one call per norm.
 
 A family of atoms h_i (the rows of ``atoms``) acts by the coefficient map
-C f = (<f, h_i>)_i, ``atoms.conj() @ f``, and the reconstruction map
-D c = sum_i c_i h_i, ``c @ atoms``; the calibration and the checks measure their
-norms between Co(Y) and Y_d, and the molecule envelope of the family bounds them.
+C f = (<f, h_i>)_i and the reconstruction map D c = sum_i c_i h_i.  On a stack each
+is one matrix product, ``f_samples @ atoms.conj().T`` and ``c_samples @ atoms``, whose
+rows round as that product does, not as lone vectors.  Each check forms a family's
+coefficient stack once, and the molecule envelope of the family bounds both maps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import (
 from .frames import (
     KernelSystem,
     Representation,
-    _matvecs,
     build_almost_tight_frame,
     dual_frame,
     fit_envelope,
@@ -131,15 +130,15 @@ def window_independence_ratio(ctx: CoorbitContext, other_window: np.ndarray,
 # measured norms of the coefficient and reconstruction maps
 
 
-def _coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet, f_samples: np.ndarray,
+def _coefficient_norm(ctx: CoorbitContext, coefficients: np.ndarray, sample: SampleSet,
                       f_norms: np.ndarray) -> float:
-    """sup over the rows f of ``f_samples`` of ||C f||_{Y_d} / ||f||_{Co(Y)}, C f = (<f, h_i>)_i.
+    """sup over sampled f of ||C f||_{Y_d} / ||f||_{Co(Y)}, C f = (<f, h_i>)_i.
 
-    ``f_norms`` holds the coorbit norms of the rows, so a caller with several
-    families on one stack takes them once.
+    Row r of ``coefficients`` is C f_r, ``f_samples @ atoms.conj().T``, and
+    ``f_norms[r]`` is ||f_r||_{Co(Y)}: a caller forms each stack once and may
+    hand it on as reconstruction input.
     """
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
-    coefficients = _matvecs(np.asarray(atoms).conj(), f_samples)
     return float(_ratios(sequence_norm(coefficients, sspec), f_norms).max())
 
 
@@ -148,8 +147,7 @@ def measured_reconstruction_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
     """sup over samples of ||D c||_{Co(Y)} / ||c||_{Y_d}."""
     sspec = SequenceSpaceSpec(base=ctx.y_spec, sample=sample)
     c_samples = _stack(c_samples, len(sample))
-    # c @ atoms for each row c, one vector-matrix product per row as in _matvecs
-    images = np.matmul(c_samples[:, None, :], np.asarray(atoms))[:, 0]
+    images = c_samples @ np.asarray(atoms)
     return float(_ratios(coorbit_norm(ctx, images), sequence_norm(c_samples, sspec)).max())
 
 
@@ -205,8 +203,9 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
     family where the frame exists, and images under seeded convolution-type
     operators).  Each family's coefficient/reconstruction norm is measured over
     basis + 12 seeded random vectors and divided by the certificate factors; the
-    calibration keeps the worst ratio.  The atoms and their shift are the orbit
-    families of g and pi(s) g, so their envelopes are one column each
+    calibration keeps the worst ratio, forming each coefficient stack once (the
+    dual's and the atoms' are reconstruction input too).  The atoms and their shift are
+    the orbit families of g and pi(s) g, so their envelopes are one column each
     (``orbit_envelope``); the duals keep the certificate of ``dual_frame``, and
     the convolution images are fitted.
     """
@@ -246,13 +245,11 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             families[f"conv{t}"] = atoms0 @ t_rows
             certs[f"conv{t}"] = fit_envelope(ks, families[f"conv{t}"], lam, ctx.p, ctx.weight)
 
-        # random sequences, delta sequences (often extremal), then the coefficients
-        # of the sampled vectors against the dual family and the atoms
-        c_samples = [_random_sequences(rng, n_random, len(lam)), np.eye(len(lam))]
-        if "dual" in families:
-            c_samples.append(_matvecs(np.asarray(families["dual"]).conj(), f_samples))
-        c_samples.append(_matvecs(atoms0.conj(), f_samples))
-        c_samples = np.concatenate(c_samples)
+        coefficients = {name: f_samples @ atoms.conj().T for name, atoms in families.items()}
+        # random and delta sequences (often extremal), then the dual's and atoms' coefficients
+        c_samples = np.concatenate(
+            [_random_sequences(rng, n_random, len(lam)), np.eye(len(lam))]
+            + [coefficients[name] for name in ("dual", "atoms") if name in coefficients])
         rel = rel_separation(lam)
         if len(lam) == 0:  # every family is empty: its fitted envelope is zero
             continue
@@ -260,7 +257,7 @@ def calibrate_constants(ctx: CoorbitContext, sample: Optional[SampleSet] = None,
             cert = certs[name]
             if cert.amalgam_value == 0:
                 continue
-            mc = _coefficient_norm(ctx, atoms, lam, f_samples, f_norms)
+            mc = _coefficient_norm(ctx, coefficients[name], lam, f_norms)
             mr = measured_reconstruction_norm(ctx, atoms, lam, c_samples)
             coeff_ratio = mc / (rel * cert.amalgam_value)
             recon_ratio = mr / cert.amalgam_value
@@ -289,17 +286,15 @@ def embedding_check(ctx_y: CoorbitContext, ctx_z: CoorbitContext, sample: Sample
     n_samples = 20
     rng = np.random.default_rng(seed)
     f_samples = _random_vectors(rng, ctx_y.kernel_system.rep.dim, n_samples)
-    atoms = np.asarray(atoms)
-    dual_atoms = np.asarray(dual_atoms)
     y_seq = SequenceSpaceSpec(base=ctx_y.y_spec, sample=sample)
     z_seq = SequenceSpaceSpec(base=ctx_z.y_spec, sample=sample)
 
-    seqs = np.concatenate([_matvecs(dual_atoms.conj(), f_samples),
-                           _random_sequences(rng, n_samples, len(sample))])
+    coefficients = f_samples @ np.asarray(dual_atoms).conj().T
+    seqs = np.concatenate([coefficients, _random_sequences(rng, n_samples, len(sample))])
 
     y_norms = coorbit_norm(ctx_y, f_samples)
     emb = float(_ratios(coorbit_norm(ctx_z, f_samples), y_norms).max())
-    c_norm = _coefficient_norm(ctx_y, dual_atoms, sample, f_samples, y_norms)
+    c_norm = _coefficient_norm(ctx_y, coefficients, sample, y_norms)
     iota = float(_ratios(sequence_norm(seqs, z_seq), sequence_norm(seqs, y_seq)).max())
     d_norm = measured_reconstruction_norm(ctx_z, atoms, sample, seqs)
 
@@ -328,16 +323,15 @@ def extend_operator_check(ctx: CoorbitContext, t_matrix: np.ndarray, sample: Sam
     ks = ctx.kernel_system
     rng = np.random.default_rng(seed)
     t_matrix = np.asarray(t_matrix, dtype=complex)
-    dual_atoms = np.asarray(dual_atoms)
     images = ks.atoms(sample) @ t_matrix.T
     cert = fit_envelope(ks, images, sample, ctx.p, ctx.weight)
 
     f_samples = _random_vectors(rng, ks.rep.dim, 20)
     f_norms = coorbit_norm(ctx, f_samples)
-    measured = float(_ratios(coorbit_norm(ctx, _matvecs(t_matrix, f_samples)), f_norms).max())
-    c_norm = _coefficient_norm(ctx, dual_atoms, sample, f_samples, f_norms)
-    induced = _matvecs(dual_atoms.conj(), f_samples)
-    d_images = measured_reconstruction_norm(ctx, images, sample, induced)
+    measured = float(_ratios(coorbit_norm(ctx, f_samples @ t_matrix.T), f_norms).max())
+    coefficients = f_samples @ np.asarray(dual_atoms).conj().T
+    c_norm = _coefficient_norm(ctx, coefficients, sample, f_norms)
+    d_images = measured_reconstruction_norm(ctx, images, sample, coefficients)
     bound = cal.reconstruction_c * cert.amalgam_value * c_norm
     return {
         "measured": measured,

@@ -617,7 +617,8 @@ def measured_coefficient_norm(ctx: CoorbitContext, atoms, sample: SampleSet,
                               f_samples: Sequence[np.ndarray]) -> float:
     """sup over samples of ||C f||_{Y_d} / ||f||_{Co(Y)}."""
     f_samples = _stack(f_samples, ctx.kernel_system.rep.dim)
-    return _coefficient_norm(ctx, atoms, sample, f_samples, coorbit_norm(ctx, f_samples))
+    coefficients = f_samples @ np.asarray(atoms).conj().T
+    return _coefficient_norm(ctx, coefficients, sample, coorbit_norm(ctx, f_samples))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from coorbitkit import (
     window_independence_ratio,
 )
 from coorbitkit import coorbit
+from coorbitkit.amalgam import magnitude_norm
 from coorbitkit.coorbit import measured_reconstruction_norm
 from coorbitkit.errors import IncompatibleOperandsError, InvalidParameterError, \
     NotContractiveError
@@ -425,20 +426,86 @@ class TestMeasuredNorms:
         assert val > 0
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), with u = 2^-53 the unit roundoff of float64."""
+    ku = k * 2.0 ** -53
+    return ku / (1 - ku)
+
+
+def _voice_error(ks, stack) -> np.ndarray:
+    """A bound e(x) >= |fl(V_g f(x)) - V_g f(x)| for each row f, whatever product forms it.
+
+    V_g f(x) = sum_j f_j conj(h_j), h = pi(x) g, has real and imaginary parts that are
+    each a sum of 2d real products, such as Re = sum_j (Re f_j Re h_j + Im f_j Im h_j),
+    and Cauchy-Schwarz bounds the 2d moduli of either part by sum_j |f_j| |h_j|.  In any
+    order, with each product rounded or fused into the next addition, a term meets at
+    most 2d roundings, so each part is within gamma_(2d) sum_j |f_j| |h_j| of its exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3,
+    (3.4) and Lemma 3.3): e(x) = sqrt(2) gamma_(2d) (|f| . |h|).  That holds for a lone
+    matrix-vector product and for a row of a stacked matrix product alike.  Computing
+    e adds two moduli (one ulp each, so gamma_2 each), d nonnegative products summed
+    (gamma_d) and the scale (gamma_2): dividing by 1 - gamma_(d+6) makes the computed
+    value an upper bound.
+    """
+    d = ks.rep.dim
+    dot = np.abs(stack) @ np.abs(ks.orbit).T
+    return np.sqrt(2) * _gamma(2 * d) * dot / (1 - _gamma(d + 6))
+
+
 class TestStacks:
-    """A stack of vectors or sequences gets the norms its rows get one at a time."""
+    """A stack of vectors or sequences gets the norms its rows get one at a time: bit for
+    bit where the norm reads the rows as they are, and within the rounding of V_g f where
+    the stack's voices are one matrix product."""
+
+    def test_voices_stack_matches_rows(self, setup):
+        """Each row of ``voices`` on a stack is within 2 e(x) of the lone products
+        ``voices(f)`` and ``orbit.conj() @ f``: both are within e(x) of V_g f(x)."""
+        model, rep, g, ks = setup
+        stack = np.array(rand_vectors(8, 12, 21))
+        got = ks.voices(stack)
+        allowance = 2 * _voice_error(ks, stack)
+        for f, row, bound in zip(stack, got, allowance):
+            for lone in (ks.voices(f), ks.orbit.conj() @ f):
+                assert np.all(np.abs(row - lone) <= bound)
 
     @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 1.0, 2.0, np.inf])
     def test_coorbit_norm_stack_matches_rows(self, setup, p):
+        """The stack's norms N' and the rows' own calls N agree within the voices' rounding.
+
+        Let r = min(1, p) and N(m) = ||M^L m||_{L^p_w}, the exact norm of moduli m.
+        - |.|: the stacked and the lone V_g f(x) are each within e(x) of the exact
+          value (``_voice_error``), so their moduli differ by at most 2 e(x).
+        - M^L: a max over Q moves by at most the largest move, so the two maximal
+          functions differ by at most M^L(2 e); N is monotone.
+        - The weighted sum: N^r is subadditive (Minkowski for p >= 1, the p-triangle
+          inequality for p < 1), so the exact norms' r-th powers differ by at most
+          D^r, D = N(2 e).
+        - Rounding: the code forms N from the computed moduli with per-entry relative
+          errors that N, monotone and homogeneous, keeps relative: the modulus (2),
+          the weight (1), the power (2), the Haar mass (1), the n-term sum (n - 1) and
+          the root (2), then the test's r-th power (2): gamma_(n+9).  Its exponent
+          fl(r) is off r by at most u r, which moves x^r by at most u r |ln x|
+          relative, L the largest |ln x| of the three quantities.  So each computed
+          r-th power, and D^r formed from the bound e, is within
+          kappa = gamma_(n+9) + u r L (first order in u) of its exact value, and
+          |N'^r - N^r| <= (1 + kappa) D^r + kappa (N'^r + N^r) / (1 - kappa).
+        For p < 1 that is of order D^p, far above D: a sound bound, not an estimate.
+        """
         model, rep, g, ks = setup
-        w = symmetrize_weight(model, 1.0 + np.arange(model.size) / 32.0, min(p, 1.0))
-        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=p, weight=w), w, min(p, 1.0))
+        r = min(p, 1.0)
+        w = symmetrize_weight(model, 1.0 + np.arange(model.size) / 32.0, r)
+        ctx = CoorbitContext.build(rep, g, QuasiNormSpec(p=p, weight=w), w, r)
         stack = np.array(rand_vectors(8, 12, 21))
         rows = np.array([coorbit_norm(ctx, f) for f in stack])
         got = coorbit_norm(ctx, stack)
         assert got.shape == (12,)
-        assert np.array_equal(got, rows)
         assert isinstance(coorbit_norm(ctx, stack[0]), float)
+        gap = magnitude_norm(model, 2 * _voice_error(ks, stack),
+                             QuasiNormSpec(p=p, weight=w, flavor="left"))
+        log_max = np.abs(np.log(np.concatenate([got, rows, gap]))).max()
+        kappa = _gamma(model.size + 9) + 2.0 ** -53 * r * log_max
+        assert np.all(np.abs(got ** r - rows ** r)
+                      <= (1 + kappa) * gap ** r + kappa * (got ** r + rows ** r) / (1 - kappa))
 
     @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 1.0, 2.0, np.inf])
     def test_sequence_norm_stack_matches_rows(self, setup, p):

@@ -661,6 +661,56 @@ def test_per_sample_norm_check_catches_a_loop():
     assert _norms_per_sample(tree) == ["coorbit_norm(ctx, f) (line 2)", "lambda (line 4)"]
 
 
+def _inserts_an_axis(node) -> bool:
+    """A subscript whose index holds ``None``, such as ``v[..., None]`` or ``c[:, None, :]``."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(part, ast.Constant) and part.value is None for part in parts)
+
+
+def _per_row_products(tree) -> list:
+    """A ``_matvecs`` binding, and each ``np.matmul`` call or ``@`` with an operand that
+    inserts an axis: a stack multiplied one row at a time."""
+    found = [(node.lineno, "_matvecs") for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "_matvecs"
+             or isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "_matvecs" for t in node.targets)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.matmul", "numpy.matmul"):
+            operands = node.args
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        else:
+            continue
+        if any(_inserts_an_axis(operand) for operand in operands):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_a_stack_is_one_matrix_product():
+    """A map over a stack of vectors is one matrix product: no module binds ``_matvecs`` or
+    multiplies a stack row by row, and ``_coefficient_norm`` takes the coefficient stack
+    its caller forms once, not the atoms."""
+    assert {module: _per_row_products(tree) for module, tree in TREES.items()
+            if _per_row_products(tree)} == {}
+    assert _parameters(TREES["coorbit"], "_coefficient_norm") \
+        == ["ctx", "coefficients", "sample", "f_norms"]
+
+
+def test_one_product_check_catches_a_leftover():
+    tree = ast.parse("def _matvecs(m, v):\n    return np.matmul(m, v[..., None])[..., 0]\n"
+                     "images = np.matmul(c[:, None, :], atoms)[:, 0]\n"
+                     "rows = (c[:, None, :] @ atoms)[:, 0]\n"
+                     "duals = (tau[:, None] * atoms) @ s.T\n_matvecs = None\n"
+                     "def _coefficient_norm(ctx, atoms, sample, f_samples, f_norms): pass\n")
+    assert _per_row_products(tree) == ["_matvecs (line 1)", "np.matmul(m, v[..., None]) (line 2)",
+                                       "np.matmul(c[:, None, :], atoms) (line 3)",
+                                       "c[:, None, :] @ atoms (line 4)", "_matvecs (line 6)"]
+    assert _parameters(tree, "_coefficient_norm") == ["ctx", "atoms", "sample", "f_samples",
+                                                      "f_norms"]
+
+
 def _sample_orbit_reads(tree) -> list:
     """``orbit[...]`` subscripts by a sample's ``points`` outside class KernelSystem, whose
     ``atoms(sample)`` is the one read of sample rows that checks the sample's model."""
